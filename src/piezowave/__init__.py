@@ -27,4 +27,4 @@ from .well import (WellReport, c_hat_constant, check_delta, classify_initial,
                    embedding_constant, nehari_lambda_star, poincare_constant,
                    s_star_solve, well_report, y0_and_threshold)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

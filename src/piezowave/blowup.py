@@ -9,7 +9,7 @@ argument yields an explicit finite upper bound on the blow-up time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -75,12 +75,7 @@ class BlowupReport:
     Y_positive_increasing: Optional[bool] = None
 
     def as_dict(self) -> dict:
-        return {"detected": self.detected, "t_detect": self.t_detect,
-                "trigger": self.trigger, "kappa": self.kappa,
-                "tau": self.tau, "tmax_bound": self.tmax_bound,
-                "criterion": self.criterion,
-                "G_monotone_ok": self.G_monotone_ok,
-                "Y_positive_increasing": self.Y_positive_increasing}
+        return asdict(self)
 
 
 def monitor(trajectory, exps: Exponents, params: MaterialParams,
@@ -169,9 +164,7 @@ def tmax_upper_bound(state0: State, params: MaterialParams, exps: Exponents,
     if kappa <= 0.0:
         raise BoundInapplicable(f"kappa = {kappa:.6g} <= 0: "
                                 "energy condition not met")
-    w = grid.weights
-    cross = (params.rho * np.dot(w, state0.v * state0.vt)
-             + params.mu * np.dot(w, state0.p * state0.pt))
+    cross = Nprime_of(state0, params, grid)
     tau_min = max(0.0, (2.0 * (vsq + psq) - (c - 2.0) * cross)
                   / ((c - 2.0) * kappa))
     tau = tau_min + TAU_MARGIN_REL * (1.0 + abs(tau_min))

@@ -24,35 +24,19 @@ import numpy as np
 
 from . import blowup as bl
 from . import decay
-from .config import (RunConfig, expand_sweep, load_run_config,
-                     load_sweep_config)
+from .config import (RunConfig, expand_sweep, fmt, load_run_config,
+                     load_sweep_config, parse, validate_run_config)
 from .diagnostics import CSV_FIELDS
 from .errors import BoundInapplicable, PiezowaveError
 from .integrator import simulate
-from .well import classify_initial, well_report
-
-FLOAT_FMT = "%.17g"
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return FLOAT_FMT % value
-    return str(value)
+from .well import classify_initial, poincare_constant, well_report
 
 
 def _json_scalar(value) -> str:
     if value is None:
         return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return FLOAT_FMT % value
+    if isinstance(value, (int, float, np.integer, np.floating)):
+        return fmt(value)      # bools are ints: true / false
     return '"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
@@ -68,7 +52,7 @@ def write_energy_csv(records, path: str) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
         for r in records:
-            writer.writerow([FLOAT_FMT % getattr(r, f) for f in CSV_FIELDS])
+            writer.writerow([fmt(getattr(r, f)) for f in CSV_FIELDS])
 
 
 def _fit_trajectory(traj, cfg: RunConfig, exps):
@@ -81,33 +65,28 @@ def _fit_trajectory(traj, cfg: RunConfig, exps):
     if np.any(values <= 0.0) or times.size < 4:
         return None
     eta = decay.eta_from_exponents(exps)
-    if cfg.fit_model == "exp":
-        return decay.fit_exponential(times, values)
     eta_eff = eta if eta > 0.0 else 1.0   # nominal eta for m = 1 probes
-    if cfg.fit_model == "poly":
-        return decay.fit_polynomial(times, values, eta_eff)
-    return decay.fit_logarithmic(times, values, eta_eff, cfg.fit_C)
+    return decay.FITS[cfg.fit_model](times, values, eta_eff, cfg.fit_C)
 
 
-def run_one(cfg: RunConfig, want_well: bool = True):
+def _problem(cfg: RunConfig):
+    """Material, exponents, grid and initial state of a run config."""
+    return cfg.material(), cfg.exponents(), cfg.grid(), cfg.initial_state()
+
+
+def run_one(cfg: RunConfig):
     """Execute one configured run; returns a result dict for summaries."""
-    params = cfg.material()
-    exps = cfg.exponents()
-    grid = cfg.grid()
-    state0 = cfg.initial_state()
-    report = well_report(params, exps, grid, seed=cfg.seed) \
-        if want_well else None
-    classification = None
-    if report is not None:
-        classification = classify_initial(state0, report, params, exps, grid)
-        report.classification = classification
+    params, exps, grid, state0 = _problem(cfg)
+    report = well_report(params, exps, grid, seed=cfg.seed)
+    report.classification = classify_initial(state0, report, params, exps,
+                                             grid)
     traj = simulate(state0, params, exps, grid, cfg.step_config(),
                     cfg.t_end, cfg.record_every)
-    poincare_c = report.poincare_c if report is not None else None
-    breport = bl.blowup_report(traj, state0, params, exps, grid, poincare_c)
+    breport = bl.blowup_report(traj, state0, params, exps, grid,
+                               report.poincare_c)
     fit = _fit_trajectory(traj, cfg, exps)
     return {"params": params, "exps": exps, "grid": grid, "state0": state0,
-            "well": report, "classification": classification,
+            "well": report, "classification": report.classification,
             "trajectory": traj, "blowup": breport, "fit": fit}
 
 
@@ -137,17 +116,14 @@ def cli_simulate(path: str) -> int:
         summary["fit_rmse"] = result["fit"].rmse
     write_json(summary, os.path.join(cfg.outdir, "summary.json"))
     print(f"outcome: {traj.outcome}"
-          + (f" (t_detect = {_fmt(traj.t_detect)})"
+          + (f" (t_detect = {fmt(traj.t_detect)})"
              if traj.t_detect is not None else ""))
     return 0
 
 
 def cli_classify(path: str) -> int:
     cfg = load_run_config(path)
-    params = cfg.material()
-    exps = cfg.exponents()
-    grid = cfg.grid()
-    state0 = cfg.initial_state()
+    params, exps, grid, state0 = _problem(cfg)
     report = well_report(params, exps, grid, seed=cfg.seed)
     report.classification = classify_initial(state0, report, params, exps,
                                              grid)
@@ -158,18 +134,16 @@ def cli_classify(path: str) -> int:
 
 
 def _sweep_row(names, overrides, cfg: RunConfig):
+    cells = [fmt(overrides[n]) for n in names]
     try:
-        result = run_one(cfg)
-        traj = result["trajectory"]
-        fit = result["fit"]
-        return ([_fmt(overrides[n]) for n in names]
-                + [_fmt(result["classification"]), traj.outcome,
-                   _fmt(traj.t_detect),
-                   _fmt(result["blowup"].tmax_bound),
-                   _fmt(fit.omega if fit is not None else None)])
+        result = run_one(validate_run_config(cfg))
     except PiezowaveError as exc:
-        return ([_fmt(overrides[n]) for n in names]
-                + ["", f"error: {exc}", "", "", ""])
+        return cells + ["", f"error: {exc}", "", "", ""]
+    traj = result["trajectory"]
+    fit = result["fit"]
+    return cells + [fmt(result["classification"]), traj.outcome,
+                    fmt(traj.t_detect), fmt(result["blowup"].tmax_bound),
+                    fmt(fit.omega if fit is not None else None)]
 
 
 def cli_sweep(path: str) -> int:
@@ -179,7 +153,8 @@ def cli_sweep(path: str) -> int:
     workers = sweep.max_parallel
     env_cap = os.environ.get("PIEZOWAVE_THREADS")
     if env_cap:
-        workers = min(workers, max(1, int(env_cap)))
+        env_workers = parse("PIEZOWAVE_THREADS", env_cap, int)
+        workers = min(workers, max(1, env_workers))
     rows = [None] * len(jobs)
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {pool.submit(_sweep_row, names, ov, cfg): i
@@ -205,40 +180,31 @@ def cli_fit(path: str, model: str, C: float, eta: float) -> int:
         for row in reader:
             times.append(float(row["t"]))
             values.append(float(row["Etot"]))
-    if model == "exp":
-        fit = decay.fit_exponential(times, values)
-    elif model == "poly":
-        fit = decay.fit_polynomial(times, values, eta)
-    else:
-        fit = decay.fit_logarithmic(times, values, eta, C)
+    fit = decay.FITS[model](times, values, eta, C)
     for key, value in fit.as_dict().items():
-        print(f"{key}: {_fmt(value)}")
+        print(f"{key}: {fmt(value)}")
     return 0
 
 
 def cli_bounds(path: str) -> int:
     cfg = load_run_config(path)
-    params = cfg.material()
-    exps = cfg.exponents()
-    grid = cfg.grid()
-    state0 = cfg.initial_state()
-    from .well import poincare_constant
+    params, exps, grid, state0 = _problem(cfg)
     pc = poincare_constant(grid)
-    print(f"poincare_c: {_fmt(pc)}")
+    print(f"poincare_c: {fmt(pc)}")
     for convention in ("poincare-consistent", "paper-literal"):
         thr = bl.theorem210_threshold(state0, params, exps, grid, pc,
                                       convention)
-        print(f"[{convention}] E0 = {_fmt(thr['E0'])}, "
-              f"threshold = {_fmt(thr['bound_value'])}, "
-              f"satisfied = {_fmt(thr['satisfied'])}")
+        print(f"[{convention}] E0 = {fmt(thr['E0'])}, "
+              f"threshold = {fmt(thr['bound_value'])}, "
+              f"satisfied = {fmt(thr['satisfied'])}")
         try:
             kappa, tau, bound = bl.tmax_upper_bound(state0, params, exps,
                                                     grid, pc, convention)
         except BoundInapplicable as exc:
             print(f"[{convention}] bound inapplicable: {exc}")
         else:
-            print(f"[{convention}] kappa = {_fmt(kappa)}, tau = {_fmt(tau)}, "
-                  f"tmax_bound = {_fmt(bound)}")
+            print(f"[{convention}] kappa = {fmt(kappa)}, tau = {fmt(tau)}, "
+                  f"tmax_bound = {fmt(bound)}")
     return 0
 
 
@@ -255,7 +221,7 @@ def main(argv=None) -> int:
     fit_p = sub.add_parser("fit")
     fit_p.add_argument("csv")
     fit_p.add_argument("--model", required=True,
-                       choices=("exp", "poly", "log"))
+                       choices=tuple(decay.FITS))
     fit_p.add_argument("--C", type=float, default=2.0)
     fit_p.add_argument("--eta", type=float, default=1.0)
     sub.add_parser("bounds").add_argument("config")

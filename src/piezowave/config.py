@@ -13,47 +13,111 @@ from __future__ import annotations
 
 import configparser
 import itertools
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
+import numpy as np
+
+from .decay import FITS
 from .errors import ConfigParse
 from .grid import Grid1D, State, state_from_modes
-from .integrator import SCHEMES, StepConfig
+from .integrator import StepConfig
 from .params import Exponents, MaterialParams, make_params, validate_exponents
 
 FLOAT_FMT = "%.17g"
 
 
+def fmt(value) -> str:
+    """The one output formatter: floats (and tuples of them) in FLOAT_FMT,
+    which round-trips bit-exactly, bools as true/false, None as ''."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return FLOAT_FMT % value
+    if isinstance(value, tuple):
+        return ", ".join(FLOAT_FMT % v for v in value)
+    return str(value)
+
+
+# ---------------------------------------------------------------------------
+# typed parsers: each maps the raw INI text to a value or raises ValueError
+
+def _bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("on", "true", "yes", "1"):
+        return True
+    if low in ("off", "false", "no", "0"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _floats(raw: str) -> tuple:
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+
+
+def _fit_model(raw: str) -> str:
+    model = raw.strip()
+    if model not in FITS:
+        raise ValueError(f"fit model must be {'/'.join(FITS)}")
+    return model
+
+
+def _at_least(convert, low):
+    def parser(raw: str):
+        value = convert(raw)
+        if not value >= low:
+            raise ValueError(f"must be >= {low}")
+        return value
+    return parser
+
+
+def parse(name: str, raw: str, parser):
+    """Apply a typed parser; its ValueError becomes ConfigParse."""
+    try:
+        return parser(raw)
+    except ValueError as exc:
+        raise ConfigParse(f"{name} = {raw!r}: {exc}") from None
+
+
+def _option(section: str, default, parser=float, key: Optional[str] = None):
+    """A RunConfig field read from [section] key (default: the field name)."""
+    return field(default=default,
+                 metadata={"section": section, "key": key, "parser": parser})
+
+
 @dataclass
 class RunConfig:
-    rho: float = 1.0
-    alpha: float = 2.0
-    beta: float = 1.0
-    gamma: float = 1.0
-    mu: float = 1.0
-    m1: float = 1.0
-    m2: float = 1.0
-    n1: float = 2.0
-    n2: float = 2.0
-    L: float = 1.0
-    nx: int = 201
-    dt: float = 1e-3
-    scheme: str = "semi-implicit"
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 60
-    blowup_cutoff: float = 1e6
-    damping: bool = True
-    sources: bool = True
-    v0: tuple = (0.1,)
-    p0: tuple = (0.0,)
-    v1: tuple = (0.0,)
-    p1: tuple = (0.0,)
-    t_end: float = 1.0
-    record_every: int = 1
-    seed: int = 0
-    outdir: str = "out"
-    fit_model: Optional[str] = None
-    fit_C: float = 2.0
+    rho: float = _option("material", 1.0)
+    alpha: float = _option("material", 2.0)
+    beta: float = _option("material", 1.0)
+    gamma: float = _option("material", 1.0)
+    mu: float = _option("material", 1.0)
+    m1: float = _option("exponents", 1.0)
+    m2: float = _option("exponents", 1.0)
+    n1: float = _option("exponents", 2.0)
+    n2: float = _option("exponents", 2.0)
+    L: float = _option("grid", 1.0)
+    nx: int = _option("grid", 201, int)
+    dt: float = _option("integrator", 1e-3)
+    scheme: str = _option("integrator", "semi-implicit", str.strip)
+    newton_tol: float = _option("integrator", 1e-12)
+    newton_max_iter: int = _option("integrator", 60, int)
+    blowup_cutoff: float = _option("integrator", 1e6)
+    damping: bool = _option("integrator", True, _bool)
+    sources: bool = _option("integrator", True, _bool)
+    v0: tuple = _option("initial", (0.1,), _floats)
+    p0: tuple = _option("initial", (0.0,), _floats)
+    v1: tuple = _option("initial", (0.0,), _floats)
+    p1: tuple = _option("initial", (0.0,), _floats)
+    t_end: float = _option("run", 1.0, _at_least(float, 0.0))
+    record_every: int = _option("run", 1, _at_least(int, 1))
+    seed: int = _option("run", 0, int)
+    outdir: str = _option("output", "out", str.strip)
+    fit_model: Optional[str] = _option("fit", None, _fit_model, key="model")
+    fit_C: float = _option("fit", 2.0, key="C")
 
     # ---- constructed objects -------------------------------------------
     def material(self) -> MaterialParams:
@@ -78,6 +142,18 @@ class RunConfig:
                                 self.v1, self.p1)
 
 
+# The one option table, derived from the RunConfig fields:
+# (section, key) -> (RunConfig attribute, parser), in the order
+# write_run_config emits them.  Loading, sweep axes (list options separate
+# their values with ';', all others with ','), expansion and writing all
+# read it.
+OPTIONS = {
+    (f.metadata["section"], f.metadata["key"] or f.name):
+        (f.name, f.metadata["parser"])
+    for f in fields(RunConfig)
+}
+
+
 @dataclass
 class SweepConfig:
     base: RunConfig
@@ -86,67 +162,8 @@ class SweepConfig:
     cap: int = 10_000
 
 
-_FLOAT_KEYS = {
-    "material": ("rho", "alpha", "beta", "gamma", "mu"),
-    "exponents": ("m1", "m2", "n1", "n2"),
-    "grid": ("L",),
-    "integrator": ("dt", "newton_tol", "blowup_cutoff"),
-    "run": ("t_end",),
-    "fit": ("C",),
-}
-_INT_KEYS = {
-    "grid": ("nx",),
-    "integrator": ("newton_max_iter",),
-    "run": ("record_every", "seed"),
-}
-_BOOL_KEYS = {"integrator": ("damping", "sources")}
-_LIST_KEYS = {"initial": ("v0", "p0", "v1", "p1")}
-_STR_KEYS = {"integrator": ("scheme",), "output": ("outdir",),
-             "fit": ("model",)}
-
-_SECTION_ATTR = {
-    ("material", "rho"): "rho", ("material", "alpha"): "alpha",
-    ("material", "beta"): "beta", ("material", "gamma"): "gamma",
-    ("material", "mu"): "mu",
-    ("exponents", "m1"): "m1", ("exponents", "m2"): "m2",
-    ("exponents", "n1"): "n1", ("exponents", "n2"): "n2",
-    ("grid", "L"): "L", ("grid", "nx"): "nx",
-    ("integrator", "dt"): "dt", ("integrator", "scheme"): "scheme",
-    ("integrator", "newton_tol"): "newton_tol",
-    ("integrator", "newton_max_iter"): "newton_max_iter",
-    ("integrator", "blowup_cutoff"): "blowup_cutoff",
-    ("integrator", "damping"): "damping",
-    ("integrator", "sources"): "sources",
-    ("initial", "v0"): "v0", ("initial", "p0"): "p0",
-    ("initial", "v1"): "v1", ("initial", "p1"): "p1",
-    ("run", "t_end"): "t_end", ("run", "record_every"): "record_every",
-    ("run", "seed"): "seed",
-    ("output", "outdir"): "outdir",
-    ("fit", "model"): "model",
-    ("fit", "C"): "C",
-}
-
-
-def _parse_value(section: str, key: str, raw: str):
-    try:
-        if key in _FLOAT_KEYS.get(section, ()):
-            return float(raw)
-        if key in _INT_KEYS.get(section, ()):
-            return int(raw)
-        if key in _BOOL_KEYS.get(section, ()):
-            low = raw.strip().lower()
-            if low in ("on", "true", "yes", "1"):
-                return True
-            if low in ("off", "false", "no", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if key in _LIST_KEYS.get(section, ()):
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        if key in _STR_KEYS.get(section, ()):
-            return raw.strip()
-    except ValueError as exc:
-        raise ConfigParse(f"[{section}] {key} = {raw!r}: {exc}") from None
-    raise ConfigParse(f"unknown option [{section}] {key}")
+# [sweep] key -> parser; the values become SweepConfig fields
+SWEEP_OPTIONS = {"max_parallel": _at_least(int, 1), "cap": int}
 
 
 def _read_ini(path: str) -> configparser.ConfigParser:
@@ -163,8 +180,7 @@ def _read_ini(path: str) -> configparser.ConfigParser:
 
 
 def load_run_config(path: str) -> RunConfig:
-    cp = _read_ini(path)
-    return _run_config_from_parser(cp)
+    return _run_config_from_parser(_read_ini(path))
 
 
 def _run_config_from_parser(cp: configparser.ConfigParser) -> RunConfig:
@@ -173,56 +189,36 @@ def _run_config_from_parser(cp: configparser.ConfigParser) -> RunConfig:
         if section.startswith("sweep"):
             continue
         for key, raw in cp.items(section):
-            attr_key = (section, key)
-            if attr_key not in _SECTION_ATTR:
+            if (section, key) not in OPTIONS:
                 raise ConfigParse(f"unknown option [{section}] {key}")
-            value = _parse_value(section, key, raw)
-            attr = _SECTION_ATTR[attr_key]
-            if section == "fit":
-                attr = {"model": "fit_model", "C": "fit_C"}[key]
-            setattr(cfg, attr, value)
-    # fail fast on inconsistent physics
-    cfg.material()
-    cfg.exponents()
-    cfg.grid()
-    cfg.step_config()
-    if cfg.fit_model is not None and cfg.fit_model not in ("exp", "poly",
-                                                           "log"):
-        raise ConfigParse(f"fit model must be exp/poly/log, "
-                          f"got {cfg.fit_model!r}")
+            attr, parser = OPTIONS[(section, key)]
+            setattr(cfg, attr, parse(f"[{section}] {key}", raw, parser))
+    return validate_run_config(cfg)
+
+
+def validate_run_config(cfg: RunConfig) -> RunConfig:
+    """Fail fast on inconsistent physics by building every object a run
+    needs; a constructor's ValueError becomes ConfigParse."""
+    try:
+        cfg.material()
+        cfg.exponents()
+        cfg.grid()
+        cfg.step_config()
+    except ValueError as exc:
+        raise ConfigParse(str(exc)) from None
     return cfg
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "on" if value else "off"
-    if isinstance(value, float):
-        return FLOAT_FMT % value
-    if isinstance(value, tuple):
-        return ", ".join(FLOAT_FMT % v for v in value)
-    return str(value)
 
 
 def write_run_config(cfg: RunConfig, path: str) -> None:
     """Serialize in normalized form; load(write(cfg)) == cfg."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
-    layout = (
-        ("material", ("rho", "alpha", "beta", "gamma", "mu")),
-        ("exponents", ("m1", "m2", "n1", "n2")),
-        ("grid", ("L", "nx")),
-        ("integrator", ("dt", "scheme", "newton_tol", "newton_max_iter",
-                        "blowup_cutoff", "damping", "sources")),
-        ("initial", ("v0", "p0", "v1", "p1")),
-        ("run", ("t_end", "record_every", "seed")),
-        ("output", ("outdir",)),
-    )
-    for section, keys in layout:
-        cp[section] = {}
-        for key in keys:
-            cp[section][key] = _fmt(getattr(cfg, key))
-    if cfg.fit_model is not None:
-        cp["fit"] = {"model": cfg.fit_model, "C": _fmt(cfg.fit_C)}
+    for (section, key), (attr, _) in OPTIONS.items():
+        if section == "fit" and cfg.fit_model is None:
+            continue
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp[section][key] = fmt(getattr(cfg, attr))
     with open(path, "w", encoding="utf-8") as fh:
         cp.write(fh)
 
@@ -237,49 +233,41 @@ def load_sweep_config(path: str) -> SweepConfig:
         if "." not in key:
             raise ConfigParse(f"axis {key!r} must be 'section.option'")
         section, option = key.split(".", 1)
-        if (section, option) not in _SECTION_ATTR:
+        if (section, option) not in OPTIONS:
             raise ConfigParse(f"unknown axis [{section}] {option}")
-        values = [_parse_value(section, option, tok.strip())
-                  for tok in raw.split(";") if tok.strip()] \
-            if option in _LIST_KEYS.get(section, ()) else \
-            [_parse_value(section, option, tok.strip())
-             for tok in raw.split(",") if tok.strip()]
+        parser = OPTIONS[(section, option)][1]
+        sep = ";" if parser is _floats else ","
+        values = [parse(f"[{section}] {option}", tok.strip(), parser)
+                  for tok in raw.split(sep) if tok.strip()]
         if not values:
             raise ConfigParse(f"axis {key!r} has no values")
         axes[key] = values
-    max_parallel = 4
-    cap = 10_000
+    settings = {}
     if cp.has_section("sweep"):
         for key, raw in cp.items("sweep"):
-            if key == "max_parallel":
-                max_parallel = int(raw)
-            elif key == "cap":
-                cap = int(raw)
-            else:
+            if key not in SWEEP_OPTIONS:
                 raise ConfigParse(f"unknown option [sweep] {key}")
-    size = 1
-    for values in axes.values():
-        size *= len(values)
-    if size > cap:
-        raise ConfigParse(f"sweep size {size} exceeds cap {cap}")
-    return SweepConfig(base=base, axes=dict(sorted(axes.items())),
-                       max_parallel=max_parallel, cap=cap)
+            settings[key] = parse(f"[sweep] {key}", raw, SWEEP_OPTIONS[key])
+    sweep = SweepConfig(base=base, axes=dict(sorted(axes.items())),
+                        **settings)
+    size = math.prod(len(values) for values in axes.values())
+    if size > sweep.cap:
+        raise ConfigParse(f"sweep size {size} exceeds cap {sweep.cap}")
+    return sweep
 
 
 def expand_sweep(sweep: SweepConfig):
     """Deterministic cross-product of override combinations.
 
     Yields (overrides, RunConfig) with overrides a dict of axis -> value,
-    in lexicographic order of the sorted axis names.
+    in lexicographic order of the sorted axis names.  The configs are not
+    validated here, so that one bad member cannot stop the others; pass
+    each through validate_run_config before running it.
     """
     names = list(sweep.axes.keys())
     for combo in itertools.product(*(sweep.axes[n] for n in names)):
         overrides = dict(zip(names, combo))
         cfg = replace(sweep.base)
         for key, value in overrides.items():
-            section, option = key.split(".", 1)
-            attr = _SECTION_ATTR[(section, option)]
-            if section == "fit":
-                attr = {"model": "fit_model", "C": "fit_C"}[option]
-            setattr(cfg, attr, value)
+            setattr(cfg, OPTIONS[tuple(key.split(".", 1))][0], value)
         yield overrides, cfg

@@ -13,15 +13,12 @@ least-squares line; omega is recovered from slope/intercept.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import NonPositiveSeries
 from .params import Exponents
-
-MODELS = ("exponential", "polynomial", "logarithmic")
-
 
 @dataclass
 class DecayFit:
@@ -34,9 +31,7 @@ class DecayFit:
     accepted: bool       # omega > 0 and envelope_ok
 
     def as_dict(self) -> dict:
-        return {"model": self.model, "omega": self.omega, "eta": self.eta,
-                "rmse": self.rmse, "tail_start": self.tail_start,
-                "envelope_ok": self.envelope_ok, "accepted": self.accepted}
+        return asdict(self)
 
 
 def eta_from_exponents(exps: Exponents) -> float:
@@ -121,6 +116,16 @@ def fit_logarithmic(times, values, eta, C, tail_start=None) -> DecayFit:
     t, e = _validate(times, values)
     psi = np.log((C + t) / C)
     return _power_fit(t, e, eta, psi, "logarithmic", _tail(t.size, tail_start))
+
+
+# Model name, as written in configs and on the command line -> fit of
+# (times, values, eta, C).  The fit functions are looked up when called, so
+# a rebound module attribute takes effect.
+FITS = {
+    "exp": lambda t, e, eta, C: fit_exponential(t, e),
+    "poly": lambda t, e, eta, C: fit_polynomial(t, e, eta),
+    "log": lambda t, e, eta, C: fit_logarithmic(t, e, eta, C),
+}
 
 
 def select_model(times, values, eta, C=2.0, tail_start=None) -> DecayFit:

@@ -24,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .blowup import N_of, Nprime_of
 from .diagnostics import damping_norms, make_record, total_energy
 from .errors import BlowupDetected, NoConvergence
 from .grid import Grid1D, State, grad_norm_sq, quadratic_form
@@ -43,7 +44,7 @@ class StepConfig:
     sources_on: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError(f"dt = {self.dt} must be > 0")
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be > 0")
@@ -104,12 +105,6 @@ def damping_solve(r: float, dt: float, m: float,
         raise ValueError("m must be >= 1")
     return float(_damping_solve_vec(np.array([r]), dt, m,
                                     tol, max_iter)[0])
-
-
-def _damping_half(vel, h, coeff, m, tol, max_iter):
-    """Midpoint update of y' = -coeff*|y|^(m-1)*y over a substep of length h."""
-    z = _damping_solve_vec(vel, 0.5 * h * coeff, m, tol, max_iter)
-    return 2.0 * z - vel
 
 
 class Stepper:
@@ -188,34 +183,34 @@ class Stepper:
             t=state.t + dt,
         )
 
+    def _damp(self, state: State, exps: Exponents) -> State:
+        """Damping half-step of both velocities: over h = dt/2 the midpoint
+        update of y' = -c|y|^(m-1)y is 2z - y with z + (h/2)c|z|^(m-1)z = y."""
+        cfg = self.cfg
+        a = 0.25 * cfg.dt
+        zv = _damping_solve_vec(state.vt, a * (1.0 / self.params.rho),
+                                exps.m1, cfg.newton_tol, cfg.newton_max_iter)
+        zp = _damping_solve_vec(state.pt, a * (1.0 / self.params.mu),
+                                exps.m2, cfg.newton_tol, cfg.newton_max_iter)
+        return State(state.v, state.p, 2.0 * zv - state.vt,
+                     2.0 * zp - state.pt, state.t)
+
     def step(self, state: State, exps: Exponents) -> State:
         cfg = self.cfg
-        pr = self.params
         if cfg.damping_on:
-            h = 0.5 * cfg.dt
-            vt = _damping_half(state.vt, h, 1.0 / pr.rho, exps.m1,
-                               cfg.newton_tol, cfg.newton_max_iter)
-            pt = _damping_half(state.pt, h, 1.0 / pr.mu, exps.m2,
-                               cfg.newton_tol, cfg.newton_max_iter)
-            state = State(state.v, state.p, vt, pt, state.t)
+            state = self._damp(state, exps)
         state = self._conservative(state, exps)
         if cfg.damping_on:
-            h = 0.5 * cfg.dt
-            vt = _damping_half(state.vt, h, 1.0 / pr.rho, exps.m1,
-                               cfg.newton_tol, cfg.newton_max_iter)
-            pt = _damping_half(state.pt, h, 1.0 / pr.mu, exps.m2,
-                               cfg.newton_tol, cfg.newton_max_iter)
-            state = State(state.v, state.p, vt, pt, state.t)
-        gn = grad_norm_sq(state.v, self.grid)
-        q = quadratic_form(state.v, state.p, self.grid, pr)
-        if gn > cfg.blowup_cutoff:
-            err = BlowupDetected(state.t, "grad_v_sq", gn)
-            err.state = state
-            raise err
-        if q > cfg.blowup_cutoff:
-            err = BlowupDetected(state.t, "quadratic_form", q)
-            err.state = state
-            raise err
+            state = self._damp(state, exps)
+        checks = (("grad_v_sq", grad_norm_sq(state.v, self.grid)),
+                  ("quadratic_form", quadratic_form(state.v, state.p,
+                                                    self.grid, self.params)))
+        for trigger, value in checks:
+            # written so that a NaN norm (non-finite state) also ends the run
+            if not value <= cfg.blowup_cutoff:
+                err = BlowupDetected(state.t, trigger, value)
+                err.state = state
+                raise err
         return state
 
 
@@ -236,15 +231,6 @@ class Trajectory:
     trigger: Optional[str]
     final_state: State
     dt: float
-
-
-def _n_and_nprime(state: State, params: MaterialParams, grid: Grid1D):
-    w = grid.weights
-    n = 0.5 * (params.rho * np.dot(w, state.v ** 2)
-               + params.mu * np.dot(w, state.p ** 2))
-    npr = (params.rho * np.dot(w, state.v * state.vt)
-           + params.mu * np.dot(w, state.p * state.pt))
-    return n, npr
 
 
 def simulate(state0: State, params: MaterialParams, exps: Exponents,
@@ -268,8 +254,9 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
     prev_dnorm = sum(damping_norms(state, exps, grid)) if cfg.damping_on else 0.0
 
     records = [make_record(state, params, exps, grid, damping_cum, etot0)]
-    n0, np0 = _n_and_nprime(state, params, grid)
-    times, n_series, nprime_series = [0.0], [n0], [np0]
+    times = [0.0]
+    n_series = [N_of(state, params, grid)]
+    nprime_series = [Nprime_of(state, params, grid)]
 
     outcome, t_detect, trigger = "completed", None, None
     for k in range(1, n_steps + 1):
@@ -285,10 +272,9 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
         if k % record_every == 0 or k == n_steps or outcome == "blowup":
             records.append(make_record(state, params, exps, grid,
                                        damping_cum, etot0))
-            n_k, np_k = _n_and_nprime(state, params, grid)
             times.append(state.t)
-            n_series.append(n_k)
-            nprime_series.append(np_k)
+            n_series.append(N_of(state, params, grid))
+            nprime_series.append(Nprime_of(state, params, grid))
         if outcome == "blowup":
             break
     return Trajectory(records=records, times=np.array(times),

@@ -6,7 +6,7 @@ plain bisection driven to relative 1e-14 is both robust and cheap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -15,15 +15,25 @@ import scipy.sparse.linalg as spla
 
 from .diagnostics import sign_functional, source_norms, total_energy
 from .errors import DeltaOutOfRange, NoConvergence, ZeroState
-from .grid import Grid1D, State, grad, grad_norm_sq, lp_norm_pow, quadratic_form
+from .grid import Grid1D, State, grad, grad_norm_sq, quadratic_form
 from .params import Exponents, MaterialParams
-
-CLASSIFICATIONS = ("global-predicted", "blowup-predicted",
-                   "blowup-predicted-negative", "indeterminate")
-
 
 # ---------------------------------------------------------------------------
 # discrete constants of the grid
+
+def _stiffness(grid: Grid1D) -> sp.csc_matrix:
+    """Gradient stiffness matrix on the free nodes 1..nx-1.
+
+    K = dx * G^T G with G the forward-difference map including the
+    boundary cell attached to the clamped node.
+    """
+    n = grid.nx - 1
+    dx = grid.dx
+    main = np.full(n, 2.0 / dx)
+    main[-1] = 1.0 / dx
+    off = np.full(n - 1, -1.0 / dx)
+    return sp.diags([off, main, off], [-1, 0, 1], format="csc")
+
 
 def poincare_constant(grid: Grid1D, tol: float = 1e-14,
                       max_iter: int = 10000) -> float:
@@ -33,18 +43,11 @@ def poincare_constant(grid: Grid1D, tol: float = 1e-14,
     on the free nodes, with K the gradient stiffness matrix and W the
     trapezoid mass.  Solved by inverse power iteration on K^{-1} W.
     """
-    n = grid.nx - 1           # free nodes 1..nx-1
-    dx = grid.dx
-    # K = dx * G^T G with G the forward-difference map including the
-    # boundary cell attached to the clamped node.
-    main = np.full(n, 2.0 / dx)
-    main[-1] = 1.0 / dx
-    off = np.full(n - 1, -1.0 / dx)
-    k = sp.diags([off, main, off], [-1, 0, 1], format="csc")
+    k = _stiffness(grid)
     w = grid.weights[1:]
     solve = spla.splu(k).solve
     rng = np.random.default_rng(0)
-    u = rng.standard_normal(n)
+    u = rng.standard_normal(grid.nx - 1)
     lam = np.inf
     for _ in range(max_iter):
         u = solve(w * u)
@@ -64,17 +67,6 @@ def _embedding_quotient(u: np.ndarray, q: float, grid: Grid1D) -> float:
     return float(np.dot(grid.weights, np.abs(u) ** q) / gn ** (q / 2.0))
 
 
-def _stiffness_solve(grid: Grid1D):
-    """Factorized solver for the free-node gradient stiffness matrix."""
-    n = grid.nx - 1
-    dx = grid.dx
-    main = np.full(n, 2.0 / dx)
-    main[-1] = 1.0 / dx
-    off = np.full(n - 1, -1.0 / dx)
-    k = sp.diags([off, main, off], [-1, 0, 1], format="csc")
-    return spla.splu(k).solve
-
-
 def embedding_constant(grid: Grid1D, q: float, restarts: int = 16,
                        iters: int = 500, step0: float = 0.5,
                        seed: int = 0) -> float:
@@ -89,7 +81,7 @@ def embedding_constant(grid: Grid1D, q: float, restarts: int = 16,
     if not 2.0 <= q < 7.0:
         raise ValueError(f"q = {q} outside the supported range [2, 7)")
     rng = np.random.default_rng(seed)
-    solve = _stiffness_solve(grid)
+    solve = spla.splu(_stiffness(grid)).solve
     x = grid.nodes
     best = 0.0
     for _ in range(restarts):
@@ -182,17 +174,10 @@ def s_star_solve(c_hat_const: float, n1: float, n2: float):
 
 
 def y0_and_threshold(c_hat_const: float, n1: float, n2: float, c_hat: float):
-    """y0 solving C(2y)^((n1-1)/2) + C(2y)^((n2-1)/2) = 1 (i.e. y0 = s*/2),
-    and the blow-up energy threshold M = (c-2) y0 / (2(2+c))."""
-
-    def h(y):
-        return (c_hat_const * ((2.0 * y) ** ((n1 - 1.0) / 2.0)
-                               + (2.0 * y) ** ((n2 - 1.0) / 2.0)) - 1.0)
-
-    hi = 1.0
-    while h(hi) < 0.0:
-        hi *= 2.0
-    y0 = _bisect_increasing(h, 0.0, hi)
+    """y0 solving C(2y)^((n1-1)/2) + C(2y)^((n2-1)/2) = 1, i.e.
+    Lambda'(2 y0) = 0 and y0 = s*/2, and the blow-up energy threshold
+    M = (c-2) y0 / (2(2+c))."""
+    y0 = s_star_solve(c_hat_const, n1, n2)[0] / 2.0
     m_threshold = (c_hat - 2.0) / (2.0 * (2.0 + c_hat)) * y0
     return y0, m_threshold
 
@@ -266,11 +251,7 @@ class WellReport:
     classification: Optional[str] = None
 
     def as_dict(self) -> dict:
-        return {"B1": self.B1, "B2": self.B2, "C_hat": self.C_hat,
-                "s_star": self.s_star, "Lambda_star": self.Lambda_star,
-                "y0": self.y0, "M_threshold": self.M_threshold,
-                "poincare_c": self.poincare_c,
-                "classification": self.classification}
+        return asdict(self)
 
 
 def well_report(params: MaterialParams, exps: Exponents, grid: Grid1D,

@@ -240,6 +240,26 @@ def test_ac07_tmax_bound(params, grid):
 # ---------------------------------------------------------------------------
 # AC-8: scalar-analysis oracles
 
+def _y0_oracle(c, n1, n2):
+    """Independent bisection for C((2y)^((n1-1)/2) + (2y)^((n2-1)/2)) = 1."""
+    def h(y):
+        return c * ((2.0 * y) ** ((n1 - 1.0) / 2.0)
+                    + (2.0 * y) ** ((n2 - 1.0) / 2.0)) - 1.0
+
+    lo, hi = 0.0, 1.0
+    while h(hi) < 0.0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if h(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
 def test_ac08_scalar_oracles(params, grid):
     # lambda* closed form for n1 = n2
     exps = pw.validate_exponents(1, 1, 2.5, 2.5)
@@ -255,7 +275,8 @@ def test_ac08_scalar_oracles(params, grid):
     s, _ = pw.s_star_solve(1.0, 3.0, 5.0)
     assert abs(s - (np.sqrt(5.0) - 1.0) / 2.0) <= 1e-10
 
-    # y0 = s*/2 on 50 random draws
+    # y0 = s*/2 on 50 random draws, checked against an independent bisection
+    # of the y0 equation (the library derives y0 from s*)
     rng = np.random.default_rng(2024)
     for _ in range(50):
         c = rng.uniform(0.05, 5.0)
@@ -264,6 +285,7 @@ def test_ac08_scalar_oracles(params, grid):
         s_i, _ = pw.s_star_solve(c, n1, n2)
         y0, _ = pw.y0_and_threshold(c, n1, n2, min(n1, n2) + 1.0)
         assert abs(y0 - s_i / 2.0) <= 1e-12 * max(1.0, s_i)
+        assert abs(y0 - _y0_oracle(c, n1, n2)) <= 1e-12 * max(1.0, s_i)
 
     # check_delta: the three listed examples
     s33, _ = pw.s_star_solve(1.0, 3.0, 3.0)

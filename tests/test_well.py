@@ -121,6 +121,26 @@ def test_lambda_strictly_increasing_before_s_star():
     assert np.all(np.diff(vals) > 0.0)
 
 
+def _y0_oracle(c, n1, n2):
+    """Independent bisection for C((2y)^((n1-1)/2) + (2y)^((n2-1)/2)) = 1."""
+    def h(y):
+        return c * ((2.0 * y) ** ((n1 - 1.0) / 2.0)
+                    + (2.0 * y) ** ((n2 - 1.0) / 2.0)) - 1.0
+
+    lo, hi = 0.0, 1.0
+    while h(hi) < 0.0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if h(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
 def test_y0_examples():
     y0, m = pw.y0_and_threshold(1.0, 3.0, 3.0, 4.0)
     assert y0 == pytest.approx(0.25, abs=1e-12)
@@ -135,6 +155,7 @@ def test_y0_equals_half_s_star_on_random_draws(rng):
         s, _ = pw.s_star_solve(c, n1, n2)
         y0, _ = pw.y0_and_threshold(c, n1, n2, min(n1, n2) + 1.0)
         assert abs(y0 - s / 2.0) < 1e-12 * max(1.0, s)
+        assert abs(y0 - _y0_oracle(c, n1, n2)) < 1e-12 * max(1.0, s)
 
 
 # ---------------------------------------------------------------------------
