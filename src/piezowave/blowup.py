@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import total_energy
+# N_of is not used here; blowup re-exports it next to Nprime_of
+from .diagnostics import N_of, Nprime_of, total_energy
 from .errors import BoundInapplicable, NotBlowupRegime
 from .grid import Grid1D, State, l2_norm_sq
 from .params import Exponents, MaterialParams
@@ -26,17 +27,6 @@ TAU_MARGIN_REL = 1e-6
 def G_of(record) -> float:
     """G = -Etot from an energy record."""
     return -record.Etot
-
-
-def N_of(state: State, params: MaterialParams, grid: Grid1D) -> float:
-    return 0.5 * (params.rho * l2_norm_sq(state.v, grid)
-                  + params.mu * l2_norm_sq(state.p, grid))
-
-
-def Nprime_of(state: State, params: MaterialParams, grid: Grid1D) -> float:
-    w = grid.weights
-    return float(params.rho * np.dot(w, state.v * state.vt)
-                 + params.mu * np.dot(w, state.p * state.pt))
 
 
 def varpi_range(exps: Exponents, varpi: Optional[float] = None):
@@ -97,7 +87,7 @@ def monitor(trajectory, exps: Exponents, params: MaterialParams,
     report.criterion = "negative-energy"
     if exps.blowup_regime:
         _, varpi, _ = varpi_range(exps)
-        nprime = trajectory.nprime_series
+        nprime = np.array([r.nprime for r in recs])
         eps = min(1.0, g[0])
         if nprime[0] < 0.0:
             eps = min(eps, -g[0] ** (1.0 - varpi) / (2.0 * nprime[0]))
@@ -107,8 +97,13 @@ def monitor(trajectory, exps: Exponents, params: MaterialParams,
     return report
 
 
-def _threshold_pieces(state0: State, params: MaterialParams, grid: Grid1D,
-                      poincare_c: float, convention: str):
+def _threshold_pieces(state0: State, params: MaterialParams,
+                      exps: Exponents, grid: Grid1D, poincare_c: float,
+                      convention: str):
+    """Shared inputs of the threshold and the bound, which both need linear
+    damping: (Mfac, cfac, ||v0||^2, ||p0||^2, E0)."""
+    if not (exps.m1 == 1.0 and exps.m2 == 1.0):
+        raise BoundInapplicable("threshold and bound require m1 = m2 = 1")
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
     mfac = max((2.0 * params.gamma ** 2 + 1.0) / params.alpha1,
@@ -117,7 +112,8 @@ def _threshold_pieces(state0: State, params: MaterialParams, grid: Grid1D,
         else 1.0 / poincare_c ** 2
     vsq = l2_norm_sq(state0.v, grid)
     psq = l2_norm_sq(state0.p, grid)
-    return mfac, cfac, vsq, psq
+    e0 = total_energy(state0, params, exps, grid)
+    return mfac, cfac, vsq, psq, e0
 
 
 def theorem210_threshold(state0: State, params: MaterialParams,
@@ -130,14 +126,11 @@ def theorem210_threshold(state0: State, params: MaterialParams,
     with cfac the square of the Poincare constant ("paper-literal") or its
     reciprocal ("poincare-consistent", default).  Requires m1 = m2 = 1.
     """
-    if not (exps.m1 == 1.0 and exps.m2 == 1.0):
-        raise BoundInapplicable("threshold requires m1 = m2 = 1")
-    mfac, cfac, vsq, psq = _threshold_pieces(state0, params, grid,
-                                             poincare_c, convention)
+    mfac, cfac, vsq, psq, e0 = _threshold_pieces(state0, params, exps, grid,
+                                                 poincare_c, convention)
     c = exps.c_hat
     rhs = ((c - 2.0) / (2.0 * c) / mfac * cfac
            * min(1.0 / params.rho, 1.0 / params.mu) * (vsq + psq))
-    e0 = total_energy(state0, params, exps, grid)
     return {"satisfied": bool(e0 <= rhs), "bound_value": rhs, "E0": e0,
             "convention": convention}
 
@@ -151,17 +144,15 @@ def tmax_upper_bound(state0: State, params: MaterialParams, exps: Exponents,
     condition; tau shifts time so the concave auxiliary has positive slope
     at zero; the final expression requires a positive denominator.
     """
-    if not (exps.m1 == 1.0 and exps.m2 == 1.0):
-        raise BoundInapplicable("bound requires m1 = m2 = 1")
-    mfac, cfac, vsq, psq = _threshold_pieces(state0, params, grid,
-                                             poincare_c, convention)
+    mfac, cfac, vsq, psq, e0 = _threshold_pieces(state0, params, exps, grid,
+                                                 poincare_c, convention)
     c = exps.c_hat
-    e0 = total_energy(state0, params, exps, grid)
     kappa = (1.0 / c) * (-2.0 * c * e0
                          + (c - 2.0) / mfac * cfac
                          * min(1.0 / params.rho, 1.0 / params.mu)
                          * (vsq + psq))
-    if kappa <= 0.0:
+    # written so that a NaN kappa or denominator is inapplicable too
+    if not kappa > 0.0:
         raise BoundInapplicable(f"kappa = {kappa:.6g} <= 0: "
                                 "energy condition not met")
     cross = Nprime_of(state0, params, grid)
@@ -170,7 +161,7 @@ def tmax_upper_bound(state0: State, params: MaterialParams, exps: Exponents,
     tau = tau_min + TAU_MARGIN_REL * (1.0 + abs(tau_min))
     numer = 2.0 * (params.rho * vsq + params.mu * psq + kappa * tau ** 2)
     denom = (c - 2.0) * (cross + kappa * tau) - 2.0 * (vsq + psq)
-    if denom <= 0.0:
+    if not denom > 0.0:
         raise BoundInapplicable(f"denominator = {denom:.6g} <= 0")
     return kappa, tau, numer / denom
 
@@ -181,7 +172,7 @@ def blowup_report(trajectory, state0: State, params: MaterialParams,
                   convention: str = "poincare-consistent") -> BlowupReport:
     """Monitor a trajectory and, when applicable, attach the time bound."""
     report = monitor(trajectory, exps, params)
-    if exps.m1 == 1.0 and exps.m2 == 1.0 and poincare_c is not None:
+    if poincare_c is not None:
         try:
             kappa, tau, bound = tmax_upper_bound(
                 state0, params, exps, grid, poincare_c, convention)

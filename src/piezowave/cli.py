@@ -15,7 +15,6 @@ invocations with the same config are byte-identical.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import os
 import sys
@@ -25,15 +24,17 @@ import numpy as np
 from . import blowup as bl
 from . import decay
 from .config import (RunConfig, expand_sweep, fmt, load_run_config,
-                     load_sweep_config, parse, validate_run_config)
+                     load_sweep_config, validate_run_config)
 from .diagnostics import CSV_FIELDS
-from .errors import BoundInapplicable, PiezowaveError
+from .errors import BoundInapplicable, ConfigParse, PiezowaveError
 from .integrator import simulate
 from .well import classify_initial, poincare_constant, well_report
 
 
 def _json_scalar(value) -> str:
-    if value is None:
+    # JSON has no NaN or infinity: non-finite floats print as null
+    if value is None or (isinstance(value, (float, np.floating))
+                         and not np.isfinite(value)):
         return "null"
     if isinstance(value, (int, float, np.integer, np.floating)):
         return fmt(value)      # bools are ints: true / false
@@ -149,38 +150,32 @@ def _sweep_row(names, overrides, cfg: RunConfig):
 def cli_sweep(path: str) -> int:
     sweep = load_sweep_config(path)
     names = list(sweep.axes.keys())
-    jobs = list(expand_sweep(sweep))
-    workers = sweep.max_parallel
-    env_cap = os.environ.get("PIEZOWAVE_THREADS")
-    if env_cap:
-        env_workers = parse("PIEZOWAVE_THREADS", env_cap, int)
-        workers = min(workers, max(1, env_workers))
-    rows = [None] * len(jobs)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_sweep_row, names, ov, cfg): i
-                   for i, (ov, cfg) in enumerate(jobs)}
-        for fut in concurrent.futures.as_completed(futures):
-            rows[futures[fut]] = fut.result()
+    # one member after another, in expansion (sorted-axes) order
+    rows = [_sweep_row(names, ov, cfg) for ov, cfg in expand_sweep(sweep)]
     os.makedirs(sweep.base.outdir, exist_ok=True)
     out = os.path.join(sweep.base.outdir, "sweep.csv")
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(names + ["classification", "outcome", "t_detect",
                                  "tmax_bound", "omega"])
-        writer.writerows(rows)     # expansion order == sorted-axes order
+        writer.writerows(rows)
     failed = sum(1 for r in rows if r[len(names) + 1].startswith("error"))
     print(f"{len(rows)} runs, {failed} failed -> {out}")
     return 1 if failed == len(rows) else 0
 
 
 def cli_fit(path: str, model: str, C: float, eta: float) -> int:
-    times, values = [], []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            times.append(float(row["t"]))
-            values.append(float(row["Etot"]))
-    fit = decay.FITS[model](times, values, eta, C)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except OSError as exc:
+        raise ConfigParse(f"cannot read {path}: {exc}") from None
+    try:
+        fit = decay.FITS[model]([float(row["t"]) for row in rows],
+                                [float(row["Etot"]) for row in rows], eta, C)
+    except (KeyError, TypeError, ValueError) as exc:
+        # no t/Etot column, a short row, a bad number or a bad fit argument
+        raise ConfigParse(f"fit {path} --model {model}: {exc!r}") from None
     for key, value in fit.as_dict().items():
         print(f"{key}: {fmt(value)}")
     return 0
@@ -192,12 +187,12 @@ def cli_bounds(path: str) -> int:
     pc = poincare_constant(grid)
     print(f"poincare_c: {fmt(pc)}")
     for convention in ("poincare-consistent", "paper-literal"):
-        thr = bl.theorem210_threshold(state0, params, exps, grid, pc,
-                                      convention)
-        print(f"[{convention}] E0 = {fmt(thr['E0'])}, "
-              f"threshold = {fmt(thr['bound_value'])}, "
-              f"satisfied = {fmt(thr['satisfied'])}")
         try:
+            thr = bl.theorem210_threshold(state0, params, exps, grid, pc,
+                                          convention)
+            print(f"[{convention}] E0 = {fmt(thr['E0'])}, "
+                  f"threshold = {fmt(thr['bound_value'])}, "
+                  f"satisfied = {fmt(thr['satisfied'])}")
             kappa, tau, bound = bl.tmax_upper_bound(state0, params, exps,
                                                     grid, pc, convention)
         except BoundInapplicable as exc:

@@ -103,8 +103,6 @@ class RunConfig:
     nx: int = _option("grid", 201, int)
     dt: float = _option("integrator", 1e-3)
     scheme: str = _option("integrator", "semi-implicit", str.strip)
-    newton_tol: float = _option("integrator", 1e-12)
-    newton_max_iter: int = _option("integrator", 60, int)
     blowup_cutoff: float = _option("integrator", 1e6)
     damping: bool = _option("integrator", True, _bool)
     sources: bool = _option("integrator", True, _bool)
@@ -132,8 +130,6 @@ class RunConfig:
 
     def step_config(self) -> StepConfig:
         return StepConfig(dt=self.dt, scheme=self.scheme,
-                          newton_tol=self.newton_tol,
-                          newton_max_iter=self.newton_max_iter,
                           blowup_cutoff=self.blowup_cutoff,
                           damping_on=self.damping, sources_on=self.sources)
 
@@ -158,6 +154,8 @@ OPTIONS = {
 class SweepConfig:
     base: RunConfig
     axes: dict                # {"section.option": [values...]} sorted keys
+    # Parsed and validated, but members run in order: it has no effect
+    # until batched stepping uses it as the batch-size cap.
     max_parallel: int = 4
     cap: int = 10_000
 

@@ -6,6 +6,7 @@ Etot  total energy = kinetic + J, non-increasing along solutions
 S     sign functional Q - ||v||_{n1+1}^{n1+1} - ||p||_{n2+1}^{n2+1};
       its sign separates the stable side (S > 0, or the zero state) from
       the unstable side (S < 0) of the potential well.
+N     half the weighted squared displacement norm, N' its exact derivative
 """
 from __future__ import annotations
 
@@ -35,6 +36,21 @@ class EnergyRecord:
     Q: float
     vnorm_n1: float
     pnorm_n2: float
+    nprime: float        # N'(t); not an energy.csv column
+
+    @property
+    def well_side(self) -> str:
+        """Tri-state membership: 'W1-side', 'W2-side' or 'boundary'.
+
+        The Nehari set S = 0 is measure-zero but numerically reachable, so
+        a relative band |S| <= tol * Q is reported as 'boundary'.  The zero
+        state belongs to the stable side by definition.
+        """
+        if self.Q == 0.0:
+            return "W1-side"
+        if abs(self.sign_fn) <= BOUNDARY_TOL * self.Q:
+            return "boundary"
+        return "W1-side" if self.sign_fn > 0 else "W2-side"
 
 
 def kinetic_energy(state: State, params: MaterialParams, grid: Grid1D) -> float:
@@ -74,19 +90,19 @@ def sign_functional(state: State, params: MaterialParams, exps: Exponents,
 
 def well_side(state: State, params: MaterialParams, exps: Exponents,
               grid: Grid1D) -> str:
-    """Tri-state membership: 'W1-side', 'W2-side' or 'boundary'.
+    """Side of the potential well a state lies on: EnergyRecord.well_side."""
+    return make_record(state, params, exps, grid, 0.0, 0.0).well_side
 
-    The Nehari set S = 0 is measure-zero but numerically reachable, so a
-    relative band |S| <= tol * Q is reported as 'boundary'.  The zero state
-    belongs to the stable side by definition.
-    """
-    q = quadratic_form(state.v, state.p, grid, params)
-    if q == 0.0:
-        return "W1-side"
-    s = sign_functional(state, params, exps, grid)
-    if abs(s) <= BOUNDARY_TOL * q:
-        return "boundary"
-    return "W1-side" if s > 0 else "W2-side"
+
+def N_of(state: State, params: MaterialParams, grid: Grid1D) -> float:
+    return 0.5 * (params.rho * l2_norm_sq(state.v, grid)
+                  + params.mu * l2_norm_sq(state.p, grid))
+
+
+def Nprime_of(state: State, params: MaterialParams, grid: Grid1D) -> float:
+    w = grid.weights
+    return float(params.rho * np.dot(w, state.v * state.vt)
+                 + params.mu * np.dot(w, state.p * state.pt))
 
 
 def damping_norms(state: State, exps: Exponents, grid: Grid1D):
@@ -107,11 +123,10 @@ def make_record(state: State, params: MaterialParams, exps: Exponents,
         t=state.t, E=e, J=j, Etot=etot, damping_cum=damping_cum,
         residual=abs(etot + damping_cum - etot0),
         sign_fn=q - vn - pn, Q=q, vnorm_n1=vn, pnorm_n2=pn,
+        nprime=Nprime_of(state, params, grid),
     )
 
 
 def energy_identity_residual(trajectory) -> np.ndarray:
     """Residual series |Etot(t_k) + damping_cum(t_k) - Etot(0)|."""
-    recs = trajectory.records
-    etot0 = recs[0].Etot
-    return np.array([abs(r.Etot + r.damping_cum - etot0) for r in recs])
+    return np.array([r.residual for r in trajectory.records])

@@ -52,4 +52,5 @@ class NonPositiveSeries(PiezowaveError):
 
 
 class ConfigParse(PiezowaveError):
-    """A run configuration file could not be parsed."""
+    """Input could not be parsed: a run or sweep config, or the energy
+    series and options of a fit."""

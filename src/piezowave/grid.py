@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .params import MaterialParams
 
@@ -120,22 +121,27 @@ def quadratic_form(v: np.ndarray, p: np.ndarray, grid: Grid1D,
                             + params.beta * np.dot(mix, mix)))
 
 
-def _second_diff(u: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Central second difference with Dirichlet row at x=0 zeroed and a
-    mirror ghost node at x=L (u_ghost = u[-2])."""
-    d2 = np.zeros_like(u)
-    dx2 = grid.dx * grid.dx
-    d2[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx2
-    d2[-1] = 2.0 * (u[-2] - u[-1]) / dx2
-    return d2
+def second_difference(grid: Grid1D) -> sp.spmatrix:
+    """Sparse central second difference D2 with the Dirichlet row at x = 0
+    zeroed and a mirror ghost node at x = L (u_ghost = u[-2])."""
+    nx = grid.nx
+    dx2 = grid.dx ** 2
+    main = np.full(nx, -2.0)
+    main[0] = 0.0
+    off_lo = np.ones(nx - 1)
+    off_hi = np.ones(nx - 1)
+    off_hi[0] = 0.0          # Dirichlet row stays zero
+    off_lo[-1] = 2.0         # mirror ghost at x = L
+    return sp.diags([off_lo, main, off_hi], [-1, 0, 1]) / dx2
 
 
 def coupled_laplacian(v: np.ndarray, p: np.ndarray, grid: Grid1D,
                       params: MaterialParams):
     """Unscaled spatial operators (alpha D2 v - gamma beta D2 p,
-    beta D2 p - gamma beta D2 v)."""
-    d2v = _second_diff(v, grid)
-    d2p = _second_diff(p, grid)
+    beta D2 p - gamma beta D2 v), with D2 = second_difference(grid)."""
+    d2 = second_difference(grid)
+    d2v = d2 @ v
+    d2p = d2 @ p
     gb = params.gamma * params.beta
     return (params.alpha * d2v - gb * d2p,
             params.beta * d2p - gb * d2v)

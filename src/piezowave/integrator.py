@@ -24,21 +24,24 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .blowup import N_of, Nprime_of
 from .diagnostics import damping_norms, make_record, total_energy
 from .errors import BlowupDetected, NoConvergence
-from .grid import Grid1D, State, grad_norm_sq, quadratic_form
+from .grid import (Grid1D, State, grad_norm_sq, quadratic_form,
+                   second_difference)
 from .params import Exponents, MaterialParams
 
 SCHEMES = ("semi-implicit", "implicit-midpoint")
+
+# Relative tolerance and iteration budget of the damping Newton solve and
+# of the implicit-midpoint source iteration.
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 60
 
 
 @dataclass
 class StepConfig:
     dt: float
     scheme: str = "semi-implicit"
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 60
     blowup_cutoff: float = 1e6
     damping_on: bool = True
     sources_on: bool = True
@@ -46,8 +49,6 @@ class StepConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError(f"dt = {self.dt} must be > 0")
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be > 0")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
 
@@ -116,26 +117,16 @@ class Stepper:
         self.cfg = cfg
         self._solve = self._factorize()
 
-    def _operator(self) -> sp.csr_matrix:
-        """Block operator [(alpha D2 v - gb D2 p)/rho; (beta D2 p - gb D2 v)/mu]."""
-        nx = self.grid.nx
-        dx2 = self.grid.dx ** 2
-        main = np.full(nx, -2.0)
-        main[0] = 0.0
-        off_lo = np.ones(nx - 1)
-        off_hi = np.ones(nx - 1)
-        off_hi[0] = 0.0          # Dirichlet row stays zero
-        off_lo[-1] = 2.0         # mirror ghost at x = L
-        d2 = sp.diags([off_lo, main, off_hi], [-1, 0, 1]) / dx2
+    def _factorize(self):
+        """Factor I - (dt^2/4) A, with A the block operator
+        [(alpha D2 v - gb D2 p)/rho; (beta D2 p - gb D2 v)/mu]."""
+        d2 = second_difference(self.grid)
         pr = self.params
         gb = pr.gamma * pr.beta
-        return sp.bmat([
+        a = sp.bmat([
             [pr.alpha / pr.rho * d2, -gb / pr.rho * d2],
             [-gb / pr.mu * d2, pr.beta / pr.mu * d2],
         ], format="csc")
-
-    def _factorize(self):
-        a = self._operator()
         n = a.shape[0]
         m = sp.identity(n, format="csc") - (self.cfg.dt ** 2 / 4.0) * a
         return spla.splu(m.tocsc()).solve
@@ -153,7 +144,7 @@ class Stepper:
             f1, f2 = self._source(v, p, exps)
         else:
             f1 = f2 = np.zeros_like(v)
-        iterations = (self.cfg.newton_max_iter
+        iterations = (NEWTON_MAX_ITER
                       if (self.cfg.scheme == "implicit-midpoint"
                           and self.cfg.sources_on) else 1)
         vm, pm = v, p
@@ -169,7 +160,7 @@ class Stepper:
                 break
             delta = max(np.max(np.abs(vm_new - vm)), np.max(np.abs(pm_new - pm)))
             vm, pm = vm_new, pm_new
-            if it > 0 and delta <= self.cfg.newton_tol * (1.0 + np.max(np.abs(vm))):
+            if it > 0 and delta <= NEWTON_TOL * (1.0 + np.max(np.abs(vm))):
                 break
             f1, f2 = self._source(vm, pm, exps)
         else:
@@ -186,12 +177,11 @@ class Stepper:
     def _damp(self, state: State, exps: Exponents) -> State:
         """Damping half-step of both velocities: over h = dt/2 the midpoint
         update of y' = -c|y|^(m-1)y is 2z - y with z + (h/2)c|z|^(m-1)z = y."""
-        cfg = self.cfg
-        a = 0.25 * cfg.dt
+        a = 0.25 * self.cfg.dt
         zv = _damping_solve_vec(state.vt, a * (1.0 / self.params.rho),
-                                exps.m1, cfg.newton_tol, cfg.newton_max_iter)
+                                exps.m1, NEWTON_TOL, NEWTON_MAX_ITER)
         zp = _damping_solve_vec(state.pt, a * (1.0 / self.params.mu),
-                                exps.m2, cfg.newton_tol, cfg.newton_max_iter)
+                                exps.m2, NEWTON_TOL, NEWTON_MAX_ITER)
         return State(state.v, state.p, 2.0 * zv - state.vt,
                      2.0 * zp - state.pt, state.t)
 
@@ -222,10 +212,7 @@ def step(state: State, params: MaterialParams, exps: Exponents,
 
 @dataclass
 class Trajectory:
-    records: list
-    times: np.ndarray
-    n_series: np.ndarray         # N(t) = (rho||v||^2 + mu||p||^2)/2 at records
-    nprime_series: np.ndarray    # N'(t) = rho<v,vt> + mu<p,pt> at records
+    records: list                # EnergyRecord per recorded step
     outcome: str                 # "completed" or "blowup"
     t_detect: Optional[float]
     trigger: Optional[str]
@@ -254,9 +241,6 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
     prev_dnorm = sum(damping_norms(state, exps, grid)) if cfg.damping_on else 0.0
 
     records = [make_record(state, params, exps, grid, damping_cum, etot0)]
-    times = [0.0]
-    n_series = [N_of(state, params, grid)]
-    nprime_series = [Nprime_of(state, params, grid)]
 
     outcome, t_detect, trigger = "completed", None, None
     for k in range(1, n_steps + 1):
@@ -272,13 +256,7 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
         if k % record_every == 0 or k == n_steps or outcome == "blowup":
             records.append(make_record(state, params, exps, grid,
                                        damping_cum, etot0))
-            times.append(state.t)
-            n_series.append(N_of(state, params, grid))
-            nprime_series.append(Nprime_of(state, params, grid))
         if outcome == "blowup":
             break
-    return Trajectory(records=records, times=np.array(times),
-                      n_series=np.array(n_series),
-                      nprime_series=np.array(nprime_series),
-                      outcome=outcome, t_detect=t_detect, trigger=trigger,
-                      final_state=state, dt=cfg.dt)
+    return Trajectory(records=records, outcome=outcome, t_detect=t_detect,
+                      trigger=trigger, final_state=state, dt=cfg.dt)

@@ -41,7 +41,6 @@ class Exponents:
     n1: float
     n2: float
     c_hat: float
-    assumption3_ok: bool
     blowup_regime: bool
 
 
@@ -98,5 +97,4 @@ def validate_exponents(m1, m2, n1, n2, mode="general") -> Exponents:
         )
     c_hat = min(n1 + 1.0, n2 + 1.0)
     return Exponents(m1=float(m1), m2=float(m2), n1=float(n1), n2=float(n2),
-                     c_hat=c_hat, assumption3_ok=True,
-                     blowup_regime=blowup_regime)
+                     c_hat=c_hat, blowup_regime=blowup_regime)

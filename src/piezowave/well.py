@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .diagnostics import sign_functional, source_norms, total_energy
+from .diagnostics import make_record, source_norms
 from .errors import DeltaOutOfRange, NoConvergence, ZeroState
 from .grid import Grid1D, State, grad, grad_norm_sq, quadratic_form
 from .params import Exponents, MaterialParams
@@ -275,16 +275,16 @@ def classify_initial(state0: State, report: WellReport,
     global-predicted           stable side with energy under the barrier
     blowup-predicted           unstable side with 0 <= energy < M threshold
     blowup-predicted-negative  negative initial energy
-    indeterminate              none of the hypotheses hold
+    indeterminate              none of the hypotheses hold, or the data lie
+                               on the Nehari set (well side 'boundary')
     """
-    e0 = total_energy(state0, params, exps, grid)
+    record = make_record(state0, params, exps, grid, 0.0, 0.0)
+    e0 = record.Etot
     if e0 < 0.0:
         return "blowup-predicted-negative"
-    q = quadratic_form(state0.v, state0.p, grid, params)
-    s = sign_functional(state0, params, exps, grid)
-    on_w1_side = q == 0.0 or s > 0.0
-    if on_w1_side and e0 < report.Lambda_star:
+    side = record.well_side
+    if side == "W1-side" and e0 < report.Lambda_star:
         return "global-predicted"
-    if (not on_w1_side) and s < 0.0 and e0 < report.M_threshold:
+    if side == "W2-side" and e0 < report.M_threshold:
         return "blowup-predicted"
     return "indeterminate"

@@ -55,8 +55,7 @@ def _raw_exponents(m, n):
     """Exponent record without the validation gate, for arithmetic checks
     at combinations outside the standing hypotheses."""
     return pw.Exponents(m1=float(m), m2=float(m), n1=float(n), n2=float(n),
-                        c_hat=float(n) + 1.0, assumption3_ok=False,
-                        blowup_regime=n > m)
+                        c_hat=float(n) + 1.0, blowup_regime=n > m)
 
 
 def test_varpi_max_linear_damping(exps23):
@@ -231,6 +230,14 @@ def test_tmax_bound_denominator_sign_governs_applicability(ref_params,
 def test_tmax_bound_kappa_positive_required(ref_params, ref_grid, exps_lin):
     # kinetic-heavy data: E0 large positive, kappa < 0
     st = pw.state_from_modes(ref_grid, [0.01], [0.01], [5.0], [5.0])
+    pc = pw.poincare_constant(ref_grid)
+    with pytest.raises(BoundInapplicable):
+        pw.tmax_upper_bound(st, ref_params, exps_lin, ref_grid, pc)
+
+
+def test_tmax_bound_nan_state_is_inapplicable(ref_params, ref_grid, exps_lin):
+    """A NaN kappa must not come out as a NaN bound."""
+    st = pw.state_from_modes(ref_grid, [float("nan")], [0.0], [0.0], [0.0])
     pc = pw.poincare_constant(ref_grid)
     with pytest.raises(BoundInapplicable):
         pw.tmax_upper_bound(st, ref_params, exps_lin, ref_grid, pc)

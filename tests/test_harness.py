@@ -214,13 +214,6 @@ def test_sweep_deterministic_across_parallelism(tmp_path):
     assert outputs[1] == outputs[8]
 
 
-def test_sweep_env_thread_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("PIEZOWAVE_THREADS", "1")
-    cfg_path = _write_cfg(tmp_path, extra=SWEEP_EXTRA.format(mp=8))
-    assert main(["sweep", cfg_path]) == 0
-    assert (tmp_path / "out" / "sweep.csv").exists()
-
-
 def test_sweep_expansion_order_is_sorted(tmp_path):
     cfg_path = _write_cfg(tmp_path, extra="""
 [sweep]

@@ -144,7 +144,7 @@ def test_record_every_downsampling(ref_params, ref_grid):
     traj = pw.simulate(_small_state(ref_grid), ref_params, exps, ref_grid,
                        pw.StepConfig(dt=1e-3), 0.1, record_every=25)
     assert len(traj.records) == 5   # t = 0, 25, 50, 75, 100 steps
-    assert traj.times[-1] == pytest.approx(0.1)
+    assert traj.records[-1].t == pytest.approx(0.1)
 
 
 def test_step_config_validation():

@@ -45,7 +45,6 @@ def test_alpha1_must_be_positive():
 def test_validate_exponents_basic():
     e = pw.validate_exponents(1, 2, 2, 3)
     assert e.c_hat == 3.0
-    assert e.assumption3_ok
     assert e.blowup_regime
 
 

@@ -359,3 +359,21 @@ def test_classify_indeterminate(report_n3):
     st = pw.state_from_modes(grid, [0.01], [0.0], [3.0], [0.0])
     assert pw.classify_initial(st, rep, params, exps, grid) == \
         "indeterminate"
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 3)])
+def test_classify_nehari_set_is_indeterminate(m, n, rng):
+    """Data projected onto the Nehari set S = 0 lie on the well boundary,
+    where neither prediction applies (and J >= Lambda* there anyway)."""
+    params = pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0)
+    grid = pw.Grid1D(1.0, 101)
+    exps = pw.validate_exponents(m, m, n, n)
+    rep = pw.well_report(params, exps, grid)
+    for _ in range(20):
+        st = pw.state_from_modes(grid, rng.standard_normal(3),
+                                 rng.standard_normal(3), [0.0], [0.0])
+        lam, _ = pw.nehari_lambda_star(st, params, exps, grid)
+        on = st.scaled(lam)
+        assert pw.well_side(on, params, exps, grid) == "boundary"
+        assert pw.classify_initial(on, rep, params, exps, grid) == \
+            "indeterminate"
