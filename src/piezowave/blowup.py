@@ -153,7 +153,7 @@ def tmax_upper_bound(state0: State, params: MaterialParams, exps: Exponents,
                          * (vsq + psq))
     # written so that a NaN kappa or denominator is inapplicable too
     if not kappa > 0.0:
-        raise BoundInapplicable(f"kappa = {kappa:.6g} <= 0: "
+        raise BoundInapplicable(f"kappa = {kappa:.6g} is not > 0: "
                                 "energy condition not met")
     cross = Nprime_of(state0, params, grid)
     tau_min = max(0.0, (2.0 * (vsq + psq) - (c - 2.0) * cross)
@@ -162,7 +162,7 @@ def tmax_upper_bound(state0: State, params: MaterialParams, exps: Exponents,
     numer = 2.0 * (params.rho * vsq + params.mu * psq + kappa * tau ** 2)
     denom = (c - 2.0) * (cross + kappa * tau) - 2.0 * (vsq + psq)
     if not denom > 0.0:
-        raise BoundInapplicable(f"denominator = {denom:.6g} <= 0")
+        raise BoundInapplicable(f"denominator = {denom:.6g} is not > 0")
     return kappa, tau, numer / denom
 
 

@@ -26,7 +26,8 @@ from . import decay
 from .config import (RunConfig, expand_sweep, fmt, load_run_config,
                      load_sweep_config, validate_run_config)
 from .diagnostics import CSV_FIELDS
-from .errors import BoundInapplicable, ConfigParse, PiezowaveError
+from .errors import (BoundInapplicable, ConfigParse, NonPositiveSeries,
+                     PiezowaveError)
 from .integrator import simulate
 from .well import classify_initial, poincare_constant, well_report
 
@@ -58,16 +59,18 @@ def write_energy_csv(records, path: str) -> None:
 
 def _fit_trajectory(traj, cfg: RunConfig, exps):
     """Optional decay fit on the recorded Etot series; None if not asked
-    or the series is not usable (non-positive values)."""
-    if cfg.fit_model is None:
+    or the series is not usable (fewer than 4 records, or values that are
+    not all finite and > 0)."""
+    if cfg.fit_model is None or len(traj.records) < 4:
         return None
     times = np.array([r.t for r in traj.records])
     values = np.array([r.Etot for r in traj.records])
-    if np.any(values <= 0.0) or times.size < 4:
-        return None
     eta = decay.eta_from_exponents(exps)
     eta_eff = eta if eta > 0.0 else 1.0   # nominal eta for m = 1 probes
-    return decay.FITS[cfg.fit_model](times, values, eta_eff, cfg.fit_C)
+    try:
+        return decay.FITS[cfg.fit_model](times, values, eta_eff, cfg.fit_C)
+    except NonPositiveSeries:
+        return None
 
 
 def _problem(cfg: RunConfig):

@@ -22,7 +22,7 @@ import numpy as np
 from .decay import FITS
 from .errors import ConfigParse
 from .grid import Grid1D, State, state_from_modes
-from .integrator import StepConfig
+from .integrator import StepConfig, Stepper, step_count
 from .params import Exponents, MaterialParams, make_params, validate_exponents
 
 FLOAT_FMT = "%.17g"
@@ -115,7 +115,7 @@ class RunConfig:
     seed: int = _option("run", 0, int)
     outdir: str = _option("output", "out", str.strip)
     fit_model: Optional[str] = _option("fit", None, _fit_model, key="model")
-    fit_C: float = _option("fit", 2.0, key="C")
+    fit_C: float = _option("fit", 2.0, _at_least(float, 1.0), key="C")
 
     # ---- constructed objects -------------------------------------------
     def material(self) -> MaterialParams:
@@ -196,12 +196,14 @@ def _run_config_from_parser(cp: configparser.ConfigParser) -> RunConfig:
 
 def validate_run_config(cfg: RunConfig) -> RunConfig:
     """Fail fast on inconsistent physics by building every object a run
-    needs; a constructor's ValueError becomes ConfigParse."""
+    needs and counting its steps; a ValueError becomes ConfigParse."""
     try:
-        cfg.material()
+        params = cfg.material()
         cfg.exponents()
-        cfg.grid()
-        cfg.step_config()
+        Stepper(cfg.grid(), params, cfg.step_config())
+        step_count(cfg.t_end, cfg.dt)
+        if cfg.seed < 0:
+            raise ValueError(f"seed = {cfg.seed} must be >= 0")
     except ValueError as exc:
         raise ConfigParse(str(exc)) from None
     return cfg

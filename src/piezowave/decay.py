@@ -43,8 +43,8 @@ def _validate(times, values):
     e = np.asarray(values, dtype=float)
     if t.shape != e.shape or t.ndim != 1 or t.size < 4:
         raise ValueError("need matching 1D series with at least 4 samples")
-    if np.any(e <= 0.0):
-        raise NonPositiveSeries("energy series must be strictly positive")
+    if not np.all((e > 0.0) & (e < np.inf)):     # NaN fails too
+        raise NonPositiveSeries("energy series must be finite and > 0")
     return t, e
 
 
@@ -101,7 +101,7 @@ def _power_fit(t, e, eta, x, model, k0):
 
 def fit_polynomial(times, values, eta, tail_start=None) -> DecayFit:
     """Linear regression of E^(-eta) vs t; eta must be positive."""
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise ValueError("eta must be > 0 for the polynomial envelope")
     t, e = _validate(times, values)
     return _power_fit(t, e, eta, t, "polynomial", _tail(t.size, tail_start))
@@ -109,9 +109,9 @@ def fit_polynomial(times, values, eta, tail_start=None) -> DecayFit:
 
 def fit_logarithmic(times, values, eta, C, tail_start=None) -> DecayFit:
     """Regression of E^(-eta) vs psi(t) = ln((C+t)/C), C >= 1."""
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise ValueError("eta must be > 0 for the logarithmic envelope")
-    if C < 1.0:
+    if not C >= 1.0:
         raise ValueError("C must be >= 1")
     t, e = _validate(times, values)
     psi = np.log((C + t) / C)

@@ -48,7 +48,7 @@ class BoundInapplicable(PiezowaveError):
 
 
 class NonPositiveSeries(PiezowaveError):
-    """Decay fitting needs a strictly positive energy series."""
+    """Decay fitting needs a finite, strictly positive energy series."""
 
 
 class ConfigParse(PiezowaveError):

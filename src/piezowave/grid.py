@@ -26,10 +26,14 @@ class Grid1D:
     nx: int
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError(f"L = {self.L} must be > 0")
+        if not 0.0 < self.L < np.inf:
+            raise ValueError(f"L = {self.L} must be finite and > 0")
         if self.nx < 3:
             raise ValueError(f"nx = {self.nx} must be >= 3")
+        # the operators scale like 1/dx^2
+        if not 0.0 < self.dx * self.dx < np.inf:
+            raise ValueError(f"dx = L/(nx-1) = {self.dx} has no finite "
+                             "nonzero square")
 
     @property
     def dx(self) -> float:

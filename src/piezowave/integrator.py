@@ -17,6 +17,7 @@ is what makes the conservation sanity checks meaningful.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,8 +48,10 @@ class StepConfig:
     sources_on: bool = True
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt = {self.dt} must be > 0")
+        # dt^2 enters the midpoint matrix
+        if not (self.dt > 0 and self.dt * self.dt < math.inf):
+            raise ValueError(f"dt = {self.dt} must be > 0 with a finite "
+                             "square")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
 
@@ -129,6 +132,9 @@ class Stepper:
         ], format="csc")
         n = a.shape[0]
         m = sp.identity(n, format="csc") - (self.cfg.dt ** 2 / 4.0) * a
+        if not np.all(np.isfinite(m.data)):
+            raise ValueError("midpoint matrix I - (dt^2/4) A overflows: "
+                             "material constants, dt or dx out of range")
         return spla.splu(m.tocsc()).solve
 
     def _source(self, v, p, exps: Exponents):
@@ -160,7 +166,8 @@ class Stepper:
                 break
             delta = max(np.max(np.abs(vm_new - vm)), np.max(np.abs(pm_new - pm)))
             vm, pm = vm_new, pm_new
-            if it > 0 and delta <= NEWTON_TOL * (1.0 + np.max(np.abs(vm))):
+            # a NaN delta stops too: the blow-up check ends the run on it
+            if it > 0 and not delta > NEWTON_TOL * (1.0 + np.max(np.abs(vm))):
                 break
             f1, f2 = self._source(vm, pm, exps)
         else:
@@ -210,6 +217,14 @@ def step(state: State, params: MaterialParams, exps: Exponents,
     return Stepper(grid, params, cfg).step(state, exps)
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Number of steps of size dt > 0 to t_end, rounded to a whole number."""
+    if not 0.0 <= t_end / dt < math.inf:
+        raise ValueError(f"t_end / dt = {t_end} / {dt} must be >= 0 and "
+                         "finite")
+    return int(round(t_end / dt))
+
+
 @dataclass
 class Trajectory:
     records: list                # EnergyRecord per recorded step
@@ -225,14 +240,14 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
              record_every: int = 1) -> Trajectory:
     """Advance to t_end, sampling diagnostics every record_every steps.
 
-    Blow-up detection is a normal terminal outcome, not an error.
+    Blow-up detection is a normal terminal outcome, not an error.  Every
+    state it records or returns carries t = k*dt after step k, so times do
+    not drift by repeated addition.
     """
-    if t_end < 0:
-        raise ValueError("t_end must be >= 0")
+    n_steps = step_count(t_end, cfg.dt)
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     stepper = Stepper(grid, params, cfg)
-    n_steps = int(round(t_end / cfg.dt)) if t_end > 0 else 0
 
     etot0 = total_energy(state0, params, exps, grid)
     damping_cum = 0.0
@@ -248,7 +263,8 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
             state = stepper.step(state, exps)
         except BlowupDetected as blow:
             state = blow.state
-            outcome, t_detect, trigger = "blowup", blow.t, blow.trigger
+            outcome, t_detect, trigger = "blowup", k * cfg.dt, blow.trigger
+        state.t = k * cfg.dt
         if cfg.damping_on:
             dnorm = sum(damping_norms(state, exps, grid))
             damping_cum += 0.5 * cfg.dt * (prev_dnorm + dnorm)

@@ -53,7 +53,10 @@ def make_params(rho, alpha, beta, gamma, mu) -> MaterialParams:
     for name in ("rho", "alpha", "beta", "mu"):
         if values[name] <= 0:
             raise NonPositiveParameter(f"{name} = {values[name]} must be > 0")
-    alpha1 = alpha - gamma**2 * beta
+    try:
+        alpha1 = alpha - gamma**2 * beta
+    except OverflowError:           # gamma^2 beyond the float range
+        alpha1 = -math.inf
     if alpha1 <= 0:
         raise NonPositiveAlpha1(
             f"alpha - gamma^2*beta = {alpha1:.6g} must be > 0"

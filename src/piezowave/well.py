@@ -2,7 +2,7 @@
 Lambda, the thresholds derived from it, and classification of initial data.
 
 All scalar roots in this module are simple roots of monotone functions, so
-plain bisection driven to relative 1e-14 is both robust and cheap.
+plain bisection driven to relative 1e-15 is both robust and cheap.
 """
 from __future__ import annotations
 
@@ -35,30 +35,6 @@ def _stiffness(grid: Grid1D) -> sp.csc_matrix:
     return sp.diags([off, main, off], [-1, 0, 1], format="csc")
 
 
-def poincare_constant(grid: Grid1D, tol: float = 1e-14,
-                      max_iter: int = 10000) -> float:
-    """Best constant c with ||u||_2 <= c ||u_x||_2 for grid functions u(0)=0.
-
-    c = 1/sqrt(lambda_min) of the generalized eigenproblem K u = lambda W u
-    on the free nodes, with K the gradient stiffness matrix and W the
-    trapezoid mass.  Solved by inverse power iteration on K^{-1} W.
-    """
-    k = _stiffness(grid)
-    w = grid.weights[1:]
-    solve = spla.splu(k).solve
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal(grid.nx - 1)
-    lam = np.inf
-    for _ in range(max_iter):
-        u = solve(w * u)
-        u /= np.sqrt(np.dot(w, u * u))
-        lam_new = np.dot(u, k @ u) / np.dot(w, u * u)
-        if abs(lam_new - lam) <= tol * abs(lam_new):
-            return 1.0 / np.sqrt(lam_new)
-        lam = lam_new
-    raise NoConvergence("Poincare power iteration stalled")
-
-
 def _embedding_quotient(u: np.ndarray, q: float, grid: Grid1D) -> float:
     g = grad(u, grid)
     gn = grid.dx * np.dot(g, g)
@@ -68,15 +44,17 @@ def _embedding_quotient(u: np.ndarray, q: float, grid: Grid1D) -> float:
 
 
 def embedding_constant(grid: Grid1D, q: float, restarts: int = 16,
-                       iters: int = 500, step0: float = 0.5,
-                       seed: int = 0) -> float:
+                       iters: int = 500, seed: int = 0) -> float:
     """Best discrete constant B = sup ||u||_q^q / ||grad u||_2^q, u(0) = 0.
 
-    Projected-gradient ascent on the unit gradient sphere, preconditioned
-    by the stiffness inverse (the natural gradient for this constraint),
-    with backtracking and random smooth restarts.  The returned value is
-    the best over all restarts, hence a certified lower bound on the
-    discrete supremum.
+    Generalized power method on the unit gradient sphere u^T K u = 1 from
+    random smooth starts.  The step u <- K^{-1} grad F(u), normalized,
+    maximizes <grad F(u_k), u> on the sphere, and F(u) = ||u||_q^q is
+    convex, so F(u_{k+1}) >= F(u_k) + <grad F(u_k), u_{k+1} - u_k> >= F(u_k):
+    the quotient rises at every step, with no step size to control.
+    Projected-gradient ascent is this step with a finite step length.  At
+    q = 2 it is inverse iteration for K u = lambda W u.  The best value over
+    all restarts is a certified lower bound on the discrete supremum.
     """
     if not 2.0 <= q < 7.0:
         raise ValueError(f"q = {q} outside the supported range [2, 7)")
@@ -90,30 +68,27 @@ def embedding_constant(grid: Grid1D, q: float, restarts: int = 16,
             c * np.sin((k - 0.5) * np.pi * x / grid.L)
             for k, c in enumerate(rng.standard_normal(4), start=1))
         u[0] = 0.0
-        u /= np.sqrt(max(grad_norm_sq(u, grid), 1e-300))
         val = _embedding_quotient(u, q, grid)
-        step = step0
         for _ in range(iters):
-            # natural-gradient direction for ||u||_q^q on the sphere
-            d = q * grid.weights * np.abs(u) ** (q - 1.0) * np.sign(u)
-            g = np.zeros(grid.nx)
-            g[1:] = solve(d[1:])
-            gn = np.sqrt(grad_norm_sq(g, grid))
-            if gn == 0.0:
+            u[1:] = solve((grid.weights * np.abs(u) ** (q - 1.0)
+                           * np.sign(u))[1:])
+            # renormalize: u would otherwise scale like |u|^(q-1) and overflow
+            u /= np.sqrt(grad_norm_sq(u, grid))
+            new = _embedding_quotient(u, q, grid)
+            if not new > val * (1.0 + 1e-15):
                 break
-            trial = u + step * g / gn
-            trial[0] = 0.0
-            trial /= np.sqrt(grad_norm_sq(trial, grid))
-            tval = _embedding_quotient(trial, q, grid)
-            if tval > val * (1.0 + 1e-15):
-                u, val = trial, tval
-                step = min(step * 1.3, 2.0)
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
+            val = new
         best = max(best, val)
     return best
+
+
+def poincare_constant(grid: Grid1D) -> float:
+    """Best constant c with ||u||_2 <= c ||u_x||_2 for grid functions u(0)=0.
+
+    c = 1/sqrt(lambda_min) of the generalized eigenproblem K u = lambda W u
+    on the free nodes (K the gradient stiffness, W the trapezoid mass), so
+    c^2 is the embedding constant at q = 2."""
+    return float(np.sqrt(embedding_constant(grid, 2.0)))
 
 
 def c_hat_constant(b1: float, b2: float, params: MaterialParams,
@@ -141,8 +116,12 @@ def lambda_prime(s, c_hat_const: float, n1: float, n2: float):
                                       + s ** ((n2 - 1.0) / 2.0))
 
 
-def _bisect_increasing(f, lo, hi, rel_tol=1e-15, max_iter=200):
-    """Root of increasing f with f(lo) < 0 < f(hi)."""
+def _bisect_increasing(f, rel_tol=1e-15, max_iter=200):
+    """Positive root of increasing f with f(0) < 0.  The upper end of the
+    bracket doubles from 1 until f(hi) >= 0; the lower end is 0."""
+    lo, hi = 0.0, 1.0
+    while f(hi) < 0.0:
+        hi *= 2.0
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if f(mid) < 0.0:
@@ -158,15 +137,8 @@ def s_star_solve(c_hat_const: float, n1: float, n2: float):
     """Unique positive zero s* of Lambda', and the barrier height Lambda(s*)."""
     if c_hat_const <= 0 or n1 <= 1 or n2 <= 1:
         raise ValueError("need C_hat > 0 and n1, n2 > 1")
-
-    def h(s):
-        return 0.5 * c_hat_const * (s ** ((n1 - 1.0) / 2.0)
-                                    + s ** ((n2 - 1.0) / 2.0)) - 0.5
-
-    hi = 1.0
-    while h(hi) < 0.0:
-        hi *= 2.0
-    s_star = _bisect_increasing(h, 0.0, hi)
+    s_star = _bisect_increasing(
+        lambda s: -lambda_prime(s, c_hat_const, n1, n2))
     resid = abs(lambda_prime(s_star, c_hat_const, n1, n2))
     if resid > 1e-12:
         raise NoConvergence(f"Lambda'(s*) = {resid:.3g} > 1e-12")
@@ -200,11 +172,7 @@ def nehari_lambda_star(state: State, params: MaterialParams, exps: Exponents,
     def h(l):
         return l ** (n1 - 1.0) * a + l ** (n2 - 1.0) * b - q
 
-    hi = 1.0
-    while h(hi) < 0.0:
-        hi *= 2.0
-    lo = hi / 2.0 if hi > 1.0 else 0.0
-    lam = _bisect_increasing(h, lo, hi)
+    lam = _bisect_increasing(h)
     phi = (0.5 * lam ** 2 * q - lam ** (n1 + 1.0) * a / (n1 + 1.0)
            - lam ** (n2 + 1.0) * b / (n2 + 1.0))
     phi2 = q - n1 * lam ** (n1 - 1.0) * a - n2 * lam ** (n2 - 1.0) * b

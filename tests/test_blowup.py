@@ -239,8 +239,10 @@ def test_tmax_bound_nan_state_is_inapplicable(ref_params, ref_grid, exps_lin):
     """A NaN kappa must not come out as a NaN bound."""
     st = pw.state_from_modes(ref_grid, [float("nan")], [0.0], [0.0], [0.0])
     pc = pw.poincare_constant(ref_grid)
-    with pytest.raises(BoundInapplicable):
+    with pytest.raises(BoundInapplicable) as info:
         pw.tmax_upper_bound(st, ref_params, exps_lin, ref_grid, pc)
+    # worded without claiming nan <= 0
+    assert str(info.value).startswith("kappa = nan is not > 0")
 
 
 def test_tau_minimality_inequality(ref_params, ref_grid, exps_lin):

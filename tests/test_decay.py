@@ -37,6 +37,21 @@ def test_exponential_rejects_nonpositive():
         pw.fit_exponential(t, e)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("fit", [
+    lambda t, e: pw.fit_exponential(t, e),
+    lambda t, e: pw.fit_polynomial(t, e, 1.0),
+    lambda t, e: pw.fit_logarithmic(t, e, 1.0, 2.0),
+], ids=["exp", "poly", "log"])
+def test_fits_reject_nonfinite_series(fit, bad):
+    """NaN and inf are not positive energies: `e <= 0` misses both."""
+    t = _times()
+    e = np.exp(-t)
+    e[-3:] = bad
+    with pytest.raises(NonPositiveSeries):
+        fit(t, e)
+
+
 # ---------------------------------------------------------------------------
 # polynomial
 

@@ -147,6 +147,31 @@ def test_record_every_downsampling(ref_params, ref_grid):
     assert traj.records[-1].t == pytest.approx(0.1)
 
 
+def test_time_is_step_count_times_dt(ref_params):
+    """t = k*dt on every recorded state, not a running sum of dt: the sum
+    gives 1.4749999999999484 after 1475 steps of 1e-3."""
+    grid = pw.Grid1D(1.0, 21)
+    exps = pw.validate_exponents(1, 1, 2, 2)
+    traj = pw.simulate(_small_state(grid), ref_params, exps, grid,
+                       pw.StepConfig(dt=1e-3), 1.475, record_every=25)
+    assert [r.t for r in traj.records] == [k * 1e-3
+                                           for k in range(0, 1476, 25)]
+    assert traj.records[-1].t == 1475 * 1e-3
+    assert traj.final_state.t == 1475 * 1e-3
+
+
+def test_blowup_time_is_step_count_times_dt(ref_params):
+    grid = pw.Grid1D(1.0, 21)
+    exps = pw.validate_exponents(2, 2, 3, 3)
+    big = pw.state_from_modes(grid, [5.0], [4.5], [0.0], [0.0])
+    traj = pw.simulate(big, ref_params, exps, grid, pw.StepConfig(dt=1e-3),
+                       20.0)
+    assert traj.outcome == "blowup"
+    k = len(traj.records) - 1
+    assert traj.t_detect == traj.records[-1].t == k * 1e-3
+    assert traj.final_state.t == k * 1e-3
+
+
 def test_step_config_validation():
     with pytest.raises(ValueError):
         pw.StepConfig(dt=0.0)

@@ -1,18 +1,24 @@
 """Bad input ends in a typed error (exit code 2) or a named outcome, never in
 a traceback or a silent `completed`."""
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piezowave.cli import main
 
 RUN_CFG = """
 [material]
 rho = 1.0
-alpha = 2.0
+alpha = {alpha}
 beta = 1.0
-gamma = 1.0
+gamma = {gamma}
 mu = 1.0
 
 [exponents]
@@ -22,11 +28,12 @@ n1 = 2.0
 n2 = 2.0
 
 [grid]
-L = 1.0
+L = {L}
 nx = {nx}
 
 [integrator]
 dt = {dt}
+scheme = {scheme}
 
 [initial]
 v0 = {v0}
@@ -35,6 +42,7 @@ p0 = 0.03
 [run]
 t_end = {t_end}
 record_every = {record_every}
+seed = {seed}
 
 [output]
 outdir = {outdir}
@@ -43,7 +51,9 @@ outdir = {outdir}
 
 def _write(tmp_path, extra="", **values):
     values = {"v0": "0.05", "m": "1.0", "nx": "41", "dt": "1e-3",
-              "t_end": "0.02", "record_every": "5", **values}
+              "t_end": "0.02", "record_every": "5", "L": "1.0",
+              "alpha": "2.0", "gamma": "1.0", "seed": "0",
+              "scheme": "semi-implicit", **values}
     path = tmp_path / "run.cfg"
     path.write_text(RUN_CFG.format(outdir=tmp_path / "out", **values) + extra,
                     encoding="utf-8")
@@ -75,10 +85,27 @@ ENERGY_CSV = "t,E,Etot\n0,2,1\n1,1,0.5\n2,0.5,0.25\n3,0.25,0.125\n"
     ("fit --model exp", ENERGY_CSV.replace("0.125", "abc"), {}),
     ("fit --model exp", ENERGY_CSV.replace("Etot", "energy"), {}),
     ("fit --model exp", ENERGY_CSV + "4\n", {}),
+    ("simulate", "", {"t_end": "inf"}),
+    ("simulate", "", {"t_end": "1e308"}),
+    ("simulate", "", {"L": "nan"}),
+    ("simulate", "", {"L": "inf"}),
+    ("simulate", "", {"dt": "inf"}),
+    ("simulate", "", {"seed": "-1"}),
+    ("simulate", "", {"gamma": "1e200"}),
+    ("simulate", "", {"L": "1e308"}),
+    ("simulate", "", {"dt": "1e308"}),
+    ("simulate", "", {"dt": "-1"}),
+    ("simulate", "", {"alpha": "1e308"}),
+    ("simulate", "\n[fit]\nmodel = log\nC = 0\n", {}),
+    ("fit --model exp", "t,Etot\n" + "0,nan\n" * 4, {}),
+    ("fit --model exp", ENERGY_CSV.replace("0.125", "inf"), {}),
 ], ids=["nx-too-small", "dt-nan", "t-end-negative", "record-every-zero",
         "max-parallel-not-int", "max-parallel-zero", "fit-eta-zero",
         "fit-C-below-1", "fit-missing-file", "fit-non-numeric",
-        "fit-no-Etot-column", "fit-short-row"])
+        "fit-no-Etot-column", "fit-short-row", "t-end-inf", "t-end-1e308",
+        "L-nan", "L-inf", "dt-inf", "seed-negative", "gamma-1e200",
+        "L-1e308", "dt-1e308", "dt-negative", "alpha-1e308",
+        "fit-log-C-below-1", "fit-nan-series", "fit-inf-series"])
 def test_bad_input_exits_2_with_error_line(tmp_path, capsys, command, extra,
                                            values):
     name, *options = command.split()
@@ -125,6 +152,16 @@ def test_nan_initial_data_ends_as_blowup(tmp_path):
     assert json.loads(summary)["E0"] is None
 
 
+def test_nan_initial_data_ends_as_blowup_under_implicit_midpoint(tmp_path):
+    """The source iteration must not turn a NaN state into NoConvergence."""
+    cfg = _write(tmp_path, v0="nan", scheme="implicit-midpoint")
+    assert main(["simulate", cfg]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json")
+                         .read_text(encoding="utf-8"))
+    assert summary["outcome"] == "blowup"
+    assert summary["t_detect"] == 1e-3
+
+
 def test_bounds_without_linear_damping_is_inapplicable(tmp_path, capsys):
     assert main(["bounds", _write(tmp_path, m="2.0")]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -132,3 +169,79 @@ def test_bounds_without_linear_damping_is_inapplicable(tmp_path, capsys):
     assert lines[1:] == [
         f"[{c}] bound inapplicable: threshold and bound require m1 = m2 = 1"
         for c in ("poincare-consistent", "paper-literal")]
+
+
+# A table of valid values per option; any option may instead take one of
+# BAD_VALUES.  The grid and the run stay small (nx <= 41, t_end <= 0.05).
+VALID = {
+    ("material", "rho"): ("1.0", "2.0"),
+    ("material", "alpha"): ("2.0", "3.0"),
+    ("material", "beta"): ("1.0", "0.5"),
+    ("material", "gamma"): ("1.0", "-0.5"),
+    ("material", "mu"): ("1.0", "2.0"),
+    ("exponents", "m1"): ("1.0", "2.0"),
+    ("exponents", "m2"): ("1.0", "2.0"),
+    ("exponents", "n1"): ("2.0", "3.0"),
+    ("exponents", "n2"): ("2.0", "3.0"),
+    ("grid", "L"): ("1.0", "2.0"),
+    ("grid", "nx"): ("21", "41"),
+    ("integrator", "dt"): ("1e-3", "2.5e-3"),
+    ("integrator", "scheme"): ("semi-implicit", "implicit-midpoint"),
+    ("integrator", "blowup_cutoff"): ("1e6", "10"),
+    ("integrator", "damping"): ("true", "false"),
+    ("integrator", "sources"): ("true", "false"),
+    ("initial", "v0"): ("0.05", "0.05, 0.5"),
+    ("initial", "p0"): ("0.03", "2.0"),
+    ("initial", "v1"): ("0.0", "1.0"),
+    ("initial", "p1"): ("0.0", "-1.0"),
+    ("run", "t_end"): ("0.02", "0.05"),
+    ("run", "record_every"): ("5", "1"),
+    ("run", "seed"): ("0", "3"),
+    ("fit", "model"): ("exp", "log"),
+    ("fit", "C"): ("2.0", "1.0"),
+}
+BAD_VALUES = ("nan", "inf", "-1", "0", "1e308", "abc", "")
+KEYS = list(VALID)
+
+
+def _fuzz_text(values: dict, outdir: Path, axis=None) -> str:
+    sections = {}
+    for (section, key), value in values.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    sections["output"] = [f"outdir = {outdir}"]
+    if axis is not None:
+        sections["sweep.axes"] = [axis]
+    return "".join(f"[{name}]\n" + "\n".join(lines) + "\n\n"
+                   for name, lines in sections.items())
+
+
+def _exit_code(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_fuzz_exits_0_or_2(data):
+    """simulate and a one-axis sweep on fuzzed configs end in exit code 0
+    or 2, never in a traceback.  The sweep's axis runs a valid value of its
+    option and then a fuzzed one, so a valid base gives one good member."""
+    values = {key: data.draw(st.sampled_from(VALID[key] + BAD_VALUES),
+                             label=f"{key[0]}.{key[1]}")
+              for key in data.draw(st.sets(st.sampled_from(KEYS),
+                                           max_size=4), label="keys")}
+    values = {key: VALID[key][0] for key in KEYS} | values
+    section, key = axis = data.draw(st.sampled_from(KEYS), label="axis")
+    sep = ";" if section == "initial" else ","
+    bad = data.draw(st.sampled_from(BAD_VALUES), label="axis value")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(_fuzz_text(values, Path(tmp) / "out"),
+                       encoding="utf-8")
+        assert _exit_code(["simulate", str(cfg)]) in (0, 2)
+        cfg.write_text(_fuzz_text(
+            values, Path(tmp) / "out",
+            f"{section}.{key} = {VALID[axis][0]}{sep} {bad}"),
+            encoding="utf-8")
+        assert _exit_code(["sweep", str(cfg)]) in (0, 2)

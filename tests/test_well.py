@@ -72,6 +72,14 @@ def test_embedding_q4_matches_bruteforce_oracle(coarse_grid, rng):
     assert impl >= oracle * (1.0 - 1e-9)   # ascent must not undershoot
 
 
+@pytest.mark.parametrize("q", [3.0, 4.5, 6.5])
+def test_embedding_constant_does_not_depend_on_seed(coarse_grid, q):
+    """The seed only picks the random starts of the restarts; the constant
+    they reach agrees to roundoff, up to q = 6.5."""
+    values = [pw.embedding_constant(coarse_grid, q, seed=s) for s in range(4)]
+    assert max(values) - min(values) <= 1e-13 * max(values)
+
+
 def test_embedding_constant_rejects_bad_q(coarse_grid):
     with pytest.raises(ValueError):
         pw.embedding_constant(coarse_grid, 7.5)

@@ -15,8 +15,10 @@ temporary directory.  Both exports then run the same fixed cases:
 
 Every output file, every stdout and every exit code is compared with the
 other revision's, and one line per item says "identical" or "differs".
-The exit status is 0 when everything is identical and 1 otherwise.
-Standard library only.
+Under each text file that differs, the first line that differs is printed
+from each side, with its line number, so the size of a difference shows
+without rerunning anything.  The exit status is 0 when everything is
+identical and 1 otherwise.  Standard library only.
 """
 from __future__ import annotations
 
@@ -193,6 +195,23 @@ def outputs(root: Path) -> set:
             if p.is_file() and p.suffix != ".cfg"}
 
 
+def first_difference(a: Path, b: Path):
+    """The first differing line of two text files, as (line number, line
+    of a, line of b), with "<end of file>" past the end of the shorter
+    one; None when either file is missing or not UTF-8 text."""
+    try:
+        lines_a, lines_b = (p.read_text(encoding="utf-8").splitlines()
+                            for p in (a, b))
+    except (OSError, UnicodeDecodeError):
+        return None
+    end = ["<end of file>"]
+    for number, (line_a, line_b) in enumerate(
+            zip(lines_a + end, lines_b + end), start=1):
+        if line_a != line_b:
+            return number, line_a, line_b
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev_a")
@@ -213,6 +232,11 @@ def main(argv=None) -> int:
                                                              shallow=False)
             same = same and ok
             print(f"{'identical' if ok else 'differs  '}  {rel}")
+            diff = None if ok else first_difference(a, b)
+            if diff is not None:
+                number, line_a, line_b = diff
+                print(f"    {args.rev_a}:{number}: {line_a}")
+                print(f"    {args.rev_b}:{number}: {line_b}")
     print("all identical" if same else "some outputs differ")
     return 0 if same else 1
 
