@@ -20,7 +20,7 @@ from .errors import (AssumptionViolated, BlowupDetected, BoundInapplicable,
                      ZeroState)
 from .grid import (Grid1D, State, sine_modes, state_from_modes, zero_state)
 from .integrator import (StepConfig, Stepper, Trajectory, cfl_dt,
-                         damping_solve, simulate, step)
+                         damping_solve, simulate)
 from .params import (Exponents, MaterialParams, make_params,
                      validate_exponents)
 from .well import (WellReport, c_hat_constant, check_delta, classify_initial,

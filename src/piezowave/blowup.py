@@ -22,6 +22,8 @@ from .params import Exponents, MaterialParams
 
 CONVENTIONS = ("paper-literal", "poincare-consistent")
 TAU_MARGIN_REL = 1e-6
+# Relative slack of the monotonicity checks on G and Y between records.
+MONOTONE_TOL = 1e-11
 
 
 def G_of(record) -> float:
@@ -68,8 +70,8 @@ class BlowupReport:
         return asdict(self)
 
 
-def monitor(trajectory, exps: Exponents, params: MaterialParams,
-            tol: float = 1e-11) -> BlowupReport:
+def monitor(trajectory, exps: Exponents,
+            params: MaterialParams) -> BlowupReport:
     """Check G monotonicity and the auxiliary functional Y on a finished run.
 
     Active only when the run starts at negative total energy (G(0) > 0);
@@ -83,7 +85,7 @@ def monitor(trajectory, exps: Exponents, params: MaterialParams,
     if g[0] <= 0.0:
         return report
     scale = 1.0 + np.max(np.abs(g))
-    report.G_monotone_ok = bool(np.all(np.diff(g) >= -tol * scale))
+    report.G_monotone_ok = bool(np.all(np.diff(g) >= -MONOTONE_TOL * scale))
     report.criterion = "negative-energy"
     if exps.blowup_regime:
         _, varpi, _ = varpi_range(exps)
@@ -93,7 +95,8 @@ def monitor(trajectory, exps: Exponents, params: MaterialParams,
             eps = min(eps, -g[0] ** (1.0 - varpi) / (2.0 * nprime[0]))
         y = g ** (1.0 - varpi) + eps * nprime
         report.Y_positive_increasing = bool(
-            np.all(y > 0.0) and np.all(np.diff(y) >= -tol * (1.0 + np.max(y))))
+            np.all(y > 0.0)
+            and np.all(np.diff(y) >= -MONOTONE_TOL * (1.0 + np.max(y))))
     return report
 
 
@@ -106,14 +109,12 @@ def _threshold_pieces(state0: State, params: MaterialParams,
         raise BoundInapplicable("threshold and bound require m1 = m2 = 1")
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
-    mfac = max((2.0 * params.gamma ** 2 + 1.0) / params.alpha1,
-               2.0 / params.beta)
     cfac = poincare_c ** 2 if convention == "paper-literal" \
         else 1.0 / poincare_c ** 2
     vsq = l2_norm_sq(state0.v, grid)
     psq = l2_norm_sq(state0.p, grid)
     e0 = total_energy(state0, params, exps, grid)
-    return mfac, cfac, vsq, psq, e0
+    return params.M, cfac, vsq, psq, e0
 
 
 def theorem210_threshold(state0: State, params: MaterialParams,
@@ -168,14 +169,13 @@ def tmax_upper_bound(state0: State, params: MaterialParams, exps: Exponents,
 
 def blowup_report(trajectory, state0: State, params: MaterialParams,
                   exps: Exponents, grid: Grid1D,
-                  poincare_c: Optional[float] = None,
-                  convention: str = "poincare-consistent") -> BlowupReport:
+                  poincare_c: Optional[float] = None) -> BlowupReport:
     """Monitor a trajectory and, when applicable, attach the time bound."""
     report = monitor(trajectory, exps, params)
     if poincare_c is not None:
         try:
             kappa, tau, bound = tmax_upper_bound(
-                state0, params, exps, grid, poincare_c, convention)
+                state0, params, exps, grid, poincare_c)
         except BoundInapplicable:
             pass
         else:

@@ -224,19 +224,21 @@ def main(argv=None) -> int:
     fit_p.add_argument("--eta", type=float, default=1.0)
     sub.add_parser("bounds").add_argument("config")
     args = parser.parse_args(argv)
-    try:
-        if args.command == "simulate":
-            return cli_simulate(args.config)
-        if args.command == "classify":
-            return cli_classify(args.config)
-        if args.command == "sweep":
-            return cli_sweep(args.config)
-        if args.command == "fit":
-            return cli_fit(args.csv, args.model, args.C, args.eta)
-        return cli_bounds(args.config)
-    except PiezowaveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # overflow ends as a blowup outcome or a typed error, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            if args.command == "simulate":
+                return cli_simulate(args.config)
+            if args.command == "classify":
+                return cli_classify(args.config)
+            if args.command == "sweep":
+                return cli_sweep(args.config)
+            if args.command == "fit":
+                return cli_fit(args.csv, args.model, args.C, args.eta)
+            return cli_bounds(args.config)
+        except PiezowaveError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -39,17 +39,14 @@ def eta_from_exponents(exps: Exponents) -> float:
 
 
 def _validate(times, values):
+    """The series as arrays, and the regression tail's first index."""
     t = np.asarray(times, dtype=float)
     e = np.asarray(values, dtype=float)
     if t.shape != e.shape or t.ndim != 1 or t.size < 4:
         raise ValueError("need matching 1D series with at least 4 samples")
     if not np.all((e > 0.0) & (e < np.inf)):     # NaN fails too
         raise NonPositiveSeries("energy series must be finite and > 0")
-    return t, e
-
-
-def _tail(n: int, tail_start) -> int:
-    return n // 2 if tail_start is None else int(tail_start)
+    return t, e, t.size // 2      # the tail is the second half
 
 
 def _lstsq_line(x, y):
@@ -61,10 +58,9 @@ def _lstsq_line(x, y):
 ENVELOPE_SLACK = 1.0 + 1e-9
 
 
-def fit_exponential(times, values, tail_start=None) -> DecayFit:
+def fit_exponential(times, values) -> DecayFit:
     """Least squares on log E vs t; envelope E(0) e^(1 - omega t)."""
-    t, e = _validate(times, values)
-    k0 = _tail(t.size, tail_start)
+    t, e, k0 = _validate(times, values)
     intercept, slope = _lstsq_line(t[k0:], np.log(e[k0:]))
     omega = -slope
     env = e[0] * np.exp(1.0 - omega * t)
@@ -99,23 +95,22 @@ def _power_fit(t, e, eta, x, model, k0):
                     envelope_ok, bool(omega > 0.0 and envelope_ok))
 
 
-def fit_polynomial(times, values, eta, tail_start=None) -> DecayFit:
+def fit_polynomial(times, values, eta) -> DecayFit:
     """Linear regression of E^(-eta) vs t; eta must be positive."""
     if not eta > 0.0:
         raise ValueError("eta must be > 0 for the polynomial envelope")
-    t, e = _validate(times, values)
-    return _power_fit(t, e, eta, t, "polynomial", _tail(t.size, tail_start))
+    t, e, k0 = _validate(times, values)
+    return _power_fit(t, e, eta, t, "polynomial", k0)
 
 
-def fit_logarithmic(times, values, eta, C, tail_start=None) -> DecayFit:
+def fit_logarithmic(times, values, eta, C) -> DecayFit:
     """Regression of E^(-eta) vs psi(t) = ln((C+t)/C), C >= 1."""
     if not eta > 0.0:
         raise ValueError("eta must be > 0 for the logarithmic envelope")
     if not C >= 1.0:
         raise ValueError("C must be >= 1")
-    t, e = _validate(times, values)
-    psi = np.log((C + t) / C)
-    return _power_fit(t, e, eta, psi, "logarithmic", _tail(t.size, tail_start))
+    t, e, k0 = _validate(times, values)
+    return _power_fit(t, e, eta, np.log((C + t) / C), "logarithmic", k0)
 
 
 # Model name, as written in configs and on the command line -> fit of
@@ -128,7 +123,7 @@ FITS = {
 }
 
 
-def select_model(times, values, eta, C=2.0, tail_start=None) -> DecayFit:
+def select_model(times, values, eta, C=2.0) -> DecayFit:
     """Fit every applicable family and keep the lowest log-scale rmse.
 
     The exponential family only applies when eta = 0; the other two only
@@ -136,11 +131,11 @@ def select_model(times, values, eta, C=2.0, tail_start=None) -> DecayFit:
     """
     fits = []
     if eta == 0.0:
-        fits.append(fit_exponential(times, values, tail_start))
+        fits.append(fit_exponential(times, values))
         # an eta = 0 series can still be probed with a nominal eta = 1
-        fits.append(fit_polynomial(times, values, 1.0, tail_start))
-        fits.append(fit_logarithmic(times, values, 1.0, C, tail_start))
+        fits.append(fit_polynomial(times, values, 1.0))
+        fits.append(fit_logarithmic(times, values, 1.0, C))
     else:
-        fits.append(fit_polynomial(times, values, eta, tail_start))
-        fits.append(fit_logarithmic(times, values, eta, C, tail_start))
+        fits.append(fit_polynomial(times, values, eta))
+        fits.append(fit_logarithmic(times, values, eta, C))
     return min(fits, key=lambda f: f.rmse)

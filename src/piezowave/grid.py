@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .params import MaterialParams
 
@@ -137,6 +138,16 @@ def second_difference(grid: Grid1D) -> sp.spmatrix:
     off_hi[0] = 0.0          # Dirichlet row stays zero
     off_lo[-1] = 2.0         # mirror ghost at x = L
     return sp.diags([off_lo, main, off_hi], [-1, 0, 1]) / dx2
+
+
+def stiffness_solver(grid: Grid1D):
+    """f -> u[1:] with K u[1:] = (W f)[1:] and u[0] = 0, the weak form of
+    -u_xx = f.  K = -(W D2)[1:, 1:] with W = diag(weights) is the gradient
+    stiffness on the free nodes: u[1:] K u[1:] = grad_norm_sq(u)."""
+    w = grid.weights
+    k = -(sp.diags(w) @ second_difference(grid))
+    solve = spla.splu(k.tocsc()[1:, 1:]).solve
+    return lambda f: solve((w * f)[1:])
 
 
 def coupled_laplacian(v: np.ndarray, p: np.ndarray, grid: Grid1D,

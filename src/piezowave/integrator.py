@@ -38,6 +38,9 @@ SCHEMES = ("semi-implicit", "implicit-midpoint")
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
 
+# Longest run a config may ask for: about 3 days at 250 us per step.
+MAX_STEPS = 10**9
+
 
 @dataclass
 class StepConfig:
@@ -62,7 +65,7 @@ def cfl_dt(grid: Grid1D, params: MaterialParams, safety: float = 0.4) -> float:
     return safety * grid.dx / c_wave
 
 
-def _damping_solve_vec(r, a, m, tol, max_iter):
+def _damping_solve_vec(r, a, m):
     """Solve x + a|x|^(m-1)x = r elementwise for a >= 0, m >= 1.
 
     phi'(x) >= 1 everywhere, so Newton from r/(1+a) is well behaved; a
@@ -73,42 +76,39 @@ def _damping_solve_vec(r, a, m, tol, max_iter):
         return r.copy()
     if m == 1.0:
         return r / (1.0 + a)
+
+    def phi(x):     # the residual, and |x|^(m-1) for Newton's phi'
+        power = np.abs(x) ** (m - 1.0)
+        return x + a * power * x - r, power
+
     x = r / (1.0 + a)
     scale = 1.0 + np.abs(r)
-    for _ in range(max_iter):
-        ax = np.abs(x)
-        phi = x + a * ax ** (m - 1.0) * x - r
-        if np.all(np.abs(phi) <= tol * scale):
+    # the root has the sign of r and |x| <= |r|
+    lo, hi = np.minimum(r, 0.0), np.maximum(r, 0.0)
+    for _ in range(NEWTON_MAX_ITER):
+        res, power = phi(x)
+        if np.all(np.abs(res) <= NEWTON_TOL * scale):
             return x
-        dphi = 1.0 + a * m * ax ** (m - 1.0)
-        x = x - phi / dphi
-        # the root has the sign of r and |x| <= |r|
-        x = np.clip(x, np.minimum(r, 0.0), np.maximum(r, 0.0))
-    # bisection fallback on [0, r] (or [r, 0]) for unconverged entries
-    lo = np.minimum(r, 0.0)
-    hi = np.maximum(r, 0.0)
+        x = np.clip(x - res / (1.0 + a * m * power), lo, hi)
+    # bisection fallback on [lo, hi] for unconverged entries
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        phi = mid + a * np.abs(mid) ** (m - 1.0) * mid - r
-        low = phi < 0.0
+        low = phi(mid)[0] < 0.0
         lo = np.where(low, mid, lo)
         hi = np.where(low, hi, mid)
     x = 0.5 * (lo + hi)
-    phi = x + a * np.abs(x) ** (m - 1.0) * x - r
-    if np.any(np.abs(phi) > 1e3 * tol * scale):
+    if np.any(np.abs(phi(x)[0]) > 1e3 * NEWTON_TOL * scale):
         raise NoConvergence("damping solve did not meet tolerance")
     return x
 
 
-def damping_solve(r: float, dt: float, m: float,
-                  tol: float = 1e-14, max_iter: int = 60) -> float:
-    """Unique root of x + dt*|x|^(m-1)*x = r."""
+def damping_solve(r: float, dt: float, m: float) -> float:
+    """Unique root of x + dt*|x|^(m-1)*x = r, to NEWTON_TOL relative."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if m < 1:
         raise ValueError("m must be >= 1")
-    return float(_damping_solve_vec(np.array([r]), dt, m,
-                                    tol, max_iter)[0])
+    return float(_damping_solve_vec(np.array([r]), dt, m)[0])
 
 
 class Stepper:
@@ -126,12 +126,14 @@ class Stepper:
         d2 = second_difference(self.grid)
         pr = self.params
         gb = pr.gamma * pr.beta
-        a = sp.bmat([
-            [pr.alpha / pr.rho * d2, -gb / pr.rho * d2],
-            [-gb / pr.mu * d2, pr.beta / pr.mu * d2],
-        ], format="csc")
-        n = a.shape[0]
-        m = sp.identity(n, format="csc") - (self.cfg.dt ** 2 / 4.0) * a
+        # overflowing entries become inf quietly: the check below decides
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = sp.bmat([
+                [pr.alpha / pr.rho * d2, -gb / pr.rho * d2],
+                [-gb / pr.mu * d2, pr.beta / pr.mu * d2],
+            ], format="csc")
+            m = sp.identity(a.shape[0], format="csc") \
+                - (self.cfg.dt ** 2 / 4.0) * a
         if not np.all(np.isfinite(m.data)):
             raise ValueError("midpoint matrix I - (dt^2/4) A overflows: "
                              "material constants, dt or dx out of range")
@@ -145,33 +147,30 @@ class Stepper:
     def _conservative(self, state: State, exps: Exponents) -> State:
         dt = self.cfg.dt
         pr = self.params
+        nx = self.grid.nx
         v, p, vt, pt = state.v, state.p, state.vt, state.pt
-        if self.cfg.sources_on:
-            f1, f2 = self._source(v, p, exps)
-        else:
-            f1 = f2 = np.zeros_like(v)
-        iterations = (NEWTON_MAX_ITER
-                      if (self.cfg.scheme == "implicit-midpoint"
-                          and self.cfg.sources_on) else 1)
-        vm, pm = v, p
-        for it in range(iterations):
-            rhs = np.concatenate([
+
+        def midpoint(f1, f2):
+            sol = self._solve(np.concatenate([
                 v + 0.5 * dt * vt + (dt * dt / 4.0) * f1 / pr.rho,
                 p + 0.5 * dt * pt + (dt * dt / 4.0) * f2 / pr.mu,
-            ])
-            sol = self._solve(rhs)
-            vm_new, pm_new = sol[:self.grid.nx], sol[self.grid.nx:]
-            if iterations == 1:
+            ]))
+            return sol[:nx], sol[nx:]
+
+        on = self.cfg.sources_on
+        vm, pm = midpoint(*(self._source(v, p, exps) if on else (0.0, 0.0)))
+        # semi-implicit stops at this first iterate; implicit-midpoint
+        # iterates the sources to the midpoint, NEWTON_MAX_ITER solves in all
+        if on and self.cfg.scheme == "implicit-midpoint":
+            for _ in range(NEWTON_MAX_ITER - 1):
+                vm_new, pm_new = midpoint(*self._source(vm, pm, exps))
+                delta = max(np.max(np.abs(vm_new - vm)),
+                            np.max(np.abs(pm_new - pm)))
                 vm, pm = vm_new, pm_new
-                break
-            delta = max(np.max(np.abs(vm_new - vm)), np.max(np.abs(pm_new - pm)))
-            vm, pm = vm_new, pm_new
-            # a NaN delta stops too: the blow-up check ends the run on it
-            if it > 0 and not delta > NEWTON_TOL * (1.0 + np.max(np.abs(vm))):
-                break
-            f1, f2 = self._source(vm, pm, exps)
-        else:
-            if iterations > 1:
+                # a NaN delta stops too: the blow-up check ends the run on it
+                if not delta > NEWTON_TOL * (1.0 + np.max(np.abs(vm))):
+                    break
+            else:
                 raise NoConvergence("implicit source iteration stalled")
         return State(
             v=2.0 * vm - v,
@@ -185,10 +184,8 @@ class Stepper:
         """Damping half-step of both velocities: over h = dt/2 the midpoint
         update of y' = -c|y|^(m-1)y is 2z - y with z + (h/2)c|z|^(m-1)z = y."""
         a = 0.25 * self.cfg.dt
-        zv = _damping_solve_vec(state.vt, a * (1.0 / self.params.rho),
-                                exps.m1, NEWTON_TOL, NEWTON_MAX_ITER)
-        zp = _damping_solve_vec(state.pt, a * (1.0 / self.params.mu),
-                                exps.m2, NEWTON_TOL, NEWTON_MAX_ITER)
+        zv = _damping_solve_vec(state.vt, a * (1.0 / self.params.rho), exps.m1)
+        zp = _damping_solve_vec(state.pt, a * (1.0 / self.params.mu), exps.m2)
         return State(state.v, state.p, 2.0 * zv - state.vt,
                      2.0 * zp - state.pt, state.t)
 
@@ -211,17 +208,12 @@ class Stepper:
         return state
 
 
-def step(state: State, params: MaterialParams, exps: Exponents,
-         grid: Grid1D, cfg: StepConfig) -> State:
-    """One time step (convenience wrapper; builds a Stepper each call)."""
-    return Stepper(grid, params, cfg).step(state, exps)
-
-
 def step_count(t_end: float, dt: float) -> int:
-    """Number of steps of size dt > 0 to t_end, rounded to a whole number."""
-    if not 0.0 <= t_end / dt < math.inf:
-        raise ValueError(f"t_end / dt = {t_end} / {dt} must be >= 0 and "
-                         "finite")
+    """Number of steps of size dt > 0 to t_end, rounded to a whole number,
+    at most MAX_STEPS."""
+    if not 0.0 <= t_end / dt <= MAX_STEPS:
+        raise ValueError(f"t_end / dt = {t_end} / {dt} must be in "
+                         f"[0, {MAX_STEPS}]")
     return int(round(t_end / dt))
 
 

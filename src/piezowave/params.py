@@ -28,6 +28,12 @@ class MaterialParams:
     mu: float
     alpha1: float
 
+    @property
+    def M(self) -> float:
+        """Sandwich constant M = max{(2 gamma^2 + 1)/alpha1, 2/beta}."""
+        return max((2.0 * self.gamma ** 2 + 1.0) / self.alpha1,
+                   2.0 / self.beta)
+
 
 @dataclass(frozen=True)
 class Exponents:

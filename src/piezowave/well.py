@@ -10,37 +10,21 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .diagnostics import make_record, source_norms
 from .errors import DeltaOutOfRange, NoConvergence, ZeroState
-from .grid import Grid1D, State, grad, grad_norm_sq, quadratic_form
+from .grid import (Grid1D, State, grad_norm_sq, lp_norm_pow, quadratic_form,
+                   sine_modes, stiffness_solver)
 from .params import Exponents, MaterialParams
 
 # ---------------------------------------------------------------------------
 # discrete constants of the grid
 
-def _stiffness(grid: Grid1D) -> sp.csc_matrix:
-    """Gradient stiffness matrix on the free nodes 1..nx-1.
-
-    K = dx * G^T G with G the forward-difference map including the
-    boundary cell attached to the clamped node.
-    """
-    n = grid.nx - 1
-    dx = grid.dx
-    main = np.full(n, 2.0 / dx)
-    main[-1] = 1.0 / dx
-    off = np.full(n - 1, -1.0 / dx)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csc")
-
-
 def _embedding_quotient(u: np.ndarray, q: float, grid: Grid1D) -> float:
-    g = grad(u, grid)
-    gn = grid.dx * np.dot(g, g)
+    gn = grad_norm_sq(u, grid)
     if gn == 0.0:
         return 0.0
-    return float(np.dot(grid.weights, np.abs(u) ** q) / gn ** (q / 2.0))
+    return lp_norm_pow(u, q, grid) / gn ** (q / 2.0)
 
 
 def embedding_constant(grid: Grid1D, q: float, restarts: int = 16,
@@ -59,19 +43,15 @@ def embedding_constant(grid: Grid1D, q: float, restarts: int = 16,
     if not 2.0 <= q < 7.0:
         raise ValueError(f"q = {q} outside the supported range [2, 7)")
     rng = np.random.default_rng(seed)
-    solve = spla.splu(_stiffness(grid)).solve
-    x = grid.nodes
+    solve = stiffness_solver(grid)
     best = 0.0
     for _ in range(restarts):
         # smooth random start: a few low modes plus a ramp
-        u = x / grid.L + sum(
-            c * np.sin((k - 0.5) * np.pi * x / grid.L)
-            for k, c in enumerate(rng.standard_normal(4), start=1))
+        u = grid.nodes / grid.L + sine_modes(grid, rng.standard_normal(4))
         u[0] = 0.0
         val = _embedding_quotient(u, q, grid)
         for _ in range(iters):
-            u[1:] = solve((grid.weights * np.abs(u) ** (q - 1.0)
-                           * np.sign(u))[1:])
+            u[1:] = solve(np.abs(u) ** (q - 1.0) * np.sign(u))
             # renormalize: u would otherwise scale like |u|^(q-1) and overflow
             u /= np.sqrt(grad_norm_sq(u, grid))
             new = _embedding_quotient(u, q, grid)
@@ -93,9 +73,8 @@ def poincare_constant(grid: Grid1D) -> float:
 
 def c_hat_constant(b1: float, b2: float, params: MaterialParams,
                    n1: float, n2: float) -> float:
-    """C_hat = max{B1 M^((n1+1)/2), B2 M^((n2+1)/2)},
-    M = max{(2 gamma^2 + 1)/alpha1, 2/beta}."""
-    m = max((2.0 * params.gamma ** 2 + 1.0) / params.alpha1, 2.0 / params.beta)
+    """C_hat = max{B1 M^((n1+1)/2), B2 M^((n2+1)/2)}, M = params.M."""
+    m = params.M
     return max(b1 * m ** ((n1 + 1.0) / 2.0), b2 * m ** ((n2 + 1.0) / 2.0))
 
 
@@ -149,9 +128,12 @@ def y0_and_threshold(c_hat_const: float, n1: float, n2: float, c_hat: float):
     """y0 solving C(2y)^((n1-1)/2) + C(2y)^((n2-1)/2) = 1, i.e.
     Lambda'(2 y0) = 0 and y0 = s*/2, and the blow-up energy threshold
     M = (c-2) y0 / (2(2+c))."""
-    y0 = s_star_solve(c_hat_const, n1, n2)[0] / 2.0
-    m_threshold = (c_hat - 2.0) / (2.0 * (2.0 + c_hat)) * y0
-    return y0, m_threshold
+    return _y0_and_threshold(s_star_solve(c_hat_const, n1, n2)[0], c_hat)
+
+
+def _y0_and_threshold(s_star: float, c_hat: float):
+    y0 = s_star / 2.0
+    return y0, (c_hat - 2.0) / (2.0 * (2.0 + c_hat)) * y0
 
 
 def nehari_lambda_star(state: State, params: MaterialParams, exps: Exponents,
@@ -223,13 +205,12 @@ class WellReport:
 
 
 def well_report(params: MaterialParams, exps: Exponents, grid: Grid1D,
-                restarts: int = 16, seed: int = 0) -> WellReport:
-    b1 = embedding_constant(grid, exps.n1 + 1.0, restarts=restarts, seed=seed)
-    b2 = embedding_constant(grid, exps.n2 + 1.0, restarts=restarts,
-                            seed=seed + 1)
+                seed: int = 0) -> WellReport:
+    b1 = embedding_constant(grid, exps.n1 + 1.0, seed=seed)
+    b2 = embedding_constant(grid, exps.n2 + 1.0, seed=seed + 1)
     chat = c_hat_constant(b1, b2, params, exps.n1, exps.n2)
     s_star, lam_star = s_star_solve(chat, exps.n1, exps.n2)
-    y0, m_thr = y0_and_threshold(chat, exps.n1, exps.n2, exps.c_hat)
+    y0, m_thr = _y0_and_threshold(s_star, exps.c_hat)
     return WellReport(B1=b1, B2=b2, C_hat=chat, s_star=s_star,
                       Lambda_star=lam_star, y0=y0, M_threshold=m_thr,
                       poincare_c=poincare_constant(grid))

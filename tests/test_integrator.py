@@ -53,7 +53,7 @@ def test_damping_solve_monotone(r1, r2):
 
 def test_damping_solve_vectorized_matches_scalar(rng):
     r = rng.uniform(-50, 50, size=64)
-    xs = _damping_solve_vec(r, 0.7, 3.2, 1e-14, 60)
+    xs = _damping_solve_vec(r, 0.7, 3.2)
     for ri, xi in zip(r, xs):
         assert xi == pytest.approx(damping_solve(ri, 0.7, 3.2), abs=1e-10)
 
@@ -128,7 +128,8 @@ def test_step_raises_blowup_directly(ref_params, ref_grid):
     exps = pw.validate_exponents(1, 1, 2, 2)
     cfg = pw.StepConfig(dt=1e-3, blowup_cutoff=1e-6)
     with pytest.raises(BlowupDetected):
-        pw.step(_small_state(ref_grid), ref_params, exps, ref_grid, cfg)
+        pw.Stepper(ref_grid, ref_params, cfg).step(_small_state(ref_grid),
+                                                   exps)
 
 
 def test_zero_t_end_yields_single_record(ref_params, ref_grid):

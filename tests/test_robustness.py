@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import tempfile
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piezowave.cli import main
+from piezowave.config import RunConfig, validate_run_config
+from piezowave.errors import ConfigParse
+from piezowave.integrator import MAX_STEPS, step_count
 
 RUN_CFG = """
 [material]
@@ -87,6 +92,7 @@ ENERGY_CSV = "t,E,Etot\n0,2,1\n1,1,0.5\n2,0.5,0.25\n3,0.25,0.125\n"
     ("fit --model exp", ENERGY_CSV + "4\n", {}),
     ("simulate", "", {"t_end": "inf"}),
     ("simulate", "", {"t_end": "1e308"}),
+    ("simulate", "", {"t_end": "1e300"}),
     ("simulate", "", {"L": "nan"}),
     ("simulate", "", {"L": "inf"}),
     ("simulate", "", {"dt": "inf"}),
@@ -103,7 +109,8 @@ ENERGY_CSV = "t,E,Etot\n0,2,1\n1,1,0.5\n2,0.5,0.25\n3,0.25,0.125\n"
         "max-parallel-not-int", "max-parallel-zero", "fit-eta-zero",
         "fit-C-below-1", "fit-missing-file", "fit-non-numeric",
         "fit-no-Etot-column", "fit-short-row", "t-end-inf", "t-end-1e308",
-        "L-nan", "L-inf", "dt-inf", "seed-negative", "gamma-1e200",
+        "t-end-1e300", "L-nan", "L-inf", "dt-inf", "seed-negative",
+        "gamma-1e200",
         "L-1e308", "dt-1e308", "dt-negative", "alpha-1e308",
         "fit-log-C-below-1", "fit-nan-series", "fit-inf-series"])
 def test_bad_input_exits_2_with_error_line(tmp_path, capsys, command, extra,
@@ -118,6 +125,37 @@ def test_bad_input_exits_2_with_error_line(tmp_path, capsys, command, extra,
         argv = [name, _write(tmp_path, extra, **values)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_step_count_is_capped():
+    """t_end = 1e300 at dt = 1e-3 is a finite but endless run (1e303
+    steps): validation must refuse it instead of starting it."""
+    assert step_count(1.0, 1e-3) == 1000
+    assert step_count(MAX_STEPS * 0.5, 0.5) == MAX_STEPS
+    with pytest.raises(ValueError):
+        step_count(1e300, 1e-3)
+    with pytest.raises(ConfigParse):
+        validate_run_config(replace(RunConfig(), t_end=1e300))
+
+
+@pytest.mark.parametrize("values, code", [({"alpha": "1e308"}, 2),
+                                          ({"v0": "1e308"}, 0)],
+                         ids=["alpha-1e308", "v0-1e308"])
+def test_overflowing_input_leaves_stderr_clean(tmp_path, capsys, values,
+                                               code):
+    """Overflow ends in one `error:` line or in a blowup outcome, with no
+    numpy or scipy RuntimeWarning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", _write(tmp_path, **values)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+        summary = json.loads((tmp_path / "out" / "summary.json")
+                             .read_text(encoding="utf-8"))
+        assert summary["outcome"] == "blowup"
 
 
 def test_invalid_sweep_member_is_an_error_row(tmp_path):

@@ -5,6 +5,7 @@ import scipy.optimize as sopt
 
 import piezowave as pw
 from piezowave.errors import DeltaOutOfRange, ZeroState
+from piezowave.grid import grad_norm_sq, stiffness_solver
 from piezowave.well import (_embedding_quotient, check_delta, lambda_fn,
                             lambda_prime)
 
@@ -36,6 +37,32 @@ def test_poincare_matches_dense_eigensolver(coarse_grid):
     oracle = 1.0 / np.sqrt(lam_min)
     assert pw.poincare_constant(coarse_grid) == pytest.approx(oracle,
                                                               abs=1e-10)
+
+
+@pytest.mark.parametrize("L", [0.7, 2.3])
+@pytest.mark.parametrize("nx", [17, 41])
+def test_well_constants_off_unit_length(L, nx, rng):
+    """Oracle off L = 1: K = dx G^T G from an explicit forward-difference
+    matrix G on the cells (node 0 clamped), solved densely against the
+    trapezoid mass."""
+    grid = pw.Grid1D(L, nx)
+    n = nx - 1
+    g = (np.eye(n) - np.eye(n, k=-1)) / grid.dx   # cell i: (u[i+1] - u[i])/dx
+    k = grid.dx * g.T @ g
+    w = grid.weights
+    lam_min = sla.eigh(k, np.diag(w[1:]), eigvals_only=True)[0]
+    assert pw.poincare_constant(grid) ** 2 == pytest.approx(1.0 / lam_min,
+                                                            rel=1e-10)
+    solve = stiffness_solver(grid)
+    for _ in range(10):
+        u = rng.standard_normal(nx)
+        u[0] = 0.0
+        assert u[1:] @ k @ u[1:] == pytest.approx(grad_norm_sq(u, grid),
+                                                  rel=1e-13)
+        # the operator the power method inverts is this K
+        f = rng.standard_normal(nx)
+        assert k @ solve(f) == pytest.approx((w * f)[1:], rel=1e-10,
+                                             abs=1e-10 * np.max(np.abs(f)))
 
 
 def test_poincare_close_to_continuum(ref_grid):
