@@ -28,7 +28,7 @@ from .config import (RunConfig, expand_sweep, fmt, load_run_config,
 from .diagnostics import CSV_FIELDS
 from .errors import (BoundInapplicable, ConfigParse, NonPositiveSeries,
                      PiezowaveError)
-from .integrator import simulate
+from .integrator import QUIET, simulate
 from .well import classify_initial, poincare_constant, well_report
 
 
@@ -225,7 +225,7 @@ def main(argv=None) -> int:
     sub.add_parser("bounds").add_argument("config")
     args = parser.parse_args(argv)
     # overflow ends as a blowup outcome or a typed error, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(**QUIET):
         try:
             if args.command == "simulate":
                 return cli_simulate(args.config)

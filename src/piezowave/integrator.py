@@ -11,9 +11,17 @@ stiffness.  Source terms are evaluated at the step-start displacement by
 default ("semi-implicit"); the "implicit-midpoint" scheme iterates the
 sources to the midpoint displacement.
 
+The damping root has a closed form, exact to roundoff, for m in {1, 2, 3},
+and a per-entry Newton solve otherwise.  The conservative solve is two
+tridiagonal solves in the eigenbasis of the 2x2 coupling matrix (see
+`Stepper._factorize`), an exact change of variables.
+
 With sources and damping disabled the conservative substep preserves the
 discrete quadratic energy exactly (up to the direct linear solve), which
 is what makes the conservation sanity checks meaningful.
+
+A non-finite state is a blow-up outcome, so `simulate` and `Stepper.step`
+let numpy overflow quietly and leave the decision to the blow-up check.
 """
 from __future__ import annotations
 
@@ -22,8 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .diagnostics import damping_norms, make_record, total_energy
 from .errors import BlowupDetected, NoConvergence
@@ -40,6 +47,10 @@ NEWTON_MAX_ITER = 60
 
 # Longest run a config may ask for: about 3 days at 250 us per step.
 MAX_STEPS = 10**9
+
+# numpy error state under which overflow yields inf/NaN without a warning;
+# the blow-up check or a finiteness check then decides
+QUIET = dict(over="ignore", invalid="ignore")
 
 
 @dataclass
@@ -68,42 +79,69 @@ def cfl_dt(grid: Grid1D, params: MaterialParams, safety: float = 0.4) -> float:
 def _damping_solve_vec(r, a, m):
     """Solve x + a|x|^(m-1)x = r elementwise for a >= 0, m >= 1.
 
-    phi'(x) >= 1 everywhere, so Newton from r/(1+a) is well behaved; a
-    bisection sweep finishes off any stragglers.
+    m = 1, 2, 3 have closed forms, exact to roundoff.  For m = 3 the
+    hyperbolic form of the cubic's one real root (Nickalls 1993) is free of
+    the cancellation that Cardano's formula suffers at small a.  Other m
+    go to `_damping_newton`.
     """
     r = np.asarray(r, dtype=float)
     if a == 0.0:
         return r.copy()
     if m == 1.0:
         return r / (1.0 + a)
+    if m == 2.0:
+        # 2r / (1 + sqrt(1 + 4a|r|)) scaled by 1/2, which is exact and
+        # keeps 2r from overflowing
+        return r / (0.5 + np.sqrt(0.25 + a * np.abs(r)))
+    if m == 3.0:
+        k = np.sqrt(3.0 * a)
+        ar = np.abs(r)
+        x = (2.0 / k) * np.sinh(np.arcsinh(1.5 * k * ar) / 3.0)
+        # the root has |x| <= |r|, which roundoff can miss by an ulp
+        return np.copysign(np.minimum(x, ar), r)
+    return _damping_newton(r, a, m)
 
-    def phi(x):     # the residual, and |x|^(m-1) for Newton's phi'
+
+def _damping_newton(r: np.ndarray, a, m):
+    """Newton solve of x + a|x|^(m-1)x = r from r/(1+a), well behaved
+    since phi'(x) >= 1.  Each entry stops on its own residual, so its
+    result does not depend on the other entries.  A bisection sweep
+    finishes off any stragglers."""
+    def phi(x, r):     # the residual, and |x|^(m-1) for Newton's phi'
         power = np.abs(x) ** (m - 1.0)
         return x + a * power * x - r, power
 
-    x = r / (1.0 + a)
-    scale = 1.0 + np.abs(r)
+    rf = r.ravel()
+    x = rf / (1.0 + a)
     # the root has the sign of r and |x| <= |r|
-    lo, hi = np.minimum(r, 0.0), np.maximum(r, 0.0)
+    lo, hi = np.minimum(rf, 0.0), np.maximum(rf, 0.0)
+    todo = np.arange(rf.size)
     for _ in range(NEWTON_MAX_ITER):
-        res, power = phi(x)
-        if np.all(np.abs(res) <= NEWTON_TOL * scale):
-            return x
-        x = np.clip(x - res / (1.0 + a * m * power), lo, hi)
+        rt, xt = rf[todo], x[todo]
+        res, power = phi(xt, rt)
+        busy = np.abs(res) > NEWTON_TOL * (1.0 + np.abs(rt))
+        if not busy.any():
+            return x.reshape(r.shape)
+        todo = todo[busy]
+        step = res[busy] / (1.0 + a * m * power[busy])
+        x[todo] = np.clip(xt[busy] - step, lo[todo], hi[todo])
     # bisection fallback on [lo, hi] for unconverged entries
+    rt, lo, hi = rf[todo], lo[todo], hi[todo]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        low = phi(mid)[0] < 0.0
+        low = phi(mid, rt)[0] < 0.0
         lo = np.where(low, mid, lo)
         hi = np.where(low, hi, mid)
-    x = 0.5 * (lo + hi)
-    if np.any(np.abs(phi(x)[0]) > 1e3 * NEWTON_TOL * scale):
+    x[todo] = 0.5 * (lo + hi)
+    tol = 1e3 * NEWTON_TOL * (1.0 + np.abs(rt))
+    if np.any(np.abs(phi(x[todo], rt)[0]) > tol):
         raise NoConvergence("damping solve did not meet tolerance")
-    return x
+    return x.reshape(r.shape)
 
 
 def damping_solve(r: float, dt: float, m: float) -> float:
-    """Unique root of x + dt*|x|^(m-1)*x = r, to NEWTON_TOL relative."""
+    """Unique root of x + dt*|x|^(m-1)*x = r: exact to roundoff for
+    m in {1, 2, 3}, else to NEWTON_TOL relative."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if m < 1:
@@ -121,23 +159,51 @@ class Stepper:
         self._solve = self._factorize()
 
     def _factorize(self):
-        """Factor I - (dt^2/4) A, with A the block operator
-        [(alpha D2 v - gb D2 p)/rho; (beta D2 p - gb D2 v)/mu]."""
-        d2 = second_difference(self.grid)
+        """Solver of (I - (dt^2/4) A) u = rhs for rhs of shape (2, nx), with
+        A = C (x) D2 the block operator
+        [(alpha D2 v - gb D2 p)/rho; (beta D2 p - gb D2 v)/mu].
+
+        C = diag(1/rho, 1/mu) S with S = [[alpha, -gb], [-gb, beta]], which
+        is SPD (det = beta*alpha1 > 0).  So C = V Lambda V^-1 with
+        V = D Q, V^-1 = Q^T D^-1, D = diag(rho, mu)^(-1/2) and
+        D S D = Q Lambda Q^T, all real with Lambda > 0.  In the variables
+        w = V^-1 u the system splits into (I - (dt^2/4) lambda_k D2) w_k =
+        (V^-1 rhs)_k, two tridiagonal solves."""
         pr = self.params
         gb = pr.gamma * pr.beta
-        # overflowing entries become inf quietly: the check below decides
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = sp.bmat([
-                [pr.alpha / pr.rho * d2, -gb / pr.rho * d2],
-                [-gb / pr.mu * d2, pr.beta / pr.mu * d2],
-            ], format="csc")
-            m = sp.identity(a.shape[0], format="csc") \
-                - (self.cfg.dt ** 2 / 4.0) * a
-        if not np.all(np.isfinite(m.data)):
-            raise ValueError("midpoint matrix I - (dt^2/4) A overflows: "
-                             "material constants, dt or dx out of range")
-        return spla.splu(m.tocsc()).solve
+        d2 = second_difference(self.grid)
+        lower, main, upper = (d2.diagonal(k) for k in (-1, 0, 1))
+        d = 1.0 / np.sqrt(np.array([pr.rho, pr.mu]))
+
+        def check_finite(*arrays):
+            if not all(np.all(np.isfinite(x)) for x in arrays):
+                raise ValueError("midpoint matrix I - (dt^2/4) A overflows: "
+                                 "material constants, dt or dx out of range")
+
+        with np.errstate(**QUIET):
+            dsd = d[:, None] * np.array([[pr.alpha, -gb], [-gb, pr.beta]]) * d
+            check_finite(dsd)
+            lam, q = np.linalg.eigh(dsd)
+            # the bands of I - (dt^2/4) (lambda_k D2), with lambda_k D2 (A
+            # in the eigenbasis) formed first, so that its overflow shows
+            c = self.cfg.dt ** 2 / 4.0
+            bands = [(-c * (lk * lower), 1.0 - c * (lk * main),
+                      -c * (lk * upper)) for lk in lam]
+        check_finite(*(x for band in bands for x in band))
+        factors = []
+        for band in bands:
+            *lu, info = lapack.dgttrf(*band)
+            if info != 0:
+                raise ValueError(f"midpoint matrix is singular (dgttrf "
+                                 f"info = {info})")
+            factors.append(lu)
+        v, v_inv = d[:, None] * q, q.T / d
+
+        def solve(rhs):
+            w = v_inv @ rhs
+            return v @ np.array([lapack.dgttrs(*lu, wk)[0]
+                                 for lu, wk in zip(factors, w)])
+        return solve
 
     def _source(self, v, p, exps: Exponents):
         f1 = np.abs(v) ** (exps.n1 - 1.0) * v
@@ -147,15 +213,13 @@ class Stepper:
     def _conservative(self, state: State, exps: Exponents) -> State:
         dt = self.cfg.dt
         pr = self.params
-        nx = self.grid.nx
         v, p, vt, pt = state.v, state.p, state.vt, state.pt
 
         def midpoint(f1, f2):
-            sol = self._solve(np.concatenate([
+            return self._solve(np.array([
                 v + 0.5 * dt * vt + (dt * dt / 4.0) * f1 / pr.rho,
                 p + 0.5 * dt * pt + (dt * dt / 4.0) * f2 / pr.mu,
             ]))
-            return sol[:nx], sol[nx:]
 
         on = self.cfg.sources_on
         vm, pm = midpoint(*(self._source(v, p, exps) if on else (0.0, 0.0)))
@@ -189,6 +253,7 @@ class Stepper:
         return State(state.v, state.p, 2.0 * zv - state.vt,
                      2.0 * zp - state.pt, state.t)
 
+    @np.errstate(**QUIET)
     def step(self, state: State, exps: Exponents) -> State:
         cfg = self.cfg
         if cfg.damping_on:
@@ -227,6 +292,7 @@ class Trajectory:
     dt: float
 
 
+@np.errstate(**QUIET)
 def simulate(state0: State, params: MaterialParams, exps: Exponents,
              grid: Grid1D, cfg: StepConfig, t_end: float,
              record_every: int = 1) -> Trajectory:

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import piezowave as pw
+from piezowave import integrator
 from piezowave.errors import BlowupDetected
-from piezowave.integrator import _damping_solve_vec, damping_solve
+from piezowave.grid import second_difference
+from piezowave.integrator import (NEWTON_TOL, _damping_newton,
+                                  _damping_solve_vec, damping_solve)
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +57,77 @@ def test_damping_solve_monotone(r1, r2):
 
 
 def test_damping_solve_vectorized_matches_scalar(rng):
+    """Each entry converges on its own, so an entry's bits do not depend
+    on the other entries of the batch."""
     r = rng.uniform(-50, 50, size=64)
     xs = _damping_solve_vec(r, 0.7, 3.2)
     for ri, xi in zip(r, xs):
-        assert xi == pytest.approx(damping_solve(ri, 0.7, 3.2), abs=1e-10)
+        assert xi == damping_solve(ri, 0.7, 3.2)
+
+
+# r in +-[1e-6, 1e3], sorted, and the damping coefficients a = dt/(4 rho)
+# of the stepper (dt = 1e-3), of unit size and of a stiff case
+CLOSED_FORM_R = np.concatenate([-np.logspace(-6, 3, 1001)[::-1],
+                                np.logspace(-6, 3, 1001)])
+CLOSED_FORM_CASES = [(m, a) for m in (2.0, 3.0) for a in (2.5e-4, 1.0, 1e3)]
+
+
+@pytest.mark.parametrize("m, a", CLOSED_FORM_CASES)
+def test_damping_closed_form_residual_symmetry_monotone(m, a):
+    r = CLOSED_FORM_R
+    x = _damping_solve_vec(r, a, m)
+    residual = x + a * np.abs(x) ** (m - 1.0) * x - r
+    assert np.all(np.abs(residual) <= 1e-14 * (1.0 + np.abs(r)))
+    assert np.array_equal(_damping_solve_vec(-r, a, m), -x)
+    assert np.all(np.diff(x) > 0.0)
+
+
+@pytest.mark.parametrize("m, a", CLOSED_FORM_CASES)
+def test_damping_closed_form_matches_newton(m, a):
+    """The Newton branch stops at a residual of NEWTON_TOL (1 + |r|), which
+    bounds its error since phi' >= 1.  Three more Newton steps take it to
+    roundoff, where it must agree with the closed form to 1e-13 relative."""
+    r = CLOSED_FORM_R
+    x = _damping_solve_vec(r, a, m)
+    newton = _damping_newton(r, a, m)
+    assert np.all(np.abs(x - newton) <= NEWTON_TOL * (1.0 + np.abs(r)))
+    for _ in range(3):
+        power = np.abs(newton) ** (m - 1.0)
+        newton = newton - (newton + a * power * newton - r) \
+            / (1.0 + a * m * power)
+    assert np.all(np.abs(x - newton) <= 1e-13 * np.abs(newton))
+
+
+@pytest.mark.parametrize("material", [(1.0, 2.0, 1.0, 1.0, 1.0),
+                                      (2.3, 5.0, 0.7, 1.9, 0.4)],
+                         ids=["reference", "asymmetric"])
+def test_decoupled_solve_matches_assembled_lu(material, ref_grid, rng):
+    """The two tridiagonal solves in the eigenbasis of C agree with a
+    sparse LU solve of the assembled 2nx system I - (dt^2/4) A."""
+    params = pw.make_params(*material)
+    dt = 1e-3
+    stepper = pw.Stepper(ref_grid, params, pw.StepConfig(dt=dt))
+    d2 = second_difference(ref_grid)
+    gb = params.gamma * params.beta
+    a = sp.bmat([[params.alpha / params.rho * d2, -gb / params.rho * d2],
+                 [-gb / params.mu * d2, params.beta / params.mu * d2]])
+    lu = spla.splu(sp.csc_matrix(sp.identity(2 * ref_grid.nx)
+                                 - (dt * dt / 4.0) * a))
+    rhs = rng.standard_normal((2, ref_grid.nx))
+    expected = lu.solve(rhs.ravel()).reshape(rhs.shape)
+    got = stepper._solve(rhs)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_singular_tridiagonal_factor_is_a_value_error(ref_params, ref_grid,
+                                                     monkeypatch):
+    """A nonzero dgttrf info (a zero pivot) is reported, not ignored."""
+    def dgttrf(dl, d, du):
+        return dl, d, du, d[:-2], np.arange(d.size, dtype=np.int32), 3
+
+    monkeypatch.setattr(integrator.lapack, "dgttrf", dgttrf)
+    with pytest.raises(ValueError, match="singular"):
+        pw.Stepper(ref_grid, ref_params, pw.StepConfig(dt=1e-3))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import piezowave as pw
 from piezowave.cli import main
 from piezowave.config import RunConfig, validate_run_config
 from piezowave.errors import ConfigParse
@@ -156,6 +157,23 @@ def test_overflowing_input_leaves_stderr_clean(tmp_path, capsys, values,
         summary = json.loads((tmp_path / "out" / "summary.json")
                              .read_text(encoding="utf-8"))
         assert summary["outcome"] == "blowup"
+
+
+@pytest.mark.parametrize("m", [2.0, 3.0])
+@pytest.mark.parametrize("modes", [([1e308], [0.0], [0.0], [0.0]),
+                                   ([0.0], [0.0], [1e305], [0.0])],
+                         ids=["v0-1e308", "v1-1e305"])
+def test_library_overflow_is_a_blowup_without_warnings(m, modes):
+    """`simulate` on overflowing data ends as `blowup` with no numpy
+    RuntimeWarning on the way, as the CLI does."""
+    params = pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0)
+    grid = pw.Grid1D(1.0, 201)
+    exps = pw.validate_exponents(m, m, 3.0, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = pw.simulate(pw.state_from_modes(grid, *modes), params, exps,
+                           grid, pw.StepConfig(dt=1e-3), 0.1)
+    assert traj.outcome == "blowup"
 
 
 def test_invalid_sweep_member_is_an_error_row(tmp_path):

@@ -1,6 +1,8 @@
-"""Compare the deterministic outputs of two revisions byte for byte.
+"""Compare the deterministic outputs of two revisions byte for byte, or
+number by number to a tolerance.
 
     python3 tools/outputs_identical.py REV_A REV_B
+    python3 tools/outputs_identical.py REV_A REV_B --rtol 1e-6 --atol 1e-9
 
 Each revision's `src/` and `demos/` are exported with `git archive` into a
 temporary directory.  Both exports then run the same fixed cases:
@@ -19,13 +21,28 @@ Under each text file that differs, the first line that differs is printed
 from each side, with its line number, so the size of a difference shows
 without rerunning anything.  The exit status is 0 when everything is
 identical and 1 otherwise.  Standard library only.
+
+With `--rtol` or `--atol`, a file that differs in bytes is parsed and
+passes as "close" when every number agrees to
+|a - b| <= atol + rtol * max(|a|, |b|) and everything else is identical:
+CSV headers and non-numeric cells, JSON keys, strings, booleans and nulls,
+and the text of stdout between its numbers.  Exit codes and every
+`t_detect` (a CSV column, a JSON key, or a stdout number after
+"t_detect =") stay exact.  Each close or differing file reports the
+pair of numbers that used the largest share of its tolerance, where it
+is, and its absolute and relative difference.  The exit status is 0 when
+every item is identical or close.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
 import io
+import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -212,11 +229,123 @@ def first_difference(a: Path, b: Path):
     return None
 
 
+# numbers as the outputs write them (%.17g, repr, "nan", "inf"); the group
+# makes re.split keep them, at the odd indices
+NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan))")
+# compared exactly in tolerance mode too: event times are whole steps k*dt
+EXACT_KEYS = ("t_detect",)
+
+
+class Tolerance:
+    """|a - b| <= atol + rtol * max(|a|, |b|) on numbers, keeping the pair
+    that used the largest share of its tolerance and where it was."""
+
+    def __init__(self, rtol: float, atol: float):
+        self.rtol, self.atol = rtol, atol
+        self.worst = (0.0, None)
+
+    def numbers(self, a: float, b: float, where: str) -> bool:
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return True
+        diff, size = abs(a - b), max(abs(a), abs(b))
+        bound = self.atol + self.rtol * size
+        share = diff / bound if bound > 0 else math.inf
+        if not share <= self.worst[0]:
+            rel = diff / size if size > 0 else math.inf
+            self.worst = (share, f"{where}: {a!r} vs {b!r} (abs {diff:.3g}, "
+                                 f"rel {rel:.3g})")
+        return diff <= bound
+
+
+def close_text(text_a: str, text_b: str, tol: Tolerance) -> bool:
+    """Line by line: the text between numbers identical, the numbers close,
+    and a number right after "t_detect =" identical."""
+    lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
+    if len(lines_a) != len(lines_b):
+        return False
+    ok = True
+    for number, (line_a, line_b) in enumerate(zip(lines_a, lines_b), 1):
+        parts_a, parts_b = NUMBER.split(line_a), NUMBER.split(line_b)
+        if len(parts_a) != len(parts_b):
+            return False
+        for i, (x, y) in enumerate(zip(parts_a, parts_b)):
+            if i % 2 == 0:
+                ok = ok and x == y
+            elif parts_a[i - 1].rstrip(" =").endswith(EXACT_KEYS):
+                ok = ok and float(x) == float(y)
+            else:
+                ok = tol.numbers(float(x), float(y), f"line {number}") \
+                    and ok
+    return ok
+
+
+def close_csv(text_a: str, text_b: str, tol: Tolerance) -> bool:
+    """Same header and shape; cells identical or both numbers and close,
+    except the exact columns."""
+    rows_a = list(csv.reader(io.StringIO(text_a)))
+    rows_b = list(csv.reader(io.StringIO(text_b)))
+    if len(rows_a) != len(rows_b) or not rows_a or rows_a[0] != rows_b[0]:
+        return False
+    header, ok = rows_a[0], True
+    for number, (row_a, row_b) in enumerate(zip(rows_a, rows_b), 1):
+        if len(row_a) != len(row_b):
+            return False
+        for name, x, y in zip(header, row_a, row_b):
+            if x == y:
+                continue
+            try:
+                fx, fy = float(x), float(y)
+            except ValueError:
+                return False
+            if name in EXACT_KEYS:
+                ok = ok and fx == fy
+            else:
+                ok = tol.numbers(fx, fy, f"line {number}, {name}") and ok
+    return ok
+
+
+def close_json(a, b, tol: Tolerance, key: str = "") -> bool:
+    """Same structure and keys; numbers close except the exact keys, and
+    every other value identical."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(
+            [close_json(a[k], b[k], tol, k) for k in a])
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(
+            [close_json(x, y, tol, key) for x, y in zip(a, b)])
+    numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                  for x in (a, b))
+    if numbers and key not in EXACT_KEYS:
+        return tol.numbers(float(a), float(b), key)
+    return a == b and (numbers or type(a) is type(b))
+
+
+def close(a: Path, b: Path, tol: Tolerance) -> bool:
+    """Tolerance comparison of two outputs, by file type; exit codes and
+    anything that is not UTF-8 text must be identical."""
+    if a.suffix == ".exit":
+        return False
+    try:
+        text_a, text_b = (p.read_text(encoding="utf-8") for p in (a, b))
+        if a.suffix == ".json":
+            return close_json(json.loads(text_a), json.loads(text_b), tol)
+    except (OSError, ValueError):    # not UTF-8, or not JSON
+        return False
+    if a.suffix == ".csv":
+        return close_csv(text_a, text_b, tol)
+    return close_text(text_a, text_b, tol)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev_a")
     parser.add_argument("rev_b")
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="compare numbers to this relative tolerance")
+    parser.add_argument("--atol", type=float, default=0.0,
+                        help="compare numbers to this absolute tolerance")
     args = parser.parse_args(argv)
+    numeric = args.rtol > 0 or args.atol > 0
     with tempfile.TemporaryDirectory(prefix="outputs-identical-") as tmp:
         works = []
         for side, rev in (("a", args.rev_a), ("b", args.rev_b)):
@@ -225,20 +354,33 @@ def main(argv=None) -> int:
             produce(tree, work)
             works.append(work)
         work_a, work_b = works
-        same = True
+        same = passed = True
         for rel in sorted(outputs(work_a) | outputs(work_b)):
             a, b = work_a / rel, work_b / rel
-            ok = a.is_file() and b.is_file() and filecmp.cmp(a, b,
-                                                             shallow=False)
+            both = a.is_file() and b.is_file()
+            ok = both and filecmp.cmp(a, b, shallow=False)
+            tol = Tolerance(args.rtol, args.atol)
+            near = both and not ok and numeric and close(a, b, tol)
             same = same and ok
-            print(f"{'identical' if ok else 'differs  '}  {rel}")
-            diff = None if ok else first_difference(a, b)
+            passed = passed and (ok or near)
+            verdict = "identical" if ok else "close" if near else "differs"
+            print(f"{verdict:9}  {rel}")
+            if tol.worst[1] is not None:
+                print(f"    {tol.worst[0]:.3g} of the tolerance at "
+                      f"{tol.worst[1]}")
+            diff = None if ok or near else first_difference(a, b)
             if diff is not None:
                 number, line_a, line_b = diff
                 print(f"    {args.rev_a}:{number}: {line_a}")
                 print(f"    {args.rev_b}:{number}: {line_b}")
-    print("all identical" if same else "some outputs differ")
-    return 0 if same else 1
+    if same:
+        print("all identical")
+    elif numeric and passed:
+        print(f"all identical or close (rtol {args.rtol:g}, "
+              f"atol {args.atol:g})")
+    else:
+        print("some outputs differ")
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":
