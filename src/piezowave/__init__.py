@@ -1,21 +1,19 @@
 """Numerical laboratory for a magnetically coupled piezoelectric beam
 system with nonlinear damping and polynomial source terms."""
 
-from .blowup import (BlowupReport, G_of, N_of, Nprime_of, blowup_report,
-                     monitor, theorem210_threshold, tmax_upper_bound,
-                     varpi_range)
+from .blowup import (BlowupReport, Nprime_of, blowup_report, monitor,
+                     theorem210_threshold, tmax_upper_bound, varpi_range)
 from .config import (RunConfig, SweepConfig, expand_sweep, load_run_config,
-                     load_sweep_config, write_run_config)
+                     load_sweep_config)
 from .decay import (DecayFit, eta_from_exponents, fit_exponential,
                     fit_logarithmic, fit_polynomial, select_model)
-from .diagnostics import (CSV_FIELDS, EnergyRecord, damping_norms,
-                          energy_identity_residual, kinetic_energy,
-                          make_record, potential_energy, quadratic_energy,
-                          sign_functional, source_norms, total_energy,
-                          well_side)
+from .diagnostics import (CSV_FIELDS, EnergyRecord, N_of, damping_norms,
+                          kinetic_energy, make_record, potential_energy,
+                          quadratic_energy, sign_functional, source_norms,
+                          total_energy, well_side)
 from .errors import (AssumptionViolated, BlowupDetected, BoundInapplicable,
-                     ConfigParse, DeltaOutOfRange, NoConvergence,
-                     NonPositiveAlpha1, NonPositiveParameter,
+                     ConfigParse, DeltaOutOfRange, InvalidArgument,
+                     NoConvergence, NonPositiveAlpha1, NonPositiveParameter,
                      NonPositiveSeries, NotBlowupRegime, PiezowaveError,
                      ZeroState)
 from .grid import (Grid1D, State, sine_modes, state_from_modes, zero_state)

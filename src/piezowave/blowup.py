@@ -14,8 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-# N_of is not used here; blowup re-exports it next to Nprime_of
-from .diagnostics import N_of, Nprime_of, total_energy
+from .diagnostics import Nprime_of, total_energy
 from .errors import BoundInapplicable, NotBlowupRegime
 from .grid import Grid1D, State, l2_norm_sq
 from .params import Exponents, MaterialParams
@@ -24,11 +23,6 @@ CONVENTIONS = ("paper-literal", "poincare-consistent")
 TAU_MARGIN_REL = 1e-6
 # Relative slack of the monotonicity checks on G and Y between records.
 MONOTONE_TOL = 1e-11
-
-
-def G_of(record) -> float:
-    """G = -Etot from an energy record."""
-    return -record.Etot
 
 
 def varpi_range(exps: Exponents, varpi: Optional[float] = None):

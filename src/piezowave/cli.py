@@ -25,10 +25,10 @@ from . import blowup as bl
 from . import decay
 from .config import (RunConfig, expand_sweep, fmt, load_run_config,
                      load_sweep_config, validate_run_config)
-from .diagnostics import CSV_FIELDS
+from .diagnostics import CSV_FIELDS, QUIET
 from .errors import (BoundInapplicable, ConfigParse, NonPositiveSeries,
                      PiezowaveError)
-from .integrator import QUIET, simulate
+from .integrator import simulate
 from .well import classify_initial, poincare_constant, well_report
 
 

@@ -122,8 +122,8 @@ class RunConfig:
         return make_params(self.rho, self.alpha, self.beta, self.gamma,
                            self.mu)
 
-    def exponents(self, mode: str = "general") -> Exponents:
-        return validate_exponents(self.m1, self.m2, self.n1, self.n2, mode)
+    def exponents(self) -> Exponents:
+        return validate_exponents(self.m1, self.m2, self.n1, self.n2)
 
     def grid(self) -> Grid1D:
         return Grid1D(self.L, self.nx)
@@ -139,10 +139,9 @@ class RunConfig:
 
 
 # The one option table, derived from the RunConfig fields:
-# (section, key) -> (RunConfig attribute, parser), in the order
-# write_run_config emits them.  Loading, sweep axes (list options separate
-# their values with ';', all others with ','), expansion and writing all
-# read it.
+# (section, key) -> (RunConfig attribute, parser).  Loading, sweep axes
+# (list options separate their values with ';', all others with ',') and
+# expansion all read it.
 OPTIONS = {
     (f.metadata["section"], f.metadata["key"] or f.name):
         (f.name, f.metadata["parser"])
@@ -207,20 +206,6 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
     except ValueError as exc:
         raise ConfigParse(str(exc)) from None
     return cfg
-
-
-def write_run_config(cfg: RunConfig, path: str) -> None:
-    """Serialize in normalized form; load(write(cfg)) == cfg."""
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.optionxform = str
-    for (section, key), (attr, _) in OPTIONS.items():
-        if section == "fit" and cfg.fit_model is None:
-            continue
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp[section][key] = fmt(getattr(cfg, attr))
-    with open(path, "w", encoding="utf-8") as fh:
-        cp.write(fh)
 
 
 def load_sweep_config(path: str) -> SweepConfig:

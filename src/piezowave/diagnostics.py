@@ -20,6 +20,10 @@ from .params import Exponents, MaterialParams
 # Relative tolerance for calling a state "on the Nehari set".
 BOUNDARY_TOL = 1e-9
 
+# numpy error state under which overflow yields inf/NaN without a warning;
+# the blow-up check, a finiteness check or a comparison then decides
+QUIET = dict(over="ignore", invalid="ignore")
+
 CSV_FIELDS = ("t", "E", "J", "Etot", "damping_cum", "residual",
               "sign_fn", "Q", "vnorm_n1", "pnorm_n2")
 
@@ -107,6 +111,7 @@ def damping_norms(state: State, exps: Exponents, grid: Grid1D):
             lp_norm_pow(state.pt, exps.m2 + 1.0, grid))
 
 
+@np.errstate(**QUIET)
 def make_record(state: State, params: MaterialParams, exps: Exponents,
                 grid: Grid1D, damping_cum: float, etot0: float) -> EnergyRecord:
     q = quadratic_form(state.v, state.p, grid, params)
@@ -122,7 +127,3 @@ def make_record(state: State, params: MaterialParams, exps: Exponents,
         nprime=Nprime_of(state, params, grid),
     )
 
-
-def energy_identity_residual(trajectory) -> np.ndarray:
-    """Residual series |Etot(t_k) + damping_cum(t_k) - Etot(0)|."""
-    return np.array([r.residual for r in trajectory.records])

@@ -5,6 +5,10 @@ class PiezowaveError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidArgument(PiezowaveError, ValueError):
+    """An argument is outside the domain the operation is defined on."""
+
+
 class NonPositiveParameter(PiezowaveError):
     """A physical constant that must be strictly positive is not."""
 

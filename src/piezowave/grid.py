@@ -8,16 +8,23 @@ its 2x2 coefficient matrix has determinant beta * alpha1 > 0.
 Quadrature convention: volume (L^q) norms use the trapezoid rule on nodes;
 gradient norms use the cell-midpoint rule on forward differences.  With
 this pairing the discrete summation-by-parts identity
-<coupled_laplacian(v,p), (v,p)> = -quadratic_form(v,p) holds to roundoff.
+<(alpha D2 v - gamma beta D2 p, beta D2 p - gamma beta D2 v), (v, p)>_w
+= -quadratic_form(v, p), with D2 = second_difference(grid), holds to
+roundoff.
+
+Every inverse of D2 in the package, the stepper's midpoint matrices and
+the well's gradient stiffness alike, is a `tridiagonal_solver` on bands
+built from `second_difference`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
+from .errors import InvalidArgument
 from .params import MaterialParams
 
 
@@ -28,13 +35,13 @@ class Grid1D:
 
     def __post_init__(self):
         if not 0.0 < self.L < np.inf:
-            raise ValueError(f"L = {self.L} must be finite and > 0")
+            raise InvalidArgument(f"L = {self.L} must be finite and > 0")
         if self.nx < 3:
-            raise ValueError(f"nx = {self.nx} must be >= 3")
+            raise InvalidArgument(f"nx = {self.nx} must be >= 3")
         # the operators scale like 1/dx^2
         if not 0.0 < self.dx * self.dx < np.inf:
-            raise ValueError(f"dx = L/(nx-1) = {self.dx} has no finite "
-                             "nonzero square")
+            raise InvalidArgument(f"dx = L/(nx-1) = {self.dx} has no finite "
+                                  "nonzero square")
 
     @property
     def dx(self) -> float:
@@ -44,11 +51,13 @@ class Grid1D:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.L, self.nx)
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        """Trapezoid quadrature weights on the nodes."""
+        """Trapezoid quadrature weights on the nodes, built once per grid
+        and read-only; being no field, they leave equality and hash alone."""
         w = np.full(self.nx, self.dx)
         w[0] = w[-1] = 0.5 * self.dx
+        w.flags.writeable = False
         return w
 
 
@@ -126,18 +135,30 @@ def quadratic_form(v: np.ndarray, p: np.ndarray, grid: Grid1D,
                             + params.beta * np.dot(mix, mix)))
 
 
-def second_difference(grid: Grid1D) -> sp.spmatrix:
-    """Sparse central second difference D2 with the Dirichlet row at x = 0
-    zeroed and a mirror ghost node at x = L (u_ghost = u[-2])."""
+def second_difference(grid: Grid1D):
+    """Bands (lower, main, upper) of the central second difference D2, with
+    the Dirichlet row at x = 0 zeroed and a mirror ghost node at x = L
+    (u_ghost = u[-2])."""
     nx = grid.nx
     dx2 = grid.dx ** 2
     main = np.full(nx, -2.0)
     main[0] = 0.0
-    off_lo = np.ones(nx - 1)
-    off_hi = np.ones(nx - 1)
-    off_hi[0] = 0.0          # Dirichlet row stays zero
-    off_lo[-1] = 2.0         # mirror ghost at x = L
-    return sp.diags([off_lo, main, off_hi], [-1, 0, 1]) / dx2
+    lower = np.ones(nx - 1)
+    upper = np.ones(nx - 1)
+    upper[0] = 0.0           # Dirichlet row stays zero
+    lower[-1] = 2.0          # mirror ghost at x = L
+    return lower / dx2, main / dx2, upper / dx2
+
+
+def tridiagonal_solver(lower, main, upper):
+    """rhs -> x with T x = rhs, T the tridiagonal matrix of the given bands:
+    one LU factorization (LAPACK dgttrf, partial pivoting) reused by every
+    solve (dgttrs).  A zero pivot raises InvalidArgument."""
+    *lu, info = lapack.dgttrf(lower, main, upper)
+    if info != 0:
+        raise InvalidArgument(f"tridiagonal matrix is singular (dgttrf "
+                              f"info = {info})")
+    return lambda rhs: lapack.dgttrs(*lu, rhs)[0]
 
 
 def stiffness_solver(grid: Grid1D):
@@ -145,18 +166,7 @@ def stiffness_solver(grid: Grid1D):
     -u_xx = f.  K = -(W D2)[1:, 1:] with W = diag(weights) is the gradient
     stiffness on the free nodes: u[1:] K u[1:] = grad_norm_sq(u)."""
     w = grid.weights
-    k = -(sp.diags(w) @ second_difference(grid))
-    solve = spla.splu(k.tocsc()[1:, 1:]).solve
+    lower, main, upper = second_difference(grid)
+    solve = tridiagonal_solver(-(w[2:] * lower[1:]), -(w[1:] * main[1:]),
+                               -(w[1:-1] * upper[1:]))
     return lambda f: solve((w * f)[1:])
-
-
-def coupled_laplacian(v: np.ndarray, p: np.ndarray, grid: Grid1D,
-                      params: MaterialParams):
-    """Unscaled spatial operators (alpha D2 v - gamma beta D2 p,
-    beta D2 p - gamma beta D2 v), with D2 = second_difference(grid)."""
-    d2 = second_difference(grid)
-    d2v = d2 @ v
-    d2p = d2 @ p
-    gb = params.gamma * params.beta
-    return (params.alpha * d2v - gb * d2p,
-            params.beta * d2p - gb * d2v)

@@ -30,12 +30,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
-from .diagnostics import damping_norms, make_record, total_energy
-from .errors import BlowupDetected, NoConvergence
+from .diagnostics import QUIET, damping_norms, make_record, total_energy
+from .errors import BlowupDetected, InvalidArgument, NoConvergence
 from .grid import (Grid1D, State, grad_norm_sq, quadratic_form,
-                   second_difference)
+                   second_difference, tridiagonal_solver)
 from .params import Exponents, MaterialParams
 
 SCHEMES = ("semi-implicit", "implicit-midpoint")
@@ -47,10 +46,6 @@ NEWTON_MAX_ITER = 60
 
 # Longest run a config may ask for: about 3 days at 250 us per step.
 MAX_STEPS = 10**9
-
-# numpy error state under which overflow yields inf/NaN without a warning;
-# the blow-up check or a finiteness check then decides
-QUIET = dict(over="ignore", invalid="ignore")
 
 
 @dataclass
@@ -64,10 +59,10 @@ class StepConfig:
     def __post_init__(self):
         # dt^2 enters the midpoint matrix
         if not (self.dt > 0 and self.dt * self.dt < math.inf):
-            raise ValueError(f"dt = {self.dt} must be > 0 with a finite "
-                             "square")
+            raise InvalidArgument(f"dt = {self.dt} must be > 0 with a "
+                                  "finite square")
         if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
+            raise InvalidArgument(f"scheme must be one of {SCHEMES}")
 
 
 def cfl_dt(grid: Grid1D, params: MaterialParams, safety: float = 0.4) -> float:
@@ -171,14 +166,14 @@ class Stepper:
         (V^-1 rhs)_k, two tridiagonal solves."""
         pr = self.params
         gb = pr.gamma * pr.beta
-        d2 = second_difference(self.grid)
-        lower, main, upper = (d2.diagonal(k) for k in (-1, 0, 1))
+        lower, main, upper = second_difference(self.grid)
         d = 1.0 / np.sqrt(np.array([pr.rho, pr.mu]))
 
         def check_finite(*arrays):
             if not all(np.all(np.isfinite(x)) for x in arrays):
-                raise ValueError("midpoint matrix I - (dt^2/4) A overflows: "
-                                 "material constants, dt or dx out of range")
+                raise InvalidArgument("midpoint matrix I - (dt^2/4) A "
+                                      "overflows: material constants, dt or "
+                                      "dx out of range")
 
         with np.errstate(**QUIET):
             dsd = d[:, None] * np.array([[pr.alpha, -gb], [-gb, pr.beta]]) * d
@@ -190,19 +185,12 @@ class Stepper:
             bands = [(-c * (lk * lower), 1.0 - c * (lk * main),
                       -c * (lk * upper)) for lk in lam]
         check_finite(*(x for band in bands for x in band))
-        factors = []
-        for band in bands:
-            *lu, info = lapack.dgttrf(*band)
-            if info != 0:
-                raise ValueError(f"midpoint matrix is singular (dgttrf "
-                                 f"info = {info})")
-            factors.append(lu)
+        solvers = [tridiagonal_solver(*band) for band in bands]
         v, v_inv = d[:, None] * q, q.T / d
 
         def solve(rhs):
             w = v_inv @ rhs
-            return v @ np.array([lapack.dgttrs(*lu, wk)[0]
-                                 for lu, wk in zip(factors, w)])
+            return v @ np.array([s(wk) for s, wk in zip(solvers, w)])
         return solve
 
     def _source(self, v, p, exps: Exponents):
@@ -277,8 +265,8 @@ def step_count(t_end: float, dt: float) -> int:
     """Number of steps of size dt > 0 to t_end, rounded to a whole number,
     at most MAX_STEPS."""
     if not 0.0 <= t_end / dt <= MAX_STEPS:
-        raise ValueError(f"t_end / dt = {t_end} / {dt} must be in "
-                         f"[0, {MAX_STEPS}]")
+        raise InvalidArgument(f"t_end / dt = {t_end} / {dt} must be in "
+                              f"[0, {MAX_STEPS}]")
     return int(round(t_end / dt))
 
 

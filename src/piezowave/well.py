@@ -12,7 +12,8 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import make_record, source_norms
-from .errors import DeltaOutOfRange, NoConvergence, ZeroState
+from .errors import (DeltaOutOfRange, InvalidArgument, NoConvergence,
+                     ZeroState)
 from .grid import (Grid1D, State, grad_norm_sq, lp_norm_pow, quadratic_form,
                    sine_modes, stiffness_solver)
 from .params import Exponents, MaterialParams
@@ -41,7 +42,7 @@ def embedding_constant(grid: Grid1D, q: float, restarts: int = 16,
     all restarts is a certified lower bound on the discrete supremum.
     """
     if not 2.0 <= q < 7.0:
-        raise ValueError(f"q = {q} outside the supported range [2, 7)")
+        raise InvalidArgument(f"q = {q} outside the supported range [2, 7)")
     rng = np.random.default_rng(seed)
     solve = stiffness_solver(grid)
     best = 0.0

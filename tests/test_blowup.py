@@ -12,7 +12,7 @@ def exps23():
 
 
 # ---------------------------------------------------------------------------
-# G, N, N'
+# N, N'
 
 def test_functionals_vanish_on_zero_state(ref_params, ref_grid):
     z = pw.zero_state(ref_grid)
@@ -39,13 +39,6 @@ def test_functionals_match_direct_quadrature(ref_params, ref_grid, rng):
                                                               rel=1e-12)
     assert pw.Nprime_of(st, ref_params, ref_grid) == \
         pytest.approx(np_direct, rel=1e-12)
-
-
-def test_g_of_negates_record(ref_params, ref_grid, exps23):
-    st = pw.state_from_modes(ref_grid, [0.3], [0.2], [0.1], [0.0])
-    etot = pw.total_energy(st, ref_params, exps23, ref_grid)
-    rec = pw.make_record(st, ref_params, exps23, ref_grid, 0.0, etot)
-    assert pw.G_of(rec) == pytest.approx(-etot, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +204,12 @@ def test_tmax_bound_denominator_sign_governs_applicability(ref_params,
                                                            ref_grid,
                                                            exps_lin):
     """v1 = p1 = 0: the bound exists exactly when the denominator, driven
-    by (c-2) kappa tau - 2(vsq+psq), is positive."""
+    by (c-2) kappa tau - 2(vsq+psq), is positive.
+
+    tau is tau_min plus a 1e-6 relative margin, so the denominator cancels
+    to about 1e-6 of its terms: one ulp in them moves the bound by about
+    1e-10 relative.  The reference therefore keeps the formula's own
+    order, (c-2)(cross + kappa tau), and rounds as the bound does."""
     st = pw.state_from_modes(ref_grid, [3.0], [2.7], [0.0], [0.0])
     pc = pw.poincare_constant(ref_grid)
     e0 = pw.total_energy(st, ref_params, exps_lin, ref_grid)
@@ -221,7 +219,9 @@ def test_tmax_bound_denominator_sign_governs_applicability(ref_params,
     vsq = l2_norm_sq(st.v, ref_grid)
     psq = l2_norm_sq(st.p, ref_grid)
     c = exps_lin.c_hat
-    denom = (c - 2.0) * kappa * tau - 2.0 * (vsq + psq)
+    cross = pw.Nprime_of(st, ref_params, ref_grid)
+    assert cross == 0.0
+    denom = (c - 2.0) * (cross + kappa * tau) - 2.0 * (vsq + psq)
     assert denom > 0.0
     assert bound == pytest.approx(2.0 * (vsq + psq + kappa * tau**2) / denom,
                                   rel=1e-12)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -100,8 +102,27 @@ def test_energy_identity_residual_series_converges(ref_params, ref_grid):
         cfg = pw.StepConfig(dt=dt, scheme="implicit-midpoint")
         traj = pw.simulate(st, ref_params, exps, ref_grid, cfg, 1.0,
                            record_every=10**9)
-        series = pw.energy_identity_residual(traj)
-        assert series[-1] == traj.records[-1].residual
-        return series[-1]
+        return traj.records[-1].residual
 
     assert final_resid(2e-3) > final_resid(5e-4)
+
+
+@pytest.mark.parametrize("functional", ["total_energy", "sign_functional",
+                                        "well_side", "classify_initial"])
+def test_energies_of_overflowing_state_raise_no_warning(functional,
+                                                        ref_params):
+    """make_record, which every energy goes through, runs in the quiet
+    error state, so an overflowing state gives inf/NaN values, not numpy
+    RuntimeWarnings."""
+    grid = pw.Grid1D(1.0, 101)
+    exps = pw.validate_exponents(2, 2, 3, 3)
+    st = pw.state_from_modes(grid, [1e308], [0.0], [0.0], [0.0])
+    report = pw.WellReport(B1=1.0, B2=1.0, C_hat=1.0, s_star=1.0,
+                           Lambda_star=1.0, y0=0.5, M_threshold=0.1,
+                           poincare_c=1.0)
+    args = (ref_params, exps, grid)
+    if functional == "classify_initial":
+        args = (report,) + args
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        getattr(pw, functional)(st, *args)

@@ -1,9 +1,14 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import piezowave as pw
-from piezowave.grid import (coupled_laplacian, grad, grad_norm_sq, l2_norm_sq,
-                            lp_norm_pow, quadratic_form, sine_modes)
+from piezowave.grid import (grad, grad_norm_sq, l2_norm_sq, lp_norm_pow,
+                            quadratic_form, second_difference, sine_modes)
 
 
 def test_grid_basics():
@@ -11,6 +16,36 @@ def test_grid_basics():
     assert g.dx == 0.5
     assert np.allclose(g.nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert g.weights.sum() == pytest.approx(2.0)
+
+
+def test_weights_built_once_and_read_only():
+    g = pw.Grid1D(2.0, 5)
+    assert g.weights is g.weights
+    with pytest.raises(ValueError):
+        g.weights[1] = 0.0
+    # the cached array is not a field: equality and hash see (L, nx) only
+    assert g == pw.Grid1D(2.0, 5) and hash(g) == hash(pw.Grid1D(2.0, 5))
+
+
+def test_import_loads_no_sparse_module():
+    """The one tridiagonal factorization is LAPACK's; `import piezowave`
+    pulls in no scipy.sparse module."""
+    src = str(Path(pw.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import piezowave; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.sparse')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def _coupled_laplacian(v, p, grid, params):
+    """(alpha D2 v - gamma beta D2 p, beta D2 p - gamma beta D2 v), with D2
+    assembled from the bands of second_difference."""
+    d2 = sp.diags(second_difference(grid), [-1, 0, 1])
+    gb = params.gamma * params.beta
+    return (params.alpha * (d2 @ v) - gb * (d2 @ p),
+            params.beta * (d2 @ p) - gb * (d2 @ v))
 
 
 def test_grid_validation():
@@ -69,7 +104,7 @@ def test_summation_by_parts_identity(ref_params, ref_grid, rng):
         v = rng.standard_normal(ref_grid.nx)
         p = rng.standard_normal(ref_grid.nx)
         v[0] = p[0] = 0.0
-        lv, lp_ = coupled_laplacian(v, p, ref_grid, ref_params)
+        lv, lp_ = _coupled_laplacian(v, p, ref_grid, ref_params)
         w = ref_grid.weights
         inner = np.dot(w, lv * v) + np.dot(w, lp_ * p)
         q = quadratic_form(v, p, ref_grid, ref_params)
@@ -85,7 +120,7 @@ def test_laplacian_second_order_convergence(ref_params):
         x = g.nodes
         v = np.sin(0.5 * np.pi * x)
         p = np.sin(1.5 * np.pi * x)
-        lv, lp_ = coupled_laplacian(v, p, g, ref_params)
+        lv, lp_ = _coupled_laplacian(v, p, g, ref_params)
         exact_v = (-ref_params.alpha * (0.5 * np.pi) ** 2 * v
                    + ref_params.gamma * ref_params.beta
                    * (1.5 * np.pi) ** 2 * p)

@@ -6,7 +6,7 @@ import pytest
 import piezowave as pw
 from piezowave.cli import main
 from piezowave.config import (expand_sweep, load_run_config,
-                              load_sweep_config, write_run_config)
+                              load_sweep_config)
 from piezowave.errors import ConfigParse
 
 BASE_CFG = """
@@ -57,26 +57,12 @@ def _write_cfg(tmp_path, name="run.cfg", extra="", **fmt):
 # ---------------------------------------------------------------------------
 # config parsing
 
-def test_config_round_trip(tmp_path):
-    cfg = load_run_config(_write_cfg(tmp_path))
-    out = str(tmp_path / "norm.cfg")
-    write_run_config(cfg, out)
-    again = load_run_config(out)
-    assert again == cfg
-    # normalization is a fixed point: second serialization is byte-identical
-    out2 = str(tmp_path / "norm2.cfg")
-    write_run_config(again, out2)
-    assert open(out).read() == open(out2).read()
-
-
 def test_config_full_precision_floats(tmp_path):
     val = 0.1234567890123456789
-    cfg = load_run_config(_write_cfg(
-        tmp_path, extra="", outdir=str(tmp_path / "o")).replace("x", "x"))
-    cfg.dt = val
-    out = str(tmp_path / "p.cfg")
-    write_run_config(cfg, out)
-    assert load_run_config(out).dt == val
+    cfg_path = _write_cfg(tmp_path)
+    text = open(cfg_path).read().replace("dt = 1e-3", f"dt = {val!r}")
+    open(cfg_path, "w").write(text)
+    assert load_run_config(cfg_path).dt == val
 
 
 def test_malformed_config_raises(tmp_path):
@@ -100,11 +86,9 @@ def test_missing_file_raises(tmp_path):
 
 def test_initial_data_lists(tmp_path):
     cfg_path = _write_cfg(tmp_path)
-    cfg = load_run_config(cfg_path)
-    cfg.v0 = (0.1, -0.2, 0.05)
-    out = str(tmp_path / "multi.cfg")
-    write_run_config(cfg, out)
-    assert load_run_config(out).v0 == (0.1, -0.2, 0.05)
+    text = open(cfg_path).read().replace("v0 = 0.05", "v0 = 0.1, -0.2, 0.05")
+    open(cfg_path, "w").write(text)
+    assert load_run_config(cfg_path).v0 == (0.1, -0.2, 0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import piezowave as pw
-from piezowave import integrator
 from piezowave.errors import BlowupDetected
-from piezowave.grid import second_difference
+from piezowave.grid import second_difference, stiffness_solver
 from piezowave.integrator import (NEWTON_TOL, _damping_newton,
                                   _damping_solve_vec, damping_solve)
 
@@ -107,7 +107,7 @@ def test_decoupled_solve_matches_assembled_lu(material, ref_grid, rng):
     params = pw.make_params(*material)
     dt = 1e-3
     stepper = pw.Stepper(ref_grid, params, pw.StepConfig(dt=dt))
-    d2 = second_difference(ref_grid)
+    d2 = sp.diags(second_difference(ref_grid), [-1, 0, 1])
     gb = params.gamma * params.beta
     a = sp.bmat([[params.alpha / params.rho * d2, -gb / params.rho * d2],
                  [-gb / params.mu * d2, params.beta / params.mu * d2]])
@@ -121,13 +121,16 @@ def test_decoupled_solve_matches_assembled_lu(material, ref_grid, rng):
 
 def test_singular_tridiagonal_factor_is_a_value_error(ref_params, ref_grid,
                                                      monkeypatch):
-    """A nonzero dgttrf info (a zero pivot) is reported, not ignored."""
+    """A nonzero dgttrf info (a zero pivot) is reported, not ignored, by
+    both users of the one tridiagonal factorization."""
     def dgttrf(dl, d, du):
         return dl, d, du, d[:-2], np.arange(d.size, dtype=np.int32), 3
 
-    monkeypatch.setattr(integrator.lapack, "dgttrf", dgttrf)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgttrf", dgttrf)
     with pytest.raises(ValueError, match="singular"):
         pw.Stepper(ref_grid, ref_params, pw.StepConfig(dt=1e-3))
+    with pytest.raises(ValueError, match="singular"):
+        stiffness_solver(ref_grid)
 
 
 # ---------------------------------------------------------------------------

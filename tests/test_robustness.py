@@ -9,6 +9,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +138,26 @@ def test_step_count_is_capped():
         step_count(1e300, 1e-3)
     with pytest.raises(ConfigParse):
         validate_run_config(replace(RunConfig(), t_end=1e300))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pw.Grid1D(1.0, 2),
+    lambda: pw.StepConfig(dt=0.0),
+    lambda: step_count(1e300, 1e-3),
+    lambda: pw.embedding_constant(pw.Grid1D(1.0, 11), 8.0),
+    lambda: pw.grid.tridiagonal_solver(np.zeros(2), np.zeros(3),
+                                       np.zeros(2)),
+    lambda: pw.Stepper(pw.Grid1D(1.0, 201),
+                       pw.make_params(1.0, 1e308, 1.0, 1.0, 1.0),
+                       pw.StepConfig(dt=1e-3)),
+], ids=["grid", "step-config", "step-count", "embedding-q",
+        "zero-pivot", "midpoint-overflow"])
+def test_invalid_argument_is_typed(call):
+    """Each site raises a PiezowaveError that is still the ValueError it
+    was before (InvalidArgument)."""
+    with pytest.raises(pw.PiezowaveError) as exc:
+        call()
+    assert isinstance(exc.value, ValueError)
 
 
 @pytest.mark.parametrize("values, code", [({"alpha": "1e308"}, 2),
