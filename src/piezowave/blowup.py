@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import Nprime_of, total_energy
-from .errors import BoundInapplicable, NotBlowupRegime
+from .errors import BoundInapplicable, InvalidArgument, NotBlowupRegime
 from .grid import Grid1D, State, l2_norm_sq
 from .params import Exponents, MaterialParams
 
@@ -102,7 +102,7 @@ def _threshold_pieces(state0: State, params: MaterialParams,
     if not (exps.m1 == 1.0 and exps.m2 == 1.0):
         raise BoundInapplicable("threshold and bound require m1 = m2 = 1")
     if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}")
+        raise InvalidArgument(f"convention must be one of {CONVENTIONS}")
     cfac = poincare_c ** 2 if convention == "paper-literal" \
         else 1.0 / poincare_c ** 2
     vsq = l2_norm_sq(state0.v, grid)

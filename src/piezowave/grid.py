@@ -14,7 +14,8 @@ roundoff.
 
 Every inverse of D2 in the package, the stepper's midpoint matrices and
 the well's gradient stiffness alike, is a `tridiagonal_solver` on bands
-built from `second_difference`.
+built from `second_difference`; the stepper's two eigen-systems share one
+block-diagonal solver.
 """
 from __future__ import annotations
 
@@ -61,27 +62,34 @@ class Grid1D:
         return w
 
 
-@dataclass
 class State:
-    """Grid samples of (v, p, v_t, p_t) at one instant."""
+    """Grid samples of (v, p, v_t, p_t) at one instant, stacked as the rows
+    of one float array y of shape (4, nx); v, p, vt and pt are views of its
+    rows, so a write into one of them is a write into y."""
 
-    v: np.ndarray
-    p: np.ndarray
-    vt: np.ndarray
-    pt: np.ndarray
-    t: float = 0.0
+    __slots__ = ("y", "t")
+
+    def __init__(self, v, p, vt, pt, t: float = 0.0):
+        self.y, self.t = np.array([v, p, vt, pt], dtype=float), t
+
+    @classmethod
+    def stacked(cls, y: np.ndarray, t: float = 0.0) -> "State":
+        """A state that holds the (4, nx) array y itself, not a copy."""
+        state = cls.__new__(cls)
+        state.y, state.t = y, t
+        return state
+
+    v, p, vt, pt = (property(lambda self, i=i: self.y[i]) for i in range(4))
 
     def copy(self) -> "State":
-        return State(self.v.copy(), self.p.copy(), self.vt.copy(),
-                     self.pt.copy(), self.t)
+        return State.stacked(self.y.copy(), self.t)
 
     def scaled(self, c: float) -> "State":
-        return State(c * self.v, c * self.p, c * self.vt, c * self.pt, self.t)
+        return State.stacked(c * self.y, self.t)
 
 
 def zero_state(grid: Grid1D) -> State:
-    z = np.zeros(grid.nx)
-    return State(z.copy(), z.copy(), z.copy(), z.copy(), 0.0)
+    return State.stacked(np.zeros((4, grid.nx)))
 
 
 def sine_modes(grid: Grid1D, coeffs) -> np.ndarray:
@@ -105,7 +113,7 @@ def state_from_modes(grid: Grid1D, v0, p0, v1, p1) -> State:
 
 def grad(field: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Forward differences on the cells; exact on affine fields."""
-    return np.diff(field) / grid.dx
+    return (field[1:] - field[:-1]) / grid.dx
 
 
 def l2_norm_sq(field: np.ndarray, grid: Grid1D) -> float:
@@ -115,7 +123,7 @@ def l2_norm_sq(field: np.ndarray, grid: Grid1D) -> float:
 def lp_norm_pow(field: np.ndarray, q: float, grid: Grid1D) -> float:
     """Trapezoid quadrature of |field|^q; returns the q-th power of the norm."""
     if q < 1:
-        raise ValueError(f"q = {q} must be >= 1")
+        raise InvalidArgument(f"q = {q} must be >= 1")
     return float(np.dot(grid.weights, np.abs(field) ** q))
 
 

@@ -11,10 +11,14 @@ stiffness.  Source terms are evaluated at the step-start displacement by
 default ("semi-implicit"); the "implicit-midpoint" scheme iterates the
 sources to the midpoint displacement.
 
+A step works on a State's stacked (4, nx) array y: displacements y[:2],
+velocities y[2:], and (rho, mu) as a (2, 1) column.  Each operation covers
+both rows at once, and goes row by row only where the exponents differ.
+
 The damping root has a closed form, exact to roundoff, for m in {1, 2, 3},
-and a per-entry Newton solve otherwise.  The conservative solve is two
-tridiagonal solves in the eigenbasis of the 2x2 coupling matrix (see
-`Stepper._factorize`), an exact change of variables.
+and a per-entry Newton solve otherwise.  The conservative solve is one
+block-diagonal tridiagonal solve in the eigenbasis of the 2x2 coupling
+matrix (see `Stepper._factorize`), an exact change of variables.
 
 With sources and damping disabled the conservative substep preserves the
 discrete quadratic energy exactly (up to the direct linear solve), which
@@ -72,15 +76,15 @@ def cfl_dt(grid: Grid1D, params: MaterialParams, safety: float = 0.4) -> float:
 
 
 def _damping_solve_vec(r, a, m):
-    """Solve x + a|x|^(m-1)x = r elementwise for a >= 0, m >= 1.
+    """Solve x + a|x|^(m-1)x = r on a float array r for a >= 0, m >= 1.
 
-    m = 1, 2, 3 have closed forms, exact to roundoff.  For m = 3 the
-    hyperbolic form of the cubic's one real root (Nickalls 1993) is free of
-    the cancellation that Cardano's formula suffers at small a.  Other m
-    go to `_damping_newton`.
+    m = 1, 2, 3 have closed forms, exact to roundoff, that also take a
+    positive column a of per-row coefficients.  For m = 3 the hyperbolic
+    form of the cubic's one real root (Nickalls 1993) is free of the
+    cancellation that Cardano's formula suffers at small a.  Other m go to
+    `_damping_newton`.
     """
-    r = np.asarray(r, dtype=float)
-    if a == 0.0:
+    if np.ndim(a) == 0 and a == 0.0:
         return r.copy()
     if m == 1.0:
         return r / (1.0 + a)
@@ -138,10 +142,10 @@ def damping_solve(r: float, dt: float, m: float) -> float:
     """Unique root of x + dt*|x|^(m-1)*x = r: exact to roundoff for
     m in {1, 2, 3}, else to NEWTON_TOL relative."""
     if dt <= 0:
-        raise ValueError("dt must be > 0")
+        raise InvalidArgument("dt must be > 0")
     if m < 1:
-        raise ValueError("m must be >= 1")
-    return float(_damping_solve_vec(np.array([r]), dt, m)[0])
+        raise InvalidArgument("m must be >= 1")
+    return float(_damping_solve_vec(np.array([r], dtype=float), dt, m)[0])
 
 
 class Stepper:
@@ -151,6 +155,9 @@ class Stepper:
         self.grid = grid
         self.params = params
         self.cfg = cfg
+        self._mass = np.array([[params.rho], [params.mu]])
+        # (dt/4)(1/rho, 1/mu); if one underflows to 0, each row goes alone
+        self._damp_coef = (0.25 * cfg.dt) * (1.0 / self._mass)
         self._solve = self._factorize()
 
     def _factorize(self):
@@ -163,10 +170,10 @@ class Stepper:
         V = D Q, V^-1 = Q^T D^-1, D = diag(rho, mu)^(-1/2) and
         D S D = Q Lambda Q^T, all real with Lambda > 0.  In the variables
         w = V^-1 u the system splits into (I - (dt^2/4) lambda_k D2) w_k =
-        (V^-1 rhs)_k, two tridiagonal solves."""
+        (V^-1 rhs)_k, solved as one block-diagonal tridiagonal system on the
+        rows of w laid end to end."""
         pr = self.params
         gb = pr.gamma * pr.beta
-        lower, main, upper = second_difference(self.grid)
         d = 1.0 / np.sqrt(np.array([pr.rho, pr.mu]))
 
         def check_finite(*arrays):
@@ -179,76 +186,75 @@ class Stepper:
             dsd = d[:, None] * np.array([[pr.alpha, -gb], [-gb, pr.beta]]) * d
             check_finite(dsd)
             lam, q = np.linalg.eigh(dsd)
-            # the bands of I - (dt^2/4) (lambda_k D2), with lambda_k D2 (A
-            # in the eigenbasis) formed first, so that its overflow shows
+            # the bands of -(dt^2/4) (lambda_k D2), with lambda_k D2 (A in
+            # the eigenbasis) formed first, so that its overflow shows
             c = self.cfg.dt ** 2 / 4.0
-            bands = [(-c * (lk * lower), 1.0 - c * (lk * main),
-                      -c * (lk * upper)) for lk in lam]
-        check_finite(*(x for band in bands for x in band))
-        solvers = [tridiagonal_solver(*band) for band in bands]
+            lo, mid, up = (-c * (lam[:, None] * band)
+                           for band in second_difference(self.grid))
+        check_finite(lo, mid, up)
+        # the k = 1, 2 systems end to end, joined by zero off-diagonals
+        lo, up = (np.append(b, [[0.0], [0.0]], axis=1).ravel()[:-1]
+                  for b in (lo, up))
+        solve = tridiagonal_solver(lo, 1.0 + mid.ravel(), up)
         v, v_inv = d[:, None] * q, q.T / d
+        return lambda rhs: v @ solve((v_inv @ rhs).ravel()).reshape(rhs.shape)
 
-        def solve(rhs):
-            w = v_inv @ rhs
-            return v @ np.array([s(wk) for s, wk in zip(solvers, w)])
-        return solve
+    def _source(self, x, exps: Exponents):
+        """|x|^(n-1) x on the displacement rows x, with n = (n1, n2)."""
+        if exps.n1 == exps.n2:
+            return np.abs(x) ** (exps.n1 - 1.0) * x
+        return np.array([np.abs(r) ** (n - 1.0) * r
+                         for r, n in zip(x, (exps.n1, exps.n2))])
 
-    def _source(self, v, p, exps: Exponents):
-        f1 = np.abs(v) ** (exps.n1 - 1.0) * v
-        f2 = np.abs(p) ** (exps.n2 - 1.0) * p
-        return f1, f2
-
-    def _conservative(self, state: State, exps: Exponents) -> State:
+    def _conservative(self, y, exps: Exponents):
+        """The conservative substep from y to a new stacked array."""
         dt = self.cfg.dt
-        pr = self.params
-        v, p, vt, pt = state.v, state.p, state.vt, state.pt
+        x, xt = y[:2], y[2:]
+        base = x + (0.5 * dt) * xt
 
-        def midpoint(f1, f2):
-            return self._solve(np.array([
-                v + 0.5 * dt * vt + (dt * dt / 4.0) * f1 / pr.rho,
-                p + 0.5 * dt * pt + (dt * dt / 4.0) * f2 / pr.mu,
-            ]))
+        def midpoint(f):
+            return self._solve(base + ((dt * dt / 4.0) * f) / self._mass)
 
         on = self.cfg.sources_on
-        vm, pm = midpoint(*(self._source(v, p, exps) if on else (0.0, 0.0)))
+        xm = midpoint(self._source(x, exps) if on else 0.0)
         # semi-implicit stops at this first iterate; implicit-midpoint
         # iterates the sources to the midpoint, NEWTON_MAX_ITER solves in all
         if on and self.cfg.scheme == "implicit-midpoint":
             for _ in range(NEWTON_MAX_ITER - 1):
-                vm_new, pm_new = midpoint(*self._source(vm, pm, exps))
-                delta = max(np.max(np.abs(vm_new - vm)),
-                            np.max(np.abs(pm_new - pm)))
-                vm, pm = vm_new, pm_new
+                xm_new = midpoint(self._source(xm, exps))
+                delta = np.abs(xm_new - xm).max()
+                xm = xm_new
                 # a NaN delta stops too: the blow-up check ends the run on it
-                if not delta > NEWTON_TOL * (1.0 + np.max(np.abs(vm))):
+                if not delta > NEWTON_TOL * (1.0 + np.abs(xm[0]).max()):
                     break
             else:
                 raise NoConvergence("implicit source iteration stalled")
-        return State(
-            v=2.0 * vm - v,
-            p=2.0 * pm - p,
-            vt=4.0 * (vm - v) / dt - vt,
-            pt=4.0 * (pm - p) / dt - pt,
-            t=state.t + dt,
-        )
+        out = np.empty_like(y)
+        out[:2] = 2.0 * xm - x
+        out[2:] = 4.0 * (xm - x) / dt - xt
+        return out
 
-    def _damp(self, state: State, exps: Exponents) -> State:
-        """Damping half-step of both velocities: over h = dt/2 the midpoint
-        update of y' = -c|y|^(m-1)y is 2z - y with z + (h/2)c|z|^(m-1)z = y."""
-        a = 0.25 * self.cfg.dt
-        zv = _damping_solve_vec(state.vt, a * (1.0 / self.params.rho), exps.m1)
-        zp = _damping_solve_vec(state.pt, a * (1.0 / self.params.mu), exps.m2)
-        return State(state.v, state.p, 2.0 * zv - state.vt,
-                     2.0 * zp - state.pt, state.t)
+    def _damp(self, y, exps: Exponents):
+        """Damping half-step of the velocity rows of y, in place; returns y.
+        Over h = dt/2 the midpoint update of y' = -c|y|^(m-1)y is 2z - y
+        with z + (h/2)c|z|^(m-1)z = y."""
+        vel, a = y[2:], self._damp_coef
+        if exps.m1 == exps.m2 in (1.0, 2.0, 3.0) and a.all():
+            z = _damping_solve_vec(vel, a, exps.m1)
+        else:
+            z = np.array([_damping_solve_vec(r, ak, m) for r, ak, m
+                          in zip(vel, a[:, 0], (exps.m1, exps.m2))])
+        y[2:] = 2.0 * z - vel
+        return y
 
     @np.errstate(**QUIET)
     def step(self, state: State, exps: Exponents) -> State:
         cfg = self.cfg
+        y = self._damp(state.y.copy(), exps) if cfg.damping_on else state.y
+        y = self._conservative(y, exps)
         if cfg.damping_on:
-            state = self._damp(state, exps)
-        state = self._conservative(state, exps)
-        if cfg.damping_on:
-            state = self._damp(state, exps)
+            self._damp(y, exps)
+        state = State.stacked(y, state.t + cfg.dt)
         checks = (("grad_v_sq", grad_norm_sq(state.v, self.grid)),
                   ("quadratic_form", quadratic_form(state.v, state.p,
                                                     self.grid, self.params)))
@@ -292,13 +298,12 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
     """
     n_steps = step_count(t_end, cfg.dt)
     if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+        raise InvalidArgument("record_every must be >= 1")
     stepper = Stepper(grid, params, cfg)
 
     etot0 = total_energy(state0, params, exps, grid)
     damping_cum = 0.0
-    state = state0.copy()
-    state.t = 0.0
+    state = State.stacked(state0.y.copy())
     prev_dnorm = sum(damping_norms(state, exps, grid)) if cfg.damping_on else 0.0
 
     records = [make_record(state, params, exps, grid, damping_cum, etot0)]

@@ -4,7 +4,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AssumptionViolated, NonPositiveAlpha1, NonPositiveParameter
+from .errors import (AssumptionViolated, InvalidArgument, NonPositiveAlpha1,
+                     NonPositiveParameter)
 
 VALID_MODES = ("general", "global-decay", "blow-up")
 
@@ -80,7 +81,8 @@ def validate_exponents(m1, m2, n1, n2, mode="general") -> Exponents:
       blow-up      -- additionally n_i > m_i with n_i < 5 and m_i < 5
     """
     if mode not in VALID_MODES:
-        raise ValueError(f"mode must be one of {VALID_MODES}, got {mode!r}")
+        raise InvalidArgument(f"mode must be one of {VALID_MODES}, "
+                              f"got {mode!r}")
     for i, m in ((1, m1), (2, m2)):
         if not m >= 1:
             raise AssumptionViolated(f"m{i} = {m} violates m{i} >= 1")

@@ -116,7 +116,7 @@ def _bisect_increasing(f, rel_tol=1e-15, max_iter=200):
 def s_star_solve(c_hat_const: float, n1: float, n2: float):
     """Unique positive zero s* of Lambda', and the barrier height Lambda(s*)."""
     if c_hat_const <= 0 or n1 <= 1 or n2 <= 1:
-        raise ValueError("need C_hat > 0 and n1, n2 > 1")
+        raise InvalidArgument("need C_hat > 0 and n1, n2 > 1")
     s_star = _bisect_increasing(
         lambda s: -lambda_prime(s, c_hat_const, n1, n2))
     resid = abs(lambda_prime(s_star, c_hat_const, n1, n2))

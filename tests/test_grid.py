@@ -8,7 +8,8 @@ import scipy.sparse as sp
 
 import piezowave as pw
 from piezowave.grid import (grad, grad_norm_sq, l2_norm_sq, lp_norm_pow,
-                            quadratic_form, second_difference, sine_modes)
+                            quadratic_form, second_difference, sine_modes,
+                            tridiagonal_solver)
 
 
 def test_grid_basics():
@@ -153,3 +154,40 @@ def test_state_copy_and_scaled(ref_grid):
 def test_zero_state(ref_grid):
     z = pw.zero_state(ref_grid)
     assert l2_norm_sq(z.v, ref_grid) == 0.0
+
+
+def test_state_rows_are_views_of_one_array(ref_grid, rng):
+    """v, p, vt and pt are the rows of the (4, nx) array y: a write through
+    a row shows in y, and copy() copies y."""
+    v, p, vt, pt = (rng.standard_normal(ref_grid.nx) for _ in range(4))
+    s = pw.State(v, p, vt, pt)
+    assert s.t == 0.0 and s.y.shape == (4, ref_grid.nx)
+    assert np.array_equal(s.y, np.array([v, p, vt, pt]))
+    s.v[0] = 99.0
+    s.pt[-1] = -7.0
+    assert s.y[0, 0] == 99.0 and s.y[3, -1] == -7.0
+    assert v[0] != 99.0          # the constructor copied its arguments
+    c = s.copy()
+    c.vt[3] = 5.0
+    c.t = 1.0
+    assert s.y[2, 3] == vt[3] and s.t == 0.0
+    assert pw.State(v, p, vt, pt, 0.25).t == 0.25
+
+
+def test_block_diagonal_solve_matches_per_block_solves(rng):
+    """Two tridiagonal systems laid end to end, with a zero coupling entry
+    between them, solve bit for bit like the two systems on their own,
+    row interchanges of dgttrf's partial pivoting included."""
+    n = 57
+    for _ in range(20):
+        blocks = [(rng.standard_normal(n - 1), rng.standard_normal(n),
+                   rng.standard_normal(n - 1)) for _ in range(2)]
+        (l0, d0, u0), (l1, d1, u1) = blocks
+        merged = tridiagonal_solver(np.concatenate([l0, [0.0], l1]),
+                                    np.concatenate([d0, d1]),
+                                    np.concatenate([u0, [0.0], u1]))
+        solvers = [tridiagonal_solver(*band) for band in blocks]
+        rhs = rng.standard_normal((2, n))
+        got = merged(rhs.reshape(-1)).reshape(2, n)
+        expected = np.array([s(r) for s, r in zip(solvers, rhs)])
+        assert np.array_equal(got, expected)

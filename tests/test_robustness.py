@@ -140,6 +140,14 @@ def test_step_count_is_capped():
         validate_run_config(replace(RunConfig(), t_end=1e300))
 
 
+# (state0, params, exps, grid, cfg, t_end) of a short run with m = 1
+_LINEAR_RUN = (pw.state_from_modes(pw.Grid1D(1.0, 11), [0.1], [0.0], [0.0],
+                                   [0.0]),
+               pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0),
+               pw.validate_exponents(1, 1, 2, 2), pw.Grid1D(1.0, 11),
+               pw.StepConfig(dt=1e-3), 0.01)
+
+
 @pytest.mark.parametrize("call", [
     lambda: pw.Grid1D(1.0, 2),
     lambda: pw.StepConfig(dt=0.0),
@@ -150,8 +158,18 @@ def test_step_count_is_capped():
     lambda: pw.Stepper(pw.Grid1D(1.0, 201),
                        pw.make_params(1.0, 1e308, 1.0, 1.0, 1.0),
                        pw.StepConfig(dt=1e-3)),
+    lambda: pw.damping_solve(1.0, 0.0, 2.0),
+    lambda: pw.damping_solve(1.0, 1e-3, 0.5),
+    lambda: pw.simulate(*_LINEAR_RUN, record_every=0),
+    lambda: pw.grid.lp_norm_pow(np.ones(11), 0.5, pw.Grid1D(1.0, 11)),
+    lambda: pw.s_star_solve(0.0, 2.0, 2.0),
+    lambda: pw.theorem210_threshold(*_LINEAR_RUN[:4], 0.6,
+                                    convention="unknown"),
+    lambda: pw.validate_exponents(1, 1, 2, 2, mode="unknown"),
 ], ids=["grid", "step-config", "step-count", "embedding-q",
-        "zero-pivot", "midpoint-overflow"])
+        "zero-pivot", "midpoint-overflow", "damping-dt", "damping-m",
+        "record-every", "lp-q", "s-star", "bound-convention",
+        "exponent-mode"])
 def test_invalid_argument_is_typed(call):
     """Each site raises a PiezowaveError that is still the ValueError it
     was before (InvalidArgument)."""

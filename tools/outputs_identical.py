@@ -7,10 +7,14 @@ number by number to a tolerance.
 Each revision's `src/` and `demos/` are exported with `git archive` into a
 temporary directory.  Both exports then run the same fixed cases:
 
-  * `simulate`, `classify` and `bounds` on three run configs: the README
+  * `simulate`, `classify` and `bounds` on four run configs: the README
     example (m = 2, n = 3, nx = 201, t_end = 10), the `BASE_CFG` of
-    `tests/test_harness.py` (m = 1, n = 2, nx = 81) and that config with
-    NaN initial data;
+    `tests/test_harness.py` (m = 1, n = 2, nx = 81), that config with
+    NaN initial data, and an implicit-midpoint run with mixed exponents
+    (m = (1, 3), n = (2, 3)) on the asymmetric material
+    (rho, alpha, beta, gamma, mu) = (2.3, 5, 0.7, 1.9, 0.4), which runs
+    the source iteration, the row-by-row damping and source branches and
+    rho != mu;
   * `fit --model exp|poly|log` on each `energy.csv` that `simulate` wrote;
   * `sweep` on the AC-9 sweep config of `tests/test_acceptance.py`;
   * the three scripts in `demos/`.
@@ -120,6 +124,43 @@ seed = 0
 outdir = out
 """
 
+MIXED_CFG = """
+[material]
+rho = 2.3
+alpha = 5.0
+beta = 0.7
+gamma = 1.9
+mu = 0.4
+
+[exponents]
+m1 = 1.0
+m2 = 3.0
+n1 = 2.0
+n2 = 3.0
+
+[grid]
+L = 1.0
+nx = 81
+
+[integrator]
+dt = 1e-3
+scheme = implicit-midpoint
+
+[initial]
+v0 = 0.3
+p0 = 0.2
+v1 = 0.1
+p1 = -0.05
+
+[run]
+t_end = 0.5
+record_every = 10
+seed = 0
+
+[output]
+outdir = out
+"""
+
 AC9_SWEEP_CFG = MATERIAL + """
 [exponents]
 m1 = 2.0
@@ -159,6 +200,7 @@ RUN_CONFIGS = {
     "readme": README_CFG,
     "harness": HARNESS_CFG.format(v0="0.05"),
     "nan-v0": HARNESS_CFG.format(v0="nan"),
+    "mixed-midpoint": MIXED_CFG,
 }
 DEMOS = ("decay_and_fit.py", "well_classification.py", "blowup_bound.py")
 CLI = ("import sys; from piezowave.cli import main; "
