@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import Nprime_of, total_energy
+from .diagnostics import QUIET, Nprime_of, total_energy
 from .errors import BoundInapplicable, InvalidArgument, NotBlowupRegime
 from .grid import Grid1D, State, l2_norm_sq
 from .params import Exponents, MaterialParams
@@ -111,6 +111,7 @@ def _threshold_pieces(state0: State, params: MaterialParams,
     return params.M, cfac, vsq, psq, e0
 
 
+@np.errstate(**QUIET)
 def theorem210_threshold(state0: State, params: MaterialParams,
                          exps: Exponents, grid: Grid1D, poincare_c: float,
                          convention: str = "poincare-consistent") -> dict:
@@ -130,6 +131,7 @@ def theorem210_threshold(state0: State, params: MaterialParams,
             "convention": convention}
 
 
+@np.errstate(**QUIET)
 def tmax_upper_bound(state0: State, params: MaterialParams, exps: Exponents,
                      grid: Grid1D, poincare_c: float,
                      convention: str = "poincare-consistent"):
@@ -168,14 +170,11 @@ def blowup_report(trajectory, state0: State, params: MaterialParams,
     report = monitor(trajectory, exps, params)
     if poincare_c is not None:
         try:
-            kappa, tau, bound = tmax_upper_bound(
+            report.kappa, report.tau, report.tmax_bound = tmax_upper_bound(
                 state0, params, exps, grid, poincare_c)
         except BoundInapplicable:
             pass
         else:
-            report.kappa = kappa
-            report.tau = tau
-            report.tmax_bound = bound
             if report.criterion is None:
                 report.criterion = "concavity-bound"
     return report

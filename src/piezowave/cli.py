@@ -23,8 +23,8 @@ import numpy as np
 
 from . import blowup as bl
 from . import decay
-from .config import (RunConfig, expand_sweep, fmt, load_run_config,
-                     load_sweep_config, validate_run_config)
+from .config import (RunConfig, build_run, expand_sweep, fmt,
+                     load_run_config, load_sweep_config)
 from .diagnostics import CSV_FIELDS, QUIET
 from .errors import (BoundInapplicable, ConfigParse, NonPositiveSeries,
                      PiezowaveError)
@@ -49,49 +49,61 @@ def write_json(obj: dict, path: str) -> None:
         fh.write("{\n" + ",\n".join(lines) + "\n}\n")
 
 
-def write_energy_csv(records, path: str) -> None:
+def write_csv(header, rows, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_FIELDS)
-        for r in records:
-            writer.writerow([fmt(getattr(r, f)) for f in CSV_FIELDS])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _fit_trajectory(traj, cfg: RunConfig, exps):
-    """Optional decay fit on the recorded Etot series; None if not asked
-    or the series is not usable (fewer than 4 records, or values that are
-    not all finite and > 0)."""
+def _fit_summary(traj, cfg: RunConfig, exps) -> dict:
+    """The summary.json keys of the optional decay fit on the recorded Etot
+    series; none if not asked or the series is not usable (fewer than 4
+    records, or values that are not all finite and > 0)."""
     if cfg.fit_model is None or len(traj.records) < 4:
-        return None
+        return {}
     times = np.array([r.t for r in traj.records])
     values = np.array([r.Etot for r in traj.records])
-    eta = decay.eta_from_exponents(exps)
-    eta_eff = eta if eta > 0.0 else 1.0   # nominal eta for m = 1 probes
+    eta = decay.eta_from_exponents(exps) or 1.0  # nominal eta for m = 1 probes
     try:
-        return decay.FITS[cfg.fit_model](times, values, eta_eff, cfg.fit_C)
+        fit = decay.FITS[cfg.fit_model](times, values, eta, cfg.fit_C)
     except NonPositiveSeries:
-        return None
+        return {}
+    return {"fit_model": fit.model, "fit_omega": fit.omega,
+            "fit_rmse": fit.rmse}
 
 
-def _problem(cfg: RunConfig):
-    """Material, exponents, grid and initial state of a run config."""
-    return cfg.material(), cfg.exponents(), cfg.grid(), cfg.initial_state()
+def _classified_well(seed: int, params, exps, grid, state0):
+    """The well report of a run, with its initial data classified."""
+    report = well_report(params, exps, grid, seed=seed)
+    report.classification = classify_initial(state0, report, params, exps,
+                                             grid)
+    return report
 
 
 def run_one(cfg: RunConfig):
-    """Execute one configured run; returns a result dict for summaries."""
-    params, exps, grid, state0 = _problem(cfg)
-    report = well_report(params, exps, grid, seed=cfg.seed)
-    report.classification = classify_initial(state0, report, params, exps,
-                                             grid)
-    traj = simulate(state0, params, exps, grid, cfg.step_config(),
-                    cfg.t_end, cfg.record_every)
+    """Build (which validates) and execute one configured run; returns its
+    "trajectory" and the "well", "blowup" and "summary" JSON dicts."""
+    params, exps, grid, step, state0 = build_run(cfg)
+    report = _classified_well(cfg.seed, params, exps, grid, state0)
+    traj = simulate(state0, params, exps, grid, step, cfg.t_end,
+                    cfg.record_every)
     breport = bl.blowup_report(traj, state0, params, exps, grid,
                                report.poincare_c)
-    fit = _fit_trajectory(traj, cfg, exps)
-    return {"params": params, "exps": exps, "grid": grid, "state0": state0,
-            "well": report, "classification": report.classification,
-            "trajectory": traj, "blowup": breport, "fit": fit}
+    summary = {
+        "classification": report.classification,
+        "outcome": traj.outcome,
+        "t_detect": traj.t_detect,
+        "trigger": traj.trigger,
+        "t_final": traj.final_state.t,
+        "E0": traj.records[0].Etot,
+        "E_final": traj.records[-1].Etot,
+        "tmax_bound": breport.tmax_bound,
+        "records": len(traj.records),
+        **_fit_summary(traj, cfg, exps),
+    }
+    return {"trajectory": traj, "well": report.as_dict(),
+            "blowup": breport.as_dict(), "summary": summary}
 
 
 def cli_simulate(path: str) -> int:
@@ -99,26 +111,11 @@ def cli_simulate(path: str) -> int:
     os.makedirs(cfg.outdir, exist_ok=True)
     result = run_one(cfg)
     traj = result["trajectory"]
-    write_energy_csv(traj.records, os.path.join(cfg.outdir, "energy.csv"))
-    write_json(result["well"].as_dict(), os.path.join(cfg.outdir, "well.json"))
-    write_json(result["blowup"].as_dict(),
-               os.path.join(cfg.outdir, "blowup.json"))
-    summary = {
-        "classification": result["classification"],
-        "outcome": traj.outcome,
-        "t_detect": traj.t_detect,
-        "trigger": traj.trigger,
-        "t_final": traj.final_state.t,
-        "E0": traj.records[0].Etot,
-        "E_final": traj.records[-1].Etot,
-        "tmax_bound": result["blowup"].tmax_bound,
-        "records": len(traj.records),
-    }
-    if result["fit"] is not None:
-        summary["fit_model"] = result["fit"].model
-        summary["fit_omega"] = result["fit"].omega
-        summary["fit_rmse"] = result["fit"].rmse
-    write_json(summary, os.path.join(cfg.outdir, "summary.json"))
+    write_csv(CSV_FIELDS, ([fmt(getattr(r, f)) for f in CSV_FIELDS]
+                           for r in traj.records),
+              os.path.join(cfg.outdir, "energy.csv"))
+    for name in ("well", "blowup", "summary"):
+        write_json(result[name], os.path.join(cfg.outdir, f"{name}.json"))
     print(f"outcome: {traj.outcome}"
           + (f" (t_detect = {fmt(traj.t_detect)})"
              if traj.t_detect is not None else ""))
@@ -127,27 +124,26 @@ def cli_simulate(path: str) -> int:
 
 def cli_classify(path: str) -> int:
     cfg = load_run_config(path)
-    params, exps, grid, state0 = _problem(cfg)
-    report = well_report(params, exps, grid, seed=cfg.seed)
-    report.classification = classify_initial(state0, report, params, exps,
-                                             grid)
+    params, exps, grid, _, state0 = build_run(cfg)
+    report = _classified_well(cfg.seed, params, exps, grid, state0)
     os.makedirs(cfg.outdir, exist_ok=True)
     write_json(report.as_dict(), os.path.join(cfg.outdir, "well.json"))
     print(report.classification)
     return 0
 
 
+# summary.json keys of a sweep.csv row's last cells (fit_omega as "omega")
+SWEEP_KEYS = ("classification", "outcome", "t_detect", "tmax_bound",
+              "fit_omega")
+
+
 def _sweep_row(names, overrides, cfg: RunConfig):
-    cells = [fmt(overrides[n]) for n in names]
     try:
-        result = run_one(validate_run_config(cfg))
+        summary = run_one(cfg)["summary"]
     except PiezowaveError as exc:
-        return cells + ["", f"error: {exc}", "", "", ""]
-    traj = result["trajectory"]
-    fit = result["fit"]
-    return cells + [fmt(result["classification"]), traj.outcome,
-                    fmt(traj.t_detect), fmt(result["blowup"].tmax_bound),
-                    fmt(fit.omega if fit is not None else None)]
+        summary = {"outcome": f"error: {exc}"}
+    return ([fmt(overrides[n]) for n in names]
+            + [fmt(summary.get(key)) for key in SWEEP_KEYS])
 
 
 def cli_sweep(path: str) -> int:
@@ -157,11 +153,7 @@ def cli_sweep(path: str) -> int:
     rows = [_sweep_row(names, ov, cfg) for ov, cfg in expand_sweep(sweep)]
     os.makedirs(sweep.base.outdir, exist_ok=True)
     out = os.path.join(sweep.base.outdir, "sweep.csv")
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names + ["classification", "outcome", "t_detect",
-                                 "tmax_bound", "omega"])
-        writer.writerows(rows)
+    write_csv(names + [k.removeprefix("fit_") for k in SWEEP_KEYS], rows, out)
     failed = sum(1 for r in rows if r[len(names) + 1].startswith("error"))
     print(f"{len(rows)} runs, {failed} failed -> {out}")
     return 1 if failed == len(rows) else 0
@@ -185,8 +177,7 @@ def cli_fit(path: str, model: str, C: float, eta: float) -> int:
 
 
 def cli_bounds(path: str) -> int:
-    cfg = load_run_config(path)
-    params, exps, grid, state0 = _problem(cfg)
+    params, exps, grid, _, state0 = build_run(load_run_config(path))
     pc = poincare_constant(grid)
     print(f"poincare_c: {fmt(pc)}")
     for convention in ("poincare-consistent", "paper-literal"):
@@ -213,29 +204,27 @@ def main(argv=None) -> int:
                     "piezoelectric beam system with nonlinear damping "
                     "and source terms.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate").add_argument("config")
-    sub.add_parser("classify").add_argument("config")
-    sub.add_parser("sweep").add_argument("config")
+
+    def config_command(name, command):
+        config_p = sub.add_parser(name)
+        config_p.add_argument("config")
+        config_p.set_defaults(run=lambda args: command(args.config))
+
+    config_command("simulate", cli_simulate)
+    config_command("classify", cli_classify)
+    config_command("sweep", cli_sweep)
     fit_p = sub.add_parser("fit")
     fit_p.add_argument("csv")
-    fit_p.add_argument("--model", required=True,
-                       choices=tuple(decay.FITS))
+    fit_p.add_argument("--model", required=True, choices=tuple(decay.FITS))
     fit_p.add_argument("--C", type=float, default=2.0)
     fit_p.add_argument("--eta", type=float, default=1.0)
-    sub.add_parser("bounds").add_argument("config")
+    fit_p.set_defaults(run=lambda a: cli_fit(a.csv, a.model, a.C, a.eta))
+    config_command("bounds", cli_bounds)
     args = parser.parse_args(argv)
     # overflow ends as a blowup outcome or a typed error, not as warnings
     with np.errstate(**QUIET):
         try:
-            if args.command == "simulate":
-                return cli_simulate(args.config)
-            if args.command == "classify":
-                return cli_classify(args.config)
-            if args.command == "sweep":
-                return cli_sweep(args.config)
-            if args.command == "fit":
-                return cli_fit(args.csv, args.model, args.C, args.eta)
-            return cli_bounds(args.config)
+            return args.run(args)
         except PiezowaveError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -4,7 +4,10 @@ Flat INI sections, parsed with configparser.  A run config fully describes
 one simulation: material constants, exponents, grid, integrator settings,
 sine-mode initial data and output paths.  A sweep config is a run config
 plus a [sweep] section and a [sweep.axes] section whose keys are
-"section.option" paths with comma-separated override values.
+"section.option" paths with comma-separated override values.  Run and
+[sweep] options alike are `_option` fields, read by one loader (`_load`)
+through tables derived from those fields, so an unknown section or key is
+an error anywhere.  `build_run` builds and checks the objects of a run.
 
 Initial data are coefficient lists of the modes sin((k - 1/2) pi x / L),
 which satisfy the clamped end and the zero-slope end exactly on any grid.
@@ -21,9 +24,9 @@ import numpy as np
 
 from .decay import FITS
 from .errors import ConfigParse
-from .grid import Grid1D, State, state_from_modes
+from .grid import Grid1D, state_from_modes
 from .integrator import StepConfig, Stepper, step_count
-from .params import Exponents, MaterialParams, make_params, validate_exponents
+from .params import make_params, validate_exponents
 
 FLOAT_FMT = "%.17g"
 
@@ -83,7 +86,7 @@ def parse(name: str, raw: str, parser):
 
 
 def _option(section: str, default, parser=float, key: Optional[str] = None):
-    """A RunConfig field read from [section] key (default: the field name)."""
+    """A config field read from [section] key (default: the field name)."""
     return field(default=default,
                  metadata={"section": section, "key": key, "parser": parser})
 
@@ -117,36 +120,18 @@ class RunConfig:
     fit_model: Optional[str] = _option("fit", None, _fit_model, key="model")
     fit_C: float = _option("fit", 2.0, _at_least(float, 1.0), key="C")
 
-    # ---- constructed objects -------------------------------------------
-    def material(self) -> MaterialParams:
-        return make_params(self.rho, self.alpha, self.beta, self.gamma,
-                           self.mu)
 
-    def exponents(self) -> Exponents:
-        return validate_exponents(self.m1, self.m2, self.n1, self.n2)
-
-    def grid(self) -> Grid1D:
-        return Grid1D(self.L, self.nx)
-
-    def step_config(self) -> StepConfig:
-        return StepConfig(dt=self.dt, scheme=self.scheme,
-                          blowup_cutoff=self.blowup_cutoff,
-                          damping_on=self.damping, sources_on=self.sources)
-
-    def initial_state(self) -> State:
-        return state_from_modes(self.grid(), self.v0, self.p0,
-                                self.v1, self.p1)
+def _table(cls) -> dict:
+    """The option table of a config class, derived from its `_option`
+    fields: (section, key) -> (attribute, parser)."""
+    return {(f.metadata["section"], f.metadata["key"] or f.name):
+            (f.name, f.metadata["parser"])
+            for f in fields(cls) if f.metadata}
 
 
-# The one option table, derived from the RunConfig fields:
-# (section, key) -> (RunConfig attribute, parser).  Loading, sweep axes
-# (list options separate their values with ';', all others with ',') and
-# expansion all read it.
-OPTIONS = {
-    (f.metadata["section"], f.metadata["key"] or f.name):
-        (f.name, f.metadata["parser"])
-    for f in fields(RunConfig)
-}
+# The run option table.  Loading, sweep axes (list options separate their
+# values with ';', all others with ',') and expansion all read it.
+OPTIONS = _table(RunConfig)
 
 
 @dataclass
@@ -155,12 +140,11 @@ class SweepConfig:
     axes: dict                # {"section.option": [values...]} sorted keys
     # Parsed and validated, but members run in order: it has no effect
     # until batched stepping uses it as the batch-size cap.
-    max_parallel: int = 4
-    cap: int = 10_000
+    max_parallel: int = _option("sweep", 4, _at_least(int, 1))
+    cap: int = _option("sweep", 10_000, int)
 
 
-# [sweep] key -> parser; the values become SweepConfig fields
-SWEEP_OPTIONS = {"max_parallel": _at_least(int, 1), "cap": int}
+SWEEP_OPTIONS = _table(SweepConfig)
 
 
 def _read_ini(path: str) -> configparser.ConfigParser:
@@ -176,35 +160,51 @@ def _read_ini(path: str) -> configparser.ConfigParser:
     return cp
 
 
+def _load(obj, cp: configparser.ConfigParser, table: dict, sections):
+    """Set obj's attributes from every option of the given sections, each
+    looked up in the option table and parsed; returns obj."""
+    for section in sections:
+        for key, raw in cp.items(section):
+            if (section, key) not in table:
+                raise ConfigParse(f"unknown option [{section}] {key}")
+            attr, parser = table[(section, key)]
+            setattr(obj, attr, parse(f"[{section}] {key}", raw, parser))
+    return obj
+
+
 def load_run_config(path: str) -> RunConfig:
     return _run_config_from_parser(_read_ini(path))
 
 
 def _run_config_from_parser(cp: configparser.ConfigParser) -> RunConfig:
-    cfg = RunConfig()
-    for section in cp.sections():
-        if section.startswith("sweep"):
-            continue
-        for key, raw in cp.items(section):
-            if (section, key) not in OPTIONS:
-                raise ConfigParse(f"unknown option [{section}] {key}")
-            attr, parser = OPTIONS[(section, key)]
-            setattr(cfg, attr, parse(f"[{section}] {key}", raw, parser))
-    return validate_run_config(cfg)
+    sections = [s for s in cp.sections() if s not in ("sweep", "sweep.axes")]
+    return validate_run_config(_load(RunConfig(), cp, OPTIONS, sections))
 
 
-def validate_run_config(cfg: RunConfig) -> RunConfig:
-    """Fail fast on inconsistent physics by building every object a run
-    needs and counting its steps; a ValueError becomes ConfigParse."""
+def build_run(cfg: RunConfig):
+    """(params, exps, grid, step config, initial state) of a run, checked
+    along with what else a run needs: midpoint matrices that factorize, the
+    step count and the seed.  A ValueError becomes ConfigParse."""
     try:
-        params = cfg.material()
-        cfg.exponents()
-        Stepper(cfg.grid(), params, cfg.step_config())
+        params = make_params(cfg.rho, cfg.alpha, cfg.beta, cfg.gamma, cfg.mu)
+        exps = validate_exponents(cfg.m1, cfg.m2, cfg.n1, cfg.n2)
+        grid = Grid1D(cfg.L, cfg.nx)
+        step = StepConfig(dt=cfg.dt, scheme=cfg.scheme,
+                          blowup_cutoff=cfg.blowup_cutoff,
+                          damping_on=cfg.damping, sources_on=cfg.sources)
+        Stepper(grid, params, step)
         step_count(cfg.t_end, cfg.dt)
         if cfg.seed < 0:
             raise ValueError(f"seed = {cfg.seed} must be >= 0")
     except ValueError as exc:
         raise ConfigParse(str(exc)) from None
+    return (params, exps, grid, step,
+            state_from_modes(grid, cfg.v0, cfg.p0, cfg.v1, cfg.p1))
+
+
+def validate_run_config(cfg: RunConfig) -> RunConfig:
+    """Fail fast on inconsistent physics: build_run, keeping the config."""
+    build_run(cfg)
     return cfg
 
 
@@ -227,14 +227,8 @@ def load_sweep_config(path: str) -> SweepConfig:
         if not values:
             raise ConfigParse(f"axis {key!r} has no values")
         axes[key] = values
-    settings = {}
-    if cp.has_section("sweep"):
-        for key, raw in cp.items("sweep"):
-            if key not in SWEEP_OPTIONS:
-                raise ConfigParse(f"unknown option [sweep] {key}")
-            settings[key] = parse(f"[sweep] {key}", raw, SWEEP_OPTIONS[key])
-    sweep = SweepConfig(base=base, axes=dict(sorted(axes.items())),
-                        **settings)
+    sweep = SweepConfig(base=base, axes=dict(sorted(axes.items())))
+    _load(sweep, cp, SWEEP_OPTIONS, [s for s in cp.sections() if s == "sweep"])
     size = math.prod(len(values) for values in axes.values())
     if size > sweep.cap:
         raise ConfigParse(f"sweep size {size} exceeds cap {sweep.cap}")
@@ -246,13 +240,12 @@ def expand_sweep(sweep: SweepConfig):
 
     Yields (overrides, RunConfig) with overrides a dict of axis -> value,
     in lexicographic order of the sorted axis names.  The configs are not
-    validated here, so that one bad member cannot stop the others; pass
-    each through validate_run_config before running it.
+    validated here, so that one bad member cannot stop the others: the CLI's
+    run_one validates each member as it builds it (build_run).
     """
     names = list(sweep.axes.keys())
     for combo in itertools.product(*(sweep.axes[n] for n in names)):
         overrides = dict(zip(names, combo))
-        cfg = replace(sweep.base)
-        for key, value in overrides.items():
-            setattr(cfg, OPTIONS[tuple(key.split(".", 1))][0], value)
-        yield overrides, cfg
+        yield overrides, replace(sweep.base, **{
+            OPTIONS[tuple(key.split(".", 1))][0]: value
+            for key, value in overrides.items()})

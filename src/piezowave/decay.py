@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NonPositiveSeries
+from .errors import InvalidArgument, NonPositiveSeries
+from .grid import QUIET
 from .params import Exponents
 
 @dataclass
@@ -43,7 +44,7 @@ def _validate(times, values):
     t = np.asarray(times, dtype=float)
     e = np.asarray(values, dtype=float)
     if t.shape != e.shape or t.ndim != 1 or t.size < 4:
-        raise ValueError("need matching 1D series with at least 4 samples")
+        raise InvalidArgument("need matching 1D series with at least 4 samples")
     if not np.all((e > 0.0) & (e < np.inf)):     # NaN fails too
         raise NonPositiveSeries("energy series must be finite and > 0")
     return t, e, t.size // 2      # the tail is the second half
@@ -58,6 +59,7 @@ def _lstsq_line(x, y):
 ENVELOPE_SLACK = 1.0 + 1e-9
 
 
+@np.errstate(**QUIET)
 def fit_exponential(times, values) -> DecayFit:
     """Least squares on log E vs t; envelope E(0) e^(1 - omega t)."""
     t, e, k0 = _validate(times, values)
@@ -72,6 +74,7 @@ def fit_exponential(times, values) -> DecayFit:
                     envelope_ok, accepted)
 
 
+@np.errstate(**QUIET)
 def _power_fit(t, e, eta, x, model, k0):
     """Shared core: E^(-eta) affine in the regressor x."""
     intercept, slope = _lstsq_line(x[k0:], e[k0:] ** (-eta))
@@ -81,12 +84,10 @@ def _power_fit(t, e, eta, x, model, k0):
         omega = slope / (intercept * eta)
     # envelope with the series' own E(0) anchoring
     base = (1.0 + omega * eta * x) / (1.0 + eta)
-    with np.errstate(over="ignore"):
-        env = np.where(base > 0.0, e[0] * base ** (-1.0 / eta), np.inf)
+    env = np.where(base > 0.0, e[0] * base ** (-1.0 / eta), np.inf)
     envelope_ok = bool(np.all(e <= env * ENVELOPE_SLACK))
     pred = intercept + slope * x[k0:]
-    good = pred > 0.0
-    if np.all(good):
+    if np.all(pred > 0.0):
         rmse = float(np.sqrt(np.mean(
             (np.log(e[k0:]) + np.log(pred) / eta) ** 2)))
     else:
@@ -98,7 +99,7 @@ def _power_fit(t, e, eta, x, model, k0):
 def fit_polynomial(times, values, eta) -> DecayFit:
     """Linear regression of E^(-eta) vs t; eta must be positive."""
     if not eta > 0.0:
-        raise ValueError("eta must be > 0 for the polynomial envelope")
+        raise InvalidArgument("eta must be > 0 for the polynomial envelope")
     t, e, k0 = _validate(times, values)
     return _power_fit(t, e, eta, t, "polynomial", k0)
 
@@ -106,9 +107,9 @@ def fit_polynomial(times, values, eta) -> DecayFit:
 def fit_logarithmic(times, values, eta, C) -> DecayFit:
     """Regression of E^(-eta) vs psi(t) = ln((C+t)/C), C >= 1."""
     if not eta > 0.0:
-        raise ValueError("eta must be > 0 for the logarithmic envelope")
+        raise InvalidArgument("eta must be > 0 for the logarithmic envelope")
     if not C >= 1.0:
-        raise ValueError("C must be >= 1")
+        raise InvalidArgument("C must be >= 1")
     t, e, k0 = _validate(times, values)
     return _power_fit(t, e, eta, np.log((C + t) / C), "logarithmic", k0)
 

@@ -14,15 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid1D, State, l2_norm_sq, lp_norm_pow, quadratic_form
+from .grid import (QUIET, Grid1D, State, l2_norm_sq, lp_norm_pow,
+                   quadratic_form)
 from .params import Exponents, MaterialParams
 
 # Relative tolerance for calling a state "on the Nehari set".
 BOUNDARY_TOL = 1e-9
-
-# numpy error state under which overflow yields inf/NaN without a warning;
-# the blow-up check, a finiteness check or a comparison then decides
-QUIET = dict(over="ignore", invalid="ignore")
 
 CSV_FIELDS = ("t", "E", "J", "Etot", "damping_cum", "residual",
               "sign_fn", "Q", "vnorm_n1", "pnorm_n2")
@@ -57,16 +54,19 @@ class EnergyRecord:
         return "W1-side" if self.sign_fn > 0 else "W2-side"
 
 
+@np.errstate(**QUIET)
 def kinetic_energy(state: State, params: MaterialParams, grid: Grid1D) -> float:
     return 0.5 * (params.rho * l2_norm_sq(state.vt, grid)
                   + params.mu * l2_norm_sq(state.pt, grid))
 
 
+@np.errstate(**QUIET)
 def quadratic_energy(state: State, params: MaterialParams, grid: Grid1D) -> float:
     return kinetic_energy(state, params, grid) \
         + 0.5 * quadratic_form(state.v, state.p, grid, params)
 
 
+@np.errstate(**QUIET)
 def source_norms(state: State, exps: Exponents, grid: Grid1D):
     """(||v||_{n1+1}^{n1+1}, ||p||_{n2+1}^{n2+1})."""
     return (lp_norm_pow(state.v, exps.n1 + 1.0, grid),
@@ -94,17 +94,20 @@ def well_side(state: State, params: MaterialParams, exps: Exponents,
     return make_record(state, params, exps, grid, 0.0, 0.0).well_side
 
 
+@np.errstate(**QUIET)
 def N_of(state: State, params: MaterialParams, grid: Grid1D) -> float:
     return 0.5 * (params.rho * l2_norm_sq(state.v, grid)
                   + params.mu * l2_norm_sq(state.p, grid))
 
 
+@np.errstate(**QUIET)
 def Nprime_of(state: State, params: MaterialParams, grid: Grid1D) -> float:
     w = grid.weights
     return float(params.rho * np.dot(w, state.v * state.vt)
                  + params.mu * np.dot(w, state.p * state.pt))
 
 
+@np.errstate(**QUIET)
 def damping_norms(state: State, exps: Exponents, grid: Grid1D):
     """(||v_t||_{m1+1}^{m1+1}, ||p_t||_{m2+1}^{m2+1})."""
     return (lp_norm_pow(state.vt, exps.m1 + 1.0, grid),

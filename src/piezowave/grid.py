@@ -28,6 +28,13 @@ from scipy.linalg import lapack
 from .errors import InvalidArgument
 from .params import MaterialParams
 
+# numpy error state under which overflow yields inf/NaN without a warning;
+# the blow-up check, a finiteness check or a comparison then decides
+QUIET = dict(over="ignore", invalid="ignore")
+
+# Most nodes a grid may have: about 160 MB of Stepper arrays (estimated).
+MAX_NX = 10**6
+
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -39,6 +46,8 @@ class Grid1D:
             raise InvalidArgument(f"L = {self.L} must be finite and > 0")
         if self.nx < 3:
             raise InvalidArgument(f"nx = {self.nx} must be >= 3")
+        if self.nx > MAX_NX:
+            raise InvalidArgument(f"nx = {self.nx} must be <= {MAX_NX}")
         # the operators scale like 1/dx^2
         if not 0.0 < self.dx * self.dx < np.inf:
             raise InvalidArgument(f"dx = L/(nx-1) = {self.dx} has no finite "
@@ -92,6 +101,7 @@ def zero_state(grid: Grid1D) -> State:
     return State.stacked(np.zeros((4, grid.nx)))
 
 
+@np.errstate(**QUIET)
 def sine_modes(grid: Grid1D, coeffs) -> np.ndarray:
     """Sum of c_k * sin((k - 1/2) pi x / L), k = 1, 2, ...
 

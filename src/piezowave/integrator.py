@@ -67,6 +67,10 @@ class StepConfig:
                                   "finite square")
         if self.scheme not in SCHEMES:
             raise InvalidArgument(f"scheme must be one of {SCHEMES}")
+        # written so that NaN is rejected too; inf is allowed
+        if not self.blowup_cutoff > 0:
+            raise InvalidArgument(f"blowup_cutoff = {self.blowup_cutoff} "
+                                  "must be > 0")
 
 
 def cfl_dt(grid: Grid1D, params: MaterialParams, safety: float = 0.4) -> float:
@@ -283,7 +287,6 @@ class Trajectory:
     t_detect: Optional[float]
     trigger: Optional[str]
     final_state: State
-    dt: float
 
 
 @np.errstate(**QUIET)
@@ -326,4 +329,4 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
         if outcome == "blowup":
             break
     return Trajectory(records=records, outcome=outcome, t_detect=t_detect,
-                      trigger=trigger, final_state=state, dt=cfg.dt)
+                      trigger=trigger, final_state=state)

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import make_record, source_norms
+from .diagnostics import QUIET, make_record, source_norms
 from .errors import (DeltaOutOfRange, InvalidArgument, NoConvergence,
                      ZeroState)
 from .grid import (Grid1D, State, grad_norm_sq, lp_norm_pow, quadratic_form,
@@ -137,6 +137,7 @@ def _y0_and_threshold(s_star: float, c_hat: float):
     return y0, (c_hat - 2.0) / (2.0 * (2.0 + c_hat)) * y0
 
 
+@np.errstate(**QUIET)
 def nehari_lambda_star(state: State, params: MaterialParams, exps: Exponents,
                        grid: Grid1D):
     """Scaling lambda* > 0 putting (lambda v, lambda p) on the Nehari set.

@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 
 import numpy as np
@@ -107,22 +108,34 @@ def test_energy_identity_residual_series_converges(ref_params, ref_grid):
     assert final_resid(2e-3) > final_resid(5e-4)
 
 
-@pytest.mark.parametrize("functional", ["total_energy", "sign_functional",
-                                        "well_side", "classify_initial"])
+@pytest.mark.parametrize("functional", [
+    "total_energy", "sign_functional", "well_side", "classify_initial",
+    "kinetic_energy", "quadratic_energy", "source_norms", "damping_norms",
+    "N_of", "Nprime_of", "nehari_lambda_star", "theorem210_threshold",
+    "tmax_upper_bound"])
 def test_energies_of_overflowing_state_raise_no_warning(functional,
                                                         ref_params):
-    """make_record, which every energy goes through, runs in the quiet
-    error state, so an overflowing state gives inf/NaN values, not numpy
+    """Every public energy and bound runs in the quiet error state, so an
+    overflowing state gives inf/NaN values or a typed error, not numpy
     RuntimeWarnings."""
     grid = pw.Grid1D(1.0, 101)
-    exps = pw.validate_exponents(2, 2, 3, 3)
-    st = pw.state_from_modes(grid, [1e308], [0.0], [0.0], [0.0])
+    exps = pw.validate_exponents(1, 1, 2, 2)     # the bounds need m = 1
+    st = pw.state_from_modes(grid, [1e308], [1e200], [1e200], [1e200])
     report = pw.WellReport(B1=1.0, B2=1.0, C_hat=1.0, s_star=1.0,
                            Lambda_star=1.0, y0=0.5, M_threshold=0.1,
                            poincare_c=1.0)
-    args = (ref_params, exps, grid)
-    if functional == "classify_initial":
-        args = (report,) + args
-    with warnings.catch_warnings():
+    args = {"classify_initial": (report, ref_params, exps, grid),
+            "kinetic_energy": (ref_params, grid),
+            "quadratic_energy": (ref_params, grid),
+            "source_norms": (exps, grid), "damping_norms": (exps, grid),
+            "N_of": (ref_params, grid), "Nprime_of": (ref_params, grid),
+            "theorem210_threshold": (ref_params, exps, grid, 0.6),
+            "tmax_upper_bound": (ref_params, exps, grid, 0.6),
+            }.get(functional, (ref_params, exps, grid))
+    # NaN energies leave these two without a result to return
+    typed = {"nehari_lambda_star": pw.NoConvergence,
+             "tmax_upper_bound": pw.BoundInapplicable}.get(functional)
+    with warnings.catch_warnings(), \
+            (pytest.raises(typed) if typed else contextlib.nullcontext()):
         warnings.simplefilter("error")
         getattr(pw, functional)(st, *args)

@@ -18,6 +18,7 @@ import piezowave as pw
 from piezowave.cli import main
 from piezowave.config import RunConfig, validate_run_config
 from piezowave.errors import ConfigParse
+from piezowave.grid import MAX_NX
 from piezowave.integrator import MAX_STEPS, step_count
 
 RUN_CFG = """
@@ -41,6 +42,7 @@ nx = {nx}
 [integrator]
 dt = {dt}
 scheme = {scheme}
+blowup_cutoff = {blowup_cutoff}
 
 [initial]
 v0 = {v0}
@@ -60,7 +62,7 @@ def _write(tmp_path, extra="", **values):
     values = {"v0": "0.05", "m": "1.0", "nx": "41", "dt": "1e-3",
               "t_end": "0.02", "record_every": "5", "L": "1.0",
               "alpha": "2.0", "gamma": "1.0", "seed": "0",
-              "scheme": "semi-implicit", **values}
+              "scheme": "semi-implicit", "blowup_cutoff": "1e6", **values}
     path = tmp_path / "run.cfg"
     path.write_text(RUN_CFG.format(outdir=tmp_path / "out", **values) + extra,
                     encoding="utf-8")
@@ -107,6 +109,9 @@ ENERGY_CSV = "t,E,Etot\n0,2,1\n1,1,0.5\n2,0.5,0.25\n3,0.25,0.125\n"
     ("simulate", "\n[fit]\nmodel = log\nC = 0\n", {}),
     ("fit --model exp", "t,Etot\n" + "0,nan\n" * 4, {}),
     ("fit --model exp", ENERGY_CSV.replace("0.125", "inf"), {}),
+    ("simulate", "", {"blowup_cutoff": "nan"}),
+    ("simulate", "", {"blowup_cutoff": "0"}),
+    ("simulate", "", {"blowup_cutoff": "-1"}),
 ], ids=["nx-too-small", "dt-nan", "t-end-negative", "record-every-zero",
         "max-parallel-not-int", "max-parallel-zero", "fit-eta-zero",
         "fit-C-below-1", "fit-missing-file", "fit-non-numeric",
@@ -114,7 +119,8 @@ ENERGY_CSV = "t,E,Etot\n0,2,1\n1,1,0.5\n2,0.5,0.25\n3,0.25,0.125\n"
         "t-end-1e300", "L-nan", "L-inf", "dt-inf", "seed-negative",
         "gamma-1e200",
         "L-1e308", "dt-1e308", "dt-negative", "alpha-1e308",
-        "fit-log-C-below-1", "fit-nan-series", "fit-inf-series"])
+        "fit-log-C-below-1", "fit-nan-series", "fit-inf-series",
+        "cutoff-nan", "cutoff-zero", "cutoff-negative"])
 def test_bad_input_exits_2_with_error_line(tmp_path, capsys, command, extra,
                                            values):
     name, *options = command.split()
@@ -146,6 +152,8 @@ _LINEAR_RUN = (pw.state_from_modes(pw.Grid1D(1.0, 11), [0.1], [0.0], [0.0],
                pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0),
                pw.validate_exponents(1, 1, 2, 2), pw.Grid1D(1.0, 11),
                pw.StepConfig(dt=1e-3), 0.01)
+# (times, values) of a decaying energy series
+_SERIES = ([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.25, 0.125])
 
 
 @pytest.mark.parametrize("call", [
@@ -166,10 +174,17 @@ _LINEAR_RUN = (pw.state_from_modes(pw.Grid1D(1.0, 11), [0.1], [0.0], [0.0],
     lambda: pw.theorem210_threshold(*_LINEAR_RUN[:4], 0.6,
                                     convention="unknown"),
     lambda: pw.validate_exponents(1, 1, 2, 2, mode="unknown"),
+    lambda: pw.StepConfig(dt=1e-3, blowup_cutoff=float("nan")),
+    lambda: pw.Grid1D(1.0, MAX_NX + 1),
+    lambda: pw.fit_exponential([0.0, 1.0, 2.0], [1.0, 0.5, 0.25]),
+    lambda: pw.fit_polynomial(*_SERIES, 0.0),
+    lambda: pw.fit_logarithmic(*_SERIES, float("nan"), 2.0),
+    lambda: pw.fit_logarithmic(*_SERIES, 1.0, 0.5),
 ], ids=["grid", "step-config", "step-count", "embedding-q",
         "zero-pivot", "midpoint-overflow", "damping-dt", "damping-m",
         "record-every", "lp-q", "s-star", "bound-convention",
-        "exponent-mode"])
+        "exponent-mode", "step-config-cutoff", "grid-max-nx",
+        "fit-series-shape", "fit-poly-eta", "fit-log-eta", "fit-log-C"])
 def test_invalid_argument_is_typed(call):
     """Each site raises a PiezowaveError that is still the ValueError it
     was before (InvalidArgument)."""
@@ -223,6 +238,36 @@ def test_invalid_sweep_member_is_an_error_row(tmp_path):
     assert good[0] == "41" and good[2] == "completed"
     assert bad[0] == "2" and bad[2].startswith("error: ")
     assert "nx = 2" in bad[2]
+
+
+@pytest.mark.parametrize("command", ["simulate", "classify", "bounds"])
+def test_nx_above_bound_is_an_error_line(tmp_path, capsys, command):
+    """An nx past MAX_NX is refused before anything is allocated for it,
+    not left to end in a MemoryError traceback."""
+    assert main([command, _write(tmp_path, nx=str(10**12))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"must be <= {MAX_NX}" in err
+
+
+def test_nx_above_bound_is_an_error_row(tmp_path):
+    cfg = _write(tmp_path, extra=f"\n[sweep.axes]\ngrid.nx = 21, {10**12}\n")
+    assert main(["sweep", cfg]) == 0
+    _, good, bad = _sweep_rows(tmp_path)
+    assert good[2] == "completed"
+    assert bad[0] == str(10**12) and bad[2].startswith("error: nx = ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_misspelled_section_is_an_unknown_option(tmp_path, capsys, command):
+    """Only [sweep] and [sweep.axes] are left to the sweep loader: a
+    misspelled [sweeps] is checked like any other section, for a run and
+    for a sweep, instead of being ignored."""
+    cfg = _write(tmp_path, extra="\n[sweeps]\ncap = 1\n"
+                                 "[sweep.axes]\ninitial.v0 = 0.05; 0.1\n")
+    assert main([command, cfg]) == 2
+    assert capsys.readouterr().err == "error: unknown option [sweeps] cap\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_list_axis_cells_parse_back_bit_exact(tmp_path):
@@ -340,3 +385,90 @@ def test_cli_fuzz_exits_0_or_2(data):
             f"{section}.{key} = {VALID[axis][0]}{sep} {bad}"),
             encoding="utf-8")
         assert _exit_code(["sweep", str(cfg)]) in (0, 2)
+
+
+# Valid values of each library argument; any of them may instead take one
+# of LIB_EXTREMES.  The run stays small (nx <= 41, t_end <= 0.05).
+LIB_VALID = {
+    "rho": (1.0, 2.3), "alpha": (2.0, 5.0), "beta": (1.0, 0.7),
+    "gamma": (1.0, -1.9), "mu": (1.0, 0.4),
+    "m1": (1.0, 2.0, 3.0), "m2": (1.0, 2.0, 3.0),
+    "n1": (2.0, 3.0), "n2": (2.0, 3.0),
+    "L": (1.0, 2.0), "nx": (21, 41),
+    "dt": (1e-3, 2.5e-3), "blowup_cutoff": (1e6, 10.0),
+    "v0": (0.05, 0.5), "p0": (0.03, 2.0), "v1": (0.0, 1.0), "p1": (0.0, -1.0),
+}
+LIB_EXTREMES = (float("nan"), float("inf"), 1e200, -1e200, 1e308, 0.0, -1.0)
+
+
+def _typed(call):
+    """call()'s value, or None when it raises a PiezowaveError."""
+    try:
+        return call()
+    except pw.PiezowaveError:
+        return None
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pw.state_from_modes(pw.Grid1D(1.0, 11), [np.inf], [0.0], [0.0],
+                                [0.0]),
+    lambda: pw.fit_exponential([0.0, 1.0, 2.0, 3.0],
+                               [1.0, 1.0, 1e-300, 1e300]),
+    lambda: pw.fit_polynomial(*_SERIES, 1e200),
+    lambda: pw.fit_logarithmic(*_SERIES, 1e200, 2.0),
+], ids=["inf-amplitude", "exp-envelope-overflow", "poly-eta-1e200",
+        "log-eta-1e200"])
+def test_extreme_library_input_raises_no_warning(call):
+    """Found by the library fuzz: an infinite mode amplitude (inf * sin(0))
+    and an energy series whose envelope or E^(-eta) overflows, as with
+    m1 = 1e200, give NaN/inf values quietly, as they do in the CLI."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_library_fuzz_returns_or_raises_typed(data):
+    """The library entry points, on fuzzed parameters, exponents, grid,
+    step settings and mode amplitudes, return or raise a PiezowaveError,
+    with numpy warnings raised as errors."""
+    fuzzed = data.draw(st.sets(st.sampled_from(list(LIB_VALID)), max_size=4),
+                       label="fuzzed")
+    x = {key: data.draw(st.sampled_from(LIB_VALID[key] + LIB_EXTREMES),
+                        label=key) if key in fuzzed else LIB_VALID[key][0]
+         for key in LIB_VALID}
+    scheme = data.draw(st.sampled_from(pw.integrator.SCHEMES), label="scheme")
+    damping, sources = data.draw(st.booleans()), data.draw(st.booleans())
+    t_end = data.draw(st.sampled_from((0.0, 0.02, 0.05)), label="t_end")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        made = _typed(lambda: (
+            pw.make_params(x["rho"], x["alpha"], x["beta"], x["gamma"],
+                           x["mu"]),
+            pw.validate_exponents(x["m1"], x["m2"], x["n1"], x["n2"]),
+            pw.Grid1D(x["L"], x["nx"]),
+            pw.StepConfig(dt=x["dt"], scheme=scheme,
+                          blowup_cutoff=x["blowup_cutoff"],
+                          damping_on=damping, sources_on=sources)))
+        if made is None:
+            return
+        params, exps, grid, cfg = made
+        state0 = pw.state_from_modes(grid, [x["v0"]], [x["p0"]], [x["v1"]],
+                                     [x["p1"]])
+        report = _typed(lambda: pw.well_report(params, exps, grid))
+        if report is not None:
+            _typed(lambda: pw.classify_initial(state0, report, params, exps,
+                                               grid))
+        traj = _typed(lambda: pw.simulate(state0, params, exps, grid, cfg,
+                                          t_end, record_every=5))
+        if traj is None:
+            return
+        _typed(lambda: pw.blowup_report(traj, state0, params, exps, grid,
+                                        pw.poincare_constant(grid)))
+        times = [r.t for r in traj.records]
+        values = [r.Etot for r in traj.records]
+        eta = pw.eta_from_exponents(exps) or 1.0
+        _typed(lambda: pw.fit_exponential(times, values))
+        _typed(lambda: pw.fit_polynomial(times, values, eta))
+        _typed(lambda: pw.fit_logarithmic(times, values, eta, 2.0))

@@ -16,7 +16,10 @@ temporary directory.  Both exports then run the same fixed cases:
     the source iteration, the row-by-row damping and source branches and
     rho != mu;
   * `fit --model exp|poly|log` on each `energy.csv` that `simulate` wrote;
-  * `sweep` on the AC-9 sweep config of `tests/test_acceptance.py`;
+  * `sweep` on the AC-9 sweep config of `tests/test_acceptance.py`, and
+    on the `BASE_CFG` harness config with `[fit] model = exp` and the axis
+    `grid.nx = 41, 2`, whose second member is invalid: its rows print the
+    `omega` column of a fit and an `error:` row;
   * the three scripts in `demos/`.
 
 Every output file, every stdout and every exit code is compared with the
@@ -196,6 +199,14 @@ max_parallel = 8
 initial.v0 = 0.05; 0.5; 5.0
 """
 
+FIT_ERROR_SWEEP_CFG = HARNESS_CFG.format(v0="0.05") + """
+[fit]
+model = exp
+
+[sweep.axes]
+grid.nx = 41, 2
+"""
+
 RUN_CONFIGS = {
     "readme": README_CFG,
     "harness": HARNESS_CFG.format(v0="0.05"),
@@ -238,10 +249,12 @@ def produce(tree: Path, work: Path) -> None:
             for model in ("exp", "poly", "log"):
                 run(tree, sim, f"fit-{model}",
                     cli + ["fit", "out/energy.csv", "--model", model])
-    cwd = work / "ac9" / "sweep"
-    cwd.mkdir(parents=True)
-    (cwd / "sweep.cfg").write_text(AC9_SWEEP_CFG, encoding="utf-8")
-    run(tree, cwd, "sweep", cli + ["sweep", "sweep.cfg"])
+    for case, text in (("ac9", AC9_SWEEP_CFG),
+                       ("fit-error", FIT_ERROR_SWEEP_CFG)):
+        cwd = work / case / "sweep"
+        cwd.mkdir(parents=True)
+        (cwd / "sweep.cfg").write_text(text, encoding="utf-8")
+        run(tree, cwd, "sweep", cli + ["sweep", "sweep.cfg"])
     for demo in DEMOS:
         cwd = work / "demos" / demo
         cwd.mkdir(parents=True)
