@@ -18,6 +18,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,7 +29,8 @@ from .config import (RunConfig, build_run, expand_sweep, fmt,
 from .diagnostics import CSV_FIELDS, QUIET
 from .errors import (BoundInapplicable, ConfigParse, NonPositiveSeries,
                      PiezowaveError)
-from .integrator import simulate
+from .grid import State
+from .integrator import simulate, step_count
 from .well import classify_initial, poincare_constant, well_report
 
 
@@ -73,21 +75,28 @@ def _fit_summary(traj, cfg: RunConfig, exps) -> dict:
             "fit_rmse": fit.rmse}
 
 
-def _classified_well(seed: int, params, exps, grid, state0):
-    """The well report of a run, with its initial data classified."""
-    report = well_report(params, exps, grid, seed=seed)
-    report.classification = classify_initial(state0, report, params, exps,
-                                             grid)
-    return report
+def _classified_well(wells: dict, seed: int, params, exps, grid, state0):
+    """The well report of a run, with its initial data classified.  wells
+    keeps the reports computed so far, by (material, exponents, grid,
+    seed), and the run gets a copy that carries its classification."""
+    key = (params, exps, grid, seed)
+    if key not in wells:
+        wells[key] = well_report(params, exps, grid, seed=seed)
+    return replace(wells[key], classification=classify_initial(
+        state0, wells[key], params, exps, grid))
 
 
-def run_one(cfg: RunConfig):
+def run_one(cfg: RunConfig, traj=None, wells=None):
     """Build (which validates) and execute one configured run; returns its
-    "trajectory" and the "well", "blowup" and "summary" JSON dicts."""
+    "trajectory" and the "well", "blowup" and "summary" JSON dicts.  A sweep
+    passes the member's trajectory once its batch has run it, and the well
+    reports it keeps (see `_classified_well`)."""
     params, exps, grid, step, state0 = build_run(cfg)
-    report = _classified_well(cfg.seed, params, exps, grid, state0)
-    traj = simulate(state0, params, exps, grid, step, cfg.t_end,
-                    cfg.record_every)
+    report = _classified_well({} if wells is None else wells, cfg.seed,
+                              params, exps, grid, state0)
+    if traj is None:
+        traj = simulate(state0, params, exps, grid, step, cfg.t_end,
+                        cfg.record_every)
     breport = bl.blowup_report(traj, state0, params, exps, grid,
                                report.poincare_c)
     summary = {
@@ -125,7 +134,7 @@ def cli_simulate(path: str) -> int:
 def cli_classify(path: str) -> int:
     cfg = load_run_config(path)
     params, exps, grid, _, state0 = build_run(cfg)
-    report = _classified_well(cfg.seed, params, exps, grid, state0)
+    report = _classified_well({}, cfg.seed, params, exps, grid, state0)
     os.makedirs(cfg.outdir, exist_ok=True)
     write_json(report.as_dict(), os.path.join(cfg.outdir, "well.json"))
     print(report.classification)
@@ -137,20 +146,59 @@ SWEEP_KEYS = ("classification", "outcome", "t_detect", "tmax_bound",
               "fit_omega")
 
 
-def _sweep_row(names, overrides, cfg: RunConfig):
+# Bytes of states and energy records that one sweep batch may hold: per
+# member, about 20 float arrays of nx nodes while a step runs and about 400
+# bytes per EnergyRecord.  A larger group of members runs as several
+# batches.
+BATCH_BYTES = 2**28
+
+
+def _summary(cfg: RunConfig, traj, wells: dict) -> dict:
     try:
-        summary = run_one(cfg)["summary"]
+        return run_one(cfg, traj, wells)["summary"]
     except PiezowaveError as exc:
-        summary = {"outcome": f"error: {exc}"}
-    return ([fmt(overrides[n]) for n in names]
-            + [fmt(summary.get(key)) for key in SWEEP_KEYS])
+        return {"outcome": f"error: {exc}"}
+
+
+def _sweep_summaries(cfgs: list) -> list:
+    """The run summary of each sweep member, in order.  Members that share
+    material, exponents, grid, step config, t_end and record_every advance
+    as one batch of `simulate`, as many as BATCH_BYTES allows.  If a batch
+    raises, its members run one at a time, so that the error falls on the
+    member that raised it; so does a member that does not build."""
+    wells, summaries, groups = {}, [None] * len(cfgs), {}
+    for i, cfg in enumerate(cfgs):
+        try:
+            params, exps, grid, step, state0 = build_run(cfg)
+        except PiezowaveError:
+            summaries[i] = _summary(cfg, None, wells)
+            continue
+        run = (params, exps, grid, step, cfg.t_end, cfg.record_every)
+        groups.setdefault(run, []).append((i, state0))
+    for run, group in groups.items():
+        _, _, grid, step, t_end, record_every = run
+        records = step_count(t_end, step.dt) // record_every + 2
+        size = max(1, BATCH_BYTES // (160 * grid.nx + 400 * records))
+        for start in range(0, len(group), size):
+            batch = group[start:start + size]
+            try:
+                trajectories = simulate(State.stacked(np.array(
+                    [state0.y for _, state0 in batch])), *run)
+            except PiezowaveError:
+                trajectories = [None] * len(batch)
+            for (i, _), traj in zip(batch, trajectories):
+                summaries[i] = _summary(cfgs[i], traj, wells)
+    return summaries
 
 
 def cli_sweep(path: str) -> int:
     sweep = load_sweep_config(path)
     names = list(sweep.axes.keys())
-    # one member after another, in expansion (sorted-axes) order
-    rows = [_sweep_row(names, ov, cfg) for ov, cfg in expand_sweep(sweep)]
+    members = list(expand_sweep(sweep))
+    rows = [[fmt(overrides[n]) for n in names]
+            + [fmt(summary.get(key)) for key in SWEEP_KEYS]
+            for (overrides, _), summary
+            in zip(members, _sweep_summaries([cfg for _, cfg in members]))]
     os.makedirs(sweep.base.outdir, exist_ok=True)
     out = os.path.join(sweep.base.outdir, "sweep.csv")
     write_csv(names + [k.removeprefix("fit_") for k in SWEEP_KEYS], rows, out)

@@ -138,8 +138,8 @@ OPTIONS = _table(RunConfig)
 class SweepConfig:
     base: RunConfig
     axes: dict                # {"section.option": [values...]} sorted keys
-    # Parsed and validated, but members run in order: it has no effect
-    # until batched stepping uses it as the batch-size cap.
+    # Parsed and validated, but without effect: members that share a shape
+    # run as one batch, sized by cli.BATCH_BYTES.
     max_parallel: int = _option("sweep", 4, _at_least(int, 1))
     cap: int = _option("sweep", 10_000, int)
 

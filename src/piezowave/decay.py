@@ -82,9 +82,10 @@ def _power_fit(t, e, eta, x, model, k0):
         omega = 0.0
     else:
         omega = slope / (intercept * eta)
-    # envelope with the series' own E(0) anchoring
+    # envelope with the series' own E(0) anchoring; written so that a NaN
+    # base (omega = nan once E^(-eta) overflows) fails the envelope check
     base = (1.0 + omega * eta * x) / (1.0 + eta)
-    env = np.where(base > 0.0, e[0] * base ** (-1.0 / eta), np.inf)
+    env = np.where(base <= 0.0, np.inf, e[0] * base ** (-1.0 / eta))
     envelope_ok = bool(np.all(e <= env * ENVELOPE_SLACK))
     pred = intercept + slope * x[k0:]
     if np.all(pred > 0.0):

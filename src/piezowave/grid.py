@@ -73,8 +73,9 @@ class Grid1D:
 
 class State:
     """Grid samples of (v, p, v_t, p_t) at one instant, stacked as the rows
-    of one float array y of shape (4, nx); v, p, vt and pt are views of its
-    rows, so a write into one of them is a write into y."""
+    of one float array y of shape (4, nx), or (B, 4, nx) for a batch of B
+    members; v, p, vt and pt are views of its rows, so a write into one of
+    them is a write into y."""
 
     __slots__ = ("y", "t")
 
@@ -83,12 +84,14 @@ class State:
 
     @classmethod
     def stacked(cls, y: np.ndarray, t: float = 0.0) -> "State":
-        """A state that holds the (4, nx) array y itself, not a copy."""
+        """A state that holds the (..., 4, nx) array y itself, not a
+        copy."""
         state = cls.__new__(cls)
         state.y, state.t = y, t
         return state
 
-    v, p, vt, pt = (property(lambda self, i=i: self.y[i]) for i in range(4))
+    v, p, vt, pt = (property(lambda self, i=i: self.y[..., i, :])
+                    for i in range(4))
 
     def copy(self) -> "State":
         return State.stacked(self.y.copy(), self.t)

@@ -11,9 +11,13 @@ stiffness.  Source terms are evaluated at the step-start displacement by
 default ("semi-implicit"); the "implicit-midpoint" scheme iterates the
 sources to the midpoint displacement.
 
-A step works on a State's stacked (4, nx) array y: displacements y[:2],
-velocities y[2:], and (rho, mu) as a (2, 1) column.  Each operation covers
-both rows at once, and goes row by row only where the exponents differ.
+A step works on a State's stacked array y of one member, (4, nx), or of a
+batch of B members, (B, 4, nx): displacements y[..., :2, :], velocities
+y[..., 2:, :], and (rho, mu) as a (2, 1) column.  Each operation covers both
+rows of every member at once, and goes row by row only where the exponents
+differ.  Every reduction is one np.dot per member, and the source iteration
+and the blow-up check decide per member, so a member's results do not
+depend on what else is in its batch.
 
 The damping root has a closed form, exact to roundoff, for m in {1, 2, 3},
 and a per-entry Newton solve otherwise.  The conservative solve is one
@@ -52,7 +56,7 @@ NEWTON_MAX_ITER = 60
 MAX_STEPS = 10**9
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepConfig:
     dt: float
     scheme: str = "semi-implicit"
@@ -152,6 +156,24 @@ def damping_solve(r: float, dt: float, m: float) -> float:
     return float(_damping_solve_vec(np.array([r], dtype=float), dt, m)[0])
 
 
+def _members(y):
+    """The (4, nx) arrays of the members of a stacked array y."""
+    return y if y.ndim == 3 else (y,)
+
+
+def _moving(new, xm) -> list:
+    """Whether each member's iterate moved by more than NEWTON_TOL relative
+    to its displacement, one bool per member; a NaN change counts as
+    settled.  One member, (2, nx) or (1, 2, nx), takes whole-array
+    reductions, which are faster than reductions along an axis."""
+    if new.ndim == 2 or len(new) == 1:
+        return [np.abs(new - xm).max()
+                > NEWTON_TOL * (1.0 + np.abs(new[..., 0, :]).max())]
+    delta = np.abs(new - xm).reshape(len(new), -1).max(axis=1)
+    return (delta > NEWTON_TOL
+            * (1.0 + np.abs(new[:, 0]).max(axis=1))).tolist()
+
+
 class Stepper:
     """Caches the factorized midpoint matrix for (grid, params, dt)."""
 
@@ -162,6 +184,7 @@ class Stepper:
         self._mass = np.array([[params.rho], [params.mu]])
         # (dt/4)(1/rho, 1/mu); if one underflows to 0, each row goes alone
         self._damp_coef = (0.25 * cfg.dt) * (1.0 / self._mass)
+        self._damp_joint = bool(self._damp_coef.all())
         self._solve = self._factorize()
 
     def _factorize(self):
@@ -201,73 +224,107 @@ class Stepper:
                   for b in (lo, up))
         solve = tridiagonal_solver(lo, 1.0 + mid.ravel(), up)
         v, v_inv = d[:, None] * q, q.T / d
-        return lambda rhs: v @ solve((v_inv @ rhs).ravel()).reshape(rhs.shape)
+        n = lo.size + 1
+
+        def batch_solve(rhs):
+            # the members of a (B, 2, nx) rhs are the B columns of one solve;
+            # one member goes flat, which dgttrs takes faster
+            w = v_inv @ rhs
+            w = solve(w.ravel() if w.size == n else w.reshape(-1, n).T)
+            return v @ w.T.reshape(rhs.shape)
+        return batch_solve
 
     def _source(self, x, exps: Exponents):
         """|x|^(n-1) x on the displacement rows x, with n = (n1, n2)."""
         if exps.n1 == exps.n2:
             return np.abs(x) ** (exps.n1 - 1.0) * x
-        return np.array([np.abs(r) ** (n - 1.0) * r
-                         for r, n in zip(x, (exps.n1, exps.n2))])
+        return np.stack([np.abs(r) ** (n - 1.0) * r for r, n
+                         in zip((x[..., 0, :], x[..., 1, :]),
+                                (exps.n1, exps.n2))], axis=-2)
 
     def _conservative(self, y, exps: Exponents):
         """The conservative substep from y to a new stacked array."""
         dt = self.cfg.dt
-        x, xt = y[:2], y[2:]
-        base = x + (0.5 * dt) * xt
+        x, xt = y[..., :2, :], y[..., 2:, :]
 
-        def midpoint(f):
+        def midpoint(f, base):
             return self._solve(base + ((dt * dt / 4.0) * f) / self._mass)
 
+        base = x + (0.5 * dt) * xt
         on = self.cfg.sources_on
-        xm = midpoint(self._source(x, exps) if on else 0.0)
-        # semi-implicit stops at this first iterate; implicit-midpoint
-        # iterates the sources to the midpoint, NEWTON_MAX_ITER solves in all
+        xm = midpoint(self._source(x, exps) if on else 0.0, base)
+        # semi-implicit stops at this first iterate
         if on and self.cfg.scheme == "implicit-midpoint":
-            for _ in range(NEWTON_MAX_ITER - 1):
-                xm_new = midpoint(self._source(xm, exps))
-                delta = np.abs(xm_new - xm).max()
-                xm = xm_new
-                # a NaN delta stops too: the blow-up check ends the run on it
-                if not delta > NEWTON_TOL * (1.0 + np.abs(xm[0]).max()):
-                    break
-            else:
-                raise NoConvergence("implicit source iteration stalled")
+            xm = self._iterate(xm, midpoint, base, exps)
         out = np.empty_like(y)
-        out[:2] = 2.0 * xm - x
-        out[2:] = 4.0 * (xm - x) / dt - xt
+        out[..., :2, :] = 2.0 * xm - x
+        out[..., 2:, :] = 4.0 * (xm - x) / dt - xt
         return out
+
+    def _iterate(self, xm, midpoint, base, exps: Exponents):
+        """implicit-midpoint: iterate the sources of each member to its
+        midpoint, NEWTON_MAX_ITER solves in all.  A member stops on its own
+        test and keeps its iterate, and the others go on without it; a NaN
+        change stops it too, since the blow-up check ends its run."""
+        out, rows = xm, None      # the rows of out still iterating, or all
+        for _ in range(NEWTON_MAX_ITER - 1):
+            new = midpoint(self._source(xm, exps), base)
+            busy = _moving(new, xm)
+            if rows is None:
+                out = new
+            else:
+                out[rows] = new
+            if not any(busy):
+                return out
+            if not all(busy):
+                busy = np.flatnonzero(busy)
+                rows = busy if rows is None else rows[busy]
+                new, base = new[busy], base[busy]
+            xm = new
+        raise NoConvergence("implicit source iteration stalled")
 
     def _damp(self, y, exps: Exponents):
         """Damping half-step of the velocity rows of y, in place; returns y.
         Over h = dt/2 the midpoint update of y' = -c|y|^(m-1)y is 2z - y
         with z + (h/2)c|z|^(m-1)z = y."""
-        vel, a = y[2:], self._damp_coef
-        if exps.m1 == exps.m2 in (1.0, 2.0, 3.0) and a.all():
+        vel, a = y[..., 2:, :], self._damp_coef
+        if exps.m1 == exps.m2 in (1.0, 2.0, 3.0) and self._damp_joint:
             z = _damping_solve_vec(vel, a, exps.m1)
         else:
-            z = np.array([_damping_solve_vec(r, ak, m) for r, ak, m
-                          in zip(vel, a[:, 0], (exps.m1, exps.m2))])
-        y[2:] = 2.0 * z - vel
+            z = np.stack([_damping_solve_vec(r, ak, m) for r, ak, m
+                          in zip((vel[..., 0, :], vel[..., 1, :]), a[:, 0],
+                                 (exps.m1, exps.m2))], axis=-2)
+        y[..., 2:, :] = 2.0 * z - vel
         return y
 
     @np.errstate(**QUIET)
     def step(self, state: State, exps: Exponents) -> State:
+        """The state one step on.  state.y holds one member, (4, nx), or a
+        batch, (B, 4, nx), whose members each advance as they would alone.
+        If a member's norms cross the blow-up cutoff, BlowupDetected carries
+        the new state and, in `members`, (row, trigger, value) of each
+        member that crossed."""
         cfg = self.cfg
         y = self._damp(state.y.copy(), exps) if cfg.damping_on else state.y
         y = self._conservative(y, exps)
         if cfg.damping_on:
             self._damp(y, exps)
         state = State.stacked(y, state.t + cfg.dt)
-        checks = (("grad_v_sq", grad_norm_sq(state.v, self.grid)),
-                  ("quadratic_form", quadratic_form(state.v, state.p,
-                                                    self.grid, self.params)))
-        for trigger, value in checks:
-            # written so that a NaN norm (non-finite state) also ends the run
-            if not value <= cfg.blowup_cutoff:
-                err = BlowupDetected(state.t, trigger, value)
-                err.state = state
-                raise err
+        blown = []
+        for row, member in enumerate(_members(y)):
+            checks = (("grad_v_sq", grad_norm_sq(member[0], self.grid)),
+                      ("quadratic_form", quadratic_form(
+                          member[0], member[1], self.grid, self.params)))
+            for trigger, value in checks:
+                # written so that a NaN norm (non-finite state) also ends
+                # the member's run
+                if not value <= cfg.blowup_cutoff:
+                    blown.append((row, trigger, value))
+                    break
+        if blown:
+            err = BlowupDetected(state.t, *blown[0][1:])
+            err.state, err.members = state, blown
+            raise err
         return state
 
 
@@ -292,10 +349,15 @@ class Trajectory:
 @np.errstate(**QUIET)
 def simulate(state0: State, params: MaterialParams, exps: Exponents,
              grid: Grid1D, cfg: StepConfig, t_end: float,
-             record_every: int = 1) -> Trajectory:
+             record_every: int = 1) -> Trajectory | list:
     """Advance to t_end, sampling diagnostics every record_every steps.
 
-    Blow-up detection is a normal terminal outcome, not an error.  Every
+    state0 holds one member, (4, nx), and gives its Trajectory; or a batch
+    of B members stacked as (B, 4, nx), and gives a list of B Trajectories,
+    each equal bit for bit to its member's own run.  Blow-up detection is
+    a normal terminal outcome, not an error: the member gets its last
+    record and leaves the batch, and the others go on.  An error of any
+    member, such as NoConvergence, is raised for the whole batch.  Every
     state it records or returns carries t = k*dt after step k, so times do
     not drift by repeated addition.
     """
@@ -304,29 +366,46 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
         raise InvalidArgument("record_every must be >= 1")
     stepper = Stepper(grid, params, cfg)
 
-    etot0 = total_energy(state0, params, exps, grid)
-    damping_cum = 0.0
     state = State.stacked(state0.y.copy())
-    prev_dnorm = sum(damping_norms(state, exps, grid)) if cfg.damping_on else 0.0
+    members = [State.stacked(y) for y in _members(state.y)]
+    etot0 = [total_energy(m, params, exps, grid) for m in members]
+    damping_cum = [0.0] * len(members)
+    prev_dnorm = [sum(damping_norms(m, exps, grid)) if cfg.damping_on
+                  else 0.0 for m in members]
+    records = [[make_record(m, params, exps, grid, 0.0, e0)]
+               for m, e0 in zip(members, etot0)]
+    trajectories = [None] * len(members)
 
-    records = [make_record(state, params, exps, grid, damping_cum, etot0)]
-
-    outcome, t_detect, trigger = "completed", None, None
+    live = list(range(len(members)))      # the member in each batch row
     for k in range(1, n_steps + 1):
+        blown = ()
         try:
             state = stepper.step(state, exps)
         except BlowupDetected as blow:
             state = blow.state
-            outcome, t_detect, trigger = "blowup", k * cfg.dt, blow.trigger
-        state.t = k * cfg.dt
-        if cfg.damping_on:
-            dnorm = sum(damping_norms(state, exps, grid))
-            damping_cum += 0.5 * cfg.dt * (prev_dnorm + dnorm)
-            prev_dnorm = dnorm
-        if k % record_every == 0 or k == n_steps or outcome == "blowup":
-            records.append(make_record(state, params, exps, grid,
-                                       damping_cum, etot0))
-        if outcome == "blowup":
-            break
-    return Trajectory(records=records, outcome=outcome, t_detect=t_detect,
-                      trigger=trigger, final_state=state)
+            blown = {row: trigger for row, trigger, _ in blow.members}
+        state.t = t = k * cfg.dt
+        record = k % record_every == 0 or k == n_steps
+        for row, (i, y) in enumerate(zip(live, _members(state.y))):
+            member = State.stacked(y, t)
+            if cfg.damping_on:
+                dnorm = sum(damping_norms(member, exps, grid))
+                damping_cum[i] += 0.5 * cfg.dt * (prev_dnorm[i] + dnorm)
+                prev_dnorm[i] = dnorm
+            if record or row in blown:
+                records[i].append(make_record(member, params, exps, grid,
+                                              damping_cum[i], etot0[i]))
+        if blown:
+            for row, trigger in blown.items():
+                trajectories[live[row]] = Trajectory(
+                    records[live[row]], "blowup", t, trigger,
+                    State.stacked(_members(state.y)[row].copy(), t))
+            keep = [row for row in range(len(live)) if row not in blown]
+            live = [live[row] for row in keep]
+            if not live:
+                break
+            state = State.stacked(state.y[keep], t)
+    for i, y in zip(live, _members(state.y)):
+        trajectories[i] = Trajectory(records[i], "completed", None, None,
+                                     State.stacked(y.copy(), state.t))
+    return trajectories if state0.y.ndim == 3 else trajectories[0]

@@ -83,6 +83,20 @@ def test_polynomial_requires_positive_eta():
         pw.fit_polynomial(t, np.exp(-t), 0.0)
 
 
+@pytest.mark.parametrize("fit", [
+    lambda t, e: pw.fit_polynomial(t, e, 1e200),
+    lambda t, e: pw.fit_logarithmic(t, e, 1e200, 2.0),
+], ids=["poly", "log"])
+def test_nan_envelope_fails_envelope_check(fit):
+    """E^(-eta) overflows at eta = 1e200, so omega and the envelope base
+    are NaN: the envelope check must fail, not pass as an infinite
+    envelope."""
+    result = fit([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.25, 0.125])
+    assert np.isnan(result.omega)
+    assert result.envelope_ok is False
+    assert result.accepted is False
+
+
 # ---------------------------------------------------------------------------
 # logarithmic
 

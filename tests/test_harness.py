@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import piezowave as pw
+from piezowave import cli, integrator
 from piezowave.cli import main
 from piezowave.config import (expand_sweep, load_run_config,
                               load_sweep_config)
@@ -211,6 +212,61 @@ initial.v0 = 0.02; 0.05
     combos = [ov for ov, _ in expand_sweep(sweep)]
     assert [c["initial.v0"] for c in combos] == [(0.02,), (0.02,), (0.05,), (0.05,)]
     assert [c["run.seed"] for c in combos] == [0, 1, 0, 1]
+
+
+def _counted(monkeypatch, module, name):
+    """Count the calls of module.name, which still runs."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sweep_runs_each_group_as_one_batch(tmp_path, monkeypatch):
+    """Members that share everything but their initial data advance as one
+    batch, and the well is analysed once per grid and seed; every row still
+    equals the summary of the member's own run."""
+    cfg_path = _write_cfg(tmp_path, extra="""
+[sweep.axes]
+grid.nx = 41, 81
+initial.v0 = 0.02; 0.05; 0.08
+""")
+    singles = [cli.run_one(cfg)["summary"]
+               for _, cfg in expand_sweep(load_sweep_config(cfg_path))]
+    simulations = _counted(monkeypatch, cli, "simulate")
+    wells = _counted(monkeypatch, cli, "well_report")
+    assert main(["sweep", cfg_path]) == 0
+    assert [args[0].y.shape for args in simulations] == [(3, 4, 41),
+                                                         (3, 4, 81)]
+    assert len(wells) == 2
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2:] for row in rows] == [
+        [cli.fmt(s.get(k)) for k in cli.SWEEP_KEYS] for s in singles]
+
+
+def test_sweep_batch_error_falls_on_its_member(tmp_path, monkeypatch):
+    """When a batch raises, its members run one at a time, so that the
+    error row falls on the member whose source iteration stalled."""
+    cfg_path = _write_cfg(tmp_path, extra="""
+[sweep.axes]
+initial.v0 = 0.05; 1.0
+""")
+    text = open(cfg_path, encoding="utf-8").read()
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("semi-implicit", "implicit-midpoint")
+                 .replace("t_end = 0.5", "t_end = 0.05"))
+    monkeypatch.setattr(integrator, "NEWTON_MAX_ITER", 2)
+    simulations = _counted(monkeypatch, cli, "simulate")
+    assert main(["sweep", cfg_path]) == 0
+    assert len(simulations) == 3      # the batch, then each member alone
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert rows[1:] == [
+        "0.050000000000000003,global-predicted,completed,,,",
+        "1,,error: implicit source iteration stalled,,,"]
 
 
 def test_sweep_cap_enforced(tmp_path):

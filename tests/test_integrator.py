@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -364,3 +366,61 @@ def test_schemes_agree_at_first_order(ref_params, ref_grid):
     diff = np.max(np.abs(out["semi-implicit"].v
                          - out["implicit-midpoint"].v))
     assert diff < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# a batch of members, each as if alone
+
+def _bits(traj):
+    """Records, outcome, t_detect, trigger and final state of a trajectory,
+    with every array as its bytes, so that NaN compares equal to itself."""
+    return (np.array([astuple(r) for r in traj.records]).tobytes(),
+            traj.outcome, traj.t_detect, traj.trigger,
+            traj.final_state.y.tobytes(), traj.final_state.t)
+
+
+# members: two that complete, NaN initial data (blow-up at the first step),
+# and an amplitude that blows up later, so the batch shrinks twice mid-run
+BATCH_AMPLITUDES = [0.05, 40.0, 2.0, float("nan"), 100.0]
+
+
+@pytest.mark.parametrize("exponents", [(1, 1, 2, 2), (4, 1, 3, 2)],
+                         ids=["m1", "mixed-newton-m4"])
+@pytest.mark.parametrize("order", [[0], [4, 1], [0, 1, 2, 3, 4],
+                                   [4, 2, 0, 3, 1]],
+                         ids=["B1", "B2", "B5", "B5-permuted"])
+def test_batch_member_equals_its_single_run(order, exponents):
+    """A member's trajectory from a batched simulate equals, bit for bit,
+    its own single-member simulate, whatever else is in the batch and in
+    whatever order."""
+    params = pw.make_params(*MATERIALS[1])
+    exps = pw.validate_exponents(*exponents)
+    grid = pw.Grid1D(1.0, 41)
+    cfg = pw.StepConfig(dt=1e-3, scheme="implicit-midpoint")
+    states = [pw.state_from_modes(grid, [a], [0.5 * a], [0.1], [0.0])
+              for a in BATCH_AMPLITUDES]
+    single = [pw.simulate(s, params, exps, grid, cfg, 0.3, 10)
+              for s in states]
+    assert [t.outcome for t in single] == ["completed"] * 3 + ["blowup"] * 2
+    assert 0.001 == single[3].t_detect < single[4].t_detect
+    batch = pw.simulate(pw.State.stacked(np.array([states[i].y
+                                                   for i in order])),
+                        params, exps, grid, cfg, 0.3, 10)
+    assert [_bits(t) for t in batch] == [_bits(single[i]) for i in order]
+
+
+def test_batched_step_names_each_blown_member(ref_params, ref_grid):
+    """Stepper.step on a batch raises BlowupDetected once, naming the row
+    and trigger of every member that crossed the cutoff, and carries the
+    new state of the whole batch."""
+    exps = pw.validate_exponents(1, 1, 2, 2)
+    states = [pw.state_from_modes(ref_grid, [a], [0.0], [0.0], [0.0])
+              for a in (1e-3, 1.0, float("nan"))]
+    cfg = pw.StepConfig(dt=1e-3, blowup_cutoff=1.0)
+    with pytest.raises(BlowupDetected) as info:
+        pw.Stepper(ref_grid, ref_params, cfg).step(
+            pw.State.stacked(np.array([s.y for s in states])), exps)
+    assert [(row, trigger) for row, trigger, _ in info.value.members] \
+        == [(1, "grad_v_sq"), (2, "grad_v_sq")]
+    assert info.value.state.y.shape == (3, 4, ref_grid.nx)
+    assert info.value.state.t == 1e-3

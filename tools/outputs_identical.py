@@ -16,10 +16,13 @@ temporary directory.  Both exports then run the same fixed cases:
     the source iteration, the row-by-row damping and source branches and
     rho != mu;
   * `fit --model exp|poly|log` on each `energy.csv` that `simulate` wrote;
-  * `sweep` on the AC-9 sweep config of `tests/test_acceptance.py`, and
-    on the `BASE_CFG` harness config with `[fit] model = exp` and the axis
+  * `sweep` on the AC-9 sweep config of `tests/test_acceptance.py`; on
+    the `BASE_CFG` harness config with `[fit] model = exp` and the axis
     `grid.nx = 41, 2`, whose second member is invalid: its rows print the
-    `omega` column of a fit and an `error:` row;
+    `omega` column of a fit and an `error:` row; and on that config with
+    the implicit-midpoint scheme and the axes `grid.nx = 41, 81` and
+    `initial.v0 = 0.05; 20.0; 40.0; 100.0`, whose members run as two
+    batches of four that each lose two members to blow-up mid-run;
   * the three scripts in `demos/`.
 
 Every output file, every stdout and every exit code is compared with the
@@ -207,6 +210,19 @@ model = exp
 grid.nx = 41, 2
 """
 
+# implicit-midpoint members on two grids: by grid, two batches of four,
+# each with two members that complete and two that blow up at different
+# steps, so that each batch shrinks twice while the rest go on
+BATCH_SWEEP_CFG = HARNESS_CFG.format(v0="0.05").replace(
+    "semi-implicit", "implicit-midpoint") + """
+[fit]
+model = exp
+
+[sweep.axes]
+grid.nx = 41, 81
+initial.v0 = 0.05; 20.0; 40.0; 100.0
+"""
+
 RUN_CONFIGS = {
     "readme": README_CFG,
     "harness": HARNESS_CFG.format(v0="0.05"),
@@ -250,7 +266,8 @@ def produce(tree: Path, work: Path) -> None:
                 run(tree, sim, f"fit-{model}",
                     cli + ["fit", "out/energy.csv", "--model", model])
     for case, text in (("ac9", AC9_SWEEP_CFG),
-                       ("fit-error", FIT_ERROR_SWEEP_CFG)):
+                       ("fit-error", FIT_ERROR_SWEEP_CFG),
+                       ("batch-split", BATCH_SWEEP_CFG)):
         cwd = work / case / "sweep"
         cwd.mkdir(parents=True)
         (cwd / "sweep.cfg").write_text(text, encoding="utf-8")
