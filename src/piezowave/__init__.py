@@ -8,17 +8,15 @@ from .config import (RunConfig, SweepConfig, expand_sweep, load_run_config,
 from .decay import (DecayFit, eta_from_exponents, fit_exponential,
                     fit_logarithmic, fit_polynomial, select_model)
 from .diagnostics import (CSV_FIELDS, EnergyRecord, N_of, damping_norms,
-                          kinetic_energy, make_record, potential_energy,
-                          quadratic_energy, sign_functional, source_norms,
-                          total_energy, well_side)
+                          kinetic_energy, make_record, sign_functional,
+                          source_norms, total_energy, well_side)
 from .errors import (AssumptionViolated, BlowupDetected, BoundInapplicable,
                      ConfigParse, DeltaOutOfRange, InvalidArgument,
                      NoConvergence, NonPositiveAlpha1, NonPositiveParameter,
                      NonPositiveSeries, NotBlowupRegime, PiezowaveError,
                      ZeroState)
 from .grid import (Grid1D, State, sine_modes, state_from_modes, zero_state)
-from .integrator import (StepConfig, Stepper, Trajectory, cfl_dt,
-                         damping_solve, simulate)
+from .integrator import StepConfig, Stepper, Trajectory, cfl_dt, simulate
 from .params import (Exponents, MaterialParams, make_params,
                      validate_exponents)
 from .well import (WellReport, c_hat_constant, check_delta, classify_initial,

@@ -178,7 +178,9 @@ def load_run_config(path: str) -> RunConfig:
 
 def _run_config_from_parser(cp: configparser.ConfigParser) -> RunConfig:
     sections = [s for s in cp.sections() if s not in ("sweep", "sweep.axes")]
-    return validate_run_config(_load(RunConfig(), cp, OPTIONS, sections))
+    cfg = _load(RunConfig(), cp, OPTIONS, sections)
+    build_run(cfg)            # fail fast on inconsistent physics
+    return cfg
 
 
 def build_run(cfg: RunConfig):
@@ -200,12 +202,6 @@ def build_run(cfg: RunConfig):
         raise ConfigParse(str(exc)) from None
     return (params, exps, grid, step,
             state_from_modes(grid, cfg.v0, cfg.p0, cfg.v1, cfg.p1))
-
-
-def validate_run_config(cfg: RunConfig) -> RunConfig:
-    """Fail fast on inconsistent physics: build_run, keeping the config."""
-    build_run(cfg)
-    return cfg
 
 
 def load_sweep_config(path: str) -> SweepConfig:

@@ -61,21 +61,10 @@ def kinetic_energy(state: State, params: MaterialParams, grid: Grid1D) -> float:
 
 
 @np.errstate(**QUIET)
-def quadratic_energy(state: State, params: MaterialParams, grid: Grid1D) -> float:
-    return kinetic_energy(state, params, grid) \
-        + 0.5 * quadratic_form(state.v, state.p, grid, params)
-
-
-@np.errstate(**QUIET)
 def source_norms(state: State, exps: Exponents, grid: Grid1D):
     """(||v||_{n1+1}^{n1+1}, ||p||_{n2+1}^{n2+1})."""
     return (lp_norm_pow(state.v, exps.n1 + 1.0, grid),
             lp_norm_pow(state.p, exps.n2 + 1.0, grid))
-
-
-def potential_energy(state: State, params: MaterialParams, exps: Exponents,
-                     grid: Grid1D) -> float:
-    return make_record(state, params, exps, grid, 0.0, 0.0).J
 
 
 def total_energy(state: State, params: MaterialParams, exps: Exponents,
@@ -117,16 +106,22 @@ def damping_norms(state: State, exps: Exponents, grid: Grid1D):
 @np.errstate(**QUIET)
 def make_record(state: State, params: MaterialParams, exps: Exponents,
                 grid: Grid1D, damping_cum: float, etot0: float) -> EnergyRecord:
-    q = quadratic_form(state.v, state.p, grid, params)
-    vn, pn = source_norms(state, exps, grid)
-    kin = kinetic_energy(state, params, grid)
+    return _record(state, params, exps, grid, damping_cum, etot0,
+                   quadratic_form(state.v, state.p, grid, params))
+
+
+def _record(state: State, params: MaterialParams, exps: Exponents,
+            grid: Grid1D, damping_cum: float, etot0, q: float) -> EnergyRecord:
+    """make_record given the state's Q, with etot0 None for the record's own
+    Etot; undecorated, for a caller in the QUIET error state."""
+    vn, pn = source_norms.__wrapped__(state, exps, grid)
+    kin = kinetic_energy.__wrapped__(state, params, grid)
     e = kin + 0.5 * q
     j = 0.5 * q - vn / (exps.n1 + 1.0) - pn / (exps.n2 + 1.0)
     etot = kin + j
     return EnergyRecord(
         t=state.t, E=e, J=j, Etot=etot, damping_cum=damping_cum,
-        residual=abs(etot + damping_cum - etot0),
+        residual=abs(etot + damping_cum - (etot if etot0 is None else etot0)),
         sign_fn=q - vn - pn, Q=q, vnorm_n1=vn, pnorm_n2=pn,
-        nprime=Nprime_of(state, params, grid),
+        nprime=Nprime_of.__wrapped__(state, params, grid),
     )
-

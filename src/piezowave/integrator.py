@@ -7,15 +7,17 @@ One step is a Strang sandwich
 where the damping substeps solve the pointwise monotone update exactly
 (midpoint form, so each substep strictly dissipates the kinetic norm) and
 the conservative substep is the implicit midpoint rule for the linear
-stiffness.  Source terms are evaluated at the step-start displacement by
-default ("semi-implicit"); the "implicit-midpoint" scheme iterates the
-sources to the midpoint displacement.
+stiffness.  Source terms are taken at the step-start displacement by
+default ("semi-implicit": the state is first order in dt); the
+"implicit-midpoint" scheme iterates them to the midpoint (second order).
 
 A step works on a State's stacked array y of one member, (4, nx), or of a
 batch of B members, (B, 4, nx): displacements y[..., :2, :], velocities
 y[..., 2:, :], and (rho, mu) as a (2, 1) column.  Each operation covers both
 rows of every member at once, and goes row by row only where the exponents
-differ.  Every reduction is one np.dot per member, and the source iteration
+differ.  One batched pass, `_step_norms`, gives the blow-up check its
+norms, the ledger its damping norm and the record its Q.  Every reduction
+is one np.dot per member row (as ndarray.dot), and the source iteration
 and the blow-up check decide per member, so a member's results do not
 depend on what else is in its batch.
 
@@ -24,9 +26,8 @@ and a per-entry Newton solve otherwise.  The conservative solve is one
 block-diagonal tridiagonal solve in the eigenbasis of the 2x2 coupling
 matrix (see `Stepper._factorize`), an exact change of variables.
 
-With sources and damping disabled the conservative substep preserves the
-discrete quadratic energy exactly (up to the direct linear solve), which
-is what makes the conservation sanity checks meaningful.
+With sources and damping off the conservative substep conserves the
+discrete quadratic energy up to the roundoff of the direct linear solve.
 
 A non-finite state is a blow-up outcome, so `simulate` and `Stepper.step`
 let numpy overflow quietly and leave the decision to the blow-up check.
@@ -39,11 +40,13 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import QUIET, damping_norms, make_record, total_energy
+from .diagnostics import QUIET, _record
 from .errors import BlowupDetected, InvalidArgument, NoConvergence
-from .grid import (Grid1D, State, grad_norm_sq, quadratic_form,
-                   second_difference, tridiagonal_solver)
+from .grid import Grid1D, State, second_difference, tridiagonal_solver
 from .params import Exponents, MaterialParams
+# not called here, but names of this module that perfbench/tracing.py patches
+from .diagnostics import damping_norms, make_record, total_energy  # noqa: F401
+from .grid import grad_norm_sq, quadratic_form  # noqa: F401
 
 SCHEMES = ("semi-implicit", "implicit-midpoint")
 
@@ -146,19 +149,26 @@ def _damping_newton(r: np.ndarray, a, m):
     return x.reshape(r.shape)
 
 
-def damping_solve(r: float, dt: float, m: float) -> float:
-    """Unique root of x + dt*|x|^(m-1)*x = r: exact to roundoff for
-    m in {1, 2, 3}, else to NEWTON_TOL relative."""
-    if dt <= 0:
-        raise InvalidArgument("dt must be > 0")
-    if m < 1:
-        raise InvalidArgument("m must be >= 1")
-    return float(_damping_solve_vec(np.array([r], dtype=float), dt, m)[0])
-
-
-def _members(y):
-    """The (4, nx) arrays of the members of a stacked array y."""
-    return y if y.ndim == 3 else (y,)
+def _step_norms(y, grid: Grid1D, params: MaterialParams, exps: Exponents,
+                damping_on: bool) -> list:
+    """(grad_norm_sq(v), quadratic_form(v, p), sum(damping_norms) or 0.0
+    with damping off) of each member of a stacked array y, bit for bit: one
+    dot per member row on differences and powers taken batch-wide."""
+    y = y.reshape(-1, 4, grid.nx)
+    dx, w = grid.dx, grid.weights
+    dnorms = [0.0] * len(y)
+    if damping_on:
+        if exps.m1 == exps.m2:
+            pv, pp = (np.abs(y[:, 2:]) ** (exps.m1 + 1.0)).transpose(1, 0, 2)
+        else:
+            pv, pp = (np.abs(y[:, row]) ** (m + 1.0)
+                      for row, m in ((2, exps.m1), (3, exps.m2)))
+        dnorms = [float(w.dot(a)) + float(w.dot(b)) for a, b in zip(pv, pp)]
+    g = (y[:, :2, 1:] - y[:, :2, :-1]) / dx
+    gv_sq = [float(gv.dot(gv)) for gv in g[:, 0]]
+    mix_sq = [float(mix.dot(mix)) for mix in params.gamma * g[:, 0] - g[:, 1]]
+    return [(dx * a, dx * (params.alpha1 * a + params.beta * b), dnorm)
+            for a, b, dnorm in zip(gv_sq, mix_sq, dnorms)]
 
 
 def _moving(new, xm) -> list:
@@ -181,6 +191,7 @@ class Stepper:
         self.grid = grid
         self.params = params
         self.cfg = cfg
+        self.norms = []           # _step_norms of the last step's members
         self._mass = np.array([[params.rho], [params.mu]])
         # (dt/4)(1/rho, 1/mu); if one underflows to 0, each row goes alone
         self._damp_coef = (0.25 * cfg.dt) * (1.0 / self._mass)
@@ -303,19 +314,19 @@ class Stepper:
         batch, (B, 4, nx), whose members each advance as they would alone.
         If a member's norms cross the blow-up cutoff, BlowupDetected carries
         the new state and, in `members`, (row, trigger, value) of each
-        member that crossed."""
+        member that crossed.  Either way `norms` holds its `_step_norms`."""
         cfg = self.cfg
         y = self._damp(state.y.copy(), exps) if cfg.damping_on else state.y
         y = self._conservative(y, exps)
         if cfg.damping_on:
             self._damp(y, exps)
         state = State.stacked(y, state.t + cfg.dt)
+        self.norms = _step_norms(y, self.grid, self.params, exps,
+                                 cfg.damping_on)
         blown = []
-        for row, member in enumerate(_members(y)):
-            checks = (("grad_v_sq", grad_norm_sq(member[0], self.grid)),
-                      ("quadratic_form", quadratic_form(
-                          member[0], member[1], self.grid, self.params)))
-            for trigger, value in checks:
+        for row, (grad_v_sq, q, _) in enumerate(self.norms):
+            for trigger, value in (("grad_v_sq", grad_v_sq),
+                                   ("quadratic_form", q)):
                 # written so that a NaN norm (non-finite state) also ends
                 # the member's run
                 if not value <= cfg.blowup_cutoff:
@@ -366,17 +377,16 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
         raise InvalidArgument("record_every must be >= 1")
     stepper = Stepper(grid, params, cfg)
 
-    state = State.stacked(state0.y.copy())
-    members = [State.stacked(y) for y in _members(state.y)]
-    etot0 = [total_energy(m, params, exps, grid) for m in members]
-    damping_cum = [0.0] * len(members)
-    prev_dnorm = [sum(damping_norms(m, exps, grid)) if cfg.damping_on
-                  else 0.0 for m in members]
-    records = [[make_record(m, params, exps, grid, 0.0, e0)]
-               for m, e0 in zip(members, etot0)]
-    trajectories = [None] * len(members)
+    # one member runs as a batch of one
+    state = State.stacked(state0.y.reshape(-1, 4, grid.nx).copy())
+    norms = _step_norms(state.y, grid, params, exps, cfg.damping_on)
+    records = [[_record(State.stacked(y), params, exps, grid, 0.0, None, q)]
+               for y, (_, q, _) in zip(state.y, norms)]
+    etot0 = [r[0].Etot for r in records]
+    prev_dnorm = [dnorm for _, _, dnorm in norms]
+    damping_cum, trajectories = [0.0] * len(records), [None] * len(records)
 
-    live = list(range(len(members)))      # the member in each batch row
+    live = list(range(len(records)))      # the member in each batch row
     for k in range(1, n_steps + 1):
         blown = ()
         try:
@@ -386,26 +396,25 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
             blown = {row: trigger for row, trigger, _ in blow.members}
         state.t = t = k * cfg.dt
         record = k % record_every == 0 or k == n_steps
-        for row, (i, y) in enumerate(zip(live, _members(state.y))):
-            member = State.stacked(y, t)
-            if cfg.damping_on:
-                dnorm = sum(damping_norms(member, exps, grid))
-                damping_cum[i] += 0.5 * cfg.dt * (prev_dnorm[i] + dnorm)
-                prev_dnorm[i] = dnorm
+        for row, (i, y, (_, q, dnorm)) in enumerate(
+                zip(live, state.y, stepper.norms)):
+            # with damping off every dnorm is 0.0, and damping_cum stays 0.0
+            damping_cum[i] += 0.5 * cfg.dt * (prev_dnorm[i] + dnorm)
+            prev_dnorm[i] = dnorm
             if record or row in blown:
-                records[i].append(make_record(member, params, exps, grid,
-                                              damping_cum[i], etot0[i]))
+                records[i].append(_record(State.stacked(y, t), params, exps,
+                                          grid, damping_cum[i], etot0[i], q))
         if blown:
             for row, trigger in blown.items():
                 trajectories[live[row]] = Trajectory(
                     records[live[row]], "blowup", t, trigger,
-                    State.stacked(_members(state.y)[row].copy(), t))
+                    State.stacked(state.y[row].copy(), t))
             keep = [row for row in range(len(live)) if row not in blown]
             live = [live[row] for row in keep]
             if not live:
                 break
             state = State.stacked(state.y[keep], t)
-    for i, y in zip(live, _members(state.y)):
+    for i, y in zip(live, state.y):
         trajectories[i] = Trajectory(records[i], "completed", None, None,
                                      State.stacked(y.copy(), state.t))
     return trajectories if state0.y.ndim == 3 else trajectories[0]

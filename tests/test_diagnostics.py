@@ -38,10 +38,9 @@ def test_energies_against_direct_resummation(ref_params, ref_grid, exps, rng):
 
     assert pw.kinetic_energy(st, ref_params, ref_grid) == \
         pytest.approx(kin, rel=1e-12)
-    assert pw.quadratic_energy(st, ref_params, ref_grid) == \
-        pytest.approx(kin + 0.5 * q, rel=1e-12)
-    assert pw.potential_energy(st, ref_params, exps, ref_grid) == \
-        pytest.approx(j, rel=1e-12)
+    record = make_record(st, ref_params, exps, ref_grid, 0.0, 0.0)
+    assert record.E == pytest.approx(kin + 0.5 * q, rel=1e-12)
+    assert record.J == pytest.approx(j, rel=1e-12)
     assert pw.total_energy(st, ref_params, exps, ref_grid) == \
         pytest.approx(kin + j, rel=1e-12)
     assert pw.sign_functional(st, ref_params, exps, ref_grid) == \
@@ -67,7 +66,8 @@ def test_potential_energy_lambda_scaling(ref_params, ref_grid, exps, rng):
     vn, pn = pw.source_norms(st, exps, ref_grid)
     for c in (0.5, 1.5, 3.0):
         expected = 0.5 * c**2 * q - c**4 * (vn + pn) / 4.0
-        got = pw.potential_energy(st.scaled(c), ref_params, exps, ref_grid)
+        got = make_record(st.scaled(c), ref_params, exps, ref_grid, 0.0,
+                          0.0).J
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -110,7 +110,7 @@ def test_energy_identity_residual_series_converges(ref_params, ref_grid):
 
 @pytest.mark.parametrize("functional", [
     "total_energy", "sign_functional", "well_side", "classify_initial",
-    "kinetic_energy", "quadratic_energy", "source_norms", "damping_norms",
+    "kinetic_energy", "make_record", "source_norms", "damping_norms",
     "N_of", "Nprime_of", "nehari_lambda_star", "theorem210_threshold",
     "tmax_upper_bound"])
 def test_energies_of_overflowing_state_raise_no_warning(functional,
@@ -126,7 +126,7 @@ def test_energies_of_overflowing_state_raise_no_warning(functional,
                            poincare_c=1.0)
     args = {"classify_initial": (report, ref_params, exps, grid),
             "kinetic_energy": (ref_params, grid),
-            "quadratic_energy": (ref_params, grid),
+            "make_record": (ref_params, exps, grid, 0.0, 0.0),
             "source_norms": (exps, grid), "damping_norms": (exps, grid),
             "N_of": (ref_params, grid), "Nprime_of": (ref_params, grid),
             "theorem210_threshold": (ref_params, exps, grid, 0.6),

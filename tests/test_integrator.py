@@ -9,15 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import piezowave as pw
+from piezowave.diagnostics import (QUIET, damping_norms, make_record,
+                                   total_energy)
 from piezowave.errors import BlowupDetected
-from piezowave.grid import (second_difference, stiffness_solver,
-                            tridiagonal_solver)
+from piezowave.grid import (grad_norm_sq, quadratic_form, second_difference,
+                            stiffness_solver, tridiagonal_solver)
 from piezowave.integrator import (NEWTON_MAX_ITER, NEWTON_TOL, _damping_newton,
-                                  _damping_solve_vec, damping_solve)
+                                  _damping_solve_vec, _step_norms)
 
 
 # ---------------------------------------------------------------------------
 # pointwise monotone damping solve
+
+def damping_solve(r, a, m):
+    """The root of x + a|x|^(m-1)x = r, from the kernel on one entry."""
+    return float(_damping_solve_vec(np.array([r]), a, m)[0])
+
 
 def test_damping_solve_linear_closed_form():
     # x + 2x = 3 -> x = 1
@@ -354,6 +361,25 @@ def test_step_config_validation():
         pw.StepConfig(dt=1e-3, scheme="leapfrog")
 
 
+@pytest.mark.parametrize("scheme, low, high",
+                         [("semi-implicit", 1.8, 3.0),
+                          ("implicit-midpoint", 3.8, 4.2)])
+def test_scheme_order_in_the_state(scheme, low, high):
+    """Halving dt from 4e-3 to 2.5e-4 on the asymmetric material with mixed
+    exponents, the max-norm differences of successive final states shrink
+    by a ratio near 2 for semi-implicit (its source is taken at the step
+    start, so the state is first order) and near 4 for implicit-midpoint
+    (second order)."""
+    params = pw.make_params(*MATERIALS[1])
+    grid = pw.Grid1D(1.0, 81)
+    exps = pw.validate_exponents(1, 3, 2, 3)
+    finals = [pw.simulate(_small_state(grid), params, exps, grid,
+                          pw.StepConfig(dt=4e-3 / 2**k, scheme=scheme), 0.4,
+                          10**6).final_state.y for k in range(5)]
+    diffs = [np.abs(b - a).max() for a, b in zip(finals, finals[1:])]
+    assert low <= diffs[-2] / diffs[-1] <= high
+
+
 def test_schemes_agree_at_first_order(ref_params, ref_grid):
     """Semi-implicit and iterated midpoint differ only at O(dt^2) per step."""
     exps = pw.validate_exponents(1, 1, 2, 2)
@@ -424,3 +450,52 @@ def test_batched_step_names_each_blown_member(ref_params, ref_grid):
         == [(1, "grad_v_sq"), (2, "grad_v_sq")]
     assert info.value.state.y.shape == (3, 4, ref_grid.nx)
     assert info.value.state.t == 1e-3
+
+
+# members of the fused-norm batches: ordinary data, a NaN member and an
+# overflowed member (its differences and powers are inf)
+NORM_AMPLITUDES = [0.3, float("nan"), 1e200, -2.0, 0.05]
+
+
+@pytest.mark.parametrize("damping_on", [True, False],
+                         ids=["damped", "undamped"])
+@pytest.mark.parametrize("exponents", [(2, 2, 3, 3), (4, 1, 3, 2)],
+                         ids=["equal", "mixed-newton-m4"])
+@pytest.mark.parametrize("order", [[2], [1, 0], [0, 1, 2, 3, 4]],
+                         ids=["B1", "B2", "B5"])
+def test_step_norms_equal_the_public_functions(order, exponents,
+                                               damping_on):
+    """The fused pass gives each member, bit for bit, grad_norm_sq(v),
+    quadratic_form(v, p) and the sum of damping_norms (0.0 with damping
+    off), for a batch and for one member given as (4, nx)."""
+    params = pw.make_params(*MATERIALS[1])
+    exps = pw.validate_exponents(*exponents)
+    grid = pw.Grid1D(1.0, 41)
+    y = np.array([pw.state_from_modes(grid, [a, 0.1], [-0.5 * a], [a],
+                                      [0.2, a]).y
+                  for a in (NORM_AMPLITUDES[i] for i in order)])
+    with np.errstate(**QUIET):
+        expected = [(grad_norm_sq(m[0], grid),
+                     quadratic_form(m[0], m[1], grid, params),
+                     sum(damping_norms(pw.State.stacked(m), exps, grid))
+                     if damping_on else 0.0) for m in y]
+        got = _step_norms(y, grid, params, exps, damping_on)
+        alone = [_step_norms(m, grid, params, exps, damping_on)[0]
+                 for m in y]
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    assert np.array(alone).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("v0", [0.3, float("nan")], ids=["finite", "nan"])
+def test_first_record_is_make_record_of_initial_state(v0, ref_params):
+    """simulate's t = 0 record, which also gives the ledger its Etot(0), is
+    make_record of the initial state measured from its own total energy."""
+    grid = pw.Grid1D(1.0, 41)
+    exps = pw.validate_exponents(2, 2, 3, 3)
+    state0 = pw.state_from_modes(grid, [v0], [0.2], [0.1], [-0.05])
+    traj = pw.simulate(state0, ref_params, exps, grid,
+                       pw.StepConfig(dt=1e-3), 0.01)
+    expected = make_record(state0, ref_params, exps, grid, 0.0,
+                           total_energy(state0, ref_params, exps, grid))
+    assert np.array(astuple(traj.records[0])).tobytes() \
+        == np.array(astuple(expected)).tobytes()

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import piezowave as pw
 from piezowave.cli import main
-from piezowave.config import RunConfig, validate_run_config
+from piezowave.config import RunConfig, build_run
 from piezowave.errors import ConfigParse
 from piezowave.grid import MAX_NX
 from piezowave.integrator import MAX_STEPS, step_count
@@ -143,7 +143,7 @@ def test_step_count_is_capped():
     with pytest.raises(ValueError):
         step_count(1e300, 1e-3)
     with pytest.raises(ConfigParse):
-        validate_run_config(replace(RunConfig(), t_end=1e300))
+        build_run(replace(RunConfig(), t_end=1e300))
 
 
 # (state0, params, exps, grid, cfg, t_end) of a short run with m = 1
@@ -166,8 +166,6 @@ _SERIES = ([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.25, 0.125])
     lambda: pw.Stepper(pw.Grid1D(1.0, 201),
                        pw.make_params(1.0, 1e308, 1.0, 1.0, 1.0),
                        pw.StepConfig(dt=1e-3)),
-    lambda: pw.damping_solve(1.0, 0.0, 2.0),
-    lambda: pw.damping_solve(1.0, 1e-3, 0.5),
     lambda: pw.simulate(*_LINEAR_RUN, record_every=0),
     lambda: pw.grid.lp_norm_pow(np.ones(11), 0.5, pw.Grid1D(1.0, 11)),
     lambda: pw.s_star_solve(0.0, 2.0, 2.0),
@@ -181,10 +179,10 @@ _SERIES = ([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.25, 0.125])
     lambda: pw.fit_logarithmic(*_SERIES, float("nan"), 2.0),
     lambda: pw.fit_logarithmic(*_SERIES, 1.0, 0.5),
 ], ids=["grid", "step-config", "step-count", "embedding-q",
-        "zero-pivot", "midpoint-overflow", "damping-dt", "damping-m",
-        "record-every", "lp-q", "s-star", "bound-convention",
-        "exponent-mode", "step-config-cutoff", "grid-max-nx",
-        "fit-series-shape", "fit-poly-eta", "fit-log-eta", "fit-log-C"])
+        "zero-pivot", "midpoint-overflow", "record-every", "lp-q",
+        "s-star", "bound-convention", "exponent-mode",
+        "step-config-cutoff", "grid-max-nx", "fit-series-shape",
+        "fit-poly-eta", "fit-log-eta", "fit-log-C"])
 def test_invalid_argument_is_typed(call):
     """Each site raises a PiezowaveError that is still the ValueError it
     was before (InvalidArgument)."""

@@ -22,7 +22,11 @@ temporary directory.  Both exports then run the same fixed cases:
     `omega` column of a fit and an `error:` row; and on that config with
     the implicit-midpoint scheme and the axes `grid.nx = 41, 81` and
     `initial.v0 = 0.05; 20.0; 40.0; 100.0`, whose members run as two
-    batches of four that each lose two members to blow-up mid-run;
+    batches of four that each lose two members to blow-up mid-run; and
+    on the mixed-exponent implicit-midpoint config with the axes
+    `integrator.damping = true, false` and `initial.v0 = 0.05; 80.0`,
+    two batches of two that each lose one member to blow-up, which run
+    the row-by-row damping norms and the undamped step inside a batch;
   * the three scripts in `demos/`.
 
 Every output file, every stdout and every exit code is compared with the
@@ -223,6 +227,14 @@ grid.nx = 41, 81
 initial.v0 = 0.05; 20.0; 40.0; 100.0
 """
 
+# the mixed-exponent implicit-midpoint run with and without damping: two
+# batches of two, each losing its v0 = 80 member to blow-up mid-run
+MIXED_SWEEP_CFG = MIXED_CFG + """
+[sweep.axes]
+integrator.damping = true, false
+initial.v0 = 0.05; 80.0
+"""
+
 RUN_CONFIGS = {
     "readme": README_CFG,
     "harness": HARNESS_CFG.format(v0="0.05"),
@@ -267,7 +279,8 @@ def produce(tree: Path, work: Path) -> None:
                     cli + ["fit", "out/energy.csv", "--model", model])
     for case, text in (("ac9", AC9_SWEEP_CFG),
                        ("fit-error", FIT_ERROR_SWEEP_CFG),
-                       ("batch-split", BATCH_SWEEP_CFG)):
+                       ("batch-split", BATCH_SWEEP_CFG),
+                       ("mixed-damping", MIXED_SWEEP_CFG)):
         cwd = work / case / "sweep"
         cwd.mkdir(parents=True)
         (cwd / "sweep.cfg").write_text(text, encoding="utf-8")
