@@ -25,7 +25,7 @@ import numpy as np
 from .decay import FITS
 from .errors import ConfigParse
 from .grid import Grid1D, state_from_modes
-from .integrator import StepConfig, Stepper, step_count
+from .integrator import StepConfig, midpoint_bands, step_count
 from .params import make_params, validate_exponents
 
 FLOAT_FMT = "%.17g"
@@ -185,8 +185,8 @@ def _run_config_from_parser(cp: configparser.ConfigParser) -> RunConfig:
 
 def build_run(cfg: RunConfig):
     """(params, exps, grid, step config, initial state) of a run, checked
-    along with what else a run needs: midpoint matrices that factorize, the
-    step count and the seed.  A ValueError becomes ConfigParse."""
+    along with what else a run needs: midpoint matrices with finite bands,
+    the step count and the seed.  A ValueError becomes ConfigParse."""
     try:
         params = make_params(cfg.rho, cfg.alpha, cfg.beta, cfg.gamma, cfg.mu)
         exps = validate_exponents(cfg.m1, cfg.m2, cfg.n1, cfg.n2)
@@ -194,7 +194,7 @@ def build_run(cfg: RunConfig):
         step = StepConfig(dt=cfg.dt, scheme=cfg.scheme,
                           blowup_cutoff=cfg.blowup_cutoff,
                           damping_on=cfg.damping, sources_on=cfg.sources)
-        Stepper(grid, params, step)
+        midpoint_bands(grid, params, step)
         step_count(cfg.t_end, cfg.dt)
         if cfg.seed < 0:
             raise ValueError(f"seed = {cfg.seed} must be >= 0")

@@ -9,7 +9,9 @@ where the damping substeps solve the pointwise monotone update exactly
 the conservative substep is the implicit midpoint rule for the linear
 stiffness.  Source terms are taken at the step-start displacement by
 default ("semi-implicit": the state is first order in dt); the
-"implicit-midpoint" scheme iterates them to the midpoint (second order).
+"implicit-midpoint" scheme iterates them to the midpoint (second order),
+starting from the source at the predicted midpoint x + (dt/2) x_t, which
+typically takes 2 solves per step.
 
 A step works on a State's stacked array y of one member, (4, nx), or of a
 batch of B members, (B, 4, nx): displacements y[..., :2, :], velocities
@@ -24,7 +26,7 @@ depend on what else is in its batch.
 The damping root has a closed form, exact to roundoff, for m in {1, 2, 3},
 and a per-entry Newton solve otherwise.  The conservative solve is one
 block-diagonal tridiagonal solve in the eigenbasis of the 2x2 coupling
-matrix (see `Stepper._factorize`), an exact change of variables.
+matrix (see `midpoint_bands`), an exact change of variables.
 
 With sources and damping off the conservative substep conserves the
 discrete quadratic energy up to the roundoff of the direct linear solve.
@@ -171,6 +173,13 @@ def _step_norms(y, grid: Grid1D, params: MaterialParams, exps: Exponents,
             for a, b, dnorm in zip(gv_sq, mix_sq, dnorms)]
 
 
+def _check_fits(y, grid: Grid1D):
+    """Raise InvalidArgument unless y is (4, nx) or (B, 4, nx) on grid."""
+    if y.ndim not in (2, 3) or y.shape[-2:] != (4, grid.nx):
+        raise InvalidArgument(f"state of shape {y.shape} does not fit the "
+                              f"grid: (4, {grid.nx}) or (B, 4, {grid.nx})")
+
+
 def _moving(new, xm) -> list:
     """Whether each member's iterate moved by more than NEWTON_TOL relative
     to its displacement, one bool per member; a NaN change counts as
@@ -182,6 +191,35 @@ def _moving(new, xm) -> list:
     delta = np.abs(new - xm).reshape(len(new), -1).max(axis=1)
     return (delta > NEWTON_TOL
             * (1.0 + np.abs(new[:, 0]).max(axis=1))).tolist()
+
+
+def midpoint_bands(grid: Grid1D, params: MaterialParams, cfg: StepConfig):
+    """(D, Q, bands) of I - (dt^2/4) A, A = C (x) D2 the block operator
+    [(alpha D2 v - gb D2 p)/rho; (beta D2 p - gb D2 v)/mu]; a non-finite
+    band raises InvalidArgument (the factorization checks the pivots).
+    C = diag(1/rho, 1/mu) S, S = [[alpha, -gb], [-gb, beta]] SPD (det =
+    beta*alpha1 > 0), is V Lambda V^-1 with V = D Q, V^-1 = Q^T D^-1,
+    D = diag(rho, mu)^(-1/2) and D S D = Q Lambda Q^T, Lambda > 0.  So in
+    w = V^-1 u the system splits into (I - (dt^2/4) lambda_k D2) w_k =
+    (V^-1 rhs)_k: bands are the (2, .) bands of -(dt^2/4) lambda_k D2."""
+    gb = params.gamma * params.beta
+    d = 1.0 / np.sqrt(np.array([params.rho, params.mu]))
+
+    def check_finite(*arrays):
+        if not all(np.isfinite(x).all() for x in arrays):
+            raise InvalidArgument("midpoint matrix I - (dt^2/4) A overflows: "
+                                  "material constants, dt or dx out of range")
+
+    with np.errstate(**QUIET):
+        dsd = d[:, None] * np.array([[params.alpha, -gb],
+                                     [-gb, params.beta]]) * d
+        check_finite(dsd)
+        lam, q = np.linalg.eigh(dsd)
+        # lambda_k D2 (A in the eigenbasis) first, so that its overflow shows
+        bands = tuple(-(cfg.dt ** 2 / 4.0) * (lam[:, None] * band)
+                      for band in second_difference(grid))
+    check_finite(*bands)
+    return d, q, bands
 
 
 class Stepper:
@@ -199,37 +237,8 @@ class Stepper:
         self._solve = self._factorize()
 
     def _factorize(self):
-        """Solver of (I - (dt^2/4) A) u = rhs for rhs of shape (2, nx), with
-        A = C (x) D2 the block operator
-        [(alpha D2 v - gb D2 p)/rho; (beta D2 p - gb D2 v)/mu].
-
-        C = diag(1/rho, 1/mu) S with S = [[alpha, -gb], [-gb, beta]], which
-        is SPD (det = beta*alpha1 > 0).  So C = V Lambda V^-1 with
-        V = D Q, V^-1 = Q^T D^-1, D = diag(rho, mu)^(-1/2) and
-        D S D = Q Lambda Q^T, all real with Lambda > 0.  In the variables
-        w = V^-1 u the system splits into (I - (dt^2/4) lambda_k D2) w_k =
-        (V^-1 rhs)_k, solved as one block-diagonal tridiagonal system on the
-        rows of w laid end to end."""
-        pr = self.params
-        gb = pr.gamma * pr.beta
-        d = 1.0 / np.sqrt(np.array([pr.rho, pr.mu]))
-
-        def check_finite(*arrays):
-            if not all(np.all(np.isfinite(x)) for x in arrays):
-                raise InvalidArgument("midpoint matrix I - (dt^2/4) A "
-                                      "overflows: material constants, dt or "
-                                      "dx out of range")
-
-        with np.errstate(**QUIET):
-            dsd = d[:, None] * np.array([[pr.alpha, -gb], [-gb, pr.beta]]) * d
-            check_finite(dsd)
-            lam, q = np.linalg.eigh(dsd)
-            # the bands of -(dt^2/4) (lambda_k D2), with lambda_k D2 (A in
-            # the eigenbasis) formed first, so that its overflow shows
-            c = self.cfg.dt ** 2 / 4.0
-            lo, mid, up = (-c * (lam[:, None] * band)
-                           for band in second_difference(self.grid))
-        check_finite(lo, mid, up)
+        """Solver of (I - (dt^2/4) A) u = rhs, rhs (2, nx) or (B, 2, nx)."""
+        d, q, (lo, mid, up) = midpoint_bands(self.grid, self.params, self.cfg)
         # the k = 1, 2 systems end to end, joined by zero off-diagonals
         lo, up = (np.append(b, [[0.0], [0.0]], axis=1).ravel()[:-1]
                   for b in (lo, up))
@@ -263,9 +272,12 @@ class Stepper:
 
         base = x + (0.5 * dt) * xt
         on = self.cfg.sources_on
-        xm = midpoint(self._source(x, exps) if on else 0.0, base)
-        # semi-implicit stops at this first iterate
-        if on and self.cfg.scheme == "implicit-midpoint":
+        iterate = on and self.cfg.scheme == "implicit-midpoint"
+        # semi-implicit stops at this first iterate; implicit-midpoint
+        # starts its iteration from the source at the predicted midpoint
+        xm = midpoint(self._source(base if iterate else x, exps)
+                      if on else 0.0, base)
+        if iterate:
             xm = self._iterate(xm, midpoint, base, exps)
         out = np.empty_like(y)
         out[..., :2, :] = 2.0 * xm - x
@@ -316,6 +328,7 @@ class Stepper:
         the new state and, in `members`, (row, trigger, value) of each
         member that crossed.  Either way `norms` holds its `_step_norms`."""
         cfg = self.cfg
+        _check_fits(state.y, self.grid)
         y = self._damp(state.y.copy(), exps) if cfg.damping_on else state.y
         y = self._conservative(y, exps)
         if cfg.damping_on:
@@ -372,6 +385,7 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
     state it records or returns carries t = k*dt after step k, so times do
     not drift by repeated addition.
     """
+    _check_fits(state0.y, grid)
     n_steps = step_count(t_end, cfg.dt)
     if record_every < 1:
         raise InvalidArgument("record_every must be >= 1")

@@ -191,6 +191,23 @@ def test_invalid_argument_is_typed(call):
     assert isinstance(exc.value, ValueError)
 
 
+@pytest.mark.parametrize("shape", [(4, 41), (2, 4, 41), (3, 81),
+                                   (1, 2, 4, 81)])
+@pytest.mark.parametrize("run", ["simulate", "step"])
+def test_state_must_fit_the_grid(run, shape):
+    """A state whose shape is not (4, nx) or (B, 4, nx) on the grid is an
+    InvalidArgument, not numpy's bare ValueError from deep inside a step
+    (or, for a stack of batches, a run of only its first member)."""
+    grid = pw.Grid1D(1.0, 81)
+    state = pw.grid.State.stacked(np.full(shape, 0.1))
+    _, params, exps, _, cfg, t_end = _LINEAR_RUN
+    with pytest.raises(pw.errors.InvalidArgument):
+        if run == "simulate":
+            pw.simulate(state, params, exps, grid, cfg, t_end)
+        else:
+            pw.Stepper(grid, params, cfg).step(state, exps)
+
+
 @pytest.mark.parametrize("values, code", [({"alpha": "1e308"}, 2),
                                           ({"v0": "1e308"}, 0)],
                          ids=["alpha-1e308", "v0-1e308"])
