@@ -16,7 +16,7 @@ from .errors import (AssumptionViolated, BlowupDetected, BoundInapplicable,
                      NonPositiveSeries, NotBlowupRegime, PiezowaveError,
                      ZeroState)
 from .grid import (Grid1D, State, sine_modes, state_from_modes, zero_state)
-from .integrator import StepConfig, Stepper, Trajectory, cfl_dt, simulate
+from .integrator import StepConfig, Stepper, Trajectory, simulate
 from .params import (Exponents, MaterialParams, make_params,
                      validate_exponents)
 from .well import (WellReport, c_hat_constant, check_delta, classify_initial,

@@ -86,17 +86,12 @@ def _classified_well(wells: dict, seed: int, params, exps, grid, state0):
         state0, wells[key], params, exps, grid))
 
 
-def run_one(cfg: RunConfig, traj=None, wells=None):
-    """Build (which validates) and execute one configured run; returns its
-    "trajectory" and the "well", "blowup" and "summary" JSON dicts.  A sweep
-    passes the member's trajectory once its batch has run it, and the well
-    reports it keeps (see `_classified_well`)."""
-    params, exps, grid, step, state0 = build_run(cfg)
-    report = _classified_well({} if wells is None else wells, cfg.seed,
-                              params, exps, grid, state0)
-    if traj is None:
-        traj = simulate(state0, params, exps, grid, step, cfg.t_end,
-                        cfg.record_every)
+def run_one(cfg: RunConfig, run, traj, wells: dict) -> dict:
+    """The report on a run that has been stepped: its "trajectory" and the
+    "well", "blowup" and "summary" JSON dicts.  run is `build_run(cfg)`,
+    and wells keeps the well reports so far (see `_classified_well`)."""
+    params, exps, grid, _, state0 = run
+    report = _classified_well(wells, cfg.seed, params, exps, grid, state0)
     breport = bl.blowup_report(traj, state0, params, exps, grid,
                                report.poincare_c)
     summary = {
@@ -115,11 +110,60 @@ def run_one(cfg: RunConfig, traj=None, wells=None):
             "blowup": breport.as_dict(), "summary": summary}
 
 
+# Bytes of states and energy records that one batch may hold: per member,
+# about 20 float arrays of nx nodes while a step runs and about 400 bytes
+# per EnergyRecord.  A larger group of runs steps as several batches.
+BATCH_BYTES = 2**28
+
+
+def run_all(cfgs: list):
+    """Build, step and report on each config once, yielding (index, run_one's
+    dict or the PiezowaveError the run ended in) batch by batch, so that a
+    caller can drop each trajectory as it goes.  Runs that share material,
+    exponents, grid, step config, t_end and record_every advance as one
+    batch of `simulate`, as many as BATCH_BYTES allows; a single run is a
+    batch of one.  A batch that raises steps again one run at a time, so
+    that the error falls on the run that raised it."""
+    groups, wells = {}, {}
+    for i, cfg in enumerate(cfgs):
+        try:
+            run = build_run(cfg)
+        except PiezowaveError as exc:
+            yield i, exc
+            continue
+        key = run[:4] + (cfg.t_end, cfg.record_every)
+        groups.setdefault(key, []).append((i, run))
+    for key, group in groups.items():
+        _, _, grid, step, t_end, record_every = key
+        records = step_count(t_end, step.dt) // record_every + 2
+        size = max(1, BATCH_BYTES // (160 * grid.nx + 400 * records))
+        batches = [group[start:start + size]
+                   for start in range(0, len(group), size)]
+        while batches:
+            batch = batches.pop(0)
+            try:
+                trajectories = simulate(State.stacked(np.array(
+                    [run[4].y for _, run in batch])), *key)
+            except PiezowaveError as exc:
+                if len(batch) == 1:
+                    yield batch[0][0], exc
+                else:
+                    batches[:0] = [[member] for member in batch]
+                continue
+            for (i, run), traj in zip(batch, trajectories):
+                try:
+                    yield i, run_one(cfgs[i], run, traj, wells)
+                except PiezowaveError as exc:
+                    yield i, exc
+
+
 def cli_simulate(path: str) -> int:
     cfg = load_run_config(path)
-    os.makedirs(cfg.outdir, exist_ok=True)
-    result = run_one(cfg)
+    [(_, result)] = run_all([cfg])
+    if isinstance(result, PiezowaveError):
+        raise result
     traj = result["trajectory"]
+    os.makedirs(cfg.outdir, exist_ok=True)
     write_csv(CSV_FIELDS, ([fmt(getattr(r, f)) for f in CSV_FIELDS]
                            for r in traj.records),
               os.path.join(cfg.outdir, "energy.csv"))
@@ -146,59 +190,16 @@ SWEEP_KEYS = ("classification", "outcome", "t_detect", "tmax_bound",
               "fit_omega")
 
 
-# Bytes of states and energy records that one sweep batch may hold: per
-# member, about 20 float arrays of nx nodes while a step runs and about 400
-# bytes per EnergyRecord.  A larger group of members runs as several
-# batches.
-BATCH_BYTES = 2**28
-
-
-def _summary(cfg: RunConfig, traj, wells: dict) -> dict:
-    try:
-        return run_one(cfg, traj, wells)["summary"]
-    except PiezowaveError as exc:
-        return {"outcome": f"error: {exc}"}
-
-
-def _sweep_summaries(cfgs: list) -> list:
-    """The run summary of each sweep member, in order.  Members that share
-    material, exponents, grid, step config, t_end and record_every advance
-    as one batch of `simulate`, as many as BATCH_BYTES allows.  If a batch
-    raises, its members run one at a time, so that the error falls on the
-    member that raised it; so does a member that does not build."""
-    wells, summaries, groups = {}, [None] * len(cfgs), {}
-    for i, cfg in enumerate(cfgs):
-        try:
-            params, exps, grid, step, state0 = build_run(cfg)
-        except PiezowaveError:
-            summaries[i] = _summary(cfg, None, wells)
-            continue
-        run = (params, exps, grid, step, cfg.t_end, cfg.record_every)
-        groups.setdefault(run, []).append((i, state0))
-    for run, group in groups.items():
-        _, _, grid, step, t_end, record_every = run
-        records = step_count(t_end, step.dt) // record_every + 2
-        size = max(1, BATCH_BYTES // (160 * grid.nx + 400 * records))
-        for start in range(0, len(group), size):
-            batch = group[start:start + size]
-            try:
-                trajectories = simulate(State.stacked(np.array(
-                    [state0.y for _, state0 in batch])), *run)
-            except PiezowaveError:
-                trajectories = [None] * len(batch)
-            for (i, _), traj in zip(batch, trajectories):
-                summaries[i] = _summary(cfgs[i], traj, wells)
-    return summaries
-
-
 def cli_sweep(path: str) -> int:
     sweep = load_sweep_config(path)
     names = list(sweep.axes.keys())
     members = list(expand_sweep(sweep))
+    summaries = {i: {"outcome": f"error: {result}"}
+                 if isinstance(result, PiezowaveError) else result["summary"]
+                 for i, result in run_all([cfg for _, cfg in members])}
     rows = [[fmt(overrides[n]) for n in names]
-            + [fmt(summary.get(key)) for key in SWEEP_KEYS]
-            for (overrides, _), summary
-            in zip(members, _sweep_summaries([cfg for _, cfg in members]))]
+            + [fmt(summaries[i].get(key)) for key in SWEEP_KEYS]
+            for i, (overrides, _) in enumerate(members)]
     os.makedirs(sweep.base.outdir, exist_ok=True)
     out = os.path.join(sweep.base.outdir, "sweep.csv")
     write_csv(names + [k.removeprefix("fit_") for k in SWEEP_KEYS], rows, out)

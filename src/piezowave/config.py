@@ -178,9 +178,7 @@ def load_run_config(path: str) -> RunConfig:
 
 def _run_config_from_parser(cp: configparser.ConfigParser) -> RunConfig:
     sections = [s for s in cp.sections() if s not in ("sweep", "sweep.axes")]
-    cfg = _load(RunConfig(), cp, OPTIONS, sections)
-    build_run(cfg)            # fail fast on inconsistent physics
-    return cfg
+    return _load(RunConfig(), cp, OPTIONS, sections)
 
 
 def build_run(cfg: RunConfig):
@@ -207,6 +205,7 @@ def build_run(cfg: RunConfig):
 def load_sweep_config(path: str) -> SweepConfig:
     cp = _read_ini(path)
     base = _run_config_from_parser(cp)
+    build_run(base)           # fail fast on inconsistent physics
     if not cp.has_section("sweep.axes"):
         raise ConfigParse("sweep config needs a [sweep.axes] section")
     axes = {}
@@ -237,7 +236,7 @@ def expand_sweep(sweep: SweepConfig):
     Yields (overrides, RunConfig) with overrides a dict of axis -> value,
     in lexicographic order of the sorted axis names.  The configs are not
     validated here, so that one bad member cannot stop the others: the CLI's
-    run_one validates each member as it builds it (build_run).
+    run_all validates each member as it builds it (build_run).
     """
     names = list(sweep.axes.keys())
     for combo in itertools.product(*(sweep.axes[n] for n in names)):

@@ -82,12 +82,6 @@ class StepConfig:
                                   "must be > 0")
 
 
-def cfl_dt(grid: Grid1D, params: MaterialParams, safety: float = 0.4) -> float:
-    """Accuracy guidance dt = safety * dx / c_wave (not enforced)."""
-    c_wave = np.sqrt(max(params.alpha / params.rho, params.beta / params.mu))
-    return safety * grid.dx / c_wave
-
-
 def _damping_solve_vec(r, a, m):
     """Solve x + a|x|^(m-1)x = r on a float array r for a >= 0, m >= 1.
 

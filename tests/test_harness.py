@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import piezowave as pw
-from piezowave import cli, integrator
+from piezowave import cli, config, integrator
 from piezowave.cli import main
 from piezowave.config import (expand_sweep, load_run_config,
                               load_sweep_config)
@@ -235,7 +235,7 @@ def test_sweep_runs_each_group_as_one_batch(tmp_path, monkeypatch):
 grid.nx = 41, 81
 initial.v0 = 0.02; 0.05; 0.08
 """)
-    singles = [cli.run_one(cfg)["summary"]
+    singles = [dict(cli.run_all([cfg]))[0]["summary"]
                for _, cfg in expand_sweep(load_sweep_config(cfg_path))]
     simulations = _counted(monkeypatch, cli, "simulate")
     wells = _counted(monkeypatch, cli, "well_report")
@@ -283,6 +283,37 @@ initial.v0 = 0.05; 1.0
     assert rows[1:] == [
         "0.050000000000000003,global-predicted,completed,,,",
         "1,,error: implicit source iteration stalled,,,"]
+
+
+@pytest.mark.parametrize("command, builds", [
+    ("simulate", 1), ("classify", 1), ("bounds", 1), ("sweep", 4)])
+def test_each_run_builds_once(tmp_path, monkeypatch, command, builds):
+    """Each run is built once (`build_run` is the only caller of
+    make_params); a sweep also builds its base config, to fail fast."""
+    cfg_path = _write_cfg(tmp_path, extra="""
+[sweep.axes]
+initial.v0 = 0.02; 0.05; 0.08
+""" if command == "sweep" else "")
+    made = _counted(monkeypatch, config, "make_params")
+    assert main([command, cfg_path]) == 0
+    assert len(made) == builds
+
+
+def test_simulate_error_while_stepping(tmp_path, monkeypatch, capsys):
+    """A run whose stepping raises exits 2 with the error, and writes no
+    energy.csv."""
+    cfg_path = _write_cfg(tmp_path)
+    text = open(cfg_path, encoding="utf-8").read()
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("semi-implicit", "implicit-midpoint")
+                 .replace("t_end = 0.5", "t_end = 0.05")
+                 .replace("v0 = 0.05", "v0 = 1.0"))
+    monkeypatch.setattr(integrator, "NEWTON_MAX_ITER", 2)
+    monkeypatch.setattr(integrator, "NEWTON_TOL", 2e-14)
+    assert main(["simulate", cfg_path]) == 2
+    assert capsys.readouterr().err == \
+        "error: implicit source iteration stalled\n"
+    assert not (tmp_path / "out" / "energy.csv").exists()
 
 
 def test_sweep_cap_enforced(tmp_path):

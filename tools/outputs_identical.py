@@ -7,14 +7,15 @@ number by number to a tolerance.
 Each revision's `src/` and `demos/` are exported with `git archive` into a
 temporary directory.  Both exports then run the same fixed cases:
 
-  * `simulate`, `classify` and `bounds` on four run configs: the README
+  * `simulate`, `classify` and `bounds` on five run configs: the README
     example (m = 2, n = 3, nx = 201, t_end = 10), the `BASE_CFG` of
     `tests/test_harness.py` (m = 1, n = 2, nx = 81), that config with
-    NaN initial data, and an implicit-midpoint run with mixed exponents
-    (m = (1, 3), n = (2, 3)) on the asymmetric material
-    (rho, alpha, beta, gamma, mu) = (2.3, 5, 0.7, 1.9, 0.4), which runs
-    the source iteration, the row-by-row damping and source branches and
-    rho != mu;
+    NaN initial data, that config with `gamma = 1e200`, which fails to
+    build (each command exits 2 with an `error:` line on stderr), and an
+    implicit-midpoint run with mixed exponents (m = (1, 3), n = (2, 3))
+    on the asymmetric material (rho, alpha, beta, gamma, mu) =
+    (2.3, 5, 0.7, 1.9, 0.4), which runs the source iteration, the
+    row-by-row damping and source branches and rho != mu;
   * `fit --model exp|poly|log` on each `energy.csv` that `simulate` wrote;
   * `sweep` on the AC-9 sweep config of `tests/test_acceptance.py`; on
     the `BASE_CFG` harness config with `[fit] model = exp` and the axis
@@ -29,12 +30,12 @@ temporary directory.  Both exports then run the same fixed cases:
     the row-by-row damping norms and the undamped step inside a batch;
   * the three scripts in `demos/`.
 
-Every output file, every stdout and every exit code is compared with the
-other revision's, and one line per item says "identical" or "differs".
-Under each text file that differs, the first line that differs is printed
-from each side, with its line number, so the size of a difference shows
-without rerunning anything.  The exit status is 0 when everything is
-identical and 1 otherwise.  Standard library only.
+Every output file, every stdout, every stderr and every exit code is
+compared with the other revision's, and one line per item says
+"identical" or "differs".  Under each text file that differs, the first
+line that differs is printed from each side, with its line number, so the
+size of a difference shows without rerunning anything.  The exit status
+is 0 when everything is identical and 1 otherwise.  Standard library only.
 
 With `--rtol` or `--atol`, a file that differs in bytes is parsed and
 passes as "close" when every number agrees to
@@ -239,6 +240,8 @@ RUN_CONFIGS = {
     "readme": README_CFG,
     "harness": HARNESS_CFG.format(v0="0.05"),
     "nan-v0": HARNESS_CFG.format(v0="nan"),
+    "build-error": HARNESS_CFG.format(v0="0.05").replace(
+        "gamma = 1.0", "gamma = 1e200"),
     "mixed-midpoint": MIXED_CFG,
 }
 DEMOS = ("decay_and_fit.py", "well_classification.py", "blowup_bound.py")
@@ -256,10 +259,12 @@ def export(rev: str, dest: Path) -> None:
 
 
 def run(tree: Path, cwd: Path, name: str, argv: list) -> None:
-    """Run argv in cwd against tree's src/, keeping stdout and exit code."""
+    """Run argv in cwd against tree's src/, keeping stdout, stderr and
+    exit code."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True)
     (cwd / f"{name}.stdout").write_bytes(proc.stdout)
+    (cwd / f"{name}.stderr").write_bytes(proc.stderr)
     (cwd / f"{name}.exit").write_text(f"{proc.returncode}\n")
 
 
