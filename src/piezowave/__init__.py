@@ -9,10 +9,10 @@ from .decay import (DecayFit, eta_from_exponents, fit_exponential,
                     fit_logarithmic, fit_polynomial, select_model)
 from .diagnostics import (CSV_FIELDS, EnergyRecord, N_of, damping_norms,
                           kinetic_energy, make_record, sign_functional,
-                          source_norms, total_energy, well_side)
-from .errors import (AssumptionViolated, BlowupDetected, BoundInapplicable,
-                     ConfigParse, DeltaOutOfRange, InvalidArgument,
-                     NoConvergence, NonPositiveAlpha1, NonPositiveParameter,
+                          source_norms, total_energy)
+from .errors import (AssumptionViolated, BoundInapplicable, ConfigParse,
+                     DeltaOutOfRange, InvalidArgument, NoConvergence,
+                     NonPositiveAlpha1, NonPositiveParameter,
                      NonPositiveSeries, NotBlowupRegime, PiezowaveError,
                      ZeroState)
 from .grid import (Grid1D, State, sine_modes, state_from_modes, zero_state)

@@ -77,12 +77,6 @@ def sign_functional(state: State, params: MaterialParams, exps: Exponents,
     return make_record(state, params, exps, grid, 0.0, 0.0).sign_fn
 
 
-def well_side(state: State, params: MaterialParams, exps: Exponents,
-              grid: Grid1D) -> str:
-    """Side of the potential well a state lies on: EnergyRecord.well_side."""
-    return make_record(state, params, exps, grid, 0.0, 0.0).well_side
-
-
 @np.errstate(**QUIET)
 def N_of(state: State, params: MaterialParams, grid: Grid1D) -> float:
     return 0.5 * (params.rho * l2_norm_sq(state.v, grid)

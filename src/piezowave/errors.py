@@ -25,16 +25,6 @@ class NoConvergence(PiezowaveError):
     """An iterative solve exhausted its budget (tolerance bug, not math)."""
 
 
-class BlowupDetected(PiezowaveError):
-    """A monitored norm crossed the blow-up cutoff."""
-
-    def __init__(self, t, trigger, value):
-        self.t = t
-        self.trigger = trigger
-        self.value = value
-        super().__init__(f"{trigger} = {value:.6g} exceeded cutoff at t = {t:.6g}")
-
-
 class ZeroState(PiezowaveError):
     """Operation undefined on the identically-zero state."""
 

@@ -17,11 +17,11 @@ A step works on a State's stacked array y of one member, (4, nx), or of a
 batch of B members, (B, 4, nx): displacements y[..., :2, :], velocities
 y[..., 2:, :], and (rho, mu) as a (2, 1) column.  Each operation covers both
 rows of every member at once, and goes row by row only where the exponents
-differ.  One batched pass, `_step_norms`, gives the blow-up check its
-norms, the ledger its damping norm and the record its Q.  Every reduction
-is one np.dot per member row (as ndarray.dot), and the source iteration
-and the blow-up check decide per member, so a member's results do not
-depend on what else is in its batch.
+differ.  After each step, one batched pass in `simulate`, `_step_norms`,
+gives the blow-up check its norms, the ledger its damping norm and the
+record its Q.  Every reduction is one np.dot per member row (as
+ndarray.dot), and the source iteration and the blow-up check decide per
+member, so a member's results do not depend on what else is in its batch.
 
 The damping root has a closed form, exact to roundoff, for m in {1, 2, 3},
 and a per-entry Newton solve otherwise.  The conservative solve is one
@@ -31,8 +31,9 @@ matrix (see `midpoint_bands`), an exact change of variables.
 With sources and damping off the conservative substep conserves the
 discrete quadratic energy up to the roundoff of the direct linear solve.
 
-A non-finite state is a blow-up outcome, so `simulate` and `Stepper.step`
-let numpy overflow quietly and leave the decision to the blow-up check.
+A non-finite state is a blow-up outcome, so `Stepper.step` only steps and
+lets numpy overflow quietly, and `simulate` decides: a member whose norm
+exceeds the blow-up cutoff, or is NaN, ends its run there.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import QUIET, _record
-from .errors import BlowupDetected, InvalidArgument, NoConvergence
+from .errors import InvalidArgument, NoConvergence
 from .grid import Grid1D, State, second_difference, tridiagonal_solver
 from .params import Exponents, MaterialParams
 # not called here, but names of this module that perfbench/tracing.py patches
@@ -149,7 +150,8 @@ def _step_norms(y, grid: Grid1D, params: MaterialParams, exps: Exponents,
                 damping_on: bool) -> list:
     """(grad_norm_sq(v), quadratic_form(v, p), sum(damping_norms) or 0.0
     with damping off) of each member of a stacked array y, bit for bit: one
-    dot per member row on differences and powers taken batch-wide."""
+    dot per member row on differences and powers taken batch-wide.  The
+    blow-up check, the ledger and the records of `simulate` read them."""
     y = y.reshape(-1, 4, grid.nx)
     dx, w = grid.dx, grid.weights
     dnorms = [0.0] * len(y)
@@ -223,7 +225,6 @@ class Stepper:
         self.grid = grid
         self.params = params
         self.cfg = cfg
-        self.norms = []           # _step_norms of the last step's members
         self._mass = np.array([[params.rho], [params.mu]])
         # (dt/4)(1/rho, 1/mu); if one underflows to 0, each row goes alone
         self._damp_coef = (0.25 * cfg.dt) * (1.0 / self._mass)
@@ -318,32 +319,14 @@ class Stepper:
     def step(self, state: State, exps: Exponents) -> State:
         """The state one step on.  state.y holds one member, (4, nx), or a
         batch, (B, 4, nx), whose members each advance as they would alone.
-        If a member's norms cross the blow-up cutoff, BlowupDetected carries
-        the new state and, in `members`, (row, trigger, value) of each
-        member that crossed.  Either way `norms` holds its `_step_norms`."""
+        A member may come out non-finite; `simulate` decides blow-up."""
         cfg = self.cfg
         _check_fits(state.y, self.grid)
         y = self._damp(state.y.copy(), exps) if cfg.damping_on else state.y
         y = self._conservative(y, exps)
         if cfg.damping_on:
             self._damp(y, exps)
-        state = State.stacked(y, state.t + cfg.dt)
-        self.norms = _step_norms(y, self.grid, self.params, exps,
-                                 cfg.damping_on)
-        blown = []
-        for row, (grad_v_sq, q, _) in enumerate(self.norms):
-            for trigger, value in (("grad_v_sq", grad_v_sq),
-                                   ("quadratic_form", q)):
-                # written so that a NaN norm (non-finite state) also ends
-                # the member's run
-                if not value <= cfg.blowup_cutoff:
-                    blown.append((row, trigger, value))
-                    break
-        if blown:
-            err = BlowupDetected(state.t, *blown[0][1:])
-            err.state, err.members = state, blown
-            raise err
-        return state
+        return State.stacked(y, state.t + cfg.dt)
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -396,28 +379,30 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
 
     live = list(range(len(records)))      # the member in each batch row
     for k in range(1, n_steps + 1):
-        blown = ()
-        try:
-            state = stepper.step(state, exps)
-        except BlowupDetected as blow:
-            state = blow.state
-            blown = {row: trigger for row, trigger, _ in blow.members}
+        state = stepper.step(state, exps)
         state.t = t = k * cfg.dt
+        norms = _step_norms(state.y, grid, params, exps, cfg.damping_on)
         record = k % record_every == 0 or k == n_steps
-        for row, (i, y, (_, q, dnorm)) in enumerate(
-                zip(live, state.y, stepper.norms)):
+        keep = []                 # the rows that go on
+        for row, (i, y, (grad_v_sq, q, dnorm)) in enumerate(
+                zip(live, state.y, norms)):
             # with damping off every dnorm is 0.0, and damping_cum stays 0.0
             damping_cum[i] += 0.5 * cfg.dt * (prev_dnorm[i] + dnorm)
             prev_dnorm[i] = dnorm
-            if record or row in blown:
+            # written so that a NaN norm (non-finite state) also ends the
+            # member's run
+            trigger = ("grad_v_sq" if not grad_v_sq <= cfg.blowup_cutoff
+                       else "quadratic_form" if not q <= cfg.blowup_cutoff
+                       else None)
+            if record or trigger:
                 records[i].append(_record(State.stacked(y, t), params, exps,
                                           grid, damping_cum[i], etot0[i], q))
-        if blown:
-            for row, trigger in blown.items():
-                trajectories[live[row]] = Trajectory(
-                    records[live[row]], "blowup", t, trigger,
-                    State.stacked(state.y[row].copy(), t))
-            keep = [row for row in range(len(live)) if row not in blown]
+            if trigger:
+                trajectories[i] = Trajectory(records[i], "blowup", t, trigger,
+                                             State.stacked(y.copy(), t))
+            else:
+                keep.append(row)
+        if len(keep) < len(live):
             live = [live[row] for row in keep]
             if not live:
                 break

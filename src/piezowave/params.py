@@ -4,10 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (AssumptionViolated, InvalidArgument, NonPositiveAlpha1,
-                     NonPositiveParameter)
-
-VALID_MODES = ("general", "global-decay", "blow-up")
+from .errors import AssumptionViolated, NonPositiveAlpha1, NonPositiveParameter
 
 
 @dataclass(frozen=True)
@@ -72,17 +69,9 @@ def make_params(rho, alpha, beta, gamma, mu) -> MaterialParams:
                           alpha1=alpha1)
 
 
-def validate_exponents(m1, m2, n1, n2, mode="general") -> Exponents:
-    """Check every standing hypothesis on the powers and return Exponents.
-
-    mode selects the extra requirements:
-      general      -- base hypotheses only
-      global-decay -- additionally n_i <= 5
-      blow-up      -- additionally n_i > m_i with n_i < 5 and m_i < 5
-    """
-    if mode not in VALID_MODES:
-        raise InvalidArgument(f"mode must be one of {VALID_MODES}, "
-                              f"got {mode!r}")
+def validate_exponents(m1, m2, n1, n2) -> Exponents:
+    """Check every standing hypothesis on the powers and return Exponents;
+    blowup_regime says whether n_i > m_i with n_i < 5 and m_i < 5."""
     for i, m in ((1, m1), (2, m2)):
         if not m >= 1:
             raise AssumptionViolated(f"m{i} = {m} violates m{i} >= 1")
@@ -95,17 +84,8 @@ def validate_exponents(m1, m2, n1, n2, mode="general") -> Exponents:
             raise AssumptionViolated(
                 f"n{i}(m{i}+1)/m{i} = {q:.6g} not < 6"
             )
-    if mode == "global-decay":
-        for i, n in ((1, n1), (2, n2)):
-            if n > 5:
-                raise AssumptionViolated(f"n{i} = {n} violates n{i} <= 5 (global decay)")
     blowup_regime = (n1 > m1 and n2 > m2
                      and n1 < 5 and n2 < 5 and m1 < 5 and m2 < 5)
-    if mode == "blow-up" and not blowup_regime:
-        raise AssumptionViolated(
-            "blow-up mode needs n_i > m_i with n_i < 5 and m_i < 5; "
-            f"got m=({m1},{m2}), n=({n1},{n2})"
-        )
     c_hat = min(n1 + 1.0, n2 + 1.0)
     return Exponents(m1=float(m1), m2=float(m2), n1=float(n1), n2=float(n2),
                      c_hat=c_hat, blowup_regime=blowup_regime)

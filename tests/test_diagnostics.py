@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import piezowave as pw
-from piezowave.diagnostics import CSV_FIELDS, make_record, well_side
+from piezowave.diagnostics import CSV_FIELDS, make_record
 from piezowave.grid import grad
 
 
@@ -72,16 +72,17 @@ def test_potential_energy_lambda_scaling(ref_params, ref_grid, exps, rng):
 
 
 def test_well_side_tristate(ref_params, ref_grid, exps):
-    z = pw.zero_state(ref_grid)
-    assert well_side(z, ref_params, exps, ref_grid) == "W1-side"
+    def well_side(state):
+        return make_record(state, ref_params, exps, ref_grid, 0.0,
+                           0.0).well_side
+
+    assert well_side(pw.zero_state(ref_grid)) == "W1-side"
     small = pw.state_from_modes(ref_grid, [0.1], [0.1], [0.0], [0.0])
-    assert well_side(small, ref_params, exps, ref_grid) == "W1-side"
-    big = small.scaled(100.0)
-    assert well_side(big, ref_params, exps, ref_grid) == "W2-side"
+    assert well_side(small) == "W1-side"
+    assert well_side(small.scaled(100.0)) == "W2-side"
     # scale onto the Nehari set: S(c u) = 0 has a positive root
     lam, _ = pw.nehari_lambda_star(small, ref_params, exps, ref_grid)
-    on = small.scaled(lam)
-    assert well_side(on, ref_params, exps, ref_grid) == "boundary"
+    assert well_side(small.scaled(lam)) == "boundary"
 
 
 def test_make_record_residual_definition(ref_params, ref_grid, exps, rng):
@@ -109,7 +110,7 @@ def test_energy_identity_residual_series_converges(ref_params, ref_grid):
 
 
 @pytest.mark.parametrize("functional", [
-    "total_energy", "sign_functional", "well_side", "classify_initial",
+    "total_energy", "sign_functional", "classify_initial",
     "kinetic_energy", "make_record", "source_norms", "damping_norms",
     "N_of", "Nprime_of", "nehari_lambda_star", "theorem210_threshold",
     "tmax_upper_bound"])

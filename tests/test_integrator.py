@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import piezowave as pw
 from piezowave.diagnostics import (QUIET, damping_norms, make_record,
                                    total_energy)
-from piezowave.errors import BlowupDetected
 from piezowave.grid import (grad_norm_sq, quadratic_form, second_difference,
                             stiffness_solver, tridiagonal_solver)
 from piezowave.integrator import (NEWTON_MAX_ITER, NEWTON_TOL, _damping_newton,
@@ -362,14 +361,6 @@ def test_blowup_detection_and_trajectory_truncation(ref_params, ref_grid):
     assert traj.records[-1].t == pytest.approx(traj.t_detect)
 
 
-def test_step_raises_blowup_directly(ref_params, ref_grid):
-    exps = pw.validate_exponents(1, 1, 2, 2)
-    cfg = pw.StepConfig(dt=1e-3, blowup_cutoff=1e-6)
-    with pytest.raises(BlowupDetected):
-        pw.Stepper(ref_grid, ref_params, cfg).step(_small_state(ref_grid),
-                                                   exps)
-
-
 def test_zero_t_end_yields_single_record(ref_params, ref_grid):
     exps = pw.validate_exponents(1, 1, 2, 2)
     traj = pw.simulate(_small_state(ref_grid), ref_params, exps, ref_grid,
@@ -493,20 +484,40 @@ def test_batch_member_equals_its_single_run(order, exponents):
 
 
 def test_batched_step_names_each_blown_member(ref_params, ref_grid):
-    """Stepper.step on a batch raises BlowupDetected once, naming the row
-    and trigger of every member that crossed the cutoff, and carries the
-    new state of the whole batch."""
+    """simulate on a batch names the trigger and time of every member that
+    crosses the cutoff on the same step (a NaN norm counts as crossing),
+    and the member below it completes."""
     exps = pw.validate_exponents(1, 1, 2, 2)
     states = [pw.state_from_modes(ref_grid, [a], [0.0], [0.0], [0.0])
               for a in (1e-3, 1.0, float("nan"))]
     cfg = pw.StepConfig(dt=1e-3, blowup_cutoff=1.0)
-    with pytest.raises(BlowupDetected) as info:
-        pw.Stepper(ref_grid, ref_params, cfg).step(
-            pw.State.stacked(np.array([s.y for s in states])), exps)
-    assert [(row, trigger) for row, trigger, _ in info.value.members] \
-        == [(1, "grad_v_sq"), (2, "grad_v_sq")]
-    assert info.value.state.y.shape == (3, 4, ref_grid.nx)
-    assert info.value.state.t == 1e-3
+    trajs = pw.simulate(pw.State.stacked(np.array([s.y for s in states])),
+                        ref_params, exps, ref_grid, cfg, 5e-3)
+    assert [(t.outcome, t.trigger, t.t_detect) for t in trajs] == [
+        ("completed", None, None), ("blowup", "grad_v_sq", 1e-3),
+        ("blowup", "grad_v_sq", 1e-3)]
+
+
+def test_quadratic_form_trigger_and_blowup_on_the_last_step(ref_params):
+    """v = 0, p = 1 crosses the cutoff by Q alone (grad_v_sq stays ~1e-12),
+    in a batch beside a grad_v_sq blow-up and a member that completes; run
+    alone to the step it blows up on, it ends as a blow-up with one record
+    at t_detect, not two."""
+    grid = pw.Grid1D(1.0, 81)
+    exps = pw.validate_exponents(1, 1, 2, 2)
+    cfg = pw.StepConfig(dt=1e-3, blowup_cutoff=1.0)
+    states = [pw.state_from_modes(grid, [v0], [p0], [0.0], [0.0])
+              for v0, p0 in ((0.0, 1.0), (1.0, 0.0), (1e-3, 0.0))]
+    trajs = pw.simulate(pw.State.stacked(np.array([s.y for s in states])),
+                        ref_params, exps, grid, cfg, 5e-3)
+    assert [(t.outcome, t.trigger, t.t_detect) for t in trajs] == [
+        ("blowup", "quadratic_form", 1e-3), ("blowup", "grad_v_sq", 1e-3),
+        ("completed", None, None)]
+    assert trajs[0].records[-1].Q > 1.0
+    alone = pw.simulate(states[0], ref_params, exps, grid, cfg, 1e-3)
+    assert (alone.outcome, alone.trigger, alone.t_detect) == \
+        ("blowup", "quadratic_form", 1e-3)
+    assert [r.t for r in alone.records] == [0.0, 1e-3]
 
 
 # members of the fused-norm batches: ordinary data, a NaN member and an

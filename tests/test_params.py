@@ -65,23 +65,8 @@ def test_hypothesis_violations_name_the_clause(m1, m2, n1, n2, msg):
     assert msg.split("(")[0] in str(exc.value)
 
 
-def test_global_decay_mode_caps_n():
-    pw.validate_exponents(3, 3, 4, 4, mode="global-decay")
-    # n = 5.2 passes the base hypotheses for m = 10 but not the decay cap
-    pw.validate_exponents(10, 10, 5.2, 3, mode="general")
-    with pytest.raises(AssumptionViolated):
-        pw.validate_exponents(10, 10, 5.2, 3, mode="global-decay")
-
-
 def test_blowup_mode_requires_source_dominance():
-    e = pw.validate_exponents(1, 1, 2, 2, mode="blow-up")
-    assert e.blowup_regime
+    assert pw.validate_exponents(1, 1, 2, 2).blowup_regime
+    assert not pw.validate_exponents(2, 2, 2, 2).blowup_regime   # n = m
     with pytest.raises(AssumptionViolated):
-        pw.validate_exponents(2, 2, 2, 2, mode="blow-up")   # n = m
-    with pytest.raises(AssumptionViolated):
-        pw.validate_exponents(5.0, 1, 5.5, 2, mode="blow-up")
-
-
-def test_bad_mode_rejected():
-    with pytest.raises(ValueError):
-        pw.validate_exponents(1, 1, 2, 2, mode="bogus")
+        pw.validate_exponents(5.0, 1, 5.5, 2)    # n1(m1+1)/m1 = 6.6

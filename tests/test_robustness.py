@@ -171,7 +171,6 @@ _SERIES = ([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.25, 0.125])
     lambda: pw.s_star_solve(0.0, 2.0, 2.0),
     lambda: pw.theorem210_threshold(*_LINEAR_RUN[:4], 0.6,
                                     convention="unknown"),
-    lambda: pw.validate_exponents(1, 1, 2, 2, mode="unknown"),
     lambda: pw.StepConfig(dt=1e-3, blowup_cutoff=float("nan")),
     lambda: pw.Grid1D(1.0, MAX_NX + 1),
     lambda: pw.fit_exponential([0.0, 1.0, 2.0], [1.0, 0.5, 0.25]),
@@ -180,7 +179,7 @@ _SERIES = ([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.25, 0.125])
     lambda: pw.fit_logarithmic(*_SERIES, 1.0, 0.5),
 ], ids=["grid", "step-config", "step-count", "embedding-q",
         "zero-pivot", "midpoint-overflow", "record-every", "lp-q",
-        "s-star", "bound-convention", "exponent-mode",
+        "s-star", "bound-convention",
         "step-config-cutoff", "grid-max-nx", "fit-series-shape",
         "fit-poly-eta", "fit-log-eta", "fit-log-C"])
 def test_invalid_argument_is_typed(call):

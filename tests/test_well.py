@@ -409,6 +409,7 @@ def test_classify_nehari_set_is_indeterminate(m, n, rng):
                                  rng.standard_normal(3), [0.0], [0.0])
         lam, _ = pw.nehari_lambda_star(st, params, exps, grid)
         on = st.scaled(lam)
-        assert pw.well_side(on, params, exps, grid) == "boundary"
+        assert pw.make_record(on, params, exps, grid, 0.0,
+                              0.0).well_side == "boundary"
         assert pw.classify_initial(on, rep, params, exps, grid) == \
             "indeterminate"

@@ -7,10 +7,12 @@ number by number to a tolerance.
 Each revision's `src/` and `demos/` are exported with `git archive` into a
 temporary directory.  Both exports then run the same fixed cases:
 
-  * `simulate`, `classify` and `bounds` on five run configs: the README
+  * `simulate`, `classify` and `bounds` on six run configs: the README
     example (m = 2, n = 3, nx = 201, t_end = 10), the `BASE_CFG` of
     `tests/test_harness.py` (m = 1, n = 2, nx = 81), that config with
-    NaN initial data, that config with `gamma = 1e200`, which fails to
+    NaN initial data, that config with v0 = 0, p0 = 1 and
+    `blowup_cutoff = 1.0`, which blows up by its `quadratic_form` at the
+    first step, that config with `gamma = 1e200`, which fails to
     build (each command exits 2 with an `error:` line on stderr), and an
     implicit-midpoint run with mixed exponents (m = (1, 3), n = (2, 3))
     on the asymmetric material (rho, alpha, beta, gamma, mu) =
@@ -240,6 +242,9 @@ RUN_CONFIGS = {
     "readme": README_CFG,
     "harness": HARNESS_CFG.format(v0="0.05"),
     "nan-v0": HARNESS_CFG.format(v0="nan"),
+    "qf-trigger": HARNESS_CFG.format(v0="0.0").replace(
+        "p0 = 0.03", "p0 = 1.0").replace(
+        "dt = 1e-3", "dt = 1e-3\nblowup_cutoff = 1.0"),
     "build-error": HARNESS_CFG.format(v0="0.05").replace(
         "gamma = 1.0", "gamma = 1e200"),
     "mixed-midpoint": MIXED_CFG,
