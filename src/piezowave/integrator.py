@@ -19,14 +19,14 @@ y[..., 2:, :], and (rho, mu) as a (2, 1) column.  Each operation covers both
 rows of every member at once, and goes row by row only where the exponents
 differ.  After each step, one batched pass in `simulate`, `_step_norms`,
 gives the blow-up check its norms, the ledger its damping norm and the
-record its Q.  Every reduction is one np.dot per member row (as
-ndarray.dot), and the source iteration and the blow-up check decide per
-member, so a member's results do not depend on what else is in its batch.
+record its Q.  Each reduction is one np.vecdot over the stack (bit for bit
+one ndarray.dot per row), and the source iteration and the blow-up check
+decide per member, so a member's results do not depend on its batch.
 
 The damping root has a closed form, exact to roundoff, for m in {1, 2, 3},
-and a per-entry Newton solve otherwise.  The conservative solve is one
-block-diagonal tridiagonal solve in the eigenbasis of the 2x2 coupling
-matrix (see `midpoint_bands`), an exact change of variables.
+and a per-entry Newton solve otherwise.  The conservative substep runs in
+the eigenbasis w = V^-1 u of the 2x2 coupling matrix (`midpoint_bands`),
+an exact change of variables, through maps built once, with one solve.
 
 With sources and damping off the conservative substep conserves the
 discrete quadratic energy up to the roundoff of the direct linear solve.
@@ -71,10 +71,11 @@ class StepConfig:
     sources_on: bool = True
 
     def __post_init__(self):
-        # dt^2 enters the midpoint matrix
-        if not (self.dt > 0 and self.dt * self.dt < math.inf):
+        # dt^2 enters the midpoint matrix, and 4/dt the velocity update
+        if not (self.dt > 0 and self.dt * self.dt < math.inf
+                and 4.0 / self.dt < math.inf):
             raise InvalidArgument(f"dt = {self.dt} must be > 0 with a "
-                                  "finite square")
+                                  "finite square and a finite 4/dt")
         if self.scheme not in SCHEMES:
             raise InvalidArgument(f"scheme must be one of {SCHEMES}")
         # written so that NaN is rejected too; inf is allowed
@@ -83,14 +84,20 @@ class StepConfig:
                                   "must be > 0")
 
 
-def _damping_solve_vec(r, a, m):
+def _cubic_constants(a):
+    """(1.5 k, 2 / k) with k = sqrt(3a), the constants of the m = 3 root."""
+    k = np.sqrt(3.0 * a)
+    return 1.5 * k, 2.0 / k
+
+
+def _damping_solve_vec(r, a, m, cubic=None):
     """Solve x + a|x|^(m-1)x = r on a float array r for a >= 0, m >= 1.
 
     m = 1, 2, 3 have closed forms, exact to roundoff, that also take a
     positive column a of per-row coefficients.  For m = 3 the hyperbolic
     form of the cubic's one real root (Nickalls 1993) is free of the
-    cancellation that Cardano's formula suffers at small a.  Other m go to
-    `_damping_newton`.
+    cancellation that Cardano's formula suffers at small a; cubic is its
+    `_cubic_constants(a)`, if built.  Other m go to `_damping_newton`.
     """
     if np.ndim(a) == 0 and a == 0.0:
         return r.copy()
@@ -101,9 +108,9 @@ def _damping_solve_vec(r, a, m):
         # keeps 2r from overflowing
         return r / (0.5 + np.sqrt(0.25 + a * np.abs(r)))
     if m == 3.0:
-        k = np.sqrt(3.0 * a)
+        c1, c2 = _cubic_constants(a) if cubic is None else cubic
         ar = np.abs(r)
-        x = (2.0 / k) * np.sinh(np.arcsinh(1.5 * k * ar) / 3.0)
+        x = c2 * np.sinh(np.arcsinh(c1 * ar) / 3.0)
         # the root has |x| <= |r|, which roundoff can miss by an ulp
         return np.copysign(np.minimum(x, ar), r)
     return _damping_newton(r, a, m)
@@ -150,23 +157,22 @@ def _step_norms(y, grid: Grid1D, params: MaterialParams, exps: Exponents,
                 damping_on: bool) -> list:
     """(grad_norm_sq(v), quadratic_form(v, p), sum(damping_norms) or 0.0
     with damping off) of each member of a stacked array y, bit for bit: one
-    dot per member row on differences and powers taken batch-wide.  The
-    blow-up check, the ledger and the records of `simulate` read them."""
+    np.vecdot per reduction on differences and powers taken batch-wide.
+    The blow-up check, the ledger and the records of `simulate` read them."""
     y = y.reshape(-1, 4, grid.nx)
-    dx, w = grid.dx, grid.weights
+    dx = grid.dx
     dnorms = [0.0] * len(y)
     if damping_on:
         if exps.m1 == exps.m2:
-            pv, pp = (np.abs(y[:, 2:]) ** (exps.m1 + 1.0)).transpose(1, 0, 2)
+            powers = np.abs(y[:, 2:]) ** (exps.m1 + 1.0)
         else:
-            pv, pp = (np.abs(y[:, row]) ** (m + 1.0)
-                      for row, m in ((2, exps.m1), (3, exps.m2)))
-        dnorms = [float(w.dot(a)) + float(w.dot(b)) for a, b in zip(pv, pp)]
+            powers = np.stack([np.abs(y[:, row]) ** (m + 1.0) for row, m
+                               in ((2, exps.m1), (3, exps.m2))], axis=1)
+        dnorms = [a + b for a, b in np.vecdot(grid.weights, powers).tolist()]
     g = (y[:, :2, 1:] - y[:, :2, :-1]) / dx
-    gv_sq = [float(gv.dot(gv)) for gv in g[:, 0]]
-    mix_sq = [float(mix.dot(mix)) for mix in params.gamma * g[:, 0] - g[:, 1]]
+    np.subtract(params.gamma * g[:, 0], g[:, 1], out=g[:, 1])
     return [(dx * a, dx * (params.alpha1 * a + params.beta * b), dnorm)
-            for a, b, dnorm in zip(gv_sq, mix_sq, dnorms)]
+            for (a, b), dnorm in zip(np.vecdot(g, g).tolist(), dnorms)]
 
 
 def _check_fits(y, grid: Grid1D):
@@ -219,34 +225,41 @@ def midpoint_bands(grid: Grid1D, params: MaterialParams, cfg: StepConfig):
 
 
 class Stepper:
-    """Caches the factorized midpoint matrix for (grid, params, dt)."""
+    """Caches solver, maps and damping constants for (grid, params, dt)."""
 
     def __init__(self, grid: Grid1D, params: MaterialParams, cfg: StepConfig):
-        self.grid = grid
-        self.params = params
-        self.cfg = cfg
-        self._mass = np.array([[params.rho], [params.mu]])
+        self.grid, self.params, self.cfg = grid, params, cfg
+        mass = np.array([[params.rho], [params.mu]])
         # (dt/4)(1/rho, 1/mu); if one underflows to 0, each row goes alone
-        self._damp_coef = (0.25 * cfg.dt) * (1.0 / self._mass)
+        self._damp_coef = (0.25 * cfg.dt) * (1.0 / mass)
         self._damp_joint = bool(self._damp_coef.all())
-        self._solve = self._factorize()
+        with np.errstate(divide="ignore"):
+            self._cubic = _cubic_constants(self._damp_coef)
+        self._solve = self._factorize(mass)
 
-    def _factorize(self):
-        """Solver of (I - (dt^2/4) A) u = rhs, rhs (2, nx) or (B, 2, nx)."""
+    def _factorize(self, mass):
+        """Build the maps into and out of w = V^-1 u, and return the solver
+        of (I - (dt^2/4) Lambda D2) w = rhs, rhs (2, nx) or (B, 2, nx)."""
         d, q, (lo, mid, up) = midpoint_bands(self.grid, self.params, self.cfg)
         # the k = 1, 2 systems end to end, joined by zero off-diagonals
         lo, up = (np.append(b, [[0.0], [0.0]], axis=1).ravel()[:-1]
                   for b in (lo, up))
         solve = tridiagonal_solver(lo, 1.0 + mid.ravel(), up)
-        v, v_inv = d[:, None] * q, q.T / d
+        dt, eye, v_inv = self.cfg.dt, np.eye(2), q.T / d
+        self._v = d[:, None] * q
+        # y -> V^-1 (x + (dt/2) xt), and f -> V^-1 (dt^2/4) (f1/rho, f2/mu)
+        self._into = np.hstack([v_inv, (0.5 * dt) * v_inv])
+        self._into_f = v_inv * ((dt * dt / 4.0) / mass).T
+        # D = xm - x -> (2D, (4/dt) D), to which the new state adds (x, -xt)
+        self._out = np.vstack([2.0 * eye, (4.0 / dt) * eye])
+        self._flip = np.array([[1.0], [1.0], [-1.0], [-1.0]])
         n = lo.size + 1
 
         def batch_solve(rhs):
             # the members of a (B, 2, nx) rhs are the B columns of one solve;
             # one member goes flat, which dgttrs takes faster
-            w = v_inv @ rhs
-            w = solve(w.ravel() if w.size == n else w.reshape(-1, n).T)
-            return v @ w.T.reshape(rhs.shape)
+            w = solve(rhs.ravel() if rhs.size == n else rhs.reshape(-1, n).T)
+            return w.T.reshape(rhs.shape)
         return batch_solve
 
     def _source(self, x, exps: Exponents):
@@ -257,36 +270,36 @@ class Stepper:
                          in zip((x[..., 0, :], x[..., 1, :]),
                                 (exps.n1, exps.n2))], axis=-2)
 
+    def _midpoint(self, base_w, x, exps: Exponents):
+        """V w, w solved from base_w and the source at x (none if None)."""
+        if x is not None:
+            base_w = base_w + self._into_f @ self._source(x, exps)
+        return self._v @ self._solve(base_w)
+
     def _conservative(self, y, exps: Exponents):
         """The conservative substep from y to a new stacked array."""
-        dt = self.cfg.dt
-        x, xt = y[..., :2, :], y[..., 2:, :]
-
-        def midpoint(f, base):
-            return self._solve(base + ((dt * dt / 4.0) * f) / self._mass)
-
-        base = x + (0.5 * dt) * xt
-        on = self.cfg.sources_on
+        x, on = y[..., :2, :], self.cfg.sources_on
+        base_w = self._into @ y
         iterate = on and self.cfg.scheme == "implicit-midpoint"
         # semi-implicit stops at this first iterate; implicit-midpoint
         # starts its iteration from the source at the predicted midpoint
-        xm = midpoint(self._source(base if iterate else x, exps)
-                      if on else 0.0, base)
+        start = x + (0.5 * self.cfg.dt) * y[..., 2:, :] if iterate else x
+        xm = self._midpoint(base_w, start if on else None, exps)
         if iterate:
-            xm = self._iterate(xm, midpoint, base, exps)
-        out = np.empty_like(y)
-        out[..., :2, :] = 2.0 * xm - x
-        out[..., 2:, :] = 4.0 * (xm - x) / dt - xt
+            xm = self._iterate(xm, base_w, exps)
+        # the difference comes before the scaling by 4/dt: it keeps digits
+        out = self._out @ (xm - x)
+        out += y * self._flip
         return out
 
-    def _iterate(self, xm, midpoint, base, exps: Exponents):
+    def _iterate(self, xm, base_w, exps: Exponents):
         """implicit-midpoint: iterate the sources of each member to its
         midpoint, NEWTON_MAX_ITER solves in all.  A member stops on its own
         test and keeps its iterate, and the others go on without it; a NaN
         change stops it too, since the blow-up check ends its run."""
         out, rows = xm, None      # the rows of out still iterating, or all
         for _ in range(NEWTON_MAX_ITER - 1):
-            new = midpoint(self._source(xm, exps), base)
+            new = self._midpoint(base_w, xm, exps)
             busy = _moving(new, xm)
             if rows is None:
                 out = new
@@ -297,7 +310,7 @@ class Stepper:
             if not all(busy):
                 busy = np.flatnonzero(busy)
                 rows = busy if rows is None else rows[busy]
-                new, base = new[busy], base[busy]
+                new, base_w = new[busy], base_w[busy]
             xm = new
         raise NoConvergence("implicit source iteration stalled")
 
@@ -307,11 +320,12 @@ class Stepper:
         with z + (h/2)c|z|^(m-1)z = y."""
         vel, a = y[..., 2:, :], self._damp_coef
         if exps.m1 == exps.m2 in (1.0, 2.0, 3.0) and self._damp_joint:
-            z = _damping_solve_vec(vel, a, exps.m1)
+            z = _damping_solve_vec(vel, a, exps.m1, self._cubic)
         else:
-            z = np.stack([_damping_solve_vec(r, ak, m) for r, ak, m
+            z = np.stack([_damping_solve_vec(r, *args) for r, *args
                           in zip((vel[..., 0, :], vel[..., 1, :]), a[:, 0],
-                                 (exps.m1, exps.m2))], axis=-2)
+                                 (exps.m1, exps.m2), zip(*self._cubic))],
+                         axis=-2)
         y[..., 2:, :] = 2.0 * z - vel
         return y
 
@@ -377,24 +391,23 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
     prev_dnorm = [dnorm for _, _, dnorm in norms]
     damping_cum, trajectories = [0.0] * len(records), [None] * len(records)
 
+    dt, cutoff = cfg.dt, cfg.blowup_cutoff
     live = list(range(len(records)))      # the member in each batch row
     for k in range(1, n_steps + 1):
         state = stepper.step(state, exps)
-        state.t = t = k * cfg.dt
+        state.t = t = k * dt
         norms = _step_norms(state.y, grid, params, exps, cfg.damping_on)
         record = k % record_every == 0 or k == n_steps
         keep = []                 # the rows that go on
-        for row, (i, y, (grad_v_sq, q, dnorm)) in enumerate(
-                zip(live, state.y, norms)):
+        for row, (i, (grad_v_sq, q, dnorm)) in enumerate(zip(live, norms)):
             # with damping off every dnorm is 0.0, and damping_cum stays 0.0
-            damping_cum[i] += 0.5 * cfg.dt * (prev_dnorm[i] + dnorm)
+            damping_cum[i] += 0.5 * dt * (prev_dnorm[i] + dnorm)
             prev_dnorm[i] = dnorm
-            # written so that a NaN norm (non-finite state) also ends the
-            # member's run
-            trigger = ("grad_v_sq" if not grad_v_sq <= cfg.blowup_cutoff
-                       else "quadratic_form" if not q <= cfg.blowup_cutoff
-                       else None)
+            # `not <=`: a NaN norm (non-finite state) also ends the run
+            trigger = ("grad_v_sq" if not grad_v_sq <= cutoff
+                       else "quadratic_form" if not q <= cutoff else None)
             if record or trigger:
+                y = state.y[row]
                 records[i].append(_record(State.stacked(y, t), params, exps,
                                           grid, damping_cum[i], etot0[i], q))
             if trigger:
