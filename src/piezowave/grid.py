@@ -96,9 +96,6 @@ class State:
     def copy(self) -> "State":
         return State.stacked(self.y.copy(), self.t)
 
-    def scaled(self, c: float) -> "State":
-        return State.stacked(c * self.y, self.t)
-
 
 def zero_state(grid: Grid1D) -> State:
     return State.stacked(np.zeros((4, grid.nx)))
@@ -138,6 +135,14 @@ def lp_norm_pow(field: np.ndarray, q: float, grid: Grid1D) -> float:
     if q < 1:
         raise InvalidArgument(f"q = {q} must be >= 1")
     return float(np.dot(grid.weights, np.abs(field) ** q))
+
+
+def row_powers(rows: np.ndarray, q1: float, q2: float) -> np.ndarray:
+    """|rows|^q of a (..., 2, nx) array, q = q1 in row 0 and q2 in row 1."""
+    if q1 == q2:
+        return np.abs(rows) ** q1
+    return np.stack([np.abs(rows[..., 0, :]) ** q1,
+                     np.abs(rows[..., 1, :]) ** q2], axis=-2)
 
 
 def grad_norm_sq(field: np.ndarray, grid: Grid1D) -> float:

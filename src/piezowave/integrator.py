@@ -19,17 +19,19 @@ y[..., 2:, :], and (rho, mu) as a (2, 1) column.  Each operation covers both
 rows of every member at once, and goes row by row only where the exponents
 differ.  After each step, one batched pass in `simulate`, `_step_norms`,
 gives the blow-up check its norms, the ledger its damping norm and the
-record its Q.  Each reduction is one np.vecdot over the stack (bit for bit
-one ndarray.dot per row), and the source iteration and the blow-up check
-decide per member, so a member's results do not depend on its batch.
+record its Q, and `diagnostics._records` the rest of the records.  Each
+reduction is one np.vecdot over the stack (bit for bit one ndarray.dot per
+row), and the source iteration and the blow-up check decide per member,
+so a member's results do not depend on its batch.
 
 The damping root has a closed form, exact to roundoff, for m in {1, 2, 3},
-and a per-entry Newton solve otherwise.  The conservative substep runs in
-the eigenbasis w = V^-1 u of the 2x2 coupling matrix (`midpoint_bands`),
-an exact change of variables, through maps built once, with one solve.
-
-With sources and damping off the conservative substep conserves the
-discrete quadratic energy up to the roundoff of the direct linear solve.
+and a per-entry Newton solve otherwise.  For m = 1 a half-step is x_t ->
+kappa x_t, kappa = (1 - a)/(1 + a) with a = dt/(4 rho) per row, so with
+m1 = m2 = 1 the whole step is the conservative substep through maps with
+kappa folded in.  That substep runs in the eigenbasis w = V^-1 u of the
+2x2 coupling matrix (`midpoint_bands`), an exact change of variables,
+through maps built once, with one solve.  With sources and damping off it
+conserves the discrete quadratic energy up to the roundoff of the solve.
 
 A non-finite state is a blow-up outcome, so `Stepper.step` only steps and
 lets numpy overflow quietly, and `simulate` decides: a member whose norm
@@ -43,9 +45,10 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import QUIET, _record
+from .diagnostics import QUIET, _records
 from .errors import InvalidArgument, NoConvergence
-from .grid import Grid1D, State, second_difference, tridiagonal_solver
+from .grid import (Grid1D, State, row_powers, second_difference,
+                   tridiagonal_solver)
 from .params import Exponents, MaterialParams
 # not called here, but names of this module that perfbench/tracing.py patches
 from .diagnostics import damping_norms, make_record, total_energy  # noqa: F401
@@ -163,11 +166,7 @@ def _step_norms(y, grid: Grid1D, params: MaterialParams, exps: Exponents,
     dx = grid.dx
     dnorms = [0.0] * len(y)
     if damping_on:
-        if exps.m1 == exps.m2:
-            powers = np.abs(y[:, 2:]) ** (exps.m1 + 1.0)
-        else:
-            powers = np.stack([np.abs(y[:, row]) ** (m + 1.0) for row, m
-                               in ((2, exps.m1), (3, exps.m2))], axis=1)
+        powers = row_powers(y[:, 2:], exps.m1 + 1.0, exps.m2 + 1.0)
         dnorms = [a + b for a, b in np.vecdot(grid.weights, powers).tolist()]
     g = (y[:, :2, 1:] - y[:, :2, :-1]) / dx
     np.subtract(params.gamma * g[:, 0], g[:, 1], out=g[:, 1])
@@ -245,14 +244,20 @@ class Stepper:
         lo, up = (np.append(b, [[0.0], [0.0]], axis=1).ravel()[:-1]
                   for b in (lo, up))
         solve = tridiagonal_solver(lo, 1.0 + mid.ravel(), up)
-        dt, eye, v_inv = self.cfg.dt, np.eye(2), q.T / d
+        dt, v_inv = self.cfg.dt, q.T / d
         self._v = d[:, None] * q
-        # y -> V^-1 (x + (dt/2) xt), and f -> V^-1 (dt^2/4) (f1/rho, f2/mu)
-        self._into = np.hstack([v_inv, (0.5 * dt) * v_inv])
+        # f -> V^-1 (dt^2/4) (f1/rho, f2/mu)
         self._into_f = v_inv * ((dt * dt / 4.0) / mass).T
-        # D = xm - x -> (2D, (4/dt) D), to which the new state adds (x, -xt)
-        self._out = np.vstack([2.0 * eye, (4.0 / dt) * eye])
-        self._flip = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+        # (into, start, out, flip) for k = 1 and k = kappa (1 where a = 0):
+        # y -> V^-1 (x + (dt/2) k x_t); (dt/2) k for the predicted midpoint;
+        # D = xm - x -> (2D, (4/dt) k D), plus y (1, 1, -k^2) for the new state
+        a = self._damp_coef
+        self._plain, self._linear = (
+            (np.hstack([v_inv, (0.5 * dt) * v_inv * k.T]), (0.5 * dt) * k,
+             np.concatenate([2.0 * np.eye(2), (4.0 / dt) * np.diag(k[:, 0])]),
+             np.concatenate([np.ones((2, 1)), -(k * k)]))
+            for k in (np.ones((2, 1)), (1.0 - a) / (1.0 + a)))
+        self._into = self._plain[0]       # V^-1 [I, (dt/2) I]
         n = lo.size + 1
 
         def batch_solve(rhs):
@@ -262,35 +267,29 @@ class Stepper:
             return w.T.reshape(rhs.shape)
         return batch_solve
 
-    def _source(self, x, exps: Exponents):
-        """|x|^(n-1) x on the displacement rows x, with n = (n1, n2)."""
-        if exps.n1 == exps.n2:
-            return np.abs(x) ** (exps.n1 - 1.0) * x
-        return np.stack([np.abs(r) ** (n - 1.0) * r for r, n
-                         in zip((x[..., 0, :], x[..., 1, :]),
-                                (exps.n1, exps.n2))], axis=-2)
-
     def _midpoint(self, base_w, x, exps: Exponents):
         """V w, w solved from base_w and the source at x (none if None)."""
         if x is not None:
-            base_w = base_w + self._into_f @ self._source(x, exps)
+            base_w = base_w + self._into_f @ (
+                row_powers(x, exps.n1 - 1.0, exps.n2 - 1.0) * x)
         return self._v @ self._solve(base_w)
 
-    def _conservative(self, y, exps: Exponents):
-        """The conservative substep from y to a new stacked array."""
+    def _conservative(self, y, exps: Exponents, into, start, out, flip):
+        """The conservative substep from y to a new stacked array, through
+        maps `_plain`, or `_linear` for the whole step with m1 = m2 = 1."""
         x, on = y[..., :2, :], self.cfg.sources_on
-        base_w = self._into @ y
+        base_w = into @ y
         iterate = on and self.cfg.scheme == "implicit-midpoint"
         # semi-implicit stops at this first iterate; implicit-midpoint
         # starts its iteration from the source at the predicted midpoint
-        start = x + (0.5 * self.cfg.dt) * y[..., 2:, :] if iterate else x
-        xm = self._midpoint(base_w, start if on else None, exps)
+        first = x + start * y[..., 2:, :] if iterate else x
+        xm = self._midpoint(base_w, first if on else None, exps)
         if iterate:
             xm = self._iterate(xm, base_w, exps)
         # the difference comes before the scaling by 4/dt: it keeps digits
-        out = self._out @ (xm - x)
-        out += y * self._flip
-        return out
+        new = out @ (xm - x)
+        new += y * flip
+        return new
 
     def _iterate(self, xm, base_w, exps: Exponents):
         """implicit-midpoint: iterate the sources of each member to its
@@ -319,7 +318,7 @@ class Stepper:
         Over h = dt/2 the midpoint update of y' = -c|y|^(m-1)y is 2z - y
         with z + (h/2)c|z|^(m-1)z = y."""
         vel, a = y[..., 2:, :], self._damp_coef
-        if exps.m1 == exps.m2 in (1.0, 2.0, 3.0) and self._damp_joint:
+        if exps.m1 == exps.m2 in (2.0, 3.0) and self._damp_joint:
             z = _damping_solve_vec(vel, a, exps.m1, self._cubic)
         else:
             z = np.stack([_damping_solve_vec(r, *args) for r, *args
@@ -333,13 +332,16 @@ class Stepper:
     def step(self, state: State, exps: Exponents) -> State:
         """The state one step on.  state.y holds one member, (4, nx), or a
         batch, (B, 4, nx), whose members each advance as they would alone.
-        A member may come out non-finite; `simulate` decides blow-up."""
+        A member may come out non-finite; `simulate` decides blow-up.  With
+        m1 = m2 = 1 the damping is in the maps, and no `_damp` runs."""
         cfg = self.cfg
         _check_fits(state.y, self.grid)
-        y = self._damp(state.y.copy(), exps) if cfg.damping_on else state.y
-        y = self._conservative(y, exps)
-        if cfg.damping_on:
-            self._damp(y, exps)
+        if cfg.damping_on and not exps.m1 == exps.m2 == 1.0:
+            y = self._damp(state.y.copy(), exps)
+            y = self._damp(self._conservative(y, exps, *self._plain), exps)
+        else:
+            y = self._conservative(state.y, exps, *(
+                self._linear if cfg.damping_on else self._plain))
         return State.stacked(y, state.t + cfg.dt)
 
 
@@ -385,8 +387,8 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
     # one member runs as a batch of one
     state = State.stacked(state0.y.reshape(-1, 4, grid.nx).copy())
     norms = _step_norms(state.y, grid, params, exps, cfg.damping_on)
-    records = [[_record(State.stacked(y), params, exps, grid, 0.0, None, q)]
-               for y, (_, q, _) in zip(state.y, norms)]
+    records = [[r] for r in _records(state.y, 0.0, params, exps, grid,
+                                     [(0.0, None, q) for _, q, _ in norms])]
     etot0 = [r[0].Etot for r in records]
     prev_dnorm = [dnorm for _, _, dnorm in norms]
     damping_cum, trajectories = [0.0] * len(records), [None] * len(records)
@@ -398,7 +400,7 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
         state.t = t = k * dt
         norms = _step_norms(state.y, grid, params, exps, cfg.damping_on)
         record = k % record_every == 0 or k == n_steps
-        keep = []                 # the rows that go on
+        ledger, keep = {}, []     # recording rows: (damping_cum, etot0, Q)
         for row, (i, (grad_v_sq, q, dnorm)) in enumerate(zip(live, norms)):
             # with damping off every dnorm is 0.0, and damping_cum stays 0.0
             damping_cum[i] += 0.5 * dt * (prev_dnorm[i] + dnorm)
@@ -407,14 +409,17 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
             trigger = ("grad_v_sq" if not grad_v_sq <= cutoff
                        else "quadratic_form" if not q <= cutoff else None)
             if record or trigger:
-                y = state.y[row]
-                records[i].append(_record(State.stacked(y, t), params, exps,
-                                          grid, damping_cum[i], etot0[i], q))
+                ledger[row] = (damping_cum[i], etot0[i], q)
             if trigger:
                 trajectories[i] = Trajectory(records[i], "blowup", t, trigger,
-                                             State.stacked(y.copy(), t))
+                                             State.stacked(state.y[row].copy(),
+                                                           t))
             else:
                 keep.append(row)
+        if ledger:
+            for row, r in zip(ledger, _records(state.y[list(ledger)], t, params,
+                                               exps, grid, ledger.values())):
+                records[live[row]].append(r)
         if len(keep) < len(live):
             live = [live[row] for row in keep]
             if not live:

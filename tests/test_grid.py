@@ -147,7 +147,7 @@ def test_state_copy_and_scaled(ref_grid):
     c = s.copy()
     c.v[0] = 99.0
     assert s.v[0] == 0.0
-    d = s.scaled(2.0)
+    d = pw.State.stacked(2.0 * s.y, s.t)
     assert np.allclose(d.p, 2.0 * s.p)
 
 

@@ -154,12 +154,16 @@ class _FourArrayStep:
     conservative substep solves in the eigen coordinates w = V^-1 u, from
     base_w = V^-1 [I, (dt/2) I] y and the source through V^-1 diag(dt^2/4
     (1/rho, 1/mu)), and builds the new state from D = V w - x as
-    (x + 2D, (4/dt) D - xt).  With predicted=False, implicit-midpoint
-    starts from the source at the step start instead of at the predicted
-    midpoint.  With legacy=True it takes the arithmetic the Stepper had
-    before: the right-hand side x + (dt/2) xt + (dt^2/4) f / (rho, mu)
-    through V^-1, the solve, V, and the new state (2 xm - x,
-    4 (xm - x) / dt - xt)."""
+    (x + 2D, (4/dt) D - xt).  With m1 = m2 = 1 and damping on, the two
+    damping half-steps, each xt -> kappa xt with kappa = (1 - a)/(1 + a),
+    are folded into that substep: base_w takes kappa xt, the predicted
+    midpoint x + ((dt/2) kappa) xt, and the new state ((4/dt) kappa) D -
+    kappa^2 xt.  With predicted=False, implicit-midpoint starts from the
+    source at the step start instead of at the predicted midpoint.  With
+    legacy=True it takes the arithmetic the Stepper had before: the
+    right-hand side x + (dt/2) xt + (dt^2/4) f / (rho, mu) through V^-1,
+    the solve, V, the new state (2 xm - x, 4 (xm - x) / dt - xt), and a
+    damping half-step on each side of it for every m."""
 
     def __init__(self, grid, params, cfg, predicted=True, legacy=False):
         self.params, self.cfg, self.predicted = params, cfg, predicted
@@ -176,16 +180,20 @@ class _FourArrayStep:
                                            -c * (lk * upper)) for lk in lam]
         self.v, self.v_inv = d[:, None] * q, q.T / d
         dt = cfg.dt
-        self.into = np.hstack([self.v_inv, (0.5 * dt) * self.v_inv])
         self.into_f = self.v_inv * ((dt * dt / 4.0)
                                     / np.array([[params.rho], [params.mu]])).T
+        a = [0.25 * dt * (1.0 / params.rho), 0.25 * dt * (1.0 / params.mu)]
+        self.kappa = [(1.0 - ak) / (1.0 + ak) for ak in a]
 
     def solve_w(self, w):
         return np.array([s(wk) for s, wk in zip(self.solvers, w)])
 
-    def conservative(self, v, p, vt, pt, exps):
+    def conservative(self, v, p, vt, pt, exps, kappa=(1.0, 1.0)):
         dt, pr, on = self.cfg.dt, self.params, self.cfg.sources_on
-        base_w = self.into @ np.array([v, p, vt, pt])
+        k1, k2 = kappa
+        into = np.hstack([self.v_inv, (0.5 * dt) * self.v_inv
+                          * np.array([[k1, k2]])])
+        base_w = into @ np.array([v, p, vt, pt])
 
         def source(v, p):
             return (np.abs(v) ** (exps.n1 - 1.0) * v,
@@ -203,7 +211,7 @@ class _FourArrayStep:
         iterate = on and self.cfg.scheme == "implicit-midpoint"
         # implicit-midpoint starts from the source at the predicted
         # midpoint, semi-implicit takes it at the step start
-        first = ((v + 0.5 * dt * vt, p + 0.5 * dt * pt)
+        first = ((v + ((0.5 * dt) * k1) * vt, p + ((0.5 * dt) * k2) * pt)
                  if iterate and self.predicted else (v, p))
         vm, pm = midpoint(source(*first) if on else None)
         if iterate:
@@ -218,8 +226,9 @@ class _FourArrayStep:
             return (2.0 * vm - v, 2.0 * pm - p, 4.0 * (vm - v) / dt - vt,
                     4.0 * (pm - p) / dt - pt)
         dv, dp = vm - v, pm - p
-        return (v + 2.0 * dv, p + 2.0 * dp, (4.0 / dt) * dv - vt,
-                (4.0 / dt) * dp - pt)
+        return (v + 2.0 * dv, p + 2.0 * dp,
+                ((4.0 / dt) * k1) * dv - (k1 * k1) * vt,
+                ((4.0 / dt) * k2) * dp - (k2 * k2) * pt)
 
     def damp(self, v, p, vt, pt, exps):
         a = 0.25 * self.cfg.dt
@@ -228,6 +237,9 @@ class _FourArrayStep:
         return v, p, 2.0 * zv - vt, 2.0 * zp - pt
 
     def step(self, fields, exps):
+        if self.cfg.damping_on and exps.m1 == exps.m2 == 1.0 \
+                and not self.legacy:
+            return self.conservative(*fields, exps, self.kappa)
         if self.cfg.damping_on:
             fields = self.damp(*fields, exps)
         fields = self.conservative(*fields, exps)
@@ -340,6 +352,42 @@ def test_midpoint_solves_per_step(scheme, per_step, exponents, ref_params,
     for _ in range(200):
         state = stepper.step(state, exps)
     assert len(calls) == 200 * per_step
+
+
+def test_linear_damping_takes_no_damping_solve(ref_params, ref_grid,
+                                              monkeypatch):
+    """With m1 = m2 = 1 the damping half-steps are folded into the maps of
+    the conservative substep, so a damped step makes no damping solve;
+    with m = (1, 3) each row still takes its own."""
+    def refuse(*args):
+        raise AssertionError("damping solve called")
+    monkeypatch.setattr(pw.integrator, "_damping_solve_vec", refuse)
+    state = pw.state_from_modes(ref_grid, [0.3], [0.2], [0.1], [-0.05])
+    for scheme in pw.integrator.SCHEMES:
+        stepper = pw.Stepper(ref_grid, ref_params,
+                             pw.StepConfig(dt=1e-3, scheme=scheme))
+        stepper.step(state, pw.validate_exponents(1, 1, 2, 2))
+        with pytest.raises(AssertionError, match="damping solve"):
+            stepper.step(state, pw.validate_exponents(1, 3, 2, 3))
+
+
+def test_underflowed_damping_coefficient_leaves_velocity_undamped():
+    """rho = mu = 1e300 at dt = 1e-30 make both coefficients dt/(4 rho)
+    underflow to 0, so kappa = 1: the damped m1 = m2 = 1 step equals the
+    undamped step bit for bit, and keeps the velocities of a state with no
+    displacement and no stiffness to act on them."""
+    params = pw.make_params(1e300, 2.0, 1.0, 1.0, 1e300)
+    grid = pw.Grid1D(1.0, 41)
+    exps = pw.validate_exponents(1, 1, 2, 2)
+    state = pw.state_from_modes(grid, [0.0], [0.0], [0.1], [-0.05])
+    damped, undamped = (pw.Stepper(grid, params, pw.StepConfig(
+        dt=1e-30, damping_on=on)) for on in (True, False))
+    assert not damped._damp_coef.any()
+    a, b = state, state
+    for _ in range(3):
+        a, b = damped.step(a, exps), undamped.step(b, exps)
+    assert np.array_equal(a.y, b.y)
+    assert np.allclose(a.y[2:], state.y[2:], rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -618,3 +666,37 @@ def test_first_record_is_make_record_of_initial_state(v0, ref_params):
                            total_energy(state0, ref_params, exps, grid))
     assert np.array(astuple(traj.records[0])).tobytes() \
         == np.array(astuple(expected)).tobytes()
+
+
+@pytest.mark.parametrize("amplitudes", [[0.3, 40.0, -0.05], [40.0]],
+                         ids=["B3", "B1"])
+def test_last_record_is_make_record_of_final_state(amplitudes):
+    """The records that simulate takes batch-wide equal, bit for bit,
+    make_record of each member's final state, with its damping_cum and
+    Etot(0), and the public per-field functions: on a batch with n1 != n2
+    whose v0 = 40 member blows up between two record steps, and on that
+    member alone, as (4, nx)."""
+    params = pw.make_params(*MATERIALS[1])
+    exps = pw.validate_exponents(1, 1, 2, 2.5)
+    grid = pw.Grid1D(1.0, 41)
+    cfg = pw.StepConfig(dt=1e-3, scheme="implicit-midpoint")
+    states = [pw.state_from_modes(grid, [a], [0.5 * a], [0.1], [0.0])
+              for a in amplitudes]
+    if len(states) == 1:
+        trajs = [pw.simulate(states[0], params, exps, grid, cfg, 0.3, 7)]
+    else:
+        trajs = pw.simulate(pw.State.stacked(np.array([s.y for s in states])),
+                            params, exps, grid, cfg, 0.3, 7)
+    assert "blowup" in [t.outcome for t in trajs]
+    for traj in trajs:
+        last, final = traj.records[-1], traj.final_state
+        expected = make_record(final, params, exps, grid, last.damping_cum,
+                               traj.records[0].Etot)
+        assert np.array(astuple(last)).tobytes() \
+            == np.array(astuple(expected)).tobytes()
+        with np.errstate(**QUIET):
+            assert (last.vnorm_n1, last.pnorm_n2) == pw.source_norms(
+                final, exps, grid)
+            assert last.E == pw.kinetic_energy(final, params, grid) \
+                + 0.5 * last.Q
+            assert last.nprime == pw.Nprime_of(final, params, grid)

@@ -10,6 +10,11 @@ from piezowave.well import (_embedding_quotient, check_delta, lambda_fn,
                             lambda_prime)
 
 
+def _scaled(state, c):
+    """The state with every row scaled by c."""
+    return pw.State.stacked(c * state.y, state.t)
+
+
 # ---------------------------------------------------------------------------
 # embedding and Poincare constants
 
@@ -211,7 +216,7 @@ def test_lambda_star_is_one_on_nehari_set(ref_params, coarse_grid):
     exps = pw.validate_exponents(1, 1, 2, 2)
     st = pw.state_from_modes(coarse_grid, [0.4], [0.2], [0.0], [0.0])
     lam, _ = pw.nehari_lambda_star(st, ref_params, exps, coarse_grid)
-    on = st.scaled(lam)
+    on = _scaled(st, lam)
     lam2, _ = pw.nehari_lambda_star(on, ref_params, exps, coarse_grid)
     assert lam2 == pytest.approx(1.0, abs=1e-9)
     s = pw.sign_functional(on, ref_params, exps, coarse_grid)
@@ -229,8 +234,8 @@ def test_lambda_star_scaling_covariance(ref_params, coarse_grid, rng):
         st = pw.State(v, p, np.zeros_like(v), np.zeros_like(p))
         lam, _ = pw.nehari_lambda_star(st, ref_params, exps, coarse_grid)
         c = rng.uniform(0.2, 5.0)
-        lam_c, _ = pw.nehari_lambda_star(st.scaled(c), ref_params, exps,
-                                         coarse_grid)
+        lam_c, _ = pw.nehari_lambda_star(_scaled(st, c), ref_params,
+                                         exps, coarse_grid)
         assert lam_c == pytest.approx(lam / c, rel=1e-10)
 
 
@@ -408,7 +413,7 @@ def test_classify_nehari_set_is_indeterminate(m, n, rng):
         st = pw.state_from_modes(grid, rng.standard_normal(3),
                                  rng.standard_normal(3), [0.0], [0.0])
         lam, _ = pw.nehari_lambda_star(st, params, exps, grid)
-        on = st.scaled(lam)
+        on = _scaled(st, lam)
         assert pw.make_record(on, params, exps, grid, 0.0,
                               0.0).well_side == "boundary"
         assert pw.classify_initial(on, rep, params, exps, grid) == \

@@ -7,7 +7,7 @@ number by number to a tolerance.
 Each revision's `src/` and `demos/` are exported with `git archive` into a
 temporary directory.  Both exports then run the same fixed cases:
 
-  * `simulate`, `classify` and `bounds` on seven run configs: the README
+  * `simulate`, `classify` and `bounds` on eight run configs: the README
     example (m = 2, n = 3, nx = 201, t_end = 10), the `BASE_CFG` of
     `tests/test_harness.py` (m = 1, n = 2, nx = 81), that config with
     NaN initial data, that config with v0 = 0, p0 = 1 and
@@ -17,9 +17,12 @@ temporary directory.  Both exports then run the same fixed cases:
     implicit-midpoint run with mixed exponents (m = (1, 3), n = (2, 3))
     on the asymmetric material (rho, alpha, beta, gamma, mu) =
     (2.3, 5, 0.7, 1.9, 0.4), which runs the source iteration, the
-    row-by-row damping and source branches and rho != mu, and a
+    row-by-row damping and source branches and rho != mu, a
     semi-implicit run with m = n = 3 on that material, which runs the
-    joint m = 3 closed-form damping with rho != mu;
+    joint m = 3 closed-form damping with rho != mu, and an
+    implicit-midpoint run with m = (1, 1), n = (2, 2.5) on that material,
+    the one case whose linear damping, folded into the conservative
+    substep, scales the two velocity rows by different factors;
   * `fit --model exp|poly|log` on each `energy.csv` that `simulate` wrote;
   * `sweep` on the AC-9 sweep config of `tests/test_acceptance.py`; on
     the `BASE_CFG` harness config with `[fit] model = exp` and the axis
@@ -181,6 +184,11 @@ outdir = out
 CUBIC_ASYMMETRIC_CFG = MIXED_CFG.replace("m1 = 1.0", "m1 = 3.0").replace(
     "n1 = 2.0", "n1 = 3.0").replace("implicit-midpoint", "semi-implicit")
 
+# m = (1, 1), n = (2, 2.5), implicit-midpoint, on the asymmetric material:
+# linear damping folded into the maps with a different factor per row
+LINEAR_ASYMMETRIC_CFG = MIXED_CFG.replace("m2 = 3.0", "m2 = 1.0").replace(
+    "n2 = 3.0", "n2 = 2.5")
+
 AC9_SWEEP_CFG = MATERIAL + """
 [exponents]
 m1 = 2.0
@@ -256,6 +264,7 @@ RUN_CONFIGS = {
         "gamma = 1.0", "gamma = 1e200"),
     "mixed-midpoint": MIXED_CFG,
     "cubic-asymmetric": CUBIC_ASYMMETRIC_CFG,
+    "linear-asymmetric": LINEAR_ASYMMETRIC_CFG,
 }
 DEMOS = ("decay_and_fit.py", "well_classification.py", "blowup_bound.py")
 CLI = ("import sys; from piezowave.cli import main; "
