@@ -8,8 +8,8 @@ from .config import (RunConfig, SweepConfig, expand_sweep, load_run_config,
 from .decay import (DecayFit, eta_from_exponents, fit_exponential,
                     fit_logarithmic, fit_polynomial, select_model)
 from .diagnostics import (CSV_FIELDS, EnergyRecord, damping_norms,
-                          kinetic_energy, make_record, sign_functional,
-                          source_norms, total_energy)
+                          make_record, sign_functional, source_norms,
+                          total_energy)
 from .errors import (AssumptionViolated, BoundInapplicable, ConfigParse,
                      DeltaOutOfRange, InvalidArgument, NoConvergence,
                      NonPositiveAlpha1, NonPositiveParameter,

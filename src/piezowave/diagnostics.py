@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (QUIET, Grid1D, State, l2_norm_sq, lp_norm_pow,
-                   quadratic_form, row_powers)
+from .grid import (QUIET, Grid1D, State, lp_norm_pow, quadratic_form,
+                   row_powers)
 from .params import Exponents, MaterialParams
 
 # Relative tolerance for calling a state "on the Nehari set".
@@ -52,12 +52,6 @@ class EnergyRecord:
         if abs(self.sign_fn) <= BOUNDARY_TOL * self.Q:
             return "boundary"
         return "W1-side" if self.sign_fn > 0 else "W2-side"
-
-
-@np.errstate(**QUIET)
-def kinetic_energy(state: State, params: MaterialParams, grid: Grid1D) -> float:
-    return 0.5 * (params.rho * l2_norm_sq(state.vt, grid)
-                  + params.mu * l2_norm_sq(state.pt, grid))
 
 
 @np.errstate(**QUIET)

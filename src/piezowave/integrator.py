@@ -25,10 +25,11 @@ row), and the source iteration and the blow-up check decide per member,
 so a member's results do not depend on its batch.
 
 The damping root has a closed form, exact to roundoff, for m in {1, 2, 3},
-and a per-entry Newton solve otherwise.  For m = 1 a half-step is x_t ->
-kappa x_t, kappa = (1 - a)/(1 + a) with a = dt/(4 rho) per row, so with
-m1 = m2 = 1 the whole step is the conservative substep through maps with
-kappa folded in.  That substep runs in the eigenbasis w = V^-1 u of the
+and otherwise one Newton solve on the whole array, in which each entry
+stops on its own residual.  For m = 1 a half-step is x_t -> kappa x_t,
+kappa = (1 - a)/(1 + a) with a = dt/(4 rho) per row, so with m1 = m2 = 1
+the whole step is the conservative substep through maps with kappa
+folded in.  That substep runs in the eigenbasis w = V^-1 u of the
 2x2 coupling matrix (`midpoint_bands`), an exact change of variables,
 through maps built once, with one solve.  With sources and damping off it
 conserves the discrete quadratic energy up to the roundoff of the solve.
@@ -94,16 +95,15 @@ def _cubic_constants(a):
 
 
 def _damping_solve_vec(r, a, m, cubic=None):
-    """Solve x + a|x|^(m-1)x = r on a float array r for a >= 0, m >= 1.
+    """Solve x + a|x|^(m-1)x = r on a float array r for a >= 0, m >= 1,
+    with a a scalar or a column of per-row coefficients.
 
-    m = 1, 2, 3 have closed forms, exact to roundoff, that also take a
-    positive column a of per-row coefficients.  For m = 3 the hyperbolic
-    form of the cubic's one real root (Nickalls 1993) is free of the
-    cancellation that Cardano's formula suffers at small a; cubic is its
-    `_cubic_constants(a)`, if built.  Other m go to `_damping_newton`.
+    m = 1, 2, 3 have closed forms, exact to roundoff.  For m = 3 the
+    hyperbolic form of the cubic's one real root (Nickalls 1993) is free
+    of the cancellation that Cardano's formula suffers at small a; cubic
+    is its `_cubic_constants(a)`, if built.  Other m go to the whole-array
+    `_damping_newton`.  Where a = 0, each finite r comes back bit for bit.
     """
-    if np.ndim(a) == 0 and a == 0.0:
-        return r.copy()
     if m == 1.0:
         return r / (1.0 + a)
     if m == 2.0:
@@ -114,46 +114,39 @@ def _damping_solve_vec(r, a, m, cubic=None):
         c1, c2 = _cubic_constants(a) if cubic is None else cubic
         ar = np.abs(r)
         x = c2 * np.sinh(np.arcsinh(c1 * ar) / 3.0)
-        # the root has |x| <= |r|, which roundoff can miss by an ulp
-        return np.copysign(np.minimum(x, ar), r)
+        # |x| <= |r| (roundoff can miss it by an ulp); at a = 0, x is NaN
+        return np.copysign(np.fmin(x, ar), r)
     return _damping_newton(r, a, m)
 
 
 def _damping_newton(r: np.ndarray, a, m):
-    """Newton solve of x + a|x|^(m-1)x = r from r/(1+a), well behaved
-    since phi'(x) >= 1.  Each entry stops on its own residual, so its
-    result does not depend on the other entries.  A bisection sweep
-    finishes off any stragglers."""
-    def phi(x, r):     # the residual, and |x|^(m-1) for Newton's phi'
+    """Newton solve of x + a|x|^(m-1)x = r from r/(1+a) on the whole array
+    r, well behaved since phi'(x) >= 1.  Each entry stops on its own
+    residual and then keeps its value, so its result does not depend on
+    the other entries.  A bisection sweep finishes off any stragglers."""
+    def phi(x):        # the residual, and |x|^(m-1) for Newton's phi'
         power = np.abs(x) ** (m - 1.0)
         return x + a * power * x - r, power
 
-    rf = r.ravel()
-    x = rf / (1.0 + a)
+    x = r / (1.0 + a)
     # the root has the sign of r and |x| <= |r|
-    lo, hi = np.minimum(rf, 0.0), np.maximum(rf, 0.0)
-    todo = np.arange(rf.size)
+    lo, hi = np.minimum(r, 0.0), np.maximum(r, 0.0)
+    tol = NEWTON_TOL * (1.0 + np.abs(r))
     for _ in range(NEWTON_MAX_ITER):
-        rt, xt = rf[todo], x[todo]
-        res, power = phi(xt, rt)
-        busy = np.abs(res) > NEWTON_TOL * (1.0 + np.abs(rt))
+        res, power = phi(x)
+        busy = np.abs(res) > tol
         if not busy.any():
-            return x.reshape(r.shape)
-        todo = todo[busy]
-        step = res[busy] / (1.0 + a * m * power[busy])
-        x[todo] = np.clip(xt[busy] - step, lo[todo], hi[todo])
-    # bisection fallback on [lo, hi] for unconverged entries
-    rt, lo, hi = rf[todo], lo[todo], hi[todo]
+            return x
+        x = np.where(busy, np.clip(x - res / (1.0 + a * m * power), lo, hi), x)
+    # bisection fallback on [lo, hi], kept for the entries still busy
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        low = phi(mid, rt)[0] < 0.0
-        lo = np.where(low, mid, lo)
-        hi = np.where(low, hi, mid)
-    x[todo] = 0.5 * (lo + hi)
-    tol = 1e3 * NEWTON_TOL * (1.0 + np.abs(rt))
-    if np.any(np.abs(phi(x[todo], rt)[0]) > tol):
+        low = phi(mid)[0] < 0.0
+        lo, hi = np.where(low, mid, lo), np.where(low, hi, mid)
+    x = np.where(busy, 0.5 * (lo + hi), x)
+    if np.any(busy & (np.abs(phi(x)[0]) > 1e3 * tol)):
         raise NoConvergence("damping solve did not meet tolerance")
-    return x.reshape(r.shape)
+    return x
 
 
 def _step_norms(y, grid: Grid1D, params: MaterialParams, exps: Exponents,
@@ -229,9 +222,9 @@ class Stepper:
     def __init__(self, grid: Grid1D, params: MaterialParams, cfg: StepConfig):
         self.grid, self.params, self.cfg = grid, params, cfg
         mass = np.array([[params.rho], [params.mu]])
-        # (dt/4)(1/rho, 1/mu); if one underflows to 0, each row goes alone
+        # (dt/4)(1/rho, 1/mu); a row whose coefficient underflows to 0 is
+        # left undamped, bit for bit, by every damping solve
         self._damp_coef = (0.25 * cfg.dt) * (1.0 / mass)
-        self._damp_joint = bool(self._damp_coef.all())
         with np.errstate(divide="ignore"):
             self._cubic = _cubic_constants(self._damp_coef)
         self._solve = self._factorize(mass)
@@ -257,7 +250,6 @@ class Stepper:
              np.concatenate([2.0 * np.eye(2), (4.0 / dt) * np.diag(k[:, 0])]),
              np.concatenate([np.ones((2, 1)), -(k * k)]))
             for k in (np.ones((2, 1)), (1.0 - a) / (1.0 + a)))
-        self._into = self._plain[0]       # V^-1 [I, (dt/2) I]
         n = lo.size + 1
 
         def batch_solve(rhs):
@@ -316,9 +308,9 @@ class Stepper:
     def _damp(self, y, exps: Exponents):
         """Damping half-step of the velocity rows of y, in place; returns y.
         Over h = dt/2 the midpoint update of y' = -c|y|^(m-1)y is 2z - y
-        with z + (h/2)c|z|^(m-1)z = y."""
+        with z + (h/2)c|z|^(m-1)z = y, one solve of both rows if m1 = m2."""
         vel, a = y[..., 2:, :], self._damp_coef
-        if exps.m1 == exps.m2 in (2.0, 3.0) and self._damp_joint:
+        if exps.m1 == exps.m2:
             z = _damping_solve_vec(vel, a, exps.m1, self._cubic)
         else:
             z = np.stack([_damping_solve_vec(r, *args) for r, *args

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 import piezowave as pw
 from piezowave.diagnostics import (QUIET, damping_norms, make_record,
                                    total_energy)
-from piezowave.grid import (grad_norm_sq, quadratic_form, second_difference,
-                            stiffness_solver, tridiagonal_solver)
+from piezowave.grid import (grad_norm_sq, l2_norm_sq, quadratic_form,
+                            second_difference, stiffness_solver,
+                            tridiagonal_solver)
 from piezowave.integrator import (NEWTON_MAX_ITER, NEWTON_TOL, _damping_newton,
                                   _damping_solve_vec, _step_norms)
 
@@ -107,6 +108,116 @@ def test_damping_closed_form_matches_newton(m, a):
     assert np.all(np.abs(x - newton) <= 1e-13 * np.abs(newton))
 
 
+def _per_entry_newton(r, a, m):
+    """The Newton solve the masked one replaced: on the flattened entries,
+    with index bookkeeping of the entries still busy, and a bisection
+    sweep of the rest.  A column a goes row by row, as the damping
+    half-step took it; NEWTON_MAX_ITER and NEWTON_TOL are read per call."""
+    if np.ndim(a):
+        return np.stack([_per_entry_newton(r[..., i, :], a[i, 0], m)
+                         for i in range(len(a))], axis=-2)
+    tol = pw.integrator.NEWTON_TOL
+
+    def phi(x, r):
+        power = np.abs(x) ** (m - 1.0)
+        return x + a * power * x - r, power
+
+    rf = r.ravel()
+    x = rf / (1.0 + a)
+    lo, hi = np.minimum(rf, 0.0), np.maximum(rf, 0.0)
+    todo = np.arange(rf.size)
+    for _ in range(pw.integrator.NEWTON_MAX_ITER):
+        rt, xt = rf[todo], x[todo]
+        res, power = phi(xt, rt)
+        busy = np.abs(res) > tol * (1.0 + np.abs(rt))
+        if not busy.any():
+            return x.reshape(r.shape)
+        todo = todo[busy]
+        step = res[busy] / (1.0 + a * m * power[busy])
+        x[todo] = np.clip(xt[busy] - step, lo[todo], hi[todo])
+    rt, lo, hi = rf[todo], lo[todo], hi[todo]
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        low = phi(mid, rt)[0] < 0.0
+        lo = np.where(low, mid, lo)
+        hi = np.where(low, hi, mid)
+    x[todo] = 0.5 * (lo + hi)
+    if np.any(np.abs(phi(x[todo], rt)[0]) > 1e3 * tol * (1.0 + np.abs(rt))):
+        raise pw.NoConvergence("damping solve did not meet tolerance")
+    return x.reshape(r.shape)
+
+
+def _newton_batch(rng):
+    """A (3, 2, 201) batch of velocities with amplitudes from 1e-6 to 1e3
+    entry by entry, a run of +-1e3 entries and a NaN entry."""
+    amplitude = rng.choice([1e-6, 1e-2, 1.0, 1e2, 1e3], size=(3, 2, 201))
+    r = amplitude * rng.standard_normal((3, 2, 201))
+    r[2, 1, :6] = [1e3, -1e3, 1e3, -1e3, 1e3, -1e3]
+    r[1, 0, 7] = np.nan
+    return r
+
+
+@pytest.mark.parametrize("a", [2.5e-4, 1e-3, 0.1])
+@pytest.mark.parametrize("m", [1.5, 2.5, 4.0])
+def test_masked_newton_matches_per_entry_newton(m, a, rng):
+    """The whole-array Newton equals, bit for bit, the per-entry solve it
+    replaced: on a batch, with a scalar a and with the column (a, 2.3a)
+    against the row-by-row solve."""
+    r = _newton_batch(rng)
+    for coef in (a, np.array([[a], [2.3 * a]])):
+        expected = _per_entry_newton(r, coef, m)
+        got = _damping_newton(r, coef, m)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(_damping_solve_vec(r, coef, m), expected,
+                              equal_nan=True)
+    # the NaN entry stays NaN, and every other entry is finite
+    assert np.flatnonzero(~np.isfinite(got)).tolist() == [402 + 7]
+
+
+def test_masked_newton_bisection_fallback_matches(rng, monkeypatch):
+    """With two Newton iterations allowed, the entries still busy go to the
+    bisection sweep and the settled ones keep their Newton values: both
+    equal the per-entry solve's bit for bit.  With a zero tolerance, which
+    bisection cannot meet, both raise."""
+    r, a, m = _newton_batch(rng), np.array([[1e-3], [2.3e-3]]), 2.5
+    newton = _damping_newton(r, a, m)
+    monkeypatch.setattr(pw.integrator, "NEWTON_MAX_ITER", 2)
+    expected = _per_entry_newton(r, a, m)
+    got = _damping_newton(r, a, m)
+    assert np.array_equal(got, expected, equal_nan=True)
+    # the sweep ran: its roots differ from Newton's in the last bits
+    assert not np.array_equal(got, newton, equal_nan=True)
+    monkeypatch.setattr(pw.integrator, "NEWTON_TOL", 0.0)
+    for solve in (_per_entry_newton, _damping_newton):
+        with pytest.raises(pw.NoConvergence, match="damping solve"):
+            solve(r, a, m)
+
+
+@pytest.mark.parametrize("exponents, per_half_step",
+                         [((4, 4, 3, 3), 1), ((2.5, 4, 3, 3), 2)],
+                         ids=["equal-newton", "mixed-newton"])
+def test_damping_solves_per_half_step(exponents, per_half_step, ref_params,
+                                      ref_grid, monkeypatch):
+    """A damping half-step makes one solve of both velocity rows of the
+    whole batch where m1 = m2, and one solve per row where they differ."""
+    solve, shapes = pw.integrator._damping_solve_vec, []
+
+    def counted(r, *args):
+        shapes.append(r.shape)
+        return solve(r, *args)
+    monkeypatch.setattr(pw.integrator, "_damping_solve_vec", counted)
+    exps = pw.validate_exponents(*exponents)
+    stepper = pw.Stepper(ref_grid, ref_params, pw.StepConfig(dt=1e-3))
+    state = pw.State.stacked(np.array([
+        pw.state_from_modes(ref_grid, [a], [0.5 * a], [0.1], [-a]).y
+        for a in (0.2, 1.0, 5.0)]))
+    for _ in range(5):
+        state = stepper.step(state, exps)
+    nx = ref_grid.nx
+    assert len(shapes) == 5 * 2 * per_half_step
+    assert set(shapes) == {(3, 2, nx) if per_half_step == 1 else (3, nx)}
+
+
 @pytest.mark.parametrize("material", [(1.0, 2.0, 1.0, 1.0, 1.0),
                                       (2.3, 5.0, 0.7, 1.9, 0.4)],
                          ids=["reference", "asymmetric"])
@@ -126,7 +237,7 @@ def test_decoupled_solve_matches_assembled_lu(material, ref_grid, rng):
     rhs = rng.standard_normal((2, ref_grid.nx))
     expected = lu.solve(rhs.ravel()).reshape(rhs.shape)
     # V^-1 is the first 2x2 block of the map V^-1 [I, (dt/2) I]
-    got = stepper._v @ stepper._solve(stepper._into[:, :2] @ rhs)
+    got = stepper._v @ stepper._solve(stepper._plain[0][:, :2] @ rhs)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
@@ -371,14 +482,18 @@ def test_linear_damping_takes_no_damping_solve(ref_params, ref_grid,
             stepper.step(state, pw.validate_exponents(1, 3, 2, 3))
 
 
-def test_underflowed_damping_coefficient_leaves_velocity_undamped():
+@pytest.mark.parametrize("damping", [(1, 1), (2, 2), (3, 3), (4, 4), (3, 2)],
+                         ids=["m1", "m2", "m3", "m4-newton", "mixed"])
+def test_underflowed_damping_coefficient_leaves_velocity_undamped(damping):
     """rho = mu = 1e300 at dt = 1e-30 make both coefficients dt/(4 rho)
-    underflow to 0, so kappa = 1: the damped m1 = m2 = 1 step equals the
-    undamped step bit for bit, and keeps the velocities of a state with no
-    displacement and no stiffness to act on them."""
+    underflow to 0: on every damping path (kappa = 1 in the maps for m = 1,
+    the joint closed forms, the joint Newton, the per-row solves) the
+    damped step equals the undamped step bit for bit, and keeps the
+    velocities of a state with no displacement and no stiffness to act on
+    them."""
     params = pw.make_params(1e300, 2.0, 1.0, 1.0, 1e300)
     grid = pw.Grid1D(1.0, 41)
-    exps = pw.validate_exponents(1, 1, 2, 2)
+    exps = pw.validate_exponents(*damping, 2, 2)
     state = pw.state_from_modes(grid, [0.0], [0.0], [0.1], [-0.05])
     damped, undamped = (pw.Stepper(grid, params, pw.StepConfig(
         dt=1e-30, damping_on=on)) for on in (True, False))
@@ -668,6 +783,12 @@ def test_first_record_is_make_record_of_initial_state(v0, ref_params):
         == np.array(astuple(expected)).tobytes()
 
 
+def _kinetic_energy(state, params, grid):
+    """Half the mass-weighted squared L2 norm of the velocities."""
+    return 0.5 * (params.rho * l2_norm_sq(state.vt, grid)
+                  + params.mu * l2_norm_sq(state.pt, grid))
+
+
 @pytest.mark.parametrize("amplitudes", [[0.3, 40.0, -0.05], [40.0]],
                          ids=["B3", "B1"])
 def test_last_record_is_make_record_of_final_state(amplitudes):
@@ -697,6 +818,6 @@ def test_last_record_is_make_record_of_final_state(amplitudes):
         with np.errstate(**QUIET):
             assert (last.vnorm_n1, last.pnorm_n2) == pw.source_norms(
                 final, exps, grid)
-            assert last.E == pw.kinetic_energy(final, params, grid) \
+            assert last.E == _kinetic_energy(final, params, grid) \
                 + 0.5 * last.Q
             assert last.nprime == pw.Nprime_of(final, params, grid)

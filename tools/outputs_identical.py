@@ -35,6 +35,12 @@ temporary directory.  Both exports then run the same fixed cases:
     `integrator.damping = true, false` and `initial.v0 = 0.05; 80.0`,
     two batches of two that each lose one member to blow-up, which run
     the row-by-row damping norms and the undamped step inside a batch;
+    and on that config with the axes `exponents.m1 = 2.5, 4`,
+    `exponents.m2 = 2.5, 4`, `initial.p0 = 0.2; 45.0` and
+    `initial.v1 = 0.1; 60.0`, the Newton damping solve of both rows at
+    once (m1 = m2) and row by row (m1 != m2): four batches of four, whose
+    v1 = 60 members take several Newton iterations and whose p0 = 45
+    members blow up mid-run;
   * the three scripts in `demos/`.
 
 Every output file, every stdout, every stderr and every exit code is
@@ -253,6 +259,18 @@ integrator.damping = true, false
 initial.v0 = 0.05; 80.0
 """
 
+# Newton damping on the mixed-exponent implicit-midpoint run: m1, m2 in
+# {2.5, 4} give the joint Newton (m1 = m2) and the row-by-row Newton
+# (m1 != m2), four batches of four; v1 = 60 makes Newton take several
+# iterations, and each batch loses its two p0 = 45 members to blow-up
+NEWTON_SWEEP_CFG = MIXED_CFG + """
+[sweep.axes]
+exponents.m1 = 2.5, 4
+exponents.m2 = 2.5, 4
+initial.p0 = 0.2; 45.0
+initial.v1 = 0.1; 60.0
+"""
+
 RUN_CONFIGS = {
     "readme": README_CFG,
     "harness": HARNESS_CFG.format(v0="0.05"),
@@ -307,7 +325,8 @@ def produce(tree: Path, work: Path) -> None:
     for case, text in (("ac9", AC9_SWEEP_CFG),
                        ("fit-error", FIT_ERROR_SWEEP_CFG),
                        ("batch-split", BATCH_SWEEP_CFG),
-                       ("mixed-damping", MIXED_SWEEP_CFG)):
+                       ("mixed-damping", MIXED_SWEEP_CFG),
+                       ("newton", NEWTON_SWEEP_CFG)):
         cwd = work / case / "sweep"
         cwd.mkdir(parents=True)
         (cwd / "sweep.cfg").write_text(text, encoding="utf-8")
