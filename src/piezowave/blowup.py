@@ -76,7 +76,7 @@ def monitor(trajectory, exps: Exponents,
     detected = trajectory.outcome == "blowup"
     report = BlowupReport(detected=detected, t_detect=trajectory.t_detect,
                           trigger=trajectory.trigger)
-    if g[0] <= 0.0:
+    if not g[0] > 0.0:      # a NaN G(0) is not negative energy either
         return report
     scale = 1.0 + np.max(np.abs(g))
     report.G_monotone_ok = bool(np.all(np.diff(g) >= -MONOTONE_TOL * scale))

@@ -17,14 +17,14 @@ A step works on a State's stacked array y of one member, (4, nx), or of a
 batch of B members, (B, 4, nx): displacements y[..., :2, :], velocities
 y[..., 2:, :], and (rho, mu) as a (2, 1) column.  Each operation covers both
 rows of every member at once, and goes row by row only where the exponents
-differ.  After each step, one batched pass in `simulate`, `_step_norms`,
-gives the blow-up check its norms, the ledger its damping norm and the
-record its Q, and `diagnostics._records` the rest of the records.  Each
-reduction is one np.vecdot over the stack (bit for bit one ndarray.dot per
-row), and the source iteration and the blow-up check decide per member,
-so a member's results do not depend on its batch.
+differ.  `simulate` loops over k = 0 ... n_steps, stepping when k >= 1; at
+each k one batched pass, `_step_norms`, gives the blow-up check its norms,
+the ledger its damping norm and the record its Q, and `diagnostics._records`
+the rest.  Each reduction is one np.vecdot over the stack (bit for bit one
+ndarray.dot per row), and the source iteration and the blow-up check decide
+per member, so a member's results do not depend on its batch.
 
-The damping root has a closed form, exact to roundoff, for m in {1, 2, 3},
+The damping root has a closed form, exact to roundoff, for m in {2, 3},
 and otherwise one Newton solve on the whole array, in which each entry
 stops on its own residual.  For m = 1 a half-step is x_t -> kappa x_t,
 kappa = (1 - a)/(1 + a) with a = dt/(4 rho) per row, so with m1 = m2 = 1
@@ -36,7 +36,7 @@ conserves the discrete quadratic energy up to the roundoff of the solve.
 
 A non-finite state is a blow-up outcome, so `Stepper.step` only steps and
 lets numpy overflow quietly, and `simulate` decides: a member whose norm
-exceeds the blow-up cutoff, or is NaN, ends its run there.
+exceeds the blow-up cutoff, or is NaN, ends its run there, at t = 0 too.
 """
 from __future__ import annotations
 
@@ -98,14 +98,13 @@ def _damping_solve_vec(r, a, m, cubic=None):
     """Solve x + a|x|^(m-1)x = r on a float array r for a >= 0, m >= 1,
     with a a scalar or a column of per-row coefficients.
 
-    m = 1, 2, 3 have closed forms, exact to roundoff.  For m = 3 the
+    m = 2, 3 have closed forms, exact to roundoff.  For m = 3 the
     hyperbolic form of the cubic's one real root (Nickalls 1993) is free
     of the cancellation that Cardano's formula suffers at small a; cubic
     is its `_cubic_constants(a)`, if built.  Other m go to the whole-array
-    `_damping_newton`.  Where a = 0, each finite r comes back bit for bit.
+    `_damping_newton`, whose first iterate r/(1 + a) is the root at m = 1.
+    Where a = 0, each finite r comes back bit for bit.
     """
-    if m == 1.0:
-        return r / (1.0 + a)
     if m == 2.0:
         # 2r / (1 + sqrt(1 + 4a|r|)) scaled by 1/2, which is exact and
         # keeps 2r from overflowing
@@ -363,12 +362,12 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
 
     state0 holds one member, (4, nx), and gives its Trajectory; or a batch
     of B members stacked as (B, 4, nx), and gives a list of B Trajectories,
-    each equal bit for bit to its member's own run.  Blow-up detection is
-    a normal terminal outcome, not an error: the member gets its last
-    record and leaves the batch, and the others go on.  An error of any
-    member, such as NoConvergence, is raised for the whole batch.  Every
-    state it records or returns carries t = k*dt after step k, so times do
-    not drift by repeated addition.
+    each equal bit for bit to its member's own run.  Blow-up, checked from
+    t = 0 on, is a normal terminal outcome, not an error: the member gets
+    its last record and leaves the batch, and the others go on.  An error
+    of any member, such as NoConvergence, is raised for the whole batch.
+    Every state it records or returns carries t = k*dt after step k, so
+    times do not drift by repeated addition.
     """
     _check_fits(state0.y, grid)
     n_steps = step_count(t_end, cfg.dt)
@@ -378,34 +377,32 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
 
     # one member runs as a batch of one
     state = State.stacked(state0.y.reshape(-1, 4, grid.nx).copy())
-    norms = _step_norms(state.y, grid, params, exps, cfg.damping_on)
-    records = [[r] for r in _records(state.y, 0.0, params, exps, grid,
-                                     [(0.0, None, q) for _, q, _ in norms])]
-    etot0 = [r[0].Etot for r in records]
-    prev_dnorm = [dnorm for _, _, dnorm in norms]
-    damping_cum, trajectories = [0.0] * len(records), [None] * len(records)
-
+    live = list(range(len(state.y)))      # the member in each batch row
+    records, trajectories = [[] for _ in live], [None] * len(live)
+    damping_cum, prev_dnorm = [0.0] * len(live), [0.0] * len(live)
     dt, cutoff = cfg.dt, cfg.blowup_cutoff
-    live = list(range(len(records)))      # the member in each batch row
-    for k in range(1, n_steps + 1):
-        state = stepper.step(state, exps)
+    for k in range(n_steps + 1):
+        if k:
+            state = stepper.step(state, exps)
         state.t = t = k * dt
         norms = _step_norms(state.y, grid, params, exps, cfg.damping_on)
         record = k % record_every == 0 or k == n_steps
         ledger, keep = {}, []     # recording rows: (damping_cum, etot0, Q)
         for row, (i, (grad_v_sq, q, dnorm)) in enumerate(zip(live, norms)):
-            # with damping off every dnorm is 0.0, and damping_cum stays 0.0
-            damping_cum[i] += 0.5 * dt * (prev_dnorm[i] + dnorm)
+            # the trapezoid from step 1 on; with damping off it stays 0.0
+            damping_cum[i] += 0.5 * dt * (prev_dnorm[i] + dnorm) if k else 0.0
             prev_dnorm[i] = dnorm
             # `not <=`: a NaN norm (non-finite state) also ends the run
             trigger = ("grad_v_sq" if not grad_v_sq <= cutoff
                        else "quadratic_form" if not q <= cutoff else None)
-            if record or trigger:
-                ledger[row] = (damping_cum[i], etot0[i], q)
-            if trigger:
-                trajectories[i] = Trajectory(records[i], "blowup", t, trigger,
-                                             State.stacked(state.y[row].copy(),
-                                                           t))
+            if record or trigger:     # at t = 0, Etot(0) is the record's own
+                ledger[row] = (damping_cum[i],
+                               records[i][0].Etot if k else None, q)
+            if trigger or k == n_steps:
+                trajectories[i] = Trajectory(
+                    records[i], "blowup" if trigger else "completed",
+                    t if trigger else None, trigger,
+                    State.stacked(state.y[row].copy(), t))
             else:
                 keep.append(row)
         if ledger:
@@ -417,7 +414,4 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
             if not live:
                 break
             state = State.stacked(state.y[keep], t)
-    for i, y in zip(live, state.y):
-        trajectories[i] = Trajectory(records[i], "completed", None, None,
-                                     State.stacked(y.copy(), state.t))
     return trajectories if state0.y.ndim == 3 else trajectories[0]

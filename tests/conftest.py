@@ -23,3 +23,15 @@ def coarse_grid():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """The batch size of each Stepper.step call made while the test runs."""
+    calls, step = [], pw.Stepper.step
+
+    def counted(self, state, exps):
+        calls.append(len(state.y) if state.y.ndim == 3 else 1)
+        return step(self, state, exps)
+    monkeypatch.setattr(pw.Stepper, "step", counted)
+    return calls

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -143,6 +144,31 @@ def test_cli_error_reporting(tmp_path, capsys):
     path.write_text("[material]\nrho = -1\n", encoding="utf-8")
     assert main(["simulate", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_bounds_where_the_bound_applies(tmp_path, capsys):
+    """v0 = 8.7, p0 = 0: E0 = 0.217 > 0 is under both conventions'
+    thresholds, so each prints kappa, tau and tmax_bound, and the run's
+    blowup.json names the concavity bound (poincare-consistent) as its
+    criterion."""
+    cfg_path = _write_cfg(tmp_path)
+    text = open(cfg_path).read().replace("v0 = 0.05", "v0 = 8.7") \
+        .replace("p0 = 0.03", "p0 = 0.0") \
+        .replace("t_end = 0.5", "t_end = 0.01")
+    open(cfg_path, "w").write(text)
+    assert main(["bounds", cfg_path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" = ")[0] for line in lines[1:]] == [
+        f"[{c}] {key}" for c in ("poincare-consistent", "paper-literal")
+        for key in ("E0", "kappa")]
+    kappas = [float(line.split(",")[0].split(" = ")[1])
+              for line in lines[2::2]]
+    assert kappas == pytest.approx([9.9417, 1.2709], rel=1e-4)
+    assert main(["simulate", cfg_path]) == 0
+    report = json.loads((tmp_path / "out" / "blowup.json").read_text())
+    assert report["criterion"] == "concavity-bound"
+    assert report["kappa"] == kappas[0]
+    assert report["G_monotone_ok"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -663,8 +663,9 @@ def _bits(traj):
             traj.final_state.y.tobytes(), traj.final_state.t)
 
 
-# members: two that complete, NaN initial data (blow-up at the first step),
-# and an amplitude that blows up later, so the batch shrinks twice mid-run
+# members: two that complete, NaN initial data (blow-up at t = 0, so the
+# batch shrinks before its first step), and an amplitude that blows up
+# later, so the batch shrinks again mid-run
 BATCH_AMPLITUDES = [0.05, 40.0, 2.0, float("nan"), 100.0]
 
 
@@ -686,48 +687,93 @@ def test_batch_member_equals_its_single_run(order, exponents):
     single = [pw.simulate(s, params, exps, grid, cfg, 0.3, 10)
               for s in states]
     assert [t.outcome for t in single] == ["completed"] * 3 + ["blowup"] * 2
-    assert 0.001 == single[3].t_detect < single[4].t_detect
+    assert 0.0 == single[3].t_detect < single[4].t_detect
     batch = pw.simulate(pw.State.stacked(np.array([states[i].y
                                                    for i in order])),
                         params, exps, grid, cfg, 0.3, 10)
     assert [_bits(t) for t in batch] == [_bits(single[i]) for i in order]
 
 
+def _norms(state, grid, params):
+    """(grad_v_sq, Q) of a state, the norms that the blow-up check reads."""
+    return (grad_norm_sq(state.v, grid),
+            quadratic_form(state.v, state.p, grid, params))
+
+
 def test_batched_step_names_each_blown_member(ref_params, ref_grid):
     """simulate on a batch names the trigger and time of every member that
-    crosses the cutoff on the same step (a NaN norm counts as crossing),
-    and the member below it completes."""
+    crosses the cutoff on the same step, and the member below it
+    completes.  The blown members start under the cutoff; their initial
+    velocity along the mode takes them past it on step 1."""
     exps = pw.validate_exponents(1, 1, 2, 2)
-    states = [pw.state_from_modes(ref_grid, [a], [0.0], [0.0], [0.0])
-              for a in (1e-3, 1.0, float("nan"))]
+    states = [pw.state_from_modes(ref_grid, [a], [0.0], [v1], [0.0])
+              for a, v1 in ((1e-3, 0.0), (0.6, 400.0), (0.5, 600.0))]
     cfg = pw.StepConfig(dt=1e-3, blowup_cutoff=1.0)
     trajs = pw.simulate(pw.State.stacked(np.array([s.y for s in states])),
                         ref_params, exps, ref_grid, cfg, 5e-3)
     assert [(t.outcome, t.trigger, t.t_detect) for t in trajs] == [
         ("completed", None, None), ("blowup", "grad_v_sq", 1e-3),
         ("blowup", "grad_v_sq", 1e-3)]
+    for traj, state0 in zip(trajs[1:], states[1:]):
+        assert max(_norms(state0, ref_grid, ref_params)) <= 1.0 \
+            < _norms(traj.final_state, ref_grid, ref_params)[0]
 
 
 def test_quadratic_form_trigger_and_blowup_on_the_last_step(ref_params):
-    """v = 0, p = 1 crosses the cutoff by Q alone (grad_v_sq stays ~1e-12),
-    in a batch beside a grad_v_sq blow-up and a member that completes; run
-    alone to the step it blows up on, it ends as a blow-up with one record
-    at t_detect, not two."""
+    """v = 0, p = 0.8 moving along its mode crosses the cutoff on step 1 by
+    Q alone (grad_v_sq stays ~1e-12), in a batch beside a grad_v_sq
+    blow-up and a member that completes; run alone to the step it blows
+    up on, it ends as a blow-up with one record at t_detect, not two."""
     grid = pw.Grid1D(1.0, 81)
     exps = pw.validate_exponents(1, 1, 2, 2)
     cfg = pw.StepConfig(dt=1e-3, blowup_cutoff=1.0)
-    states = [pw.state_from_modes(grid, [v0], [p0], [0.0], [0.0])
-              for v0, p0 in ((0.0, 1.0), (1.0, 0.0), (1e-3, 0.0))]
+    states = [pw.state_from_modes(grid, [v0], [p0], [v1], [p1])
+              for v0, p0, v1, p1 in ((0.0, 0.8, 0.0, 200.0),
+                                     (0.6, 0.0, 400.0, 0.0),
+                                     (1e-3, 0.0, 0.0, 0.0))]
     trajs = pw.simulate(pw.State.stacked(np.array([s.y for s in states])),
                         ref_params, exps, grid, cfg, 5e-3)
     assert [(t.outcome, t.trigger, t.t_detect) for t in trajs] == [
         ("blowup", "quadratic_form", 1e-3), ("blowup", "grad_v_sq", 1e-3),
         ("completed", None, None)]
-    assert trajs[0].records[-1].Q > 1.0
+    assert max(_norms(states[0], grid, ref_params)) <= 1.0
+    assert max(_norms(states[1], grid, ref_params)) <= 1.0
+    grad_v_sq, q = _norms(trajs[0].final_state, grid, ref_params)
+    assert grad_v_sq < 1e-6 and q == trajs[0].records[-1].Q > 1.0
+    assert _norms(trajs[1].final_state, grid, ref_params)[0] > 1.0
     alone = pw.simulate(states[0], ref_params, exps, grid, cfg, 1e-3)
     assert (alone.outcome, alone.trigger, alone.t_detect) == \
         ("blowup", "quadratic_form", 1e-3)
     assert [r.t for r in alone.records] == [0.0, 1e-3]
+
+
+def test_data_past_the_cutoff_end_at_t_zero(ref_params, step_calls):
+    """Initial data already past the cutoff, by grad_v_sq or by Q, or NaN,
+    end at t_detect = 0 with one record and their initial state, and leave
+    the batch before its first step; a batch of only such members takes
+    no step at all, alone or together."""
+    grid = pw.Grid1D(1.0, 81)
+    exps = pw.validate_exponents(1, 1, 2, 2)
+    cfg = pw.StepConfig(dt=1e-3, blowup_cutoff=1.0)
+    states = [pw.state_from_modes(grid, [v0], [p0], [0.0], [0.0])
+              for v0, p0 in ((1e-3, 0.0), (1.0, 0.0), (float("nan"), 0.0),
+                             (0.0, 1.0))]
+    y = np.array([s.y for s in states])
+    trajs = pw.simulate(pw.State.stacked(y), ref_params, exps, grid, cfg,
+                        5e-3)
+    assert [(t.outcome, t.trigger, t.t_detect) for t in trajs] == [
+        ("completed", None, None), ("blowup", "grad_v_sq", 0.0),
+        ("blowup", "grad_v_sq", 0.0), ("blowup", "quadratic_form", 0.0)]
+    assert step_calls == [1] * 5      # the completing member steps alone
+    for traj, state0 in zip(trajs[1:], states[1:]):
+        assert [r.t for r in traj.records] == [0.0]
+        assert traj.final_state.t == 0.0
+        assert traj.final_state.y.tobytes() == state0.y.tobytes()
+    step_calls.clear()
+    alone = pw.simulate(states[2], ref_params, exps, grid, cfg, 5e-3)
+    assert _bits(alone) == _bits(trajs[2])
+    pw.simulate(pw.State.stacked(y[1:]), ref_params, exps, grid, cfg, 5e-3)
+    assert step_calls == []
 
 
 # members of the fused-norm batches: ordinary data, a NaN member and an

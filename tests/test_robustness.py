@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import piezowave as pw
 from piezowave.cli import main
-from piezowave.config import RunConfig, build_run
+from piezowave.config import RunConfig, build_run, load_run_config
 from piezowave.errors import ConfigParse
 from piezowave.grid import MAX_NX
 from piezowave.integrator import MAX_STEPS, step_count
@@ -307,13 +307,40 @@ def test_nan_initial_data_ends_as_blowup(tmp_path):
 
 
 def test_nan_initial_data_ends_as_blowup_under_implicit_midpoint(tmp_path):
-    """The source iteration must not turn a NaN state into NoConvergence."""
+    """The source iteration must not turn a NaN state into NoConvergence:
+    a step of it comes out NaN.  The run itself ends at t = 0, before its
+    first step."""
     cfg = _write(tmp_path, v0="nan", scheme="implicit-midpoint")
     assert main(["simulate", cfg]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json")
                          .read_text(encoding="utf-8"))
     assert summary["outcome"] == "blowup"
-    assert summary["t_detect"] == 1e-3
+    assert summary["t_detect"] == 0.0
+    params, exps, grid, step, state0 = build_run(load_run_config(cfg))
+    assert np.isnan(pw.Stepper(grid, params, step).step(state0, exps).y).all()
+
+
+def test_nan_initial_data_is_not_negative_energy(tmp_path):
+    """A NaN G(0) = -Etot(0) is not > 0, so blowup.json names no criterion
+    and leaves the monotonicity flags of a negative-energy run null."""
+    assert main(["simulate", _write(tmp_path, v0="nan")]) == 0
+    report = json.loads((tmp_path / "out" / "blowup.json")
+                        .read_text(encoding="utf-8"))
+    assert [report[key] for key in ("criterion", "G_monotone_ok",
+                                    "Y_positive_increasing")] == [None] * 3
+
+
+@pytest.mark.parametrize("axes, message", [
+    ("", "sweep config needs a [sweep.axes] section"),
+    ("v0 = 0.05", "axis 'v0' must be 'section.option'"),
+    ("initial.v9 = 0.05", "unknown axis [initial] v9"),
+    ("initial.v0 = ;", "axis 'initial.v0' has no values"),
+], ids=["no-section", "no-dot", "unknown", "no-values"])
+def test_sweep_axis_errors_exit_2(tmp_path, capsys, axes, message):
+    extra = "\n[sweep.axes]\n" + axes + "\n" if axes else ""
+    assert main(["sweep", _write(tmp_path, extra=extra)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_bounds_without_linear_damping_is_inapplicable(tmp_path, capsys):

@@ -40,7 +40,10 @@ temporary directory.  Both exports then run the same fixed cases:
     `initial.v1 = 0.1; 60.0`, the Newton damping solve of both rows at
     once (m1 = m2) and row by row (m1 != m2): four batches of four, whose
     v1 = 60 members take several Newton iterations and whose p0 = 45
-    members blow up mid-run;
+    members blow up mid-run; and on the `BASE_CFG` harness config with
+    `blowup_cutoff = 1.0` and the axis `initial.v0 = 0.05; 1.0; nan`, one
+    batch whose v0 = 1.0 and NaN members start past the cutoff and end at
+    t_detect = 0, before its first step;
   * the three scripts in `demos/`.
 
 Every output file, every stdout, every stderr and every exit code is
@@ -271,6 +274,14 @@ initial.p0 = 0.2; 45.0
 initial.v1 = 0.1; 60.0
 """
 
+# data already past the cutoff: one batch of three whose v0 = 1.0 and NaN
+# members blow up at t = 0, before the batch's first step
+T0_BLOWUP_SWEEP_CFG = HARNESS_CFG.format(v0="0.05").replace(
+    "dt = 1e-3", "dt = 1e-3\nblowup_cutoff = 1.0") + """
+[sweep.axes]
+initial.v0 = 0.05; 1.0; nan
+"""
+
 RUN_CONFIGS = {
     "readme": README_CFG,
     "harness": HARNESS_CFG.format(v0="0.05"),
@@ -326,7 +337,8 @@ def produce(tree: Path, work: Path) -> None:
                        ("fit-error", FIT_ERROR_SWEEP_CFG),
                        ("batch-split", BATCH_SWEEP_CFG),
                        ("mixed-damping", MIXED_SWEEP_CFG),
-                       ("newton", NEWTON_SWEEP_CFG)):
+                       ("newton", NEWTON_SWEEP_CFG),
+                       ("t0-blowup", T0_BLOWUP_SWEEP_CFG)):
         cwd = work / case / "sweep"
         cwd.mkdir(parents=True)
         (cwd / "sweep.cfg").write_text(text, encoding="utf-8")
