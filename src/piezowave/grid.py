@@ -13,9 +13,11 @@ this pairing the discrete summation-by-parts identity
 roundoff.
 
 Every inverse of D2 in the package, the stepper's midpoint matrices and
-the well's gradient stiffness alike, is a `tridiagonal_solver` on bands
-built from `second_difference`; the stepper's two eigen-systems share one
-block-diagonal solver.
+the well's gradient stiffness alike, is one symmetric positive definite
+`tridiagonal_solver` (LDL^T) on bands built from `second_difference`; the
+stepper's two eigen-systems share one block-diagonal solver.  The stepper
+symmetrizes I - c D2 by halving its mirror row at x = L and moving the
+Dirichlet column's entry in row 1 to the right-hand side.
 """
 from __future__ import annotations
 
@@ -138,9 +140,11 @@ def lp_norm_pow(field: np.ndarray, q: float, grid: Grid1D) -> float:
 
 
 def row_powers(rows: np.ndarray, q1: float, q2: float) -> np.ndarray:
-    """|rows|^q of a (..., 2, nx) array, q = q1 in row 0 and q2 in row 1."""
+    """|rows|^q of a (..., 2, nx) array, q = q1 in row 0 and q2 in row 1;
+    q1 = q2 = 1 or 2 takes no pow, with the same bits (|x|^2 = x x)."""
     if q1 == q2:
-        return np.abs(rows) ** q1
+        return (np.abs(rows) if q1 == 1.0 else rows * rows if q1 == 2.0
+                else np.abs(rows) ** q1)
     return np.stack([np.abs(rows[..., 0, :]) ** q1,
                      np.abs(rows[..., 1, :]) ** q2], axis=-2)
 
@@ -176,23 +180,24 @@ def second_difference(grid: Grid1D):
     return lower / dx2, main / dx2, upper / dx2
 
 
-def tridiagonal_solver(lower, main, upper):
-    """rhs -> x with T x = rhs, T the tridiagonal matrix of the given bands:
-    one LU factorization (LAPACK dgttrf, partial pivoting) reused by every
-    solve (dgttrs).  A zero pivot raises InvalidArgument."""
-    *lu, info = lapack.dgttrf(lower, main, upper)
+def tridiagonal_solver(main, off):
+    """rhs -> x with T x = rhs, T symmetric positive definite tridiagonal:
+    one LDL^T factorization (LAPACK dpttrf) reused by every solve (dpttrs),
+    which overwrites a float64 vector or Fortran-ordered (n, nrhs) rhs.
+    A pivot <= 0 raises InvalidArgument."""
+    d, e, info = lapack.dpttrf(main, off)
     if info != 0:
-        raise InvalidArgument(f"tridiagonal matrix is singular (dgttrf "
-                              f"info = {info})")
-    return lambda rhs: lapack.dgttrs(*lu, rhs)[0]
+        raise InvalidArgument(f"tridiagonal matrix is not positive definite "
+                              f"(dpttrf info = {info})")
+    return lambda rhs: lapack.dpttrs(d, e, rhs, overwrite_b=1)[0]
 
 
 def stiffness_solver(grid: Grid1D):
     """f -> u[1:] with K u[1:] = (W f)[1:] and u[0] = 0, the weak form of
     -u_xx = f.  K = -(W D2)[1:, 1:] with W = diag(weights) is the gradient
-    stiffness on the free nodes: u[1:] K u[1:] = grad_norm_sq(u)."""
+    stiffness on the free nodes, symmetric positive definite:
+    u[1:] K u[1:] = grad_norm_sq(u)."""
     w = grid.weights
-    lower, main, upper = second_difference(grid)
-    solve = tridiagonal_solver(-(w[2:] * lower[1:]), -(w[1:] * main[1:]),
-                               -(w[1:-1] * upper[1:]))
+    _, main, upper = second_difference(grid)
+    solve = tridiagonal_solver(-(w[1:] * main[1:]), -(w[1:-1] * upper[1:]))
     return lambda f: solve((w * f)[1:])

@@ -101,10 +101,12 @@ def _damping_solve_vec(r, a, m, cubic=None):
     m = 2, 3 have closed forms, exact to roundoff.  For m = 3 the
     hyperbolic form of the cubic's one real root (Nickalls 1993) is free
     of the cancellation that Cardano's formula suffers at small a; cubic
-    is its `_cubic_constants(a)`, if built.  Other m go to the whole-array
-    `_damping_newton`, whose first iterate r/(1 + a) is the root at m = 1.
-    Where a = 0, each finite r comes back bit for bit.
+    is its `_cubic_constants(a)`, if built.  m = 1 is r/(1 + a), bit for
+    bit the first iterate of the whole-array `_damping_newton` that takes
+    other m.  Where a = 0, each finite r comes back bit for bit.
     """
+    if m == 1.0:
+        return r / (1.0 + a)
     if m == 2.0:
         # 2r / (1 + sqrt(1 + 4a|r|)) scaled by 1/2, which is exact and
         # keeps 2r from overflowing
@@ -230,12 +232,15 @@ class Stepper:
 
     def _factorize(self, mass):
         """Build the maps into and out of w = V^-1 u, and return the solver
-        of (I - (dt^2/4) Lambda D2) w = rhs, rhs (2, nx) or (B, 2, nx)."""
+        of (I - (dt^2/4) Lambda D2) w = rhs, rhs (2, nx) or (B, 2, nx), as
+        the SPD system of its mirror row at x = L halved, rhs[-1] too, and
+        its T[1, 0] w[0] = lo[0] rhs[0] moved to the right-hand side."""
         d, q, (lo, mid, up) = midpoint_bands(self.grid, self.params, self.cfg)
-        # the k = 1, 2 systems end to end, joined by zero off-diagonals
-        lo, up = (np.append(b, [[0.0], [0.0]], axis=1).ravel()[:-1]
-                  for b in (lo, up))
-        solve = tridiagonal_solver(lo, 1.0 + mid.ravel(), up)
+        main, dirichlet = 1.0 + mid, lo[:, 0]
+        main[:, -1] *= 0.5
+        # the k = 1, 2 systems end to end, joined by a zero off-diagonal
+        solve = tridiagonal_solver(main.ravel(), np.append(
+            up, [[0.0], [0.0]], axis=1).ravel()[:-1])
         dt, v_inv = self.cfg.dt, q.T / d
         self._v = d[:, None] * q
         # f -> V^-1 (dt^2/4) (f1/rho, f2/mu)
@@ -249,12 +254,17 @@ class Stepper:
              np.concatenate([2.0 * np.eye(2), (4.0 / dt) * np.diag(k[:, 0])]),
              np.concatenate([np.ones((2, 1)), -(k * k)]))
             for k in (np.ones((2, 1)), (1.0 - a) / (1.0 + a)))
-        n = lo.size + 1
+        n = mid.size
 
         def batch_solve(rhs):
-            # the members of a (B, 2, nx) rhs are the B columns of one solve;
-            # one member goes flat, which dgttrs takes faster
-            w = solve(rhs.ravel() if rhs.size == n else rhs.reshape(-1, n).T)
+            # r is the copy that the solve overwrites; the members of a
+            # (B, 2, nx) rhs are the B columns of one solve, and one member
+            # is fixed up as (2, nx) and solved flat, which numpy and dpttrs
+            # take faster (a copy and in-place fix-ups beat a broadcast product)
+            r = (rhs.reshape(2, -1) if rhs.size == n else rhs).copy()
+            r[..., -1] *= 0.5
+            r[..., 1] -= dirichlet * r[..., 0]
+            w = solve(r.ravel() if r.ndim == 2 else r.reshape(-1, n).T)
             return w.T.reshape(rhs.shape)
         return batch_solve
 

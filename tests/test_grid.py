@@ -8,8 +8,8 @@ import scipy.sparse as sp
 
 import piezowave as pw
 from piezowave.grid import (grad, grad_norm_sq, l2_norm_sq, lp_norm_pow,
-                            quadratic_form, second_difference, sine_modes,
-                            tridiagonal_solver)
+                            quadratic_form, row_powers, second_difference,
+                            sine_modes, tridiagonal_solver)
 
 
 def test_grid_basics():
@@ -175,19 +175,43 @@ def test_state_rows_are_views_of_one_array(ref_grid, rng):
 
 
 def test_block_diagonal_solve_matches_per_block_solves(rng):
-    """Two tridiagonal systems laid end to end, with a zero coupling entry
-    between them, solve bit for bit like the two systems on their own,
-    row interchanges of dgttrf's partial pivoting included."""
+    """Two symmetric positive definite tridiagonal systems laid end to end,
+    with a zero off-diagonal between them, solve bit for bit like the two
+    systems on their own, one right-hand side and several alike."""
     n = 57
     for _ in range(20):
-        blocks = [(rng.standard_normal(n - 1), rng.standard_normal(n),
-                   rng.standard_normal(n - 1)) for _ in range(2)]
-        (l0, d0, u0), (l1, d1, u1) = blocks
-        merged = tridiagonal_solver(np.concatenate([l0, [0.0], l1]),
-                                    np.concatenate([d0, d1]),
-                                    np.concatenate([u0, [0.0], u1]))
+        blocks = []
+        for _ in range(2):
+            off = rng.standard_normal(n - 1)
+            main = (np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
+                    + rng.uniform(0.1, 2.0, n))
+            blocks.append((main, off))
+        (d0, e0), (d1, e1) = blocks
+        merged = tridiagonal_solver(np.concatenate([d0, d1]),
+                                    np.concatenate([e0, [0.0], e1]))
         solvers = [tridiagonal_solver(*band) for band in blocks]
-        rhs = rng.standard_normal((2, n))
-        got = merged(rhs.reshape(-1)).reshape(2, n)
-        expected = np.array([s(r) for s, r in zip(solvers, rhs)])
-        assert np.array_equal(got, expected)
+        rhs = rng.standard_normal((3, 2, n))
+        expected = np.array([[s(r.copy()) for s, r in zip(solvers, member)]
+                             for member in rhs])
+        assert np.array_equal(merged(rhs[0].flatten()).reshape(2, n),
+                              expected[0])
+        got = merged(rhs.reshape(3, 2 * n).T.copy(order="F"))
+        assert np.array_equal(got.T.reshape(rhs.shape), expected)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 2.5, 3.0])
+def test_row_powers_match_pow_bit_for_bit(q, rng):
+    """row_powers takes no pow at q = 1 and q = 2, and every q gives the
+    bits of np.abs(rows) ** q, on signed zeros, infinities, NaN,
+    subnormals, 1e+-300 and normal draws."""
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
+               1e300, -1e300, 1e-300, -1e-300]
+    rows = rng.standard_normal((3, 2, 40))
+    rows[0, 0, :len(special)] = special
+    rows[2, 1, -len(special):] = special[::-1]
+    with np.errstate(over="ignore", under="ignore"):
+        expected = np.abs(rows) ** q
+        assert np.array_equal(row_powers(rows, q, q), expected,
+                              equal_nan=True)
+        assert np.array_equal(row_powers(rows, q, q + 0.5)[..., 0, :],
+                              expected[..., 0, :], equal_nan=True)

@@ -218,24 +218,72 @@ def test_damping_solves_per_half_step(exponents, per_half_step, ref_params,
     assert set(shapes) == {(3, 2, nx) if per_half_step == 1 else (3, nx)}
 
 
-@pytest.mark.parametrize("material", [(1.0, 2.0, 1.0, 1.0, 1.0),
-                                      (2.3, 5.0, 0.7, 1.9, 0.4)],
-                         ids=["reference", "asymmetric"])
-def test_decoupled_solve_matches_assembled_lu(material, ref_grid, rng):
-    """The two tridiagonal solves in the eigenbasis of C, composed with the
-    Stepper's maps as V solve(V^-1 rhs), agree with a sparse LU solve of
-    the assembled 2nx system I - (dt^2/4) A."""
+def test_mixed_linear_row_takes_no_newton(ref_params, ref_grid, rng,
+                                          monkeypatch):
+    """A mixed m = (1, 3) step solves its m = 1 row as r/(1 + a), with no
+    `_damping_newton` call, and that row equals Newton's root bit for bit,
+    on the step's own velocities and on extreme entries."""
+    newton, solve, rows = _damping_newton, _damping_solve_vec, []
+
+    def recorded(r, a, m, *args):
+        out = solve(r, a, m, *args)
+        if m == 1.0:
+            rows.append((r.copy(), a, out))
+        return out
+
+    def forbidden(*args):
+        raise AssertionError("_damping_newton called")
+    monkeypatch.setattr(pw.integrator, "_damping_solve_vec", recorded)
+    monkeypatch.setattr(pw.integrator, "_damping_newton", forbidden)
+    exps = pw.validate_exponents(1, 3, 2, 3)
+    stepper = pw.Stepper(ref_grid, ref_params, pw.StepConfig(dt=1e-3))
+    state = pw.State.stacked(np.array([
+        pw.state_from_modes(ref_grid, [a], [0.5 * a], [0.1], [-a]).y
+        for a in (0.2, 1.0, 5.0)]))
+    for _ in range(5):
+        state = stepper.step(state, exps)
+    assert len(rows) == 5 * 2
+    extreme = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                               1e300, -1e-300], rng.standard_normal(50)])
+    rows.append((extreme, 2.5e-4, solve(extreme, 2.5e-4, 1.0)))
+    with np.errstate(**QUIET):
+        for r, a, out in rows:
+            assert np.array_equal(out, newton(r, a, 1.0), equal_nan=True)
+
+
+@pytest.mark.parametrize("material, dt, shape", [
+    pytest.param(material, dt, shape, id=name + suffix)
+    for name, material in [("reference", (1.0, 2.0, 1.0, 1.0, 1.0)),
+                           ("asymmetric", (2.3, 5.0, 0.7, 1.9, 0.4))]
+    for dt, shape, suffix in [(1e-3, (2,), ""), (1e-3, (3, 2), "-batch"),
+                              (0.5, (2,), "-dt0.5"),
+                              (0.5, (3, 2), "-dt0.5-batch")]])
+def test_decoupled_solve_matches_assembled_lu(material, dt, shape, ref_grid,
+                                              rng):
+    """The two symmetrized tridiagonal solves in the eigenbasis of C,
+    composed with the Stepper's maps as V solve(V^-1 rhs), agree with a
+    sparse LU solve of the assembled 2nx system I - (dt^2/4) A, for one
+    member and a batch.  The random rhs is nonzero at x = 0 and x = L, so
+    the Dirichlet move and the mirror-row scaling both act.  At dt = 0.5
+    the matrix is far from the identity (condition about 1e5), and the
+    sparse LU solve alone is off by up to 9e-13; one refinement step with
+    its residual in long double makes it a reference to roundoff."""
     params = pw.make_params(*material)
-    dt = 1e-3
     stepper = pw.Stepper(ref_grid, params, pw.StepConfig(dt=dt))
     d2 = sp.diags(second_difference(ref_grid), [-1, 0, 1])
     gb = params.gamma * params.beta
     a = sp.bmat([[params.alpha / params.rho * d2, -gb / params.rho * d2],
                  [-gb / params.mu * d2, params.beta / params.mu * d2]])
-    lu = spla.splu(sp.csc_matrix(sp.identity(2 * ref_grid.nx)
-                                 - (dt * dt / 4.0) * a))
-    rhs = rng.standard_normal((2, ref_grid.nx))
-    expected = lu.solve(rhs.ravel()).reshape(rhs.shape)
+    t = sp.csc_matrix(sp.identity(2 * ref_grid.nx) - (dt * dt / 4.0) * a)
+    lu, t_long = spla.splu(t), t.toarray().astype(np.longdouble)
+    rhs = rng.standard_normal(shape + (ref_grid.nx,))
+    assert np.all(rhs[..., [0, -1]] != 0.0)
+    expected = []
+    for r in rhs.reshape(-1, 2 * ref_grid.nx):
+        x = lu.solve(r)
+        residual = r.astype(np.longdouble) - t_long @ x.astype(np.longdouble)
+        expected.append(x + lu.solve(residual.astype(float)))
+    expected = np.array(expected).reshape(rhs.shape)
     # V^-1 is the first 2x2 block of the map V^-1 [I, (dt/2) I]
     got = stepper._v @ stepper._solve(stepper._plain[0][:, :2] @ rhs)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -243,15 +291,16 @@ def test_decoupled_solve_matches_assembled_lu(material, ref_grid, rng):
 
 def test_singular_tridiagonal_factor_is_a_value_error(ref_params, ref_grid,
                                                      monkeypatch):
-    """A nonzero dgttrf info (a zero pivot) is reported, not ignored, by
-    both users of the one tridiagonal factorization."""
-    def dgttrf(dl, d, du):
-        return dl, d, du, d[:-2], np.arange(d.size, dtype=np.int32), 3
+    """A nonzero dpttrf info (a pivot <= 0: the matrix is not positive
+    definite) is reported, not ignored, by both users of the one
+    tridiagonal factorization."""
+    def dpttrf(d, e):
+        return d, e, 3
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dgttrf", dgttrf)
-    with pytest.raises(ValueError, match="singular"):
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", dpttrf)
+    with pytest.raises(pw.InvalidArgument, match="not positive definite"):
         pw.Stepper(ref_grid, ref_params, pw.StepConfig(dt=1e-3))
-    with pytest.raises(ValueError, match="singular"):
+    with pytest.raises(pw.InvalidArgument, match="not positive definite"):
         stiffness_solver(ref_grid)
 
 
@@ -260,8 +309,11 @@ def test_singular_tridiagonal_factor_is_a_value_error(ref_params, ref_grid,
 
 class _FourArrayStep:
     """The Strang step on separate v, p, vt and pt arrays, with one
-    tridiagonal solve per eigen-system: the algorithm and the arithmetic
-    order that the stacked Stepper must reproduce bit for bit.  The
+    symmetric tridiagonal solve per eigen-system: the algorithm and the
+    arithmetic order that the stacked Stepper must reproduce bit for bit.
+    Each system I - (dt^2/4) lambda_k D2 is solved with its mirror row at
+    x = L halved, right-hand side included, and its row-1 entry in the
+    Dirichlet column moved to the right-hand side.  The
     conservative substep solves in the eigen coordinates w = V^-1 u, from
     base_w = V^-1 [I, (dt/2) I] y and the source through V^-1 diag(dt^2/4
     (1/rho, 1/mu)), and builds the new state from D = V w - x as
@@ -286,9 +338,12 @@ class _FourArrayStep:
                                      [-gb, params.beta]]) * d
         lam, q = np.linalg.eigh(dsd)
         c = cfg.dt ** 2 / 4.0
-        self.solvers = [tridiagonal_solver(-c * (lk * lower),
-                                           1.0 - c * (lk * main),
-                                           -c * (lk * upper)) for lk in lam]
+        self.solvers = []
+        for lk in lam:
+            diag = 1.0 - c * (lk * main)
+            diag[-1] *= 0.5
+            self.solvers.append((tridiagonal_solver(diag, -c * (lk * upper)),
+                                 -c * (lk * lower[0])))
         self.v, self.v_inv = d[:, None] * q, q.T / d
         dt = cfg.dt
         self.into_f = self.v_inv * ((dt * dt / 4.0)
@@ -297,7 +352,13 @@ class _FourArrayStep:
         self.kappa = [(1.0 - ak) / (1.0 + ak) for ak in a]
 
     def solve_w(self, w):
-        return np.array([s(wk) for s, wk in zip(self.solvers, w)])
+        out = []
+        for (solve, dirichlet), wk in zip(self.solvers, w):
+            r = wk.copy()
+            r[-1] *= 0.5
+            r[1] -= dirichlet * wk[0]
+            out.append(solve(r))
+        return np.array(out)
 
     def conservative(self, v, p, vt, pt, exps, kappa=(1.0, 1.0)):
         dt, pr, on = self.cfg.dt, self.params, self.cfg.sources_on

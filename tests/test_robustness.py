@@ -161,8 +161,7 @@ _SERIES = ([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.25, 0.125])
     lambda: pw.StepConfig(dt=0.0),
     lambda: step_count(1e300, 1e-3),
     lambda: pw.embedding_constant(pw.Grid1D(1.0, 11), 8.0),
-    lambda: pw.grid.tridiagonal_solver(np.zeros(2), np.zeros(3),
-                                       np.zeros(2)),
+    lambda: pw.grid.tridiagonal_solver(np.zeros(3), np.zeros(2)),
     lambda: pw.Stepper(pw.Grid1D(1.0, 201),
                        pw.make_params(1.0, 1e308, 1.0, 1.0, 1.0),
                        pw.StepConfig(dt=1e-3)),

@@ -1,0 +1,104 @@
+"""In-process A/B of the midpoint solve and of a mixed-damping step: two
+source trees imported side by side in one process, interleaved rounds.
+
+    taskset -c 1 python3 tools/inprocess_ab.py PARENT_SRC CHANGE_SRC [ROUNDS]
+
+Cases, on nx = 201, dt = 1e-3 and the reference material:
+
+  * `solve-B<b>`: one `Stepper._solve` call on a (b, 2, nx) right-hand
+    side, the shape `simulate` passes (b = 1 too), in us, the minimum of
+    2000 calls per round;
+  * `step-m1-3` and `step-m3`: `simulate` per step with exponents
+    (1, 3, 2, 3) or (3, 3, 3, 3), v0 = 0.2, p0 = 0.12, at rest,
+    semi-implicit, 300 steps, record_every = 200, in us: a mixed damping
+    step, and a one-member step like the `decay-m3` workload's.
+
+BLAS runs on one thread, as in perfbench (the thread count changes the
+cost of numpy's small operations).  Each round times every case on both
+sides, the side that goes first alternating; the table gives each side's
+median over rounds, the ratio change / parent, and `max_rel_diff`, the
+largest difference of the two sides' solve results or final states
+relative to their largest entry, so a change that moves results only at
+roundoff shows as such.  Prints one JSON object.
+"""
+import json
+import os
+import statistics
+import sys
+import time
+
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+import numpy as np  # noqa: E402
+
+
+def load(src):
+    sys.path.insert(0, src)
+    import piezowave
+    for name in [k for k in sys.modules if k.startswith("piezowave")]:
+        del sys.modules[name]
+    sys.path.pop(0)
+    return piezowave
+
+
+SIDES = {"parent": load(sys.argv[1]), "change": load(sys.argv[2])}
+ROUNDS = int(sys.argv[3]) if len(sys.argv) > 3 else 20
+BATCHES = (1, 2, 5, 8)
+CALLS, STEPS, V0 = 2000, 300, 0.2
+
+
+def solve_case(pw, b):
+    grid = pw.Grid1D(1.0, 201)
+    stepper = pw.Stepper(grid, pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0),
+                         pw.StepConfig(dt=1e-3))
+    rhs = np.random.default_rng(b).standard_normal((b, 2, grid.nx))
+    solve = stepper._solve
+
+    def run():
+        best = float("inf")
+        for _ in range(CALLS):
+            t0 = time.perf_counter()
+            solve(rhs)
+            best = min(best, time.perf_counter() - t0)
+        return best * 1e6, solve(rhs)
+    return run
+
+
+def step_case(pw, exponents):
+    grid = pw.Grid1D(1.0, 201)
+    params = pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0)
+    exps = pw.validate_exponents(*exponents)
+    cfg = pw.StepConfig(dt=1e-3)
+    state = pw.state_from_modes(grid, [V0], [0.6 * V0], [0.0], [0.0])
+
+    def run():
+        t0 = time.perf_counter()
+        traj = pw.simulate(state, params, exps, grid, cfg, STEPS * 1e-3, 200)
+        return (time.perf_counter() - t0) / STEPS * 1e6, traj.final_state.y
+    return run
+
+
+cases = {side: {**{f"solve-B{b}": solve_case(pw, b) for b in BATCHES},
+                "step-m1-3": step_case(pw, (1.0, 3.0, 2.0, 3.0)),
+                "step-m3": step_case(pw, (3.0, 3.0, 3.0, 3.0))}
+         for side, pw in SIDES.items()}
+times = {side: {name: [] for name in cases[side]} for side in SIDES}
+results = {}
+for side in SIDES:                      # warm-up
+    for name, run in cases[side].items():
+        results[side, name] = run()[1]
+for k in range(ROUNDS):
+    order = list(SIDES) if k % 2 == 0 else list(SIDES)[::-1]
+    for name in cases["parent"]:
+        for side in order:
+            times[side][name].append(cases[side][name]()[0])
+table = {}
+for name in cases["parent"]:
+    med = {side: statistics.median(times[side][name]) for side in SIDES}
+    a, b = results["parent", name], results["change", name]
+    table[name] = {"parent_us": round(med["parent"], 2),
+                   "change_us": round(med["change"], 2),
+                   "ratio": round(med["change"] / med["parent"], 3),
+                   "max_rel_diff": float(np.abs(a - b).max()
+                                         / np.abs(a).max())}
+print(json.dumps({"rounds": ROUNDS, "table": table}, indent=1))
