@@ -123,11 +123,6 @@ def state_from_modes(grid: Grid1D, v0, p0, v1, p1) -> State:
                  sine_modes(grid, v1), sine_modes(grid, p1), 0.0)
 
 
-def grad(field: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Forward differences on the cells; exact on affine fields."""
-    return (field[1:] - field[:-1]) / grid.dx
-
-
 def l2_norm_sq(field: np.ndarray, grid: Grid1D) -> float:
     return float(np.dot(grid.weights, field * field))
 
@@ -136,33 +131,43 @@ def lp_norm_pow(field: np.ndarray, q: float, grid: Grid1D) -> float:
     """Trapezoid quadrature of |field|^q; returns the q-th power of the norm."""
     if q < 1:
         raise InvalidArgument(f"q = {q} must be >= 1")
-    return float(np.dot(grid.weights, np.abs(field) ** q))
+    return float(np.dot(grid.weights, row_powers(field, q, q)))
 
 
 def row_powers(rows: np.ndarray, q1: float, q2: float) -> np.ndarray:
-    """|rows|^q of a (..., 2, nx) array, q = q1 in row 0 and q2 in row 1;
-    q1 = q2 = 1 or 2 takes no pow, with the same bits (|x|^2 = x x)."""
-    if q1 == q2:
-        return (np.abs(rows) if q1 == 1.0 else rows * rows if q1 == 2.0
-                else np.abs(rows) ** q1)
-    return np.stack([np.abs(rows[..., 0, :]) ** q1,
-                     np.abs(rows[..., 1, :]) ** q2], axis=-2)
+    """|rows|^q of a (..., 2, nx) array, q = q1 in row 0 and q2 in row 1,
+    or of any array if q1 = q2.  q = 1 ... 4 take products, not pow:
+    |x|^2 = x x bit for bit, |x|^3 = |x| (x x) and |x|^4 = (x x)^2."""
+    if q1 != q2:
+        return np.stack([row_powers(rows[..., 0, :], q1, q1),
+                         row_powers(rows[..., 1, :], q2, q2)], axis=-2)
+    if q1 not in (2.0, 3.0, 4.0):
+        return np.abs(rows) if q1 == 1.0 else np.abs(rows) ** q1
+    sq = rows * rows
+    return sq if q1 == 2.0 else np.abs(rows) * sq if q1 == 3.0 else sq * sq
+
+
+def grad_sums(x: np.ndarray, gamma=None) -> np.ndarray:
+    """Sums over the cells of the squared forward differences of each row
+    of x, (..., k, nx), one np.vecdot (bit for bit one np.dot per row).
+    Given gamma, x holds (v, p) pairs and the second sum is of
+    gamma dv - dp: dx ||grad v||^2 and dx ||gamma grad v - grad p||^2."""
+    d = x[..., 1:] - x[..., :-1]
+    if gamma is not None:
+        np.subtract(gamma * d[..., 0, :], d[..., 1, :], out=d[..., 1, :])
+    return np.vecdot(d, d)
 
 
 def grad_norm_sq(field: np.ndarray, grid: Grid1D) -> float:
     """Cell-midpoint quadrature of |field_x|^2."""
-    g = grad(field, grid)
-    return float(grid.dx * np.dot(g, g))
+    return float(grad_sums(field) / grid.dx)
 
 
 def quadratic_form(v: np.ndarray, p: np.ndarray, grid: Grid1D,
                    params: MaterialParams) -> float:
     """Stiffness form alpha1*||grad v||^2 + beta*||gamma grad v - grad p||^2."""
-    gv = grad(v, grid)
-    gp = grad(p, grid)
-    mix = params.gamma * gv - gp
-    return float(grid.dx * (params.alpha1 * np.dot(gv, gv)
-                            + params.beta * np.dot(mix, mix)))
+    a, b = grad_sums(np.array([v, p]), params.gamma).tolist()
+    return (params.alpha1 * a + params.beta * b) / grid.dx
 
 
 def second_difference(grid: Grid1D):

@@ -48,7 +48,7 @@ import numpy as np
 
 from .diagnostics import QUIET, _records
 from .errors import InvalidArgument, NoConvergence
-from .grid import (Grid1D, State, row_powers, second_difference,
+from .grid import (Grid1D, State, grad_sums, row_powers, second_difference,
                    tridiagonal_solver)
 from .params import Exponents, MaterialParams
 # not called here, but names of this module that perfbench/tracing.py patches
@@ -154,7 +154,8 @@ def _step_norms(y, grid: Grid1D, params: MaterialParams, exps: Exponents,
                 damping_on: bool) -> list:
     """(grad_norm_sq(v), quadratic_form(v, p), sum(damping_norms) or 0.0
     with damping off) of each member of a stacked array y, bit for bit: one
-    np.vecdot per reduction on differences and powers taken batch-wide.
+    np.vecdot per reduction on differences and powers taken batch-wide,
+    and the gradient sums over dx (`grad_sums`), not each difference.
     The blow-up check, the ledger and the records of `simulate` read them."""
     y = y.reshape(-1, 4, grid.nx)
     dx = grid.dx
@@ -162,10 +163,9 @@ def _step_norms(y, grid: Grid1D, params: MaterialParams, exps: Exponents,
     if damping_on:
         powers = row_powers(y[:, 2:], exps.m1 + 1.0, exps.m2 + 1.0)
         dnorms = [a + b for a, b in np.vecdot(grid.weights, powers).tolist()]
-    g = (y[:, :2, 1:] - y[:, :2, :-1]) / dx
-    np.subtract(params.gamma * g[:, 0], g[:, 1], out=g[:, 1])
-    return [(dx * a, dx * (params.alpha1 * a + params.beta * b), dnorm)
-            for (a, b), dnorm in zip(np.vecdot(g, g).tolist(), dnorms)]
+    sums = grad_sums(y[:, :2], params.gamma).tolist()
+    return [(a / dx, (params.alpha1 * a + params.beta * b) / dx, dnorm)
+            for (a, b), dnorm in zip(sums, dnorms)]
 
 
 def _check_fits(y, grid: Grid1D):
@@ -257,11 +257,12 @@ class Stepper:
         n = mid.size
 
         def batch_solve(rhs):
-            # r is the copy that the solve overwrites; the members of a
-            # (B, 2, nx) rhs are the B columns of one solve, and one member
-            # is fixed up as (2, nx) and solved flat, which numpy and dpttrs
-            # take faster (a copy and in-place fix-ups beat a broadcast product)
-            r = (rhs.reshape(2, -1) if rhs.size == n else rhs).copy()
+            """The solution w of the shape of rhs, (2, nx) or (B, 2, nx),
+            which the solve overwrites (w may be rhs itself): pass a fresh
+            array.  The members of a batch are the B columns of one solve,
+            and one member is fixed up as (2, nx) and solved flat, which
+            numpy and dpttrs take faster."""
+            r = rhs.reshape(2, -1) if rhs.size == n else rhs
             r[..., -1] *= 0.5
             r[..., 1] -= dirichlet * r[..., 0]
             w = solve(r.ravel() if r.ndim == 2 else r.reshape(-1, n).T)
@@ -269,7 +270,8 @@ class Stepper:
         return batch_solve
 
     def _midpoint(self, base_w, x, exps: Exponents):
-        """V w, w solved from base_w and the source at x (none if None)."""
+        """V w, w solved from base_w and the source at x; with x None the
+        solve overwrites base_w."""
         if x is not None:
             base_w = base_w + self._into_f @ (
                 row_powers(x, exps.n1 - 1.0, exps.n2 - 1.0) * x)
@@ -326,7 +328,7 @@ class Stepper:
                           in zip((vel[..., 0, :], vel[..., 1, :]), a[:, 0],
                                  (exps.m1, exps.m2), zip(*self._cubic))],
                          axis=-2)
-        y[..., 2:, :] = 2.0 * z - vel
+        np.subtract(z + z, vel, out=vel)
         return y
 
     @np.errstate(**QUIET)

@@ -6,7 +6,7 @@ import pytest
 
 import piezowave as pw
 from piezowave.diagnostics import CSV_FIELDS, make_record
-from piezowave.grid import grad, l2_norm_sq
+from piezowave.grid import l2_norm_sq
 
 
 @pytest.fixture
@@ -40,7 +40,7 @@ def test_energies_against_direct_resummation(ref_params, ref_grid, exps, rng):
     st.v[0] = st.p[0] = 0.0
     w = ref_grid.weights
     dx = ref_grid.dx
-    gv, gp = grad(st.v, ref_grid), grad(st.p, ref_grid)
+    gv, gp = np.diff(st.v) / dx, np.diff(st.p) / dx
     kin = 0.5 * (np.dot(w, st.vt**2) + np.dot(w, st.pt**2))
     q = dx * (1.0 * np.dot(gv, gv) + np.dot(gv - gp, gv - gp))
     vn = np.dot(w, np.abs(st.v) ** 4)

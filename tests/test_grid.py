@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import piezowave as pw
-from piezowave.grid import (grad, grad_norm_sq, l2_norm_sq, lp_norm_pow,
+from piezowave.grid import (grad_norm_sq, l2_norm_sq, lp_norm_pow,
                             quadratic_form, row_powers, second_difference,
                             sine_modes, tridiagonal_solver)
 
@@ -89,8 +89,8 @@ def test_quadratic_form_decomposition(ref_params, ref_grid, rng):
     v = sine_modes(ref_grid, rng.standard_normal(3))
     p = sine_modes(ref_grid, rng.standard_normal(3))
     q = quadratic_form(v, p, ref_grid, ref_params)
-    gv = grad(v, ref_grid)
-    gp = grad(p, ref_grid)
+    gv = np.diff(v) / ref_grid.dx
+    gp = np.diff(p) / ref_grid.dx
     mix = ref_params.gamma * gv - gp
     expected = ref_grid.dx * (ref_params.alpha1 * np.dot(gv, gv)
                               + ref_params.beta * np.dot(mix, mix))
@@ -199,19 +199,65 @@ def test_block_diagonal_solve_matches_per_block_solves(rng):
         assert np.array_equal(got.T.reshape(rhs.shape), expected)
 
 
-@pytest.mark.parametrize("q", [1.0, 2.0, 2.5, 3.0])
-def test_row_powers_match_pow_bit_for_bit(q, rng):
-    """row_powers takes no pow at q = 1 and q = 2, and every q gives the
-    bits of np.abs(rows) ** q, on signed zeros, infinities, NaN,
-    subnormals, 1e+-300 and normal draws."""
-    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
-               1e300, -1e300, 1e-300, -1e-300]
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
+           1e300, -1e300, 1e-300, -1e-300]
+
+
+def _rows_with_specials(rng):
+    """(3, 2, 40) normal draws with SPECIAL in two of their rows."""
     rows = rng.standard_normal((3, 2, 40))
-    rows[0, 0, :len(special)] = special
-    rows[2, 1, -len(special):] = special[::-1]
+    rows[0, 0, :len(SPECIAL)] = SPECIAL
+    rows[2, 1, -len(SPECIAL):] = SPECIAL[::-1]
+    return rows
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 2.5])
+def test_row_powers_match_pow_bit_for_bit(q, rng):
+    """row_powers takes no pow at q = 1 and q = 2, and q = 1, 2 and 2.5
+    give the bits of np.abs(rows) ** q, on signed zeros, infinities, NaN,
+    subnormals, 1e+-300 and normal draws."""
+    rows = _rows_with_specials(rng)
     with np.errstate(over="ignore", under="ignore"):
         expected = np.abs(rows) ** q
         assert np.array_equal(row_powers(rows, q, q), expected,
                               equal_nan=True)
         assert np.array_equal(row_powers(rows, q, q + 0.5)[..., 0, :],
                               expected[..., 0, :], equal_nan=True)
+
+
+@pytest.mark.parametrize("q", [3.0, 4.0])
+def test_row_powers_take_products_at_q_3_and_4(q, rng):
+    """|x|^3 is |x| (x x) and |x|^4 is (x x)^2, bit for bit, one row at a
+    time too when the two exponents differ.  On signed zeros, infinities,
+    NaN, subnormals and 1e+-300 they equal pow exactly, and on normal draws
+    they lie within 2 ulp of it."""
+    rows = _rows_with_specials(rng)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        sq = rows * rows
+        product = np.abs(rows) * sq if q == 3.0 else sq * sq
+        got = row_powers(rows, q, q)
+        pow_q = np.abs(rows) ** q
+        assert got.tobytes() == product.tobytes()
+        for other in (1.0, 2.5):
+            assert row_powers(rows, q, other)[:, 0].tobytes() \
+                == product[:, 0].tobytes()
+            assert row_powers(rows, other, q)[:, 1].tobytes() \
+                == product[:, 1].tobytes()
+        special = np.array(SPECIAL)
+        assert np.array_equal(row_powers(special, q, q),
+                              np.abs(special) ** q, equal_nan=True)
+        error = np.abs(got - pow_q)
+    normal = np.ones(rows.shape, dtype=bool)
+    normal[0, 0, :len(SPECIAL)] = normal[2, 1, -len(SPECIAL):] = False
+    assert np.all(pow_q[normal] >= np.finfo(float).tiny)
+    assert np.all(error[normal] <= 2 * np.spacing(pow_q[normal]))
+
+
+def test_lp_norm_pow_takes_the_row_powers_rule(rng):
+    """lp_norm_pow integrates row_powers' |x|^q, so the damping and source
+    norms at m, n = 2, 3 take products like the step's records."""
+    grid = pw.Grid1D(1.0, 41)
+    field = rng.standard_normal(grid.nx)
+    for q in (1.0, 2.0, 2.5, 3.0, 4.0):
+        assert lp_norm_pow(field, q, grid) \
+            == float(np.dot(grid.weights, row_powers(field, q, q)))

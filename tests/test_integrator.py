@@ -1,4 +1,5 @@
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -566,6 +567,38 @@ def test_underflowed_damping_coefficient_leaves_velocity_undamped(damping):
     assert np.allclose(a.y[2:], state.y[2:], rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("members", [1, 3], ids=["one", "batch3"])
+@pytest.mark.parametrize("sources_on", [True, False],
+                         ids=["sources", "sourceless"])
+@pytest.mark.parametrize("damping_on", [True, False],
+                         ids=["damped", "undamped"])
+@pytest.mark.parametrize("exponents", [(1, 1, 2, 2), (3, 3, 3, 3),
+                                       (1, 3, 2, 3)],
+                         ids=["m1", "m3", "mixed"])
+@pytest.mark.parametrize("scheme", pw.integrator.SCHEMES)
+def test_step_leaves_its_input_alone(scheme, exponents, damping_on,
+                                     sources_on, members):
+    """The midpoint solve and the damping half-steps write into arrays of
+    their own: stepping one input twice gives the same bits twice, in an
+    array apart from the input, and the input keeps its bits."""
+    params = pw.make_params(*MATERIALS[1])
+    grid = pw.Grid1D(1.0, 41)
+    exps = pw.validate_exponents(*exponents)
+    stepper = pw.Stepper(grid, params, pw.StepConfig(
+        dt=1e-3, scheme=scheme, damping_on=damping_on,
+        sources_on=sources_on))
+    y = np.array([pw.state_from_modes(grid, [a, 0.1], [-0.5 * a], [a],
+                                      [0.2, a]).y
+                  for a in (0.3, 2.0, -0.05)[:members]])
+    state = pw.State.stacked(y[0] if members == 1 else y)
+    before = state.y.copy()
+    first, second = stepper.step(state, exps), stepper.step(state, exps)
+    assert first.y.tobytes() == second.y.tobytes()
+    assert state.y.tobytes() == before.tobytes()
+    assert not np.shares_memory(first.y, state.y)
+    assert not np.shares_memory(first.y, second.y)
+
+
 # ---------------------------------------------------------------------------
 # full step / trajectory properties
 
@@ -873,6 +906,56 @@ def test_step_norms_equal_the_public_functions(order, exponents,
                  for m in y]
     assert np.array(got).tobytes() == np.array(expected).tobytes()
     assert np.array(alone).tobytes() == np.array(expected).tobytes()
+
+
+def test_q_is_accurate_on_a_near_degenerate_material():
+    """alpha = gamma^2 beta (1 + 1e-8) leaves alpha1 about 1e-8 beta
+    gamma^2, and p = gamma v makes the beta term all but vanish, so Q is
+    alpha1 ||grad v||^2 out of terms 1e8 times larger.  quadratic_form and
+    _step_norms still agree to 1e-12 with Q evaluated exactly in rationals
+    from the same float arrays and alpha1; the Gram form gamma^2 vv -
+    2 gamma vp + pp, which cancels those large terms, misses by about
+    1e-8."""
+    beta, gamma = 0.7, 1.9
+    params = pw.make_params(2.3, gamma * gamma * beta * (1.0 + 1e-8), beta,
+                            gamma, 0.4)
+    assert 0.5e-8 < params.alpha1 / (beta * gamma * gamma) < 2e-8
+    grid = pw.Grid1D(1.0, 41)
+    v = pw.grid.sine_modes(grid, [0.3, -0.1, 0.05])
+    p = gamma * v
+    exps = pw.validate_exponents(3, 3, 3, 3)
+    y = pw.State(v, p, 0.0 * v, 0.0 * v).y
+
+    def exact_sum(terms):
+        return sum((b - a) ** 2 for a, b in zip(terms, terms[1:]))
+    fv, fp = [Fraction(x) for x in v], [Fraction(x) for x in p]
+    fgamma = Fraction(gamma)
+    exact = (Fraction(params.alpha1) * exact_sum(fv) + Fraction(beta)
+             * exact_sum([fgamma * a - b for a, b in zip(fv, fp)])) \
+        / Fraction(grid.dx)
+    dv, dp = np.diff(v), np.diff(p)
+    gram = (params.alpha1 * (dv @ dv) + beta * (gamma * gamma * (dv @ dv)
+            - 2.0 * gamma * (dv @ dp) + dp @ dp)) / grid.dx
+    for q in (quadratic_form(v, p, grid, params),
+              _step_norms(y, grid, params, exps, False)[0][1]):
+        assert abs(Fraction(q) - exact) <= 1e-12 * exact
+    assert abs(Fraction(gram) - exact) > 1e-10 * exact
+
+
+def test_grad_v_sq_does_not_see_p():
+    """A member whose p is non-finite and whose v is finite keeps the
+    finite grad_norm_sq(v) of its v in the fused pass, beside an infinite
+    Q, so the blow-up check names Q as the trigger."""
+    params = pw.make_params(*MATERIALS[1])
+    grid = pw.Grid1D(1.0, 41)
+    y = pw.state_from_modes(grid, [0.3], [0.1], [0.0], [0.0]).y
+    y[1, 7] = np.inf
+    with np.errstate(**QUIET):
+        (grad_v_sq, q, _), = _step_norms(y, grid, params,
+                                         pw.validate_exponents(3, 3, 3, 3),
+                                         False)
+    assert grad_v_sq == grad_norm_sq(y[0], grid) < np.inf
+    assert q == np.inf
 
 
 @pytest.mark.parametrize("v0", [0.3, float("nan")], ids=["finite", "nan"])

@@ -1,5 +1,6 @@
-"""In-process A/B of the midpoint solve and of a mixed-damping step: two
-source trees imported side by side in one process, interleaved rounds.
+"""In-process A/B of the midpoint solve, the per-step norms and whole
+steps: two source trees imported side by side in one process, interleaved
+rounds.
 
     taskset -c 1 python3 tools/inprocess_ab.py PARENT_SRC CHANGE_SRC [ROUNDS]
 
@@ -7,17 +8,22 @@ Cases, on nx = 201, dt = 1e-3 and the reference material:
 
   * `solve-B<b>`: one `Stepper._solve` call on a (b, 2, nx) right-hand
     side, the shape `simulate` passes (b = 1 too), in us, the minimum of
-    2000 calls per round;
-  * `step-m1-3` and `step-m3`: `simulate` per step with exponents
-    (1, 3, 2, 3) or (3, 3, 3, 3), v0 = 0.2, p0 = 0.12, at rest,
-    semi-implicit, 300 steps, record_every = 200, in us: a mixed damping
-    step, and a one-member step like the `decay-m3` workload's.
+    2000 calls per round; the solve may overwrite its argument, so each
+    call gets a fresh copy, made outside the timed call;
+  * `norms-B1` and `norms-B8`: one `integrator._step_norms` call, damping
+    on, on a (b, 4, nx) state with exponents (3, 3, 3, 3), in us, the
+    minimum of 2000 calls per round;
+  * `step-m1-3`, `step-m3` and `step-m2`: `simulate` per step with
+    exponents (1, 3, 2, 3), (3, 3, 3, 3) or (2, 2, 3, 3), v0 = 0.2,
+    p0 = 0.12, at rest, semi-implicit, 300 steps, record_every = 200, in
+    us: a mixed damping step, a one-member step like the `decay-m3`
+    workload's, and one of the `ensemble-m2` workload's shape.
 
 BLAS runs on one thread, as in perfbench (the thread count changes the
 cost of numpy's small operations).  Each round times every case on both
 sides, the side that goes first alternating; the table gives each side's
 median over rounds, the ratio change / parent, and `max_rel_diff`, the
-largest difference of the two sides' solve results or final states
+largest difference of the two sides' solve results, norms or final states
 relative to their largest entry, so a change that moves results only at
 roundoff shows as such.  Prints one JSON object.
 """
@@ -47,21 +53,33 @@ BATCHES = (1, 2, 5, 8)
 CALLS, STEPS, V0 = 2000, 300, 0.2
 
 
+def best_of_calls(call, arg):
+    """(min us of CALLS calls of call on a fresh copy of arg, its result)."""
+    best = float("inf")
+    for _ in range(CALLS):
+        fresh = arg.copy()
+        t0 = time.perf_counter()
+        call(fresh)
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e6, np.asarray(call(arg.copy()))
+
+
 def solve_case(pw, b):
     grid = pw.Grid1D(1.0, 201)
     stepper = pw.Stepper(grid, pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0),
                          pw.StepConfig(dt=1e-3))
     rhs = np.random.default_rng(b).standard_normal((b, 2, grid.nx))
-    solve = stepper._solve
+    return lambda: best_of_calls(stepper._solve, rhs)
 
-    def run():
-        best = float("inf")
-        for _ in range(CALLS):
-            t0 = time.perf_counter()
-            solve(rhs)
-            best = min(best, time.perf_counter() - t0)
-        return best * 1e6, solve(rhs)
-    return run
+
+def norms_case(pw, b):
+    grid = pw.Grid1D(1.0, 201)
+    params = pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0)
+    exps = pw.validate_exponents(3.0, 3.0, 3.0, 3.0)
+    y = np.array([pw.state_from_modes(grid, [a], [0.6 * a], [a], [-a]).y
+                  for a in np.linspace(0.1, 0.3, b)])
+    return lambda: best_of_calls(
+        lambda y: pw.integrator._step_norms(y, grid, params, exps, True), y)
 
 
 def step_case(pw, exponents):
@@ -79,8 +97,10 @@ def step_case(pw, exponents):
 
 
 cases = {side: {**{f"solve-B{b}": solve_case(pw, b) for b in BATCHES},
+                **{f"norms-B{b}": norms_case(pw, b) for b in (1, 8)},
                 "step-m1-3": step_case(pw, (1.0, 3.0, 2.0, 3.0)),
-                "step-m3": step_case(pw, (3.0, 3.0, 3.0, 3.0))}
+                "step-m3": step_case(pw, (3.0, 3.0, 3.0, 3.0)),
+                "step-m2": step_case(pw, (2.0, 2.0, 3.0, 3.0))}
          for side, pw in SIDES.items()}
 times = {side: {name: [] for name in cases[side]} for side in SIDES}
 results = {}
