@@ -165,16 +165,15 @@ def tmax_upper_bound(state0: State, params: MaterialParams, exps: Exponents,
 
 def blowup_report(trajectory, state0: State, params: MaterialParams,
                   exps: Exponents, grid: Grid1D,
-                  poincare_c: Optional[float] = None) -> BlowupReport:
-    """Monitor a trajectory and, when applicable, attach the time bound."""
+                  poincare_c: float) -> BlowupReport:
+    """`monitor`'s report with the time bound attached when it applies."""
     report = monitor(trajectory, exps, params)
-    if poincare_c is not None:
-        try:
-            report.kappa, report.tau, report.tmax_bound = tmax_upper_bound(
-                state0, params, exps, grid, poincare_c)
-        except BoundInapplicable:
-            pass
-        else:
-            if report.criterion is None:
-                report.criterion = "concavity-bound"
+    try:
+        report.kappa, report.tau, report.tmax_bound = tmax_upper_bound(
+            state0, params, exps, grid, poincare_c)
+    except BoundInapplicable:
+        pass
+    else:
+        if report.criterion is None:
+            report.criterion = "concavity-bound"
     return report

@@ -7,7 +7,8 @@ plus a [sweep] section and a [sweep.axes] section whose keys are
 "section.option" paths with comma-separated override values.  Run and
 [sweep] options alike are `_option` fields, read by one loader (`_load`)
 through tables derived from those fields, so an unknown section or key is
-an error anywhere.  `build_run` builds and checks the objects of a run.
+an error anywhere.  The parsers only convert text to types; `build_run`
+builds the objects of a run and is the one check of their ranges.
 
 Initial data are coefficient lists of the modes sin((k - 1/2) pi x / L),
 which satisfy the clamped end and the zero-slope end exactly on any grid.
@@ -61,22 +62,6 @@ def _floats(raw: str) -> tuple:
     return tuple(float(tok) for tok in raw.split(",") if tok.strip())
 
 
-def _fit_model(raw: str) -> str:
-    model = raw.strip()
-    if model not in FITS:
-        raise ValueError(f"fit model must be {'/'.join(FITS)}")
-    return model
-
-
-def _at_least(convert, low):
-    def parser(raw: str):
-        value = convert(raw)
-        if not value >= low:
-            raise ValueError(f"must be >= {low}")
-        return value
-    return parser
-
-
 def parse(name: str, raw: str, parser):
     """Apply a typed parser; its ValueError becomes ConfigParse."""
     try:
@@ -113,12 +98,12 @@ class RunConfig:
     p0: tuple = _option("initial", (0.0,), _floats)
     v1: tuple = _option("initial", (0.0,), _floats)
     p1: tuple = _option("initial", (0.0,), _floats)
-    t_end: float = _option("run", 1.0, _at_least(float, 0.0))
-    record_every: int = _option("run", 1, _at_least(int, 1))
+    t_end: float = _option("run", 1.0)
+    record_every: int = _option("run", 1, int)
     seed: int = _option("run", 0, int)
     outdir: str = _option("output", "out", str.strip)
-    fit_model: Optional[str] = _option("fit", None, _fit_model, key="model")
-    fit_C: float = _option("fit", 2.0, _at_least(float, 1.0), key="C")
+    fit_model: Optional[str] = _option("fit", None, str.strip, key="model")
+    fit_C: float = _option("fit", 2.0, key="C")
 
 
 def _table(cls) -> dict:
@@ -140,7 +125,7 @@ class SweepConfig:
     axes: dict                # {"section.option": [values...]} sorted keys
     # Parsed and validated, but without effect: members that share a shape
     # run as one batch, sized by cli.BATCH_BYTES.
-    max_parallel: int = _option("sweep", 4, _at_least(int, 1))
+    max_parallel: int = _option("sweep", 4, int)
     cap: int = _option("sweep", 10_000, int)
 
 
@@ -184,7 +169,8 @@ def _run_config_from_parser(cp: configparser.ConfigParser) -> RunConfig:
 def build_run(cfg: RunConfig):
     """(params, exps, grid, step config, initial state) of a run, checked
     along with what else a run needs: midpoint matrices with finite bands,
-    the step count and the seed.  A ValueError becomes ConfigParse."""
+    the step count, seed, record_every and [fit] options.  A ValueError
+    becomes ConfigParse."""
     try:
         params = make_params(cfg.rho, cfg.alpha, cfg.beta, cfg.gamma, cfg.mu)
         exps = validate_exponents(cfg.m1, cfg.m2, cfg.n1, cfg.n2)
@@ -194,8 +180,17 @@ def build_run(cfg: RunConfig):
                           damping_on=cfg.damping, sources_on=cfg.sources)
         midpoint_bands(grid, params, step)
         step_count(cfg.t_end, cfg.dt)
-        if cfg.seed < 0:
+        if not cfg.seed >= 0:
             raise ValueError(f"seed = {cfg.seed} must be >= 0")
+        if not (isinstance(cfg.record_every, (int, np.integer))
+                and cfg.record_every >= 1):
+            raise ValueError(f"record_every = {cfg.record_every} must be an "
+                             "integer >= 1")
+        if cfg.fit_model not in (None, *FITS):
+            raise ValueError(f"fit model = {cfg.fit_model!r} must be one of "
+                             f"{'/'.join(FITS)}")
+        if not cfg.fit_C >= 1.0:
+            raise ValueError(f"fit C = {cfg.fit_C} must be >= 1")
     except ValueError as exc:
         raise ConfigParse(str(exc)) from None
     return (params, exps, grid, step,
@@ -224,6 +219,8 @@ def load_sweep_config(path: str) -> SweepConfig:
         axes[key] = values
     sweep = SweepConfig(base=base, axes=dict(sorted(axes.items())))
     _load(sweep, cp, SWEEP_OPTIONS, [s for s in cp.sections() if s == "sweep"])
+    if not sweep.max_parallel >= 1:
+        raise ConfigParse(f"max_parallel = {sweep.max_parallel} must be >= 1")
     size = math.prod(len(values) for values in axes.values())
     if size > sweep.cap:
         raise ConfigParse(f"sweep size {size} exceeds cap {sweep.cap}")

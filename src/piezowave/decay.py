@@ -76,7 +76,9 @@ def fit_exponential(times, values) -> DecayFit:
 
 @np.errstate(**QUIET)
 def _power_fit(t, e, eta, x, model, k0):
-    """Shared core: E^(-eta) affine in the regressor x."""
+    """Shared core: E^(-eta) affine in the regressor x, for eta > 0."""
+    if not eta > 0.0:
+        raise InvalidArgument(f"eta must be > 0 for the {model} envelope")
     intercept, slope = _lstsq_line(x[k0:], e[k0:] ** (-eta))
     if intercept <= 0.0 or slope <= 0.0:
         omega = 0.0
@@ -99,16 +101,12 @@ def _power_fit(t, e, eta, x, model, k0):
 
 def fit_polynomial(times, values, eta) -> DecayFit:
     """Linear regression of E^(-eta) vs t; eta must be positive."""
-    if not eta > 0.0:
-        raise InvalidArgument("eta must be > 0 for the polynomial envelope")
     t, e, k0 = _validate(times, values)
     return _power_fit(t, e, eta, t, "polynomial", k0)
 
 
 def fit_logarithmic(times, values, eta, C) -> DecayFit:
     """Regression of E^(-eta) vs psi(t) = ln((C+t)/C), C >= 1."""
-    if not eta > 0.0:
-        raise InvalidArgument("eta must be > 0 for the logarithmic envelope")
     if not C >= 1.0:
         raise InvalidArgument("C must be >= 1")
     t, e, k0 = _validate(times, values)

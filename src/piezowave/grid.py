@@ -46,6 +46,8 @@ class Grid1D:
     def __post_init__(self):
         if not 0.0 < self.L < np.inf:
             raise InvalidArgument(f"L = {self.L} must be finite and > 0")
+        if not isinstance(self.nx, (int, np.integer)):
+            raise InvalidArgument(f"nx = {self.nx} must be an integer")
         if self.nx < 3:
             raise InvalidArgument(f"nx = {self.nx} must be >= 3")
         if self.nx > MAX_NX:
@@ -129,7 +131,7 @@ def l2_norm_sq(field: np.ndarray, grid: Grid1D) -> float:
 
 def lp_norm_pow(field: np.ndarray, q: float, grid: Grid1D) -> float:
     """Trapezoid quadrature of |field|^q; returns the q-th power of the norm."""
-    if q < 1:
+    if not q >= 1:
         raise InvalidArgument(f"q = {q} must be >= 1")
     return float(np.dot(grid.weights, row_powers(field, q, q)))
 

@@ -383,8 +383,9 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
     """
     _check_fits(state0.y, grid)
     n_steps = step_count(t_end, cfg.dt)
-    if record_every < 1:
-        raise InvalidArgument("record_every must be >= 1")
+    if not (isinstance(record_every, (int, np.integer)) and record_every >= 1):
+        raise InvalidArgument(f"record_every = {record_every} must be an "
+                              "integer >= 1")
     stepper = Stepper(grid, params, cfg)
 
     # one member runs as a batch of one

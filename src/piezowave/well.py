@@ -43,6 +43,9 @@ def embedding_constant(grid: Grid1D, q: float, restarts: int = 16,
     """
     if not 2.0 <= q < 7.0:
         raise InvalidArgument(f"q = {q} outside the supported range [2, 7)")
+    if not (restarts >= 1 and seed >= 0):
+        raise InvalidArgument(f"restarts = {restarts} must be >= 1 and "
+                              f"seed = {seed} >= 0")
     rng = np.random.default_rng(seed)
     solve = stiffness_solver(grid)
     best = 0.0

@@ -176,11 +176,21 @@ _SERIES = ([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.25, 0.125])
     lambda: pw.fit_polynomial(*_SERIES, 0.0),
     lambda: pw.fit_logarithmic(*_SERIES, float("nan"), 2.0),
     lambda: pw.fit_logarithmic(*_SERIES, 1.0, 0.5),
+    lambda: pw.simulate(*_LINEAR_RUN, record_every=float("nan")),
+    lambda: pw.simulate(*_LINEAR_RUN, record_every=2.5),
+    lambda: pw.Grid1D(1.0, 41.5),
+    lambda: pw.embedding_constant(pw.Grid1D(1.0, 11), 3.0, restarts=0),
+    lambda: pw.embedding_constant(pw.Grid1D(1.0, 11), 3.0, seed=-1),
+    lambda: pw.well_report(*_LINEAR_RUN[1:4], seed=-1),
+    lambda: pw.grid.lp_norm_pow(np.ones(11), float("nan"),
+                                pw.Grid1D(1.0, 11)),
 ], ids=["grid", "step-config", "step-count", "embedding-q",
         "zero-pivot", "midpoint-overflow", "record-every", "lp-q",
         "s-star", "bound-convention",
         "step-config-cutoff", "grid-max-nx", "fit-series-shape",
-        "fit-poly-eta", "fit-log-eta", "fit-log-C"])
+        "fit-poly-eta", "fit-log-eta", "fit-log-C", "record-every-nan",
+        "record-every-fraction", "grid-nx-fraction", "embedding-restarts",
+        "embedding-seed", "well-report-seed", "lp-q-nan"])
 def test_invalid_argument_is_typed(call):
     """Each site raises a PiezowaveError that is still the ValueError it
     was before (InvalidArgument)."""
@@ -243,14 +253,67 @@ def test_library_overflow_is_a_blowup_without_warnings(m, modes):
     assert traj.outcome == "blowup"
 
 
+def test_numpy_integers_are_valid_counts():
+    """nx and record_every may be numpy integers, as the CLI's int is."""
+    grid = pw.Grid1D(1.0, np.int64(11))
+    traj = pw.simulate(*_LINEAR_RUN[:3], grid, *_LINEAR_RUN[4:],
+                       record_every=np.int64(5))
+    assert [r.t for r in traj.records] == pytest.approx([0.0, 0.005, 0.01])
+
+
+# (axis, valid value, out-of-range value, what the error names): every
+# range is checked by build_run, so each bad value fails only its member
+OUT_OF_RANGE = [("grid.nx", "41", "2", "nx = 2"),
+                ("run.t_end", "0.02", "-1", "-1"),
+                ("run.record_every", "5", "0", "record_every = 0"),
+                ("fit.C", "2", "0.5", "C = 0.5"),
+                ("fit.model", "exp", "bogus", "'bogus'")]
+
+
 def test_invalid_sweep_member_is_an_error_row(tmp_path):
-    cfg = _write(tmp_path, extra="\n[sweep.axes]\ngrid.nx = 41, 2\n")
-    assert main(["sweep", cfg]) == 0
-    header, good, bad = _sweep_rows(tmp_path)
-    assert header[:3] == ["grid.nx", "classification", "outcome"]
-    assert good[0] == "41" and good[2] == "completed"
-    assert bad[0] == "2" and bad[2].startswith("error: ")
-    assert "nx = 2" in bad[2]
+    for axis, good_value, bad_value, named in OUT_OF_RANGE:
+        work = tmp_path / axis
+        work.mkdir()
+        cfg = _write(work, extra=f"\n[sweep.axes]\n{axis} = {good_value}, "
+                                 f"{bad_value}\n")
+        assert main(["sweep", cfg]) == 0, axis
+        header, good, bad = _sweep_rows(work)
+        assert header[:3] == [axis, "classification", "outcome"]
+        assert good[0] == good_value and good[2] == "completed", axis
+        assert bad[0] == bad_value and bad[2].startswith("error: "), axis
+        assert named in bad[2], (axis, bad[2])
+
+
+@pytest.mark.parametrize("axis, value, named",
+                         [(axis, bad, named)
+                          for axis, _, bad, named in OUT_OF_RANGE],
+                         ids=[axis for axis, *_ in OUT_OF_RANGE])
+def test_out_of_range_value_fails_its_run(tmp_path, capsys, axis, value,
+                                          named):
+    """The same value in a run config ends `simulate` with one `error:`
+    line, before anything is written."""
+    section, key = axis.split(".")
+    if section == "fit":
+        cfg = _write(tmp_path, extra=f"\n[fit]\n{key} = {value}\n")
+    else:
+        cfg = _write(tmp_path, **{key: value})
+    assert main(["simulate", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unparsable_axis_value_exits_2(tmp_path, capsys):
+    """An axis value that is not text of its option's type stops the
+    sweep when the file loads."""
+    cfg = _write(tmp_path,
+                 extra="\n[sweep.axes]\nrun.record_every = 5, abc\n")
+    assert main(["sweep", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [run] record_every = 'abc': ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "classify", "bounds"])

@@ -43,7 +43,11 @@ temporary directory.  Both exports then run the same fixed cases:
     members blow up mid-run; and on the `BASE_CFG` harness config with
     `blowup_cutoff = 1.0` and the axis `initial.v0 = 0.05; 1.0; nan`, one
     batch whose v0 = 1.0 and NaN members start past the cutoff and end at
-    t_detect = 0, before its first step;
+    t_detect = 0, before its first step; and on that config with the axes
+    `run.t_end = 0.5, -1`, `run.record_every = 10, 0`, `fit.C = 2, 0.5`
+    and `fit.model = exp, bogus`, each a valid and an out-of-range value:
+    16 members, of which only the all-valid one steps, and 15 `error:`
+    rows;
   * the three scripts in `demos/`.
 
 Every output file, every stdout, every stderr and every exit code is
@@ -282,6 +286,16 @@ T0_BLOWUP_SWEEP_CFG = HARNESS_CFG.format(v0="0.05").replace(
 initial.v0 = 0.05; 1.0; nan
 """
 
+# an out-of-range value on each of four axes: every member but the
+# all-valid one is an `error:` row, since build_run checks every range
+RANGE_SWEEP_CFG = HARNESS_CFG.format(v0="0.05") + """
+[sweep.axes]
+run.t_end = 0.5, -1
+run.record_every = 10, 0
+fit.C = 2, 0.5
+fit.model = exp, bogus
+"""
+
 RUN_CONFIGS = {
     "readme": README_CFG,
     "harness": HARNESS_CFG.format(v0="0.05"),
@@ -338,7 +352,8 @@ def produce(tree: Path, work: Path) -> None:
                        ("batch-split", BATCH_SWEEP_CFG),
                        ("mixed-damping", MIXED_SWEEP_CFG),
                        ("newton", NEWTON_SWEEP_CFG),
-                       ("t0-blowup", T0_BLOWUP_SWEEP_CFG)):
+                       ("t0-blowup", T0_BLOWUP_SWEEP_CFG),
+                       ("range-axes", RANGE_SWEEP_CFG)):
         cwd = work / case / "sweep"
         cwd.mkdir(parents=True)
         (cwd / "sweep.cfg").write_text(text, encoding="utf-8")
