@@ -5,6 +5,8 @@ embedding constants, the barrier height Lambda*, and the blow-up energy
 threshold M.  Then it classifies a family of sine-mode initial states by
 amplitude and checks the prediction against short simulations.
 """
+from dataclasses import asdict
+
 import numpy as np
 
 import piezowave as pw
@@ -15,7 +17,7 @@ exps = pw.validate_exponents(2, 2, 3, 3)
 
 report = pw.well_report(params, exps, grid)
 print("well report")
-for key, value in report.as_dict().items():
+for key, value in asdict(report).items():
     if value is not None:
         print(f"  {key:12s} = {value:.10g}" if isinstance(value, float)
               else f"  {key:12s} = {value}")

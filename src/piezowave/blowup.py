@@ -9,7 +9,7 @@ argument yields an explicit finite upper bound on the blow-up time.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,12 +25,9 @@ TAU_MARGIN_REL = 1e-6
 MONOTONE_TOL = 1e-11
 
 
-def varpi_range(exps: Exponents, varpi: Optional[float] = None):
-    """Open admissible interval (0, varpi_max) and sigma at a chosen varpi.
-
-    varpi defaults to varpi_max / 2.  sigma_i = 1 - 2/((1-2 varpi)(n_i+1)),
-    sigma = max of the two.
-    """
+def varpi_range(exps: Exponents):
+    """(varpi_max, varpi, sigma): the admissible interval (0, varpi_max), its
+    midpoint varpi, and sigma = max_i 1 - 2/((1-2 varpi)(n_i+1)) there."""
     if not exps.blowup_regime:
         raise NotBlowupRegime(
             f"need n_i > m_i with n_i, m_i < 5; got m=({exps.m1},{exps.m2}), "
@@ -41,8 +38,7 @@ def varpi_range(exps: Exponents, varpi: Optional[float] = None):
         (exps.n1 - 1.0) / (2.0 * (exps.n1 + 1.0)),
         (exps.n2 - 1.0) / (2.0 * (exps.n2 + 1.0)),
     )
-    if varpi is None:
-        varpi = varpi_max / 2.0
+    varpi = varpi_max / 2.0
     sigma = max(1.0 - 2.0 / ((1.0 - 2.0 * varpi) * (exps.n1 + 1.0)),
                 1.0 - 2.0 / ((1.0 - 2.0 * varpi) * (exps.n2 + 1.0)))
     return varpi_max, varpi, sigma
@@ -59,9 +55,6 @@ class BlowupReport:
     criterion: Optional[str] = None
     G_monotone_ok: Optional[bool] = None
     Y_positive_increasing: Optional[bool] = None
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def monitor(trajectory, exps: Exponents,
@@ -139,7 +132,10 @@ def tmax_upper_bound(state0: State, params: MaterialParams, exps: Exponents,
 
     Returns (kappa, tau, bound).  kappa > 0 encodes the energy smallness
     condition; tau shifts time so the concave auxiliary has positive slope
-    at zero; the final expression requires a positive denominator.
+    at zero; the final expression requires a positive denominator.  That
+    denominator, (c-2)(N'(0) + kappa tau) - 2(||v0||^2 + ||p0||^2), is a
+    difference that the 1e-6 margin of tau above tau_min leaves small, so
+    the bound keeps about six fewer significant digits than kappa.
     """
     mfac, cfac, vsq, psq, e0 = _threshold_pieces(state0, params, exps, grid,
                                                  poincare_c, convention)

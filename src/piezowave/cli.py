@@ -18,7 +18,8 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
+from numbers import Real
 
 import numpy as np
 
@@ -39,7 +40,7 @@ def _json_scalar(value) -> str:
     if value is None or (isinstance(value, (float, np.floating))
                          and not np.isfinite(value)):
         return "null"
-    if isinstance(value, (int, float, np.integer, np.floating)):
+    if isinstance(value, Real):
         return fmt(value)      # bools are ints: true / false
     return '"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -106,8 +107,8 @@ def run_one(cfg: RunConfig, run, traj, wells: dict) -> dict:
         "records": len(traj.records),
         **_fit_summary(traj, cfg, exps),
     }
-    return {"trajectory": traj, "well": report.as_dict(),
-            "blowup": breport.as_dict(), "summary": summary}
+    return {"trajectory": traj, "well": asdict(report),
+            "blowup": asdict(breport), "summary": summary}
 
 
 # Bytes of states and energy records that one batch may hold: per member,
@@ -180,7 +181,7 @@ def cli_classify(path: str) -> int:
     params, exps, grid, _, state0 = build_run(cfg)
     report = _classified_well({}, cfg.seed, params, exps, grid, state0)
     os.makedirs(cfg.outdir, exist_ok=True)
-    write_json(report.as_dict(), os.path.join(cfg.outdir, "well.json"))
+    write_json(asdict(report), os.path.join(cfg.outdir, "well.json"))
     print(report.classification)
     return 0
 
@@ -220,7 +221,7 @@ def cli_fit(path: str, model: str, C: float, eta: float) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         # no t/Etot column, a short row, a bad number or a bad fit argument
         raise ConfigParse(f"fit {path} --model {model}: {exc!r}") from None
-    for key, value in fit.as_dict().items():
+    for key, value in asdict(fit).items():
         print(f"{key}: {fmt(value)}")
     return 0
 

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .decay import FITS
-from .errors import ConfigParse
+from .errors import ConfigParse, InvalidArgument, check_count
 from .grid import Grid1D, state_from_modes
 from .integrator import StepConfig, midpoint_bands, step_count
 from .params import make_params, validate_exponents
@@ -180,12 +180,8 @@ def build_run(cfg: RunConfig):
                           damping_on=cfg.damping, sources_on=cfg.sources)
         midpoint_bands(grid, params, step)
         step_count(cfg.t_end, cfg.dt)
-        if not cfg.seed >= 0:
-            raise ValueError(f"seed = {cfg.seed} must be >= 0")
-        if not (isinstance(cfg.record_every, (int, np.integer))
-                and cfg.record_every >= 1):
-            raise ValueError(f"record_every = {cfg.record_every} must be an "
-                             "integer >= 1")
+        check_count("seed", cfg.seed, 0)
+        check_count("record_every", cfg.record_every, 1)
         if cfg.fit_model not in (None, *FITS):
             raise ValueError(f"fit model = {cfg.fit_model!r} must be one of "
                              f"{'/'.join(FITS)}")
@@ -219,8 +215,10 @@ def load_sweep_config(path: str) -> SweepConfig:
         axes[key] = values
     sweep = SweepConfig(base=base, axes=dict(sorted(axes.items())))
     _load(sweep, cp, SWEEP_OPTIONS, [s for s in cp.sections() if s == "sweep"])
-    if not sweep.max_parallel >= 1:
-        raise ConfigParse(f"max_parallel = {sweep.max_parallel} must be >= 1")
+    try:
+        check_count("max_parallel", sweep.max_parallel, 1)
+    except InvalidArgument as exc:
+        raise ConfigParse(str(exc)) from None
     size = math.prod(len(values) for values in axes.values())
     if size > sweep.cap:
         raise ConfigParse(f"sweep size {size} exceeds cap {sweep.cap}")

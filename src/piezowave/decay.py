@@ -13,7 +13,7 @@ least-squares line; omega is recovered from slope/intercept.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +30,6 @@ class DecayFit:
     tail_start: int      # first sample index used by the regression
     envelope_ok: bool    # envelope >= series at every sample (1 + 1e-9 slack)
     accepted: bool       # omega > 0 and envelope_ok
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def eta_from_exponents(exps: Exponents) -> float:

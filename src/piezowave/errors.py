@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one count check."""
+from numbers import Integral
 
 
 class PiezowaveError(Exception):
@@ -48,3 +49,9 @@ class NonPositiveSeries(PiezowaveError):
 class ConfigParse(PiezowaveError):
     """Input could not be parsed: a run or sweep config, or the energy
     series and options of a fit."""
+
+
+def check_count(name: str, value, least: int) -> None:
+    """InvalidArgument unless value is an integer (numpy's too) >= least."""
+    if not (isinstance(value, Integral) and value >= least):
+        raise InvalidArgument(f"{name} = {value} must be an integer >= {least}")

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, check_count
 from .params import MaterialParams
 
 # numpy error state under which overflow yields inf/NaN without a warning;
@@ -46,10 +46,7 @@ class Grid1D:
     def __post_init__(self):
         if not 0.0 < self.L < np.inf:
             raise InvalidArgument(f"L = {self.L} must be finite and > 0")
-        if not isinstance(self.nx, (int, np.integer)):
-            raise InvalidArgument(f"nx = {self.nx} must be an integer")
-        if self.nx < 3:
-            raise InvalidArgument(f"nx = {self.nx} must be >= 3")
+        check_count("nx", self.nx, 3)
         if self.nx > MAX_NX:
             raise InvalidArgument(f"nx = {self.nx} must be <= {MAX_NX}")
         # the operators scale like 1/dx^2

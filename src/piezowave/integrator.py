@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import QUIET, _records
-from .errors import InvalidArgument, NoConvergence
+from .errors import InvalidArgument, NoConvergence, check_count
 from .grid import (Grid1D, State, grad_sums, row_powers, second_difference,
                    tridiagonal_solver)
 from .params import Exponents, MaterialParams
@@ -383,9 +383,7 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
     """
     _check_fits(state0.y, grid)
     n_steps = step_count(t_end, cfg.dt)
-    if not (isinstance(record_every, (int, np.integer)) and record_every >= 1):
-        raise InvalidArgument(f"record_every = {record_every} must be an "
-                              "integer >= 1")
+    check_count("record_every", record_every, 1)
     stepper = Stepper(grid, params, cfg)
 
     # one member runs as a batch of one

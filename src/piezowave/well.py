@@ -6,14 +6,14 @@ plain bisection driven to relative 1e-15 is both robust and cheap.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .diagnostics import QUIET, make_record, source_norms
 from .errors import (DeltaOutOfRange, InvalidArgument, NoConvergence,
-                     ZeroState)
+                     ZeroState, check_count)
 from .grid import (Grid1D, State, grad_norm_sq, lp_norm_pow, quadratic_form,
                    sine_modes, stiffness_solver)
 from .params import Exponents, MaterialParams
@@ -29,13 +29,14 @@ def _embedding_quotient(u: np.ndarray, q: float, grid: Grid1D) -> float:
 
 
 def embedding_constant(grid: Grid1D, q: float, restarts: int = 16,
-                       iters: int = 500, seed: int = 0) -> float:
+                       seed: int = 0) -> float:
     """Best discrete constant B = sup ||u||_q^q / ||grad u||_2^q, u(0) = 0.
 
     Generalized power method on the unit gradient sphere u^T K u = 1 from
-    random smooth starts.  The step u <- K^{-1} grad F(u), normalized,
-    maximizes <grad F(u_k), u> on the sphere, and F(u) = ||u||_q^q is
-    convex, so F(u_{k+1}) >= F(u_k) + <grad F(u_k), u_{k+1} - u_k> >= F(u_k):
+    random smooth starts, 500 steps per restart or fewer once the quotient
+    stops rising.  The step u <- K^{-1} grad F(u), normalized, maximizes
+    <grad F(u_k), u> on the sphere, and F(u) = ||u||_q^q is convex, so
+    F(u_{k+1}) >= F(u_k) + <grad F(u_k), u_{k+1} - u_k> >= F(u_k):
     the quotient rises at every step, with no step size to control.
     Projected-gradient ascent is this step with a finite step length.  At
     q = 2 it is inverse iteration for K u = lambda W u.  The best value over
@@ -43,9 +44,8 @@ def embedding_constant(grid: Grid1D, q: float, restarts: int = 16,
     """
     if not 2.0 <= q < 7.0:
         raise InvalidArgument(f"q = {q} outside the supported range [2, 7)")
-    if not (restarts >= 1 and seed >= 0):
-        raise InvalidArgument(f"restarts = {restarts} must be >= 1 and "
-                              f"seed = {seed} >= 0")
+    check_count("restarts", restarts, 1)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     solve = stiffness_solver(grid)
     best = 0.0
@@ -54,7 +54,7 @@ def embedding_constant(grid: Grid1D, q: float, restarts: int = 16,
         u = grid.nodes / grid.L + sine_modes(grid, rng.standard_normal(4))
         u[0] = 0.0
         val = _embedding_quotient(u, q, grid)
-        for _ in range(iters):
+        for _ in range(500):
             u[1:] = solve(np.abs(u) ** (q - 1.0) * np.sign(u))
             # renormalize: u would otherwise scale like |u|^(q-1) and overflow
             u /= np.sqrt(grad_norm_sq(u, grid))
@@ -99,19 +99,19 @@ def lambda_prime(s, c_hat_const: float, n1: float, n2: float):
                                       + s ** ((n2 - 1.0) / 2.0))
 
 
-def _bisect_increasing(f, rel_tol=1e-15, max_iter=200):
-    """Positive root of increasing f with f(0) < 0.  The upper end of the
-    bracket doubles from 1 until f(hi) >= 0; the lower end is 0."""
+def _bisect_increasing(f):
+    """Positive root of increasing f with f(0) < 0: hi doubles from 1 until
+    f(hi) >= 0, then the bracket halves to width 1e-15 hi, at most 200 times."""
     lo, hi = 0.0, 1.0
     while f(hi) < 0.0:
         hi *= 2.0
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if f(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= 1e-15 * hi:
             break
     return 0.5 * (lo + hi)
 
@@ -204,9 +204,6 @@ class WellReport:
     M_threshold: float
     poincare_c: float
     classification: Optional[str] = None
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def well_report(params: MaterialParams, exps: Exponents, grid: Grid1D,

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -278,5 +280,5 @@ def test_blowup_report_attaches_bound(ref_params, ref_grid, exps_lin):
     assert rep.tmax_bound is not None
     assert np.isfinite(rep.tmax_bound) and rep.tmax_bound > 0.0
     assert rep.t_detect <= rep.tmax_bound
-    d = rep.as_dict()
+    d = asdict(rep)
     assert d["detected"] and d["kappa"] > 0.0

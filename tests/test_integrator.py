@@ -477,6 +477,68 @@ def test_eigenbasis_step_matches_legacy_arithmetic(scheme, exponents,
             <= 1e-9 * np.abs(state.y).max())
 
 
+def _mode_map(k, grid, params, dt, damped):
+    """M_k = K R_k K, one m = 1 step with sources off on s_k (x) c, where
+    s_k = sin((k - 1/2) pi x / L) has D2 s_k = -mu_k s_k on the grid, the
+    mirror closure at x = L included.  R_k = (I - (dt/2) A_k)^-1
+    (I + (dt/2) A_k) is the implicit midpoint map of c' = A_k c,
+    A_k = [[0, I], [-mu_k C, 0]], C = diag(1/rho, 1/mu) [[alpha, -gb],
+    [-gb, beta]], and K = diag(1, 1, kappa1, kappa2) the damping half-step,
+    kappa_i = (1 - a_i)/(1 + a_i), a = (dt/(4 rho), dt/(4 mu)); K = I
+    undamped."""
+    mu_k = (4.0 / grid.dx ** 2
+            * np.sin((k - 0.5) * np.pi * grid.dx / (2.0 * grid.L)) ** 2)
+    gb = params.gamma * params.beta
+    c = (np.diag([1.0 / params.rho, 1.0 / params.mu])
+         @ np.array([[params.alpha, -gb], [-gb, params.beta]]))
+    zero = np.zeros((2, 2))
+    a_k = np.block([[zero, np.eye(2)], [-mu_k * c, zero]])
+    r_k = np.linalg.solve(np.eye(4) - 0.5 * dt * a_k,
+                          np.eye(4) + 0.5 * dt * a_k)
+    a = dt / (4.0 * np.array([params.rho, params.mu]))
+    kappa = np.diag(np.concatenate(
+        [[1.0, 1.0], (1.0 - a) / (1.0 + a) if damped else [1.0, 1.0]]))
+    return kappa @ r_k @ kappa
+
+
+# (mode k, nx, dt, damped, steps): modes 1, 3 and 150 (at nx = 201),
+# damped and undamped, dt = 1e-3 and 0.5, then one step, 1,000 steps and
+# two more modes and dts
+MODE_CASES = ([(k, 201 if k == 150 else 81, dt, damped, 10)
+               for k in (1, 3, 150) for damped in (True, False)
+               for dt in (1e-3, 0.5)]
+              + [(3, 81, 1e-3, True, 1), (3, 81, 1e-3, True, 1000),
+                 (1, 81, 1e-3, False, 1000), (5, 81, 0.5, True, 10),
+                 (150, 201, 1e-2, False, 10)])
+
+
+@pytest.mark.parametrize("mode, nx, dt, damped, steps", MODE_CASES)
+@pytest.mark.parametrize("scheme", pw.integrator.SCHEMES)
+def test_step_on_a_sine_mode_is_its_mode_map(scheme, mode, nx, dt, damped,
+                                             steps):
+    """n steps of s_k (x) c with m = 1 and sources off give s_k (x) M_k^n c
+    on the asymmetric material (kappa1 != kappa2), to c n eps / dt relative
+    to the largest entry: the velocity update (4/dt)(xm - x) loses digits
+    as eps/dt.  c = 100 is three times the largest error measured in these
+    units (32, mode 1 at dt = 0.5, where the solve's conditioning, not 1/dt,
+    sets it)."""
+    params = pw.make_params(*MATERIALS[1])
+    grid = pw.Grid1D(1.0, nx)
+    exps = pw.validate_exponents(1, 1, 2, 2)
+    cfg = pw.StepConfig(dt=dt, scheme=scheme, damping_on=damped,
+                        sources_on=False)
+    s_k = np.sin((mode - 0.5) * np.pi * grid.nodes / grid.L)
+    c = np.array([0.3, -0.2, 0.5, 0.7])
+    state = pw.grid.State.stacked(np.outer(c, s_k))
+    stepper = pw.Stepper(grid, params, cfg)
+    for _ in range(steps):
+        state = stepper.step(state, exps)
+    m_k = _mode_map(mode, grid, params, dt, damped)
+    want = np.outer(np.linalg.matrix_power(m_k, steps) @ c, s_k)
+    err = np.abs(state.y - want).max() / np.abs(want).max()
+    assert err <= 100.0 * steps * np.finfo(float).eps / dt
+
+
 @pytest.mark.parametrize("material", MATERIALS,
                          ids=["reference", "asymmetric"])
 @pytest.mark.parametrize("exponents", [(1, 1, 2, 2), (4, 4, 3, 3),

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import piezowave as pw
-from piezowave.cli import main
+from piezowave.cli import main, run_all
 from piezowave.config import RunConfig, build_run, load_run_config
 from piezowave.errors import ConfigParse
 from piezowave.grid import MAX_NX
@@ -184,13 +184,16 @@ _SERIES = ([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.25, 0.125])
     lambda: pw.well_report(*_LINEAR_RUN[1:4], seed=-1),
     lambda: pw.grid.lp_norm_pow(np.ones(11), float("nan"),
                                 pw.Grid1D(1.0, 11)),
+    lambda: pw.embedding_constant(pw.Grid1D(1.0, 11), 3.0, restarts=2.5),
+    lambda: pw.embedding_constant(pw.Grid1D(1.0, 11), 3.0, seed=1.5),
 ], ids=["grid", "step-config", "step-count", "embedding-q",
         "zero-pivot", "midpoint-overflow", "record-every", "lp-q",
         "s-star", "bound-convention",
         "step-config-cutoff", "grid-max-nx", "fit-series-shape",
         "fit-poly-eta", "fit-log-eta", "fit-log-C", "record-every-nan",
         "record-every-fraction", "grid-nx-fraction", "embedding-restarts",
-        "embedding-seed", "well-report-seed", "lp-q-nan"])
+        "embedding-seed", "well-report-seed", "lp-q-nan",
+        "embedding-restarts-fraction", "embedding-seed-fraction"])
 def test_invalid_argument_is_typed(call):
     """Each site raises a PiezowaveError that is still the ValueError it
     was before (InvalidArgument)."""
@@ -254,11 +257,31 @@ def test_library_overflow_is_a_blowup_without_warnings(m, modes):
 
 
 def test_numpy_integers_are_valid_counts():
-    """nx and record_every may be numpy integers, as the CLI's int is."""
+    """nx, record_every, seed and restarts may be numpy integers, as the
+    CLI's int is."""
     grid = pw.Grid1D(1.0, np.int64(11))
     traj = pw.simulate(*_LINEAR_RUN[:3], grid, *_LINEAR_RUN[4:],
                        record_every=np.int64(5))
     assert [r.t for r in traj.records] == pytest.approx([0.0, 0.005, 0.01])
+    assert (pw.embedding_constant(grid, 3.0, restarts=np.int64(2),
+                                  seed=np.int64(1))
+            == pw.embedding_constant(grid, 3.0, restarts=2, seed=1))
+    run = build_run(replace(RunConfig(), nx=np.int64(21), seed=np.int64(1),
+                            record_every=np.int64(5)))
+    assert run[2] == pw.Grid1D(1.0, 21)
+
+
+def test_fractional_seed_fails_its_run_before_stepping(step_calls):
+    """A library config with seed = 1.5 is that run's ConfigParse from
+    run_all, yielded before any member steps."""
+    cfg = replace(RunConfig(), nx=21, t_end=0.01)
+    results = run_all([replace(cfg, seed=1.5), cfg])
+    i, error = next(results)
+    assert (i, step_calls) == (0, [])
+    assert isinstance(error, ConfigParse)
+    assert str(error) == "seed = 1.5 must be an integer >= 0"
+    [(i, report)] = results
+    assert (i, report["summary"]["outcome"]) == (1, "completed")
 
 
 # (axis, valid value, out-of-range value, what the error names): every

@@ -44,10 +44,10 @@ temporary directory.  Both exports then run the same fixed cases:
     `blowup_cutoff = 1.0` and the axis `initial.v0 = 0.05; 1.0; nan`, one
     batch whose v0 = 1.0 and NaN members start past the cutoff and end at
     t_detect = 0, before its first step; and on that config with the axes
-    `run.t_end = 0.5, -1`, `run.record_every = 10, 0`, `fit.C = 2, 0.5`
-    and `fit.model = exp, bogus`, each a valid and an out-of-range value:
-    16 members, of which only the all-valid one steps, and 15 `error:`
-    rows;
+    `run.t_end = 0.5, -1`, `run.record_every = 10, 0`, `run.seed = 0, -1`,
+    `fit.C = 2, 0.5` and `fit.model = exp, bogus`, each a valid and an
+    out-of-range value: 32 members, of which only the all-valid one steps,
+    and 31 `error:` rows;
   * the three scripts in `demos/`.
 
 Every output file, every stdout, every stderr and every exit code is
@@ -292,6 +292,7 @@ RANGE_SWEEP_CFG = HARNESS_CFG.format(v0="0.05") + """
 [sweep.axes]
 run.t_end = 0.5, -1
 run.record_every = 10, 0
+run.seed = 0, -1
 fit.C = 2, 0.5
 fit.model = exp, bogus
 """
