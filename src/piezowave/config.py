@@ -8,7 +8,7 @@ plus a [sweep] section and a [sweep.axes] section whose keys are
 [sweep] options alike are `_option` fields, read by one loader (`_load`)
 through tables derived from those fields, so an unknown section or key is
 an error anywhere.  The parsers only convert text to types; `build_run`
-builds the objects of a run and is the one check of their ranges.
+builds a run and checks every range, each check raising its own type.
 
 Initial data are coefficient lists of the modes sin((k - 1/2) pi x / L),
 which satisfy the clamped end and the zero-slope end exactly on any grid.
@@ -50,12 +50,10 @@ def fmt(value) -> str:
 # typed parsers: each maps the raw INI text to a value or raises ValueError
 
 def _bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("on", "true", "yes", "1"):
-        return True
-    if low in ("off", "false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    word = raw.strip().lower()
+    if word not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[word]
 
 
 def _floats(raw: str) -> tuple:
@@ -169,26 +167,23 @@ def _run_config_from_parser(cp: configparser.ConfigParser) -> RunConfig:
 def build_run(cfg: RunConfig):
     """(params, exps, grid, step config, initial state) of a run, checked
     along with what else a run needs: midpoint matrices with finite bands,
-    the step count, seed, record_every and [fit] options.  A ValueError
-    becomes ConfigParse."""
-    try:
-        params = make_params(cfg.rho, cfg.alpha, cfg.beta, cfg.gamma, cfg.mu)
-        exps = validate_exponents(cfg.m1, cfg.m2, cfg.n1, cfg.n2)
-        grid = Grid1D(cfg.L, cfg.nx)
-        step = StepConfig(dt=cfg.dt, scheme=cfg.scheme,
-                          blowup_cutoff=cfg.blowup_cutoff,
-                          damping_on=cfg.damping, sources_on=cfg.sources)
-        midpoint_bands(grid, params, step)
-        step_count(cfg.t_end, cfg.dt)
-        check_count("seed", cfg.seed, 0)
-        check_count("record_every", cfg.record_every, 1)
-        if cfg.fit_model not in (None, *FITS):
-            raise ValueError(f"fit model = {cfg.fit_model!r} must be one of "
-                             f"{'/'.join(FITS)}")
-        if not cfg.fit_C >= 1.0:
-            raise ValueError(f"fit C = {cfg.fit_C} must be >= 1")
-    except ValueError as exc:
-        raise ConfigParse(str(exc)) from None
+    the step count, seed, record_every and [fit] options.  Each check
+    raises its own type (InvalidArgument for a value out of range)."""
+    params = make_params(cfg.rho, cfg.alpha, cfg.beta, cfg.gamma, cfg.mu)
+    exps = validate_exponents(cfg.m1, cfg.m2, cfg.n1, cfg.n2)
+    grid = Grid1D(cfg.L, cfg.nx)
+    step = StepConfig(dt=cfg.dt, scheme=cfg.scheme,
+                      blowup_cutoff=cfg.blowup_cutoff,
+                      damping_on=cfg.damping, sources_on=cfg.sources)
+    midpoint_bands(grid, params, step)
+    step_count(cfg.t_end, cfg.dt)
+    check_count("seed", cfg.seed, 0)
+    check_count("record_every", cfg.record_every, 1)
+    if cfg.fit_model not in (None, *FITS):
+        raise InvalidArgument(f"fit model = {cfg.fit_model!r} must be one "
+                              f"of {'/'.join(FITS)}")
+    if not cfg.fit_C >= 1.0:
+        raise InvalidArgument(f"fit C = {cfg.fit_C} must be >= 1")
     return (params, exps, grid, step,
             state_from_modes(grid, cfg.v0, cfg.p0, cfg.v1, cfg.p1))
 
@@ -215,10 +210,7 @@ def load_sweep_config(path: str) -> SweepConfig:
         axes[key] = values
     sweep = SweepConfig(base=base, axes=dict(sorted(axes.items())))
     _load(sweep, cp, SWEEP_OPTIONS, [s for s in cp.sections() if s == "sweep"])
-    try:
-        check_count("max_parallel", sweep.max_parallel, 1)
-    except InvalidArgument as exc:
-        raise ConfigParse(str(exc)) from None
+    check_count("max_parallel", sweep.max_parallel, 1)
     size = math.prod(len(values) for values in axes.values())
     if size > sweep.cap:
         raise ConfigParse(f"sweep size {size} exceeds cap {sweep.cap}")

@@ -121,18 +121,10 @@ FITS = {
 
 
 def select_model(times, values, eta, C=2.0) -> DecayFit:
-    """Fit every applicable family and keep the lowest log-scale rmse.
-
-    The exponential family only applies when eta = 0; the other two only
-    when eta > 0, so at most one shape degenerates into another.
+    """Fit every applicable family of FITS and keep the lowest log-scale
+    rmse.  The exponential family only applies when eta = 0, where the
+    other two are probed with the nominal eta = 1.
     """
-    fits = []
-    if eta == 0.0:
-        fits.append(fit_exponential(times, values))
-        # an eta = 0 series can still be probed with a nominal eta = 1
-        fits.append(fit_polynomial(times, values, 1.0))
-        fits.append(fit_logarithmic(times, values, 1.0, C))
-    else:
-        fits.append(fit_polynomial(times, values, eta))
-        fits.append(fit_logarithmic(times, values, eta, C))
+    fits = [fit(times, values, eta or 1.0, C) for name, fit in FITS.items()
+            if name != "exp" or eta == 0.0]
     return min(fits, key=lambda f: f.rmse)

@@ -47,8 +47,8 @@ class NonPositiveSeries(PiezowaveError):
 
 
 class ConfigParse(PiezowaveError):
-    """Input could not be parsed: a run or sweep config, or the energy
-    series and options of a fit."""
+    """Text that does not parse: a run or sweep config, or the series of
+    `piezowave fit`, which wraps its bad options too, naming file and model."""
 
 
 def check_count(name: str, value, least: int) -> None:

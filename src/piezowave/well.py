@@ -40,7 +40,8 @@ def embedding_constant(grid: Grid1D, q: float, restarts: int = 16,
     the quotient rises at every step, with no step size to control.
     Projected-gradient ascent is this step with a finite step length.  At
     q = 2 it is inverse iteration for K u = lambda W u.  The best value over
-    all restarts is a certified lower bound on the discrete supremum.
+    all restarts is a lower bound on the discrete supremum up to roundoff:
+    at q = 2 it lies 5e-17 to 5e-16 relative above poincare_constant^2.
     """
     if not 2.0 <= q < 7.0:
         raise InvalidArgument(f"q = {q} outside the supported range [2, 7)")
@@ -67,12 +68,13 @@ def embedding_constant(grid: Grid1D, q: float, restarts: int = 16,
 
 
 def poincare_constant(grid: Grid1D) -> float:
-    """Best constant c with ||u||_2 <= c ||u_x||_2 for grid functions u(0)=0.
-
-    c = 1/sqrt(lambda_min) of the generalized eigenproblem K u = lambda W u
-    on the free nodes (K the gradient stiffness, W the trapezoid mass), so
-    c^2 is the embedding constant at q = 2."""
-    return float(np.sqrt(embedding_constant(grid, 2.0)))
+    """Best constant c with ||u||_2 <= c ||u_x||_2 for grid functions u(0)=0,
+    so c^2 is the embedding constant at q = 2: c = 1/sqrt(lambda_1) of
+    K u = lambda W u on the free nodes, where W^-1 K = -D2.  Its exact
+    eigenvectors are sin((k - 1/2) pi x / L), zero at x = 0 and even about
+    x = L like the mirror node, with lambda_k = (4/dx^2) sin^2((k - 1/2) pi
+    dx / (2L)); hence the closed form c = dx / (2 sin(pi dx / (4L)))."""
+    return float(grid.dx / (2.0 * np.sin(np.pi * grid.dx / (4.0 * grid.L))))
 
 
 def c_hat_constant(b1: float, b2: float, params: MaterialParams,

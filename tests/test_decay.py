@@ -1,7 +1,10 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 import piezowave as pw
+from piezowave import decay
 from piezowave.errors import NonPositiveSeries
 
 
@@ -156,6 +159,30 @@ def test_model_selection_recovers_generating_family(rng):
         psi = np.log((C + t) / C)
         e = e0 * ((1.0 + eta) / (1.0 + omega * eta * psi)) ** (1.0 / eta)
         assert pw.select_model(t, e, eta, C=C).model == "logarithmic"
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.7])
+def test_select_model_is_the_best_explicit_fit(eta, monkeypatch):
+    """select_model makes the explicit fit calls, in order (at eta = 0 the
+    exponential, then the other two at the nominal eta = 1), and returns
+    the one of lowest rmse, field for field."""
+    t = _times()
+    e = 2.0 * (1.7 / (1.0 + 0.3 * t)) ** (1.0 / 0.7) * (1.0 + 0.01 * np.sin(t))
+    probe = eta or 1.0
+    explicit = ([pw.fit_exponential(t, e)] if eta == 0.0 else []) + [
+        pw.fit_polynomial(t, e, probe), pw.fit_logarithmic(t, e, probe, 3.0)]
+    calls = []
+
+    def recorded(fit):
+        def call(*args):
+            calls.append(fit(*args))
+            return calls[-1]
+        return call
+    for name in ("fit_exponential", "fit_polynomial", "fit_logarithmic"):
+        monkeypatch.setattr(decay, name, recorded(getattr(decay, name)))
+    chosen = pw.select_model(t, e, eta, C=3.0)
+    assert [asdict(f) for f in calls] == [asdict(f) for f in explicit]
+    assert asdict(chosen) == asdict(min(explicit, key=lambda f: f.rmse))
 
 
 def test_envelope_dominates_at_reported_omega():

@@ -75,6 +75,17 @@ def test_malformed_config_raises(tmp_path):
     assert "rho" in str(exc.value)
 
 
+@pytest.mark.parametrize("word, value", [("ON", True), ("Yes", True),
+                                         ("0", False), (" off ", False)])
+def test_bool_takes_configparser_words(word, value):
+    assert config._bool(word) is value
+
+
+def test_bool_rejects_other_words():
+    with pytest.raises(ConfigParse, match="not a boolean: 'maybe'"):
+        config.parse("[integrator] damping", "maybe", config._bool)
+
+
 def test_unknown_option_raises(tmp_path):
     cfg_path = _write_cfg(tmp_path, extra="\n[material]\nbogus = 1\n")
     with pytest.raises(ConfigParse):

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 import piezowave as pw
 from piezowave.cli import main, run_all
-from piezowave.config import RunConfig, build_run, load_run_config
-from piezowave.errors import ConfigParse
+from piezowave.config import (RunConfig, build_run, load_run_config,
+                              load_sweep_config)
+from piezowave.errors import InvalidArgument
 from piezowave.grid import MAX_NX
 from piezowave.integrator import MAX_STEPS, step_count
 
@@ -142,7 +143,7 @@ def test_step_count_is_capped():
     assert step_count(MAX_STEPS * 0.5, 0.5) == MAX_STEPS
     with pytest.raises(ValueError):
         step_count(1e300, 1e-3)
-    with pytest.raises(ConfigParse):
+    with pytest.raises(InvalidArgument):
         build_run(replace(RunConfig(), t_end=1e300))
 
 
@@ -154,6 +155,12 @@ _LINEAR_RUN = (pw.state_from_modes(pw.Grid1D(1.0, 11), [0.1], [0.0], [0.0],
                pw.StepConfig(dt=1e-3), 0.01)
 # (times, values) of a decaying energy series
 _SERIES = ([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.25, 0.125])
+
+
+def _load_sweep(extra):
+    """load_sweep_config on the _write run config plus extra sections."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return load_sweep_config(_write(Path(tmp), extra))
 
 
 @pytest.mark.parametrize("call", [
@@ -186,6 +193,12 @@ _SERIES = ([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.25, 0.125])
                                 pw.Grid1D(1.0, 11)),
     lambda: pw.embedding_constant(pw.Grid1D(1.0, 11), 3.0, restarts=2.5),
     lambda: pw.embedding_constant(pw.Grid1D(1.0, 11), 3.0, seed=1.5),
+    lambda: build_run(replace(RunConfig(), t_end=1e300)),
+    lambda: build_run(replace(RunConfig(), seed=1.5)),
+    lambda: build_run(replace(RunConfig(), fit_C=0.5)),
+    lambda: build_run(replace(RunConfig(), fit_model="bogus")),
+    lambda: _load_sweep("\n[sweep]\nmax_parallel = 0\n"
+                        "[sweep.axes]\ninitial.v0 = 0.05\n"),
 ], ids=["grid", "step-config", "step-count", "embedding-q",
         "zero-pivot", "midpoint-overflow", "record-every", "lp-q",
         "s-star", "bound-convention",
@@ -193,7 +206,9 @@ _SERIES = ([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.25, 0.125])
         "fit-poly-eta", "fit-log-eta", "fit-log-C", "record-every-nan",
         "record-every-fraction", "grid-nx-fraction", "embedding-restarts",
         "embedding-seed", "well-report-seed", "lp-q-nan",
-        "embedding-restarts-fraction", "embedding-seed-fraction"])
+        "embedding-restarts-fraction", "embedding-seed-fraction",
+        "build-run-t-end", "build-run-seed-fraction", "build-run-fit-C",
+        "build-run-fit-model", "sweep-max-parallel"])
 def test_invalid_argument_is_typed(call):
     """Each site raises a PiezowaveError that is still the ValueError it
     was before (InvalidArgument)."""
@@ -272,13 +287,13 @@ def test_numpy_integers_are_valid_counts():
 
 
 def test_fractional_seed_fails_its_run_before_stepping(step_calls):
-    """A library config with seed = 1.5 is that run's ConfigParse from
+    """A library config with seed = 1.5 is that run's InvalidArgument from
     run_all, yielded before any member steps."""
     cfg = replace(RunConfig(), nx=21, t_end=0.01)
     results = run_all([replace(cfg, seed=1.5), cfg])
     i, error = next(results)
     assert (i, step_calls) == (0, [])
-    assert isinstance(error, ConfigParse)
+    assert isinstance(error, InvalidArgument)
     assert str(error) == "seed = 1.5 must be an integer >= 0"
     [(i, report)] = results
     assert (i, report["summary"]["outcome"]) == (1, "completed")

@@ -76,10 +76,37 @@ def test_poincare_close_to_continuum(ref_grid):
                                                            rel=1e-4)
 
 
-def test_embedding_q2_equals_poincare_squared(coarse_grid):
-    b = pw.embedding_constant(coarse_grid, 2.0)
-    pc = pw.poincare_constant(coarse_grid)
-    assert b == pytest.approx(pc * pc, abs=1e-8)
+@pytest.mark.parametrize("L, nx", [(1.0, 3), (2.5, 11), (1.0, 41),
+                                   (1.0, 81), (1.0, 201), (0.3, 1001)])
+def test_embedding_q2_equals_poincare_squared(L, nx):
+    """The power method at q = 2 reaches the closed form's square to
+    roundoff (it lands up to 5e-16 relative above it)."""
+    grid = pw.Grid1D(L, nx)
+    b = pw.embedding_constant(grid, 2.0)
+    pc = pw.poincare_constant(grid)
+    assert b == pytest.approx(pc * pc, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("L, nx", [(1.0, 3), (2.5, 11), (1.0, 201),
+                                   (0.3, 1001)])
+def test_poincare_is_the_closed_form_to_one_ulp(L, nx):
+    """c = dx / (2 sin(pi dx / (4L))), evaluated in extended precision
+    from the same dx and L, agrees to one unit in the last place."""
+    grid = pw.Grid1D(L, nx)
+    dx, length = np.longdouble(grid.dx), np.longdouble(grid.L)
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    exact = dx / (2 * np.sin(pi * dx / (4 * length)))
+    pc = pw.poincare_constant(grid)
+    assert abs(np.longdouble(pc) - exact) <= np.spacing(pc)
+
+
+def test_poincare_constant_needs_no_power_method(monkeypatch, ref_grid):
+    """The closed form stands alone: no embedding_constant call."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("embedding_constant called")
+    monkeypatch.setattr(pw.well, "embedding_constant", refuse)
+    assert pw.poincare_constant(ref_grid) == pytest.approx(2.0 / np.pi,
+                                                           rel=1e-4)
 
 
 def test_embedding_q4_matches_bruteforce_oracle(coarse_grid, rng):

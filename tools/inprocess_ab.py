@@ -1,6 +1,6 @@
-"""In-process A/B of the midpoint solve, the per-step norms and whole
-steps: two source trees imported side by side in one process, interleaved
-rounds.
+"""In-process A/B of the midpoint solve, the per-step norms, whole steps
+and the well analysis: two source trees imported side by side in one
+process, interleaved rounds.
 
     taskset -c 1 python3 tools/inprocess_ab.py PARENT_SRC CHANGE_SRC [ROUNDS]
 
@@ -17,16 +17,20 @@ Cases, on nx = 201, dt = 1e-3 and the reference material:
     exponents (1, 3, 2, 3), (3, 3, 3, 3) or (2, 2, 3, 3), v0 = 0.2,
     p0 = 0.12, at rest, semi-implicit, 300 steps, record_every = 200, in
     us: a mixed damping step, a one-member step like the `decay-m3`
-    workload's, and one of the `ensemble-m2` workload's shape.
+    workload's, and one of the `ensemble-m2` workload's shape;
+  * `well-m2`: one `well_report` call with exponents (2, 2, 3, 3), in us,
+    with a fresh seed each round (the same seed on both sides): the well
+    analysis that the `ensemble-m2` workload runs before its members.
 
 BLAS runs on one thread, as in perfbench (the thread count changes the
 cost of numpy's small operations).  Each round times every case on both
 sides, the side that goes first alternating; the table gives each side's
 median over rounds, the ratio change / parent, and `max_rel_diff`, the
-largest difference of the two sides' solve results, norms or final states
-relative to their largest entry, so a change that moves results only at
-roundoff shows as such.  Prints one JSON object.
+largest difference of the two sides' solve results, norms, final states
+or well reports relative to their largest entry, so a change that moves
+results only at roundoff shows as such.  Prints one JSON object.
 """
+import itertools
 import json
 import os
 import statistics
@@ -96,11 +100,29 @@ def step_case(pw, exponents):
     return run
 
 
+def well_case(pw):
+    grid = pw.Grid1D(1.0, 201)
+    params = pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0)
+    exps = pw.validate_exponents(2.0, 2.0, 3.0, 3.0)
+    seeds = itertools.count()
+
+    def run():
+        seed = next(seeds)
+        t0 = time.perf_counter()
+        report = pw.well_report(params, exps, grid, seed=seed)
+        elapsed = time.perf_counter() - t0
+        return elapsed * 1e6, np.array([getattr(report, f) for f in (
+            "B1", "B2", "C_hat", "s_star", "Lambda_star", "y0",
+            "M_threshold", "poincare_c")])
+    return run
+
+
 cases = {side: {**{f"solve-B{b}": solve_case(pw, b) for b in BATCHES},
                 **{f"norms-B{b}": norms_case(pw, b) for b in (1, 8)},
                 "step-m1-3": step_case(pw, (1.0, 3.0, 2.0, 3.0)),
                 "step-m3": step_case(pw, (3.0, 3.0, 3.0, 3.0)),
-                "step-m2": step_case(pw, (2.0, 2.0, 3.0, 3.0))}
+                "step-m2": step_case(pw, (2.0, 2.0, 3.0, 3.0)),
+                "well-m2": well_case(pw)}
          for side, pw in SIDES.items()}
 times = {side: {name: [] for name in cases[side]} for side in SIDES}
 results = {}
