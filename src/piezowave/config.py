@@ -213,7 +213,7 @@ def load_sweep_config(path: str) -> SweepConfig:
     check_count("max_parallel", sweep.max_parallel, 1)
     size = math.prod(len(values) for values in axes.values())
     if size > sweep.cap:
-        raise ConfigParse(f"sweep size {size} exceeds cap {sweep.cap}")
+        raise InvalidArgument(f"sweep size {size} exceeds cap {sweep.cap}")
     return sweep
 
 

@@ -40,6 +40,7 @@ exceeds the blow-up cutoff, or is NaN, ends its run there, at t = 0 too.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -169,10 +170,10 @@ def _step_norms(y, grid: Grid1D, params: MaterialParams, exps: Exponents,
 
 
 def _check_fits(y, grid: Grid1D):
-    """Raise InvalidArgument unless y is (4, nx) or (B, 4, nx) on grid."""
-    if y.ndim not in (2, 3) or y.shape[-2:] != (4, grid.nx):
-        raise InvalidArgument(f"state of shape {y.shape} does not fit the "
-                              f"grid: (4, {grid.nx}) or (B, 4, {grid.nx})")
+    """Raise InvalidArgument unless y is (4, nx) or (B > 0, 4, nx) on grid."""
+    if y.ndim not in (2, 3) or y.shape[-2:] != (4, grid.nx) or not len(y):
+        raise InvalidArgument(f"state of shape {y.shape} is not (4, nx) or "
+                              f"(B > 0, 4, nx) with nx = {grid.nx}")
 
 
 def _moving(new, xm) -> list:
@@ -236,7 +237,7 @@ class Stepper:
         the SPD system of its mirror row at x = L halved, rhs[-1] too, and
         its T[1, 0] w[0] = lo[0] rhs[0] moved to the right-hand side."""
         d, q, (lo, mid, up) = midpoint_bands(self.grid, self.params, self.cfg)
-        main, dirichlet = 1.0 + mid, lo[:, 0]
+        main = 1.0 + mid
         main[:, -1] *= 0.5
         # the k = 1, 2 systems end to end, joined by a zero off-diagonal
         solve = tridiagonal_solver(main.ravel(), np.append(
@@ -246,27 +247,26 @@ class Stepper:
         # f -> V^-1 (dt^2/4) (f1/rho, f2/mu)
         self._into_f = v_inv * ((dt * dt / 4.0) / mass).T
         # (into, start, out, flip) for k = 1 and k = kappa (1 where a = 0):
-        # y -> V^-1 (x + (dt/2) k x_t); (dt/2) k for the predicted midpoint;
+        # y -> V^-1 z and y -> z, z = x + (dt/2) k x_t the predicted midpoint;
         # D = xm - x -> (2D, (4/dt) k D), plus y (1, 1, -k^2) for the new state
         a = self._damp_coef
         self._plain, self._linear = (
-            (np.hstack([v_inv, (0.5 * dt) * v_inv * k.T]), (0.5 * dt) * k,
+            (np.hstack([v_inv, (0.5 * dt) * v_inv * k.T]),
+             np.hstack([np.eye(2), np.diag((0.5 * dt) * k[:, 0])]),
              np.concatenate([2.0 * np.eye(2), (4.0 / dt) * np.diag(k[:, 0])]),
              np.concatenate([np.ones((2, 1)), -(k * k)]))
             for k in (np.ones((2, 1)), (1.0 - a) / (1.0 + a)))
-        n = mid.size
+        n, nx = mid.size, self.grid.nx
+        dirichlet = functools.cache(lambda rows: np.tile(lo[:, 0], rows // 2))
 
         def batch_solve(rhs):
-            """The solution w of the shape of rhs, (2, nx) or (B, 2, nx),
-            which the solve overwrites (w may be rhs itself): pass a fresh
-            array.  The members of a batch are the B columns of one solve,
-            and one member is fixed up as (2, nx) and solved flat, which
-            numpy and dpttrs take faster."""
-            r = rhs.reshape(2, -1) if rhs.size == n else rhs
-            r[..., -1] *= 0.5
-            r[..., 1] -= dirichlet * r[..., 0]
-            w = solve(r.ravel() if r.ndim == 2 else r.reshape(-1, n).T)
-            return w.T.reshape(rhs.shape)
+            """The solution w of rhs, (2, nx) or (B, 2, nx), which the solve
+            overwrites: pass a fresh array.  The B members are the columns of
+            one solve, fixed up as the 1-D columns of the (2B, nx) rows."""
+            r = rhs.reshape(-1, nx)
+            r[:, -1] *= 0.5
+            r[:, 1] -= dirichlet(len(r)) * r[:, 0]
+            return solve(r.reshape(-1, n).T).T.reshape(rhs.shape)
         return batch_solve
 
     def _midpoint(self, base_w, x, exps: Exponents):
@@ -285,7 +285,7 @@ class Stepper:
         iterate = on and self.cfg.scheme == "implicit-midpoint"
         # semi-implicit stops at this first iterate; implicit-midpoint
         # starts its iteration from the source at the predicted midpoint
-        first = x + start * y[..., 2:, :] if iterate else x
+        first = start @ y if iterate else x
         xm = self._midpoint(base_w, first if on else None, exps)
         if iterate:
             xm = self._iterate(xm, base_w, exps)

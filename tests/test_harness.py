@@ -9,7 +9,7 @@ from piezowave import cli, config, integrator
 from piezowave.cli import main
 from piezowave.config import (expand_sweep, load_run_config,
                               load_sweep_config)
-from piezowave.errors import ConfigParse
+from piezowave.errors import ConfigParse, InvalidArgument
 
 BASE_CFG = """
 [material]
@@ -353,7 +353,9 @@ def test_simulate_error_while_stepping(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out" / "energy.csv").exists()
 
 
-def test_sweep_cap_enforced(tmp_path):
+def test_sweep_cap_enforced(tmp_path, capsys):
+    """A sweep over its cap is a value out of range: InvalidArgument in the
+    library, exit 2 with its message from the CLI."""
     cfg_path = _write_cfg(tmp_path, extra="""
 [sweep]
 cap = 2
@@ -361,8 +363,10 @@ cap = 2
 [sweep.axes]
 initial.v0 = 0.02; 0.05; 0.08
 """)
-    with pytest.raises(ConfigParse):
+    with pytest.raises(InvalidArgument, match="sweep size 3 exceeds cap 2"):
         load_sweep_config(cfg_path)
+    assert main(["sweep", cfg_path]) == 2
+    assert capsys.readouterr().err == "error: sweep size 3 exceeds cap 2\n"
 
 
 # ---------------------------------------------------------------------------

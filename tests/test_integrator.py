@@ -258,17 +258,19 @@ def test_mixed_linear_row_takes_no_newton(ref_params, ref_grid, rng,
                            ("asymmetric", (2.3, 5.0, 0.7, 1.9, 0.4))]
     for dt, shape, suffix in [(1e-3, (2,), ""), (1e-3, (3, 2), "-batch"),
                               (0.5, (2,), "-dt0.5"),
-                              (0.5, (3, 2), "-dt0.5-batch")]])
+                              (0.5, (3, 2), "-dt0.5-batch"),
+                              (1e-3, (1, 2), "-B1"), (1e-3, (8, 2), "-B8")]])
 def test_decoupled_solve_matches_assembled_lu(material, dt, shape, ref_grid,
                                               rng):
     """The two symmetrized tridiagonal solves in the eigenbasis of C,
     composed with the Stepper's maps as V solve(V^-1 rhs), agree with a
     sparse LU solve of the assembled 2nx system I - (dt^2/4) A, for one
-    member and a batch.  The random rhs is nonzero at x = 0 and x = L, so
-    the Dirichlet move and the mirror-row scaling both act.  At dt = 0.5
-    the matrix is far from the identity (condition about 1e5), and the
-    sparse LU solve alone is off by up to 9e-13; one refinement step with
-    its residual in long double makes it a reference to roundoff."""
+    member, a batch of one as `simulate` passes it, and batches of 3 and
+    8.  The random rhs is nonzero at x = 0 and x = L, so the Dirichlet
+    move and the mirror-row scaling both act.  At dt = 0.5 the matrix is
+    far from the identity (condition about 1e5), and the sparse LU solve
+    alone is off by up to 9e-13; one refinement step with its residual in
+    long double makes it a reference to roundoff."""
     params = pw.make_params(*material)
     stepper = pw.Stepper(ref_grid, params, pw.StepConfig(dt=dt))
     d2 = sp.diags(second_difference(ref_grid), [-1, 0, 1])
@@ -828,12 +830,12 @@ BATCH_AMPLITUDES = [0.05, 40.0, 2.0, float("nan"), 100.0]
 @pytest.mark.parametrize("exponents", [(1, 1, 2, 2), (4, 1, 3, 2)],
                          ids=["m1", "mixed-newton-m4"])
 @pytest.mark.parametrize("order", [[0], [4, 1], [0, 1, 2, 3, 4],
-                                   [4, 2, 0, 3, 1]],
-                         ids=["B1", "B2", "B5", "B5-permuted"])
+                                   [4, 2, 0, 3, 1], [0, 1, 2, 3, 4, 0, 2, 1]],
+                         ids=["B1", "B2", "B5", "B5-permuted", "B8-repeated"])
 def test_batch_member_equals_its_single_run(order, exponents):
     """A member's trajectory from a batched simulate equals, bit for bit,
     its own single-member simulate, whatever else is in the batch and in
-    whatever order."""
+    whatever order, also while a batch of 8 shrinks to 7 and then 6."""
     params = pw.make_params(*MATERIALS[1])
     exps = pw.validate_exponents(*exponents)
     grid = pw.Grid1D(1.0, 41)

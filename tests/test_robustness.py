@@ -234,6 +234,24 @@ def test_state_must_fit_the_grid(run, shape):
             pw.Stepper(grid, params, cfg).step(state, exps)
 
 
+@pytest.mark.parametrize("run", ["simulate", "step"])
+@pytest.mark.parametrize("scheme", pw.integrator.SCHEMES)
+def test_empty_batch_is_invalid(scheme, run):
+    """A batch of no members, (0, 4, nx), is an InvalidArgument under
+    either scheme, not numpy's bare ValueError from the midpoint iteration
+    nor a semi-implicit run of every step that returns []."""
+    grid = pw.Grid1D(1.0, 81)
+    state = pw.grid.State.stacked(np.zeros((0, 4, 81)))
+    _, params, exps, _, _, t_end = _LINEAR_RUN
+    cfg = pw.StepConfig(dt=1e-3, scheme=scheme)
+    with pytest.raises(pw.errors.InvalidArgument, match=r"\(0, 4, 81\) is "
+                       r"not \(4, nx\) or \(B > 0, 4, nx\) with nx = 81"):
+        if run == "simulate":
+            pw.simulate(state, params, exps, grid, cfg, t_end)
+        else:
+            pw.Stepper(grid, params, cfg).step(state, exps)
+
+
 @pytest.mark.parametrize("values, code", [({"alpha": "1e308"}, 2),
                                           ({"v0": "1e308"}, 0)],
                          ids=["alpha-1e308", "v0-1e308"])

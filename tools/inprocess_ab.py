@@ -18,6 +18,11 @@ Cases, on nx = 201, dt = 1e-3 and the reference material:
     p0 = 0.12, at rest, semi-implicit, 300 steps, record_every = 200, in
     us: a mixed damping step, a one-member step like the `decay-m3`
     workload's, and one of the `ensemble-m2` workload's shape;
+  * `sweep-mid`: `simulate` per step of one batch of the 8 members of the
+    `sweep-midpoint-m1` workload (exponents (1, 1, 2, 2), implicit-midpoint,
+    v0 = 0.05, 0.2, 0.5, 1, 2, 36, 40, 45, p0 = 0, at rest), to t = 0.5,
+    record_every = 10, in us: the three largest blow up before t = 0.5, so
+    the batch goes from 8 to 5 members;
   * `well-m2`: one `well_report` call with exponents (2, 2, 3, 3), in us,
     with a fresh seed each round (the same seed on both sides): the well
     analysis that the `ensemble-m2` workload runs before its members.
@@ -55,6 +60,7 @@ SIDES = {"parent": load(sys.argv[1]), "change": load(sys.argv[2])}
 ROUNDS = int(sys.argv[3]) if len(sys.argv) > 3 else 20
 BATCHES = (1, 2, 5, 8)
 CALLS, STEPS, V0 = 2000, 300, 0.2
+SWEEP_V0 = (0.05, 0.2, 0.5, 1.0, 2.0, 36.0, 40.0, 45.0)
 
 
 def best_of_calls(call, arg):
@@ -100,6 +106,24 @@ def step_case(pw, exponents):
     return run
 
 
+def sweep_case(pw):
+    grid = pw.Grid1D(1.0, 201)
+    params = pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0)
+    exps = pw.validate_exponents(1.0, 1.0, 2.0, 2.0)
+    cfg = pw.StepConfig(dt=1e-3, scheme="implicit-midpoint")
+    state = pw.State.stacked(np.array([
+        pw.state_from_modes(grid, [v0], [0.0], [0.0], [0.0]).y
+        for v0 in SWEEP_V0]))
+    steps = 500
+
+    def run():
+        t0 = time.perf_counter()
+        trajs = pw.simulate(state, params, exps, grid, cfg, steps * 1e-3, 10)
+        return ((time.perf_counter() - t0) / steps * 1e6,
+                np.array([t.final_state.y for t in trajs]))
+    return run
+
+
 def well_case(pw):
     grid = pw.Grid1D(1.0, 201)
     params = pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0)
@@ -122,6 +146,7 @@ cases = {side: {**{f"solve-B{b}": solve_case(pw, b) for b in BATCHES},
                 "step-m1-3": step_case(pw, (1.0, 3.0, 2.0, 3.0)),
                 "step-m3": step_case(pw, (3.0, 3.0, 3.0, 3.0)),
                 "step-m2": step_case(pw, (2.0, 2.0, 3.0, 3.0)),
+                "sweep-mid": sweep_case(pw),
                 "well-m2": well_case(pw)}
          for side, pw in SIDES.items()}
 times = {side: {name: [] for name in cases[side]} for side in SIDES}
