@@ -113,7 +113,8 @@ def run_one(cfg: RunConfig, run, traj, wells: dict) -> dict:
 
 # Bytes of states and energy records that one batch may hold: per member,
 # about 20 float arrays of nx nodes while a step runs and about 400 bytes
-# per EnergyRecord.  A larger group of runs steps as several batches.
+# per EnergyRecord (the block of states `simulate` keeps has its own cap,
+# BLOCK_BYTES, for the whole batch).  A larger group steps as several batches.
 BATCH_BYTES = 2**28
 
 

@@ -17,8 +17,8 @@ A step works on a State's stacked array y of one member, (4, nx), or of a
 batch of B members, (B, 4, nx): displacements y[..., :2, :], velocities
 y[..., 2:, :], and (rho, mu) as a (2, 1) column.  Each operation covers both
 rows of every member at once, and goes row by row only where the exponents
-differ.  `simulate` loops over k = 0 ... n_steps, stepping when k >= 1; at
-each k one batched pass, `_step_norms`, gives the blow-up check its norms,
+differ.  `simulate` checks t = 0, then steps in blocks; one batched pass
+over each block, `_step_norms`, gives each step's blow-up check its norms,
 the ledger its damping norm and the record its Q, and `diagnostics._records`
 the rest.  Each reduction is one np.vecdot over the stack (bit for bit one
 ndarray.dot per row), and the source iteration and the blow-up check decide
@@ -65,6 +65,10 @@ NEWTON_MAX_ITER = 60
 
 # Longest run a config may ask for: about 3 days at 250 us per step.
 MAX_STEPS = 10**9
+
+# Most steps, and bytes of their states, between blow-up checks in simulate
+BLOCK_STEPS = 32
+BLOCK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -374,55 +378,70 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
 
     state0 holds one member, (4, nx), and gives its Trajectory; or a batch
     of B members stacked as (B, 4, nx), and gives a list of B Trajectories,
-    each equal bit for bit to its member's own run.  Blow-up, checked from
-    t = 0 on, is a normal terminal outcome, not an error: the member gets
-    its last record and leaves the batch, and the others go on.  An error
-    of any member, such as NoConvergence, is raised for the whole batch.
-    Every state it records or returns carries t = k*dt after step k, so
-    times do not drift by repeated addition.
+    each equal bit for bit to its member's own run.  Blow-up, checked at
+    t = 0 and after each step, is a normal terminal outcome, not an error:
+    the member gets its last record and leaves the batch, and the others go
+    on.  Steps run in blocks (BLOCK_STEPS, BLOCK_BYTES) checked in one pass,
+    and steps past a blow-up are dropped.  An error of a member, such as
+    NoConvergence, is raised for the batch where a check after each step
+    raises it: the next block redoes that step without members that left.
+    A state it records or returns has t = k*dt, not a sum of steps.
     """
     _check_fits(state0.y, grid)
     n_steps = step_count(t_end, cfg.dt)
     check_count("record_every", record_every, 1)
     stepper = Stepper(grid, params, cfg)
 
-    # one member runs as a batch of one
-    state = State.stacked(state0.y.reshape(-1, 4, grid.nx).copy())
-    live = list(range(len(state.y)))      # the member in each batch row
+    # one member runs as a batch of one, and t = 0 is a block of its own
+    block = [State.stacked(state0.y.reshape(-1, 4, grid.nx).copy())]
+    live = list(range(len(block[0].y)))   # the member in each batch row
     records, trajectories = [[] for _ in live], [None] * len(live)
     damping_cum, prev_dnorm = [0.0] * len(live), [0.0] * len(live)
-    dt, cutoff = cfg.dt, cfg.blowup_cutoff
-    for k in range(n_steps + 1):
-        if k:
-            state = stepper.step(state, exps)
-        state.t = t = k * dt
-        norms = _step_norms(state.y, grid, params, exps, cfg.damping_on)
-        record = k % record_every == 0 or k == n_steps
-        ledger, keep = {}, []     # recording rows: (damping_cum, etot0, Q)
-        for row, (i, (grad_v_sq, q, dnorm)) in enumerate(zip(live, norms)):
-            # the trapezoid from step 1 on; with damping off it stays 0.0
-            damping_cum[i] += 0.5 * dt * (prev_dnorm[i] + dnorm) if k else 0.0
-            prev_dnorm[i] = dnorm
-            # `not <=`: a NaN norm (non-finite state) also ends the run
-            trigger = ("grad_v_sq" if not grad_v_sq <= cutoff
-                       else "quadratic_form" if not q <= cutoff else None)
-            if record or trigger:     # at t = 0, Etot(0) is the record's own
-                ledger[row] = (damping_cum[i],
-                               records[i][0].Etot if k else None, q)
-            if trigger or k == n_steps:
-                trajectories[i] = Trajectory(
-                    records[i], "blowup" if trigger else "completed",
-                    t if trigger else None, trigger,
-                    State.stacked(state.y[row].copy(), t))
-            else:
-                keep.append(row)
-        if ledger:
-            for row, r in zip(ledger, _records(state.y[list(ledger)], t, params,
-                                               exps, grid, ledger.values())):
-                records[live[row]].append(r)
-        if len(keep) < len(live):
-            live = [live[row] for row in keep]
-            if not live:
-                break
-            state = State.stacked(state.y[keep], t)
-    return trajectories if state0.y.ndim == 3 else trajectories[0]
+    dt, cutoff, k = cfg.dt, cfg.blowup_cutoff, -1
+    while True:
+        y = block[0].y if len(block) == 1 else np.stack([s.y for s in block])
+        norms = _step_norms(y, grid, params, exps, cfg.damping_on)
+        rows = range(len(live))           # the batch rows still running
+        for at, state in zip(range(0, len(norms), len(live)), block):
+            k += 1
+            state.t = t = k * dt
+            record = k % record_every == 0 or k == n_steps
+            ledger, keep = {}, []     # recording rows: (damping_cum, etot0, Q)
+            for row in rows:
+                i, (grad_v_sq, q, dnorm) = live[row], norms[at + row]
+                if k:     # the trapezoid; with damping off it stays 0.0
+                    damping_cum[i] += 0.5 * dt * (prev_dnorm[i] + dnorm)
+                prev_dnorm[i] = dnorm
+                # `not <=`: a NaN norm (non-finite state) also ends the run
+                trigger = ("grad_v_sq" if not grad_v_sq <= cutoff
+                           else "quadratic_form" if not q <= cutoff else None)
+                if record or trigger:     # at t = 0, Etot(0) is its own
+                    ledger[row] = (damping_cum[i],
+                                   records[i][0].Etot if k else None, q)
+                if trigger or k == n_steps:
+                    trajectories[i] = Trajectory(
+                        records[i], "blowup" if trigger else "completed",
+                        t if trigger else None, trigger,
+                        State.stacked(state.y[row].copy(), t))
+                else:
+                    keep.append(row)
+            if ledger:
+                for row, r in zip(ledger, _records(state.y[list(ledger)], t,
+                                                   params, exps, grid,
+                                                   ledger.values())):
+                    records[live[row]].append(r)
+            rows = keep
+            if not rows:
+                return trajectories if state0.y.ndim == 3 else trajectories[0]
+        if len(rows) < len(live):
+            live = [live[row] for row in rows]
+            state = State.stacked(state.y[rows], t)
+        block = []
+        try:
+            for _ in range(min(n_steps - k, BLOCK_STEPS,
+                               max(1, BLOCK_BYTES // state.y.nbytes))):
+                state = stepper.step(state, exps)
+                block.append(state)
+        except NoConvergence:     # the next block redoes the raising step
+            if not block:
+                raise

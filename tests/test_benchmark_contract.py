@@ -3,7 +3,8 @@
 `perfbench/tracing.py` wraps the attributes in its BINDINGS, keys
 `well.embedding_constant` spans by their grid, q, restarts and seed, and,
 like the host-speed sampler, wraps `Stepper.step`, so `simulate` must call
-it once per step."""
+it once per step of a run that completes, and after a blow-up take at most
+the rest of its block of steps."""
 import importlib
 import inspect
 from pathlib import Path
@@ -40,3 +41,14 @@ def test_simulate_steps_once_per_step(ref_params, step_calls):
                        grid, pw.StepConfig(dt=1e-3), 0.025, record_every=10)
     assert traj.outcome == "completed"
     assert step_calls == [1] * 25
+
+
+def test_a_blowup_steps_at_most_to_the_end_of_its_block(ref_params,
+                                                        step_calls):
+    grid = pw.Grid1D(1.0, 41)
+    state0 = pw.state_from_modes(grid, [0.0], [0.0], [39.0], [0.0])
+    cfg = pw.StepConfig(dt=1e-3, blowup_cutoff=1.0)
+    traj = pw.simulate(state0, ref_params, pw.validate_exponents(1, 1, 2, 2),
+                       grid, cfg, 0.1)
+    assert (traj.outcome, round(traj.t_detect / cfg.dt)) == ("blowup", 17)
+    assert len(step_calls) <= 17 + pw.integrator.BLOCK_STEPS - 1

@@ -934,6 +934,86 @@ def test_data_past_the_cutoff_end_at_t_zero(ref_params, step_calls):
     assert step_calls == []
 
 
+# members of one batch under cutoff 1.0, m = 1, n = 2, nx = 41, and the
+# step each blows up on: at t = 0, mid-block (17), on the last step of a
+# default block (32, by Q alone), on the last step of a 3-step block (33),
+# on the last step of the run (50), and never; as (v0, p0, v1, p1) modes
+BLOCK_MEMBERS = {0: (1.0, 0.0, 0.0, 0.0), 17: (0.0, 0.0, 39.0, 0.0),
+                 32: (0.0, 0.0, 0.0, 29.0), 33: (0.0, 0.0, 20.0, 0.0),
+                 50: (0.0, 0.0, 13.2, 0.0), None: (0.0, 0.0, 1.0, 0.0)}
+
+
+def _block_run(ref_params, states, t_end=0.05):
+    """simulate of states, stacked if a list, under cutoff 1.0, m = 1,
+    n = 2, record_every = 7 (0.05 is 50 steps, a multiple of neither 3
+    nor 32)."""
+    y = np.array([s.y for s in states]) if isinstance(states, list) \
+        else states.y
+    return pw.simulate(pw.State.stacked(y), ref_params,
+                       pw.validate_exponents(1, 1, 2, 2), pw.Grid1D(1.0, 41),
+                       pw.StepConfig(dt=1e-3, blowup_cutoff=1.0), t_end, 7)
+
+
+@pytest.mark.parametrize("block", [1, 3, pw.integrator.BLOCK_STEPS],
+                         ids=["per-step", "K3", "default"])
+def test_blocks_of_steps_equal_a_check_after_each_step(ref_params,
+                                                       monkeypatch, block):
+    """The members of one batch that blow up at t = 0, inside a block, on
+    a block's last step and on the run's last step, and one that completes,
+    end bit for bit as they do alone with a check after every step (blocks
+    of 1), whatever the block length; a member's later steps in its block
+    are dropped, not recorded."""
+    grid = pw.Grid1D(1.0, 41)
+    states = [pw.state_from_modes(grid, *[[a] for a in modes])
+              for modes in BLOCK_MEMBERS.values()]
+    monkeypatch.setattr(pw.integrator, "BLOCK_STEPS", 1)
+    alone = [_block_run(ref_params, s) for s in states]
+    assert [t.t_detect and round(t.t_detect / 1e-3) for t in alone] == [
+        0.0, 17, 32, 33, 50, None]
+    assert [t.trigger for t in alone] == ["grad_v_sq"] + [
+        "quadratic_form"] * 4 + [None]
+    monkeypatch.setattr(pw.integrator, "BLOCK_STEPS", block)
+    batch = _block_run(ref_params, states)
+    assert [_bits(t) for t in batch] == [_bits(t) for t in alone]
+    assert [_bits(_block_run(ref_params, s)) for s in states] == \
+        [_bits(t) for t in alone]
+
+
+@pytest.mark.parametrize("block", [3, pw.integrator.BLOCK_STEPS],
+                         ids=["K3", "default"])
+def test_an_error_past_the_cutoff_inside_a_block_is_not_raised(
+        ref_params, monkeypatch, block):
+    """With a step that raises NoConvergence when handed a member past the
+    cutoff (or past 0.25, under it), a member that blows up inside a block
+    ends as it does with a step that does not raise, beside one that
+    completes; one that raises under the cutoff raises from simulate.  The
+    raising step is taken again, not its block: at most n_steps + 2 K
+    step calls."""
+    grid, params = pw.Grid1D(1.0, 41), ref_params
+    states = [pw.state_from_modes(grid, *[[a] for a in BLOCK_MEMBERS[k]])
+              for k in (17, None)]
+    expected = [_bits(t) for t in _block_run(params, states)]
+    step, calls, limit = pw.Stepper.step, [], [1.0]
+
+    def raising(self, state, exps):
+        calls.append(1)
+        if any(not (g <= limit[0] and q <= limit[0]) for g, q, _ in
+               _step_norms(state.y, grid, params, exps, True)):
+            raise pw.NoConvergence("handed a member past the limit")
+        return step(self, state, exps)
+    monkeypatch.setattr(pw.Stepper, "step", raising)
+    monkeypatch.setattr(pw.integrator, "BLOCK_STEPS", block)
+    trajs = _block_run(params, states)
+    assert [t.outcome for t in trajs] == ["blowup", "completed"]
+    assert [_bits(t) for t in trajs] == expected
+    assert len(calls) <= 50 + 2 * block
+    calls.clear()
+    limit[0] = 0.25
+    with pytest.raises(pw.NoConvergence):
+        _block_run(params, states)
+    assert len(calls) <= 50 + 2 * block
+
+
 # members of the fused-norm batches: ordinary data, a NaN member and an
 # overflowed member (its differences and powers are inf)
 NORM_AMPLITUDES = [0.3, float("nan"), 1e200, -2.0, 0.05]
@@ -951,9 +1031,10 @@ def test_step_norms_equal_the_public_functions(order, exponents,
                                                damping_on):
     """The fused pass gives each member, bit for bit, grad_norm_sq(v),
     quadratic_form(v, p) and the sum of damping_norms (0.0 with damping
-    off), for a batch and for one member given as (4, nx).  B = 8 and 64
-    repeat the amplitudes, since BLAS may take other kernels at those
-    sizes."""
+    off), for a batch, for one member given as (4, nx), and for a block of
+    steps of a batch, (K, B, 4, nx), as its calls step by step do.  B = 8
+    and 64 repeat the amplitudes, since BLAS may take other kernels at
+    those sizes."""
     params = pw.make_params(*MATERIALS[1])
     exps = pw.validate_exponents(*exponents)
     grid = pw.Grid1D(1.0, 41)
@@ -968,8 +1049,14 @@ def test_step_norms_equal_the_public_functions(order, exponents,
         got = _step_norms(y, grid, params, exps, damping_on)
         alone = [_step_norms(m, grid, params, exps, damping_on)[0]
                  for m in y]
+        # a block of 3 steps, (3, B, 4, nx), as `simulate` stacks it
+        steps = np.array([np.roll(y, j, axis=0) for j in range(3)])
+        blocked = _step_norms(steps, grid, params, exps, damping_on)
+        per_step = [n for s in steps
+                    for n in _step_norms(s, grid, params, exps, damping_on)]
     assert np.array(got).tobytes() == np.array(expected).tobytes()
     assert np.array(alone).tobytes() == np.array(expected).tobytes()
+    assert np.array(blocked).tobytes() == np.array(per_step).tobytes()
 
 
 def test_q_is_accurate_on_a_near_degenerate_material():

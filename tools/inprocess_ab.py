@@ -23,6 +23,11 @@ Cases, on nx = 201, dt = 1e-3 and the reference material:
     v0 = 0.05, 0.2, 0.5, 1, 2, 36, 40, 45, p0 = 0, at rest), to t = 0.5,
     record_every = 10, in us: the three largest blow up before t = 0.5, so
     the batch goes from 8 to 5 members;
+  * `blowup-m2`: `simulate` per step taken of one member of the
+    `ensemble-m2` workload's shape (exponents (2, 2, 3, 3), semi-implicit,
+    v0 = 2.35, p0 = 0.9 v0, at rest, t_end = 2, record_every = 20), which
+    blows up at t = 1.565, in us: the steps taken are those to t_detect,
+    so a step computed past it and dropped counts as cost;
   * `well-m2`: one `well_report` call with exponents (2, 2, 3, 3), in us,
     with a fresh seed each round (the same seed on both sides): the well
     analysis that the `ensemble-m2` workload runs before its members.
@@ -124,6 +129,22 @@ def sweep_case(pw):
     return run
 
 
+def blowup_case(pw):
+    grid = pw.Grid1D(1.0, 201)
+    params = pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0)
+    exps = pw.validate_exponents(2.0, 2.0, 3.0, 3.0)
+    cfg = pw.StepConfig(dt=1e-3)
+    state = pw.state_from_modes(grid, [2.35], [0.9 * 2.35], [0.0], [0.0])
+
+    def run():
+        t0 = time.perf_counter()
+        traj = pw.simulate(state, params, exps, grid, cfg, 2.0, 20)
+        elapsed = time.perf_counter() - t0
+        return (elapsed / round(traj.t_detect / cfg.dt) * 1e6,
+                traj.final_state.y)
+    return run
+
+
 def well_case(pw):
     grid = pw.Grid1D(1.0, 201)
     params = pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0)
@@ -147,6 +168,7 @@ cases = {side: {**{f"solve-B{b}": solve_case(pw, b) for b in BATCHES},
                 "step-m3": step_case(pw, (3.0, 3.0, 3.0, 3.0)),
                 "step-m2": step_case(pw, (2.0, 2.0, 3.0, 3.0)),
                 "sweep-mid": sweep_case(pw),
+                "blowup-m2": blowup_case(pw),
                 "well-m2": well_case(pw)}
          for side, pw in SIDES.items()}
 times = {side: {name: [] for name in cases[side]} for side in SIDES}
