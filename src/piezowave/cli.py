@@ -124,8 +124,7 @@ def run_all(cfgs: list):
     caller can drop each trajectory as it goes.  Runs that share material,
     exponents, grid, step config, t_end and record_every advance as one
     batch of `simulate`, as many as BATCH_BYTES allows; a single run is a
-    batch of one.  A batch that raises steps again one run at a time, so
-    that the error falls on the run that raised it."""
+    batch of one, and a member whose solve fails is its own outcome."""
     groups, wells = {}, {}
     for i, cfg in enumerate(cfgs):
         try:
@@ -139,20 +138,9 @@ def run_all(cfgs: list):
         _, _, grid, step, t_end, record_every = key
         records = step_count(t_end, step.dt) // record_every + 2
         size = max(1, BATCH_BYTES // (160 * grid.nx + 400 * records))
-        batches = [group[start:start + size]
-                   for start in range(0, len(group), size)]
-        while batches:
-            batch = batches.pop(0)
-            try:
-                trajectories = simulate(State.stacked(np.array(
-                    [run[4].y for _, run in batch])), *key)
-            except PiezowaveError as exc:
-                if len(batch) == 1:
-                    yield batch[0][0], exc
-                else:
-                    batches[:0] = [[member] for member in batch]
-                continue
-            for (i, run), traj in zip(batch, trajectories):
+        for batch in (group[j:j + size] for j in range(0, len(group), size)):
+            y = np.array([run[4].y for _, run in batch])
+            for (i, run), traj in zip(batch, simulate(State.stacked(y), *key)):
                 try:
                     yield i, run_one(cfgs[i], run, traj, wells)
                 except PiezowaveError as exc:
@@ -174,7 +162,7 @@ def cli_simulate(path: str) -> int:
     print(f"outcome: {traj.outcome}"
           + (f" (t_detect = {fmt(traj.t_detect)})"
              if traj.t_detect is not None else ""))
-    return 0
+    return 2 if traj.outcome == "solver_failure" else 0
 
 
 def cli_classify(path: str) -> int:

@@ -76,26 +76,27 @@ class State:
     """Grid samples of (v, p, v_t, p_t) at one instant, stacked as the rows
     of one float array y of shape (4, nx), or (B, 4, nx) for a batch of B
     members; v, p, vt and pt are views of its rows, so a write into one of
-    them is a write into y."""
+    them is a write into y.  failed maps a batch row (0 for one member) to
+    the solve that failed for it on the step that made the state."""
 
-    __slots__ = ("y", "t")
+    __slots__ = ("y", "t", "failed")
 
     def __init__(self, v, p, vt, pt, t: float = 0.0):
-        self.y, self.t = np.array([v, p, vt, pt], dtype=float), t
+        self.y, self.t, self.failed = np.array([v, p, vt, pt], float), t, {}
 
     @classmethod
-    def stacked(cls, y: np.ndarray, t: float = 0.0) -> "State":
+    def stacked(cls, y: np.ndarray, t: float = 0.0, failed=None) -> "State":
         """A state that holds the (..., 4, nx) array y itself, not a
         copy."""
         state = cls.__new__(cls)
-        state.y, state.t = y, t
+        state.y, state.t, state.failed = y, t, failed or {}
         return state
 
     v, p, vt, pt = (property(lambda self, i=i: self.y[..., i, :])
                     for i in range(4))
 
     def copy(self) -> "State":
-        return State.stacked(self.y.copy(), self.t)
+        return State.stacked(self.y.copy(), self.t, dict(self.failed))
 
 
 def zero_state(grid: Grid1D) -> State:

@@ -37,6 +37,7 @@ conserves the discrete quadratic energy up to the roundoff of the solve.
 A non-finite state is a blow-up outcome, so `Stepper.step` only steps and
 lets numpy overflow quietly, and `simulate` decides: a member whose norm
 exceeds the blow-up cutoff, or is NaN, ends its run there, at t = 0 too.
+A member whose solve fails ends at its last good state: `solver_failure`.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import QUIET, _records
-from .errors import InvalidArgument, NoConvergence, check_count
+from .errors import InvalidArgument, check_count
 from .grid import (Grid1D, State, grad_sums, row_powers, second_difference,
                    tridiagonal_solver)
 from .params import Exponents, MaterialParams
@@ -129,7 +130,8 @@ def _damping_newton(r: np.ndarray, a, m):
     """Newton solve of x + a|x|^(m-1)x = r from r/(1+a) on the whole array
     r, well behaved since phi'(x) >= 1.  Each entry stops on its own
     residual and then keeps its value, so its result does not depend on
-    the other entries.  A bisection sweep finishes off any stragglers."""
+    the other entries.  A bisection sweep finishes off any stragglers,
+    and an entry that still misses its tolerance comes back NaN."""
     def phi(x):        # the residual, and |x|^(m-1) for Newton's phi'
         power = np.abs(x) ** (m - 1.0)
         return x + a * power * x - r, power
@@ -150,9 +152,7 @@ def _damping_newton(r: np.ndarray, a, m):
         low = phi(mid)[0] < 0.0
         lo, hi = np.where(low, mid, lo), np.where(low, hi, mid)
     x = np.where(busy, 0.5 * (lo + hi), x)
-    if np.any(busy & (np.abs(phi(x)[0]) > 1e3 * tol)):
-        raise NoConvergence("damping solve did not meet tolerance")
-    return x
+    return np.where(busy & (np.abs(phi(x)[0]) > 1e3 * tol), np.nan, x)
 
 
 def _step_norms(y, grid: Grid1D, params: MaterialParams, exps: Exponents,
@@ -180,16 +180,15 @@ def _check_fits(y, grid: Grid1D):
                               f"(B > 0, 4, nx) with nx = {grid.nx}")
 
 
-def _moving(new, xm) -> list:
-    """Whether each member's iterate moved by more than NEWTON_TOL relative
-    to its displacement, one bool per member; a NaN change counts as
-    settled.  One member, (2, nx) or (1, 2, nx), takes whole-array
-    reductions, which are faster than reductions along an axis."""
+def _settled(new, xm) -> list:
+    """Per member, whether its iterate moved by at most NEWTON_TOL relative
+    to its displacement (a NaN change has not).  One member, (2, nx) or
+    (1, 2, nx), takes whole-array reductions, faster than along an axis."""
     if new.ndim == 2 or len(new) == 1:
         return [np.abs(new - xm).max()
-                > NEWTON_TOL * (1.0 + np.abs(new[..., 0, :]).max())]
+                <= NEWTON_TOL * (1.0 + np.abs(new[..., 0, :]).max())]
     delta = np.abs(new - xm).reshape(len(new), -1).max(axis=1)
-    return (delta > NEWTON_TOL
+    return (delta <= NEWTON_TOL
             * (1.0 + np.abs(new[:, 0]).max(axis=1))).tolist()
 
 
@@ -281,7 +280,7 @@ class Stepper:
                 row_powers(x, exps.n1 - 1.0, exps.n2 - 1.0) * x)
         return self._v @ self._solve(base_w)
 
-    def _conservative(self, y, exps: Exponents, into, start, out, flip):
+    def _conservative(self, y, exps, failed, into, start, out, flip):
         """The conservative substep from y to a new stacked array, through
         maps `_plain`, or `_linear` for the whole step with m1 = m2 = 1."""
         x, on = y[..., :2, :], self.cfg.sources_on
@@ -292,35 +291,37 @@ class Stepper:
         first = start @ y if iterate else x
         xm = self._midpoint(base_w, first if on else None, exps)
         if iterate:
-            xm = self._iterate(xm, base_w, exps)
+            xm = self._iterate(xm, base_w, exps, failed)
         # the difference comes before the scaling by 4/dt: it keeps digits
         new = out @ (xm - x)
         new += y * flip
         return new
 
-    def _iterate(self, xm, base_w, exps: Exponents):
+    def _iterate(self, xm, base_w, exps: Exponents, failed: dict):
         """implicit-midpoint: iterate the sources of each member to its
         midpoint, NEWTON_MAX_ITER solves in all.  A member stops on its own
-        test and keeps its iterate, and the others go on without it; a NaN
-        change stops it too, since the blow-up check ends its run."""
+        test and keeps its iterate, and the others go on without it; one
+        still moving at the end, by a NaN change too, is marked failed."""
         out, rows = xm, None      # the rows of out still iterating, or all
         for _ in range(NEWTON_MAX_ITER - 1):
             new = self._midpoint(base_w, xm, exps)
-            busy = _moving(new, xm)
+            settled = _settled(new, xm)
             if rows is None:
                 out = new
             else:
                 out[rows] = new
-            if not any(busy):
+            if all(settled):
                 return out
-            if not all(busy):
-                busy = np.flatnonzero(busy)
+            if any(settled):
+                busy = np.flatnonzero([not s for s in settled])
                 rows = busy if rows is None else rows[busy]
                 new, base_w = new[busy], base_w[busy]
             xm = new
-        raise NoConvergence("implicit source iteration stalled")
+        for row in range(len(settled)) if rows is None else rows.tolist():
+            failed.setdefault(row, "source_iteration")
+        return out
 
-    def _damp(self, y, exps: Exponents):
+    def _damp(self, y, exps: Exponents, failed: dict):
         """Damping half-step of the velocity rows of y, in place; returns y.
         Over h = dt/2 the midpoint update of y' = -c|y|^(m-1)y is 2z - y
         with z + (h/2)c|z|^(m-1)z = y, one solve of both rows if m1 = m2."""
@@ -332,6 +333,12 @@ class Stepper:
                           in zip((vel[..., 0, :], vel[..., 1, :]), a[:, 0],
                                  (exps.m1, exps.m2), zip(*self._cubic))],
                          axis=-2)
+        # NaN from a number: a Newton root (m not 1, 2 or 3) that failed
+        if not (exps.m1 in (1.0, 2.0, 3.0) and exps.m2 in (1.0, 2.0, 3.0)) \
+                and np.isnan(z).any():
+            lost = (np.isnan(z) & ~np.isnan(vel)).any(axis=(-2, -1))
+            for row in np.flatnonzero(lost).tolist():
+                failed.setdefault(row, "damping_solve")
         np.subtract(z + z, vel, out=vel)
         return y
 
@@ -340,16 +347,18 @@ class Stepper:
         """The state one step on.  state.y holds one member, (4, nx), or a
         batch, (B, 4, nx), whose members each advance as they would alone.
         A member may come out non-finite; `simulate` decides blow-up.  With
-        m1 = m2 = 1 the damping is in the maps, and no `_damp` runs."""
-        cfg = self.cfg
+        m1 = m2 = 1 the damping is in the maps, and no `_damp` runs.  A
+        member whose solve fails is named in the new State's `failed`."""
+        cfg, failed = self.cfg, {}
         _check_fits(state.y, self.grid)
         if cfg.damping_on and not exps.m1 == exps.m2 == 1.0:
-            y = self._damp(state.y.copy(), exps)
-            y = self._damp(self._conservative(y, exps, *self._plain), exps)
+            y = self._damp(state.y.copy(), exps, failed)
+            y = self._conservative(y, exps, failed, *self._plain)
+            y = self._damp(y, exps, failed)
         else:
-            y = self._conservative(state.y, exps, *(
+            y = self._conservative(state.y, exps, failed, *(
                 self._linear if cfg.damping_on else self._plain))
-        return State.stacked(y, state.t + cfg.dt)
+        return State.stacked(y, state.t + cfg.dt, failed)
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -364,7 +373,7 @@ def step_count(t_end: float, dt: float) -> int:
 @dataclass
 class Trajectory:
     records: list                # EnergyRecord per recorded step
-    outcome: str                 # "completed" or "blowup"
+    outcome: str                 # "completed", "blowup", "solver_failure"
     t_detect: Optional[float]
     trigger: Optional[str]
     final_state: State
@@ -381,10 +390,10 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
     each equal bit for bit to its member's own run.  Blow-up, checked at
     t = 0 and after each step, is a normal terminal outcome, not an error:
     the member gets its last record and leaves the batch, and the others go
-    on.  Steps run in blocks (BLOCK_STEPS, BLOCK_BYTES) checked in one pass,
-    and steps past a blow-up are dropped.  An error of a member, such as
-    NoConvergence, is raised for the batch where a check after each step
-    raises it: the next block redoes that step without members that left.
+    on.  A member that a step marks failed ends as "solver_failure" at
+    its last good state, t_detect - dt, with no record at t_detect.  Steps
+    run in blocks (BLOCK_STEPS, BLOCK_BYTES, or up to a failure) checked in
+    one pass, and a member's steps past its end are dropped.
     A state it records or returns has t = k*dt, not a sum of steps.
     """
     _check_fits(state0.y, grid)
@@ -409,6 +418,11 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
             ledger, keep = {}, []     # recording rows: (damping_cum, etot0, Q)
             for row in rows:
                 i, (grad_v_sq, q, dnorm) = live[row], norms[at + row]
+                if row in state.failed:       # it ends at its last good state
+                    trajectories[i] = Trajectory(
+                        records[i], "solver_failure", t, state.failed[row],
+                        State.stacked(last.y[row].copy(), last.t))
+                    continue
                 if k:     # the trapezoid; with damping off it stays 0.0
                     damping_cum[i] += 0.5 * dt * (prev_dnorm[i] + dnorm)
                 prev_dnorm[i] = dnorm
@@ -430,18 +444,15 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
                                                    params, exps, grid,
                                                    ledger.values())):
                     records[live[row]].append(r)
-            rows = keep
+            rows, last = keep, state
             if not rows:
                 return trajectories if state0.y.ndim == 3 else trajectories[0]
         if len(rows) < len(live):
             live = [live[row] for row in rows]
-            state = State.stacked(state.y[rows], t)
+            state = last = State.stacked(state.y[rows], t)
         block = []
-        try:
-            for _ in range(min(n_steps - k, BLOCK_STEPS,
-                               max(1, BLOCK_BYTES // state.y.nbytes))):
-                state = stepper.step(state, exps)
-                block.append(state)
-        except NoConvergence:     # the next block redoes the raising step
-            if not block:
-                raise
+        for _ in range(min(n_steps - k, BLOCK_STEPS,
+                           max(1, BLOCK_BYTES // state.y.nbytes))):
+            block.append(state := stepper.step(state, exps))
+            if state.failed:      # a failed member is not stepped further
+                break

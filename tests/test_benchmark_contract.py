@@ -4,7 +4,8 @@
 `well.embedding_constant` spans by their grid, q, restarts and seed, and,
 like the host-speed sampler, wraps `Stepper.step`, so `simulate` must call
 it once per step of a run that completes, and after a blow-up take at most
-the rest of its block of steps."""
+the rest of its block of steps.  `perfbench/run.py` probes a step as
+`Stepper(grid, params, cfg).step(state, exps)`."""
 import importlib
 import inspect
 from pathlib import Path
@@ -32,6 +33,13 @@ def test_every_binding_exists_and_is_callable(tracing):
 def test_embedding_constant_takes_the_traced_arguments():
     params = inspect.signature(well.embedding_constant).parameters
     assert {"grid", "q", "restarts", "seed"} <= set(params)
+
+
+def test_stepper_takes_the_probed_arguments():
+    assert list(inspect.signature(pw.Stepper).parameters) == [
+        "grid", "params", "cfg"]
+    assert list(inspect.signature(pw.Stepper.step).parameters) == [
+        "self", "state", "exps"]
 
 
 def test_simulate_steps_once_per_step(ref_params, step_calls):

@@ -299,8 +299,9 @@ initial.v0 = 0.02; 0.05; 0.08
 
 
 def test_sweep_batch_error_falls_on_its_member(tmp_path, monkeypatch):
-    """When a batch raises, its members run one at a time, so that the
-    error row falls on the member whose source iteration stalled."""
+    """A member whose source iteration stalls is a solver_failure row of
+    its own, from the one batch that steps both members; the other row is
+    what it reads alone."""
     cfg_path = _write_cfg(tmp_path, extra="""
 [sweep.axes]
 initial.v0 = 0.05; 1.0
@@ -315,11 +316,11 @@ initial.v0 = 0.05; 1.0
     monkeypatch.setattr(integrator, "NEWTON_TOL", 2e-14)
     simulations = _counted(monkeypatch, cli, "simulate")
     assert main(["sweep", cfg_path]) == 0
-    assert len(simulations) == 3      # the batch, then each member alone
+    assert len(simulations) == 1
     rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert rows[1:] == [
         "0.050000000000000003,global-predicted,completed,,,",
-        "1,,error: implicit source iteration stalled,,,"]
+        "1,indeterminate,solver_failure,0.001,,"]
 
 
 @pytest.mark.parametrize("command, builds", [
@@ -337,8 +338,9 @@ initial.v0 = 0.02; 0.05; 0.08
 
 
 def test_simulate_error_while_stepping(tmp_path, monkeypatch, capsys):
-    """A run whose stepping raises exits 2 with the error, and writes no
-    energy.csv."""
+    """A run whose source iteration stalls exits 2, and writes its outputs:
+    summary.json names the outcome and the solve that failed, at the step
+    that failed, and energy.csv holds its one record, at t = 0."""
     cfg_path = _write_cfg(tmp_path)
     text = open(cfg_path, encoding="utf-8").read()
     with open(cfg_path, "w", encoding="utf-8") as fh:
@@ -348,9 +350,15 @@ def test_simulate_error_while_stepping(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(integrator, "NEWTON_MAX_ITER", 2)
     monkeypatch.setattr(integrator, "NEWTON_TOL", 2e-14)
     assert main(["simulate", cfg_path]) == 2
-    assert capsys.readouterr().err == \
-        "error: implicit source iteration stalled\n"
-    assert not (tmp_path / "out" / "energy.csv").exists()
+    assert capsys.readouterr() == (
+        "outcome: solver_failure (t_detect = 0.001)\n", "")
+    out = tmp_path / "out"
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert [summary[k] for k in ("outcome", "trigger", "t_detect",
+                                 "t_final", "records")] == [
+        "solver_failure", "source_iteration", 0.001, 0.0, 1]
+    assert len((out / "energy.csv").read_text().splitlines()) == 2
+    assert {"well.json", "blowup.json"} <= set(os.listdir(out))
 
 
 def test_sweep_cap_enforced(tmp_path, capsys):

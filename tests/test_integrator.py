@@ -112,8 +112,9 @@ def test_damping_closed_form_matches_newton(m, a):
 def _per_entry_newton(r, a, m):
     """The Newton solve the masked one replaced: on the flattened entries,
     with index bookkeeping of the entries still busy, and a bisection
-    sweep of the rest.  A column a goes row by row, as the damping
-    half-step took it; NEWTON_MAX_ITER and NEWTON_TOL are read per call."""
+    sweep of the rest, whose entries that miss the tolerance are NaN.  A
+    column a goes row by row, as the damping half-step took it;
+    NEWTON_MAX_ITER and NEWTON_TOL are read per call."""
     if np.ndim(a):
         return np.stack([_per_entry_newton(r[..., i, :], a[i, 0], m)
                          for i in range(len(a))], axis=-2)
@@ -143,8 +144,8 @@ def _per_entry_newton(r, a, m):
         lo = np.where(low, mid, lo)
         hi = np.where(low, hi, mid)
     x[todo] = 0.5 * (lo + hi)
-    if np.any(np.abs(phi(x[todo], rt)[0]) > 1e3 * tol * (1.0 + np.abs(rt))):
-        raise pw.NoConvergence("damping solve did not meet tolerance")
+    missed = np.abs(phi(x[todo], rt)[0]) > 1e3 * tol * (1.0 + np.abs(rt))
+    x[todo[missed]] = np.nan
     return x.reshape(r.shape)
 
 
@@ -175,11 +176,16 @@ def test_masked_newton_matches_per_entry_newton(m, a, rng):
     assert np.flatnonzero(~np.isfinite(got)).tolist() == [402 + 7]
 
 
-def test_masked_newton_bisection_fallback_matches(rng, monkeypatch):
+def test_masked_newton_bisection_fallback_matches(rng, monkeypatch,
+                                                  ref_params):
     """With two Newton iterations allowed, the entries still busy go to the
     bisection sweep and the settled ones keep their Newton values: both
     equal the per-entry solve's bit for bit.  With a zero tolerance, which
-    bisection cannot meet, both raise."""
+    bisection cannot meet, the entries that miss it come back NaN from
+    both, and a step marks the members they belong to as failed by their
+    damping solve: not a member at rest, whose roots are exact zeros, nor
+    a member whose velocity was NaN before the solve.  The joint solve of
+    m1 = m2 and the row-by-row one of m1 != m2 both mark them."""
     r, a, m = _newton_batch(rng), np.array([[1e-3], [2.3e-3]]), 2.5
     newton = _damping_newton(r, a, m)
     monkeypatch.setattr(pw.integrator, "NEWTON_MAX_ITER", 2)
@@ -189,9 +195,27 @@ def test_masked_newton_bisection_fallback_matches(rng, monkeypatch):
     # the sweep ran: its roots differ from Newton's in the last bits
     assert not np.array_equal(got, newton, equal_nan=True)
     monkeypatch.setattr(pw.integrator, "NEWTON_TOL", 0.0)
-    for solve in (_per_entry_newton, _damping_newton):
-        with pytest.raises(pw.NoConvergence, match="damping solve"):
-            solve(r, a, m)
+    got = _damping_newton(r, a, m)
+    assert np.array_equal(got, _per_entry_newton(r, a, m), equal_nan=True)
+    assert np.isnan(got).sum() > np.isnan(r).sum()
+    # at rest, moving, NaN, moving: a batch, and each member alone
+    grid = pw.Grid1D(1.0, 41)
+    states = [pw.state_from_modes(grid, [0.0], [0.0], [0.0], [0.0]),
+              pw.state_from_modes(grid, [0.1], [0.2], [0.5], [-0.4]),
+              pw.state_from_modes(grid, [0.1], [0.0], [np.nan], [0.0]),
+              pw.state_from_modes(grid, [0.0], [0.0], [0.0], [3.0])]
+    stepper = pw.Stepper(grid, ref_params, pw.StepConfig(dt=1e-3))
+    y = np.array([s.y for s in states])
+    for exps in (pw.validate_exponents(2.5, 2.5, 3, 3),
+                 pw.validate_exponents(2.5, 4, 3, 3)):
+        batch = stepper.step(pw.State.stacked(y), exps)
+        assert batch.failed == {1: "damping_solve", 3: "damping_solve"}
+        for row, state in enumerate(states):
+            alone = stepper.step(state, exps)
+            assert alone.failed == ({0: "damping_solve"}
+                                    if row in batch.failed else {})
+            assert alone.y.tobytes() == batch.y[row].tobytes()
+        assert not batch.y[0].any() and np.isnan(batch.y[2:4, 2:]).any()
 
 
 @pytest.mark.parametrize("exponents, per_half_step",
@@ -983,11 +1007,13 @@ def test_blocks_of_steps_equal_a_check_after_each_step(ref_params,
                          ids=["K3", "default"])
 def test_an_error_past_the_cutoff_inside_a_block_is_not_raised(
         ref_params, monkeypatch, block):
-    """With a step that raises NoConvergence when handed a member past the
+    """With a step that marks failed each member it is handed past the
     cutoff (or past 0.25, under it), a member that blows up inside a block
-    ends as it does with a step that does not raise, beside one that
-    completes; one that raises under the cutoff raises from simulate.  The
-    raising step is taken again, not its block: at most n_steps + 2 K
+    ends as it does with a step that marks nothing, beside one that
+    completes.  Marked under the cutoff, the member ends as a solver
+    failure at its state before the marked step, with the records it had,
+    and the other member still completes as it does alone.  A block ends
+    at a marked step, and no step is taken again: at most n_steps + K - 1
     step calls."""
     grid, params = pw.Grid1D(1.0, 41), ref_params
     states = [pw.state_from_modes(grid, *[[a] for a in BLOCK_MEMBERS[k]])
@@ -995,23 +1021,123 @@ def test_an_error_past_the_cutoff_inside_a_block_is_not_raised(
     expected = [_bits(t) for t in _block_run(params, states)]
     step, calls, limit = pw.Stepper.step, [], [1.0]
 
-    def raising(self, state, exps):
+    def failing(self, state, exps):
         calls.append(1)
-        if any(not (g <= limit[0] and q <= limit[0]) for g, q, _ in
-               _step_norms(state.y, grid, params, exps, True)):
-            raise pw.NoConvergence("handed a member past the limit")
-        return step(self, state, exps)
-    monkeypatch.setattr(pw.Stepper, "step", raising)
+        new = step(self, state, exps)
+        for row, (g, q, _) in enumerate(
+                _step_norms(state.y, grid, params, exps, True)):
+            if not (g <= limit[0] and q <= limit[0]):
+                new.failed[row] = "source_iteration"
+        return new
+    monkeypatch.setattr(pw.Stepper, "step", failing)
     monkeypatch.setattr(pw.integrator, "BLOCK_STEPS", block)
     trajs = _block_run(params, states)
     assert [t.outcome for t in trajs] == ["blowup", "completed"]
     assert [_bits(t) for t in trajs] == expected
-    assert len(calls) <= 50 + 2 * block
+    assert len(calls) <= 50 + block - 1
     calls.clear()
     limit[0] = 0.25
-    with pytest.raises(pw.NoConvergence):
-        _block_run(params, states)
-    assert len(calls) <= 50 + 2 * block
+    trajs = _block_run(params, states)
+    assert len(calls) <= 50 + block - 1
+    failure, done = trajs
+    assert (failure.outcome, failure.trigger) == ("solver_failure",
+                                                  "source_iteration")
+    k = round(failure.t_detect / 1e-3)
+    assert 1 < k < 17 and failure.final_state.t == (k - 1) * 1e-3
+    # the state the marked step was handed, which it failed to step
+    assert max(_norms(failure.final_state, grid, params)) > 0.25
+    before = _block_run(params, states[0], t_end=(k - 1) * 1e-3)
+    assert before.outcome == "completed"
+    assert failure.final_state.y.tobytes() == before.final_state.y.tobytes()
+    # the records of the run to k - 1, but for its last, unless due anyway
+    assert [astuple(r) for r in failure.records] == [
+        astuple(r) for r in before.records
+        if r.t < (k - 1) * 1e-3 or (k - 1) % 7 == 0]
+    assert _bits(done) == expected[1]
+
+
+# solver failures on real data: the asymmetric material of the
+# mixed-exponent cases, nx = 81, dt = 1e-3, m1 = m2 = m, n = (2, 3), and
+# initial modes v0 = 0.3, v1 = 0.1, p1 = -0.05 with p0 as given
+ASYMMETRIC = (2.3, 5.0, 0.7, 1.9, 0.4)
+
+
+def _asymmetric_run(p0s, m, scheme, t_end=0.5):
+    """simulate of the members p0s, a batch if a list, on that setup."""
+    grid = pw.Grid1D(1.0, 81)
+    y = np.array([pw.state_from_modes(grid, [0.3], [p0], [0.1], [-0.05]).y
+                  for p0 in np.atleast_1d(p0s)])
+    return pw.simulate(pw.State.stacked(y if isinstance(p0s, list) else y[0]),
+                       pw.make_params(*ASYMMETRIC),
+                       pw.validate_exponents(m, m, 2, 3), grid,
+                       pw.StepConfig(dt=1e-3, scheme=scheme), t_end, 10)
+
+
+def test_a_diverged_source_iteration_is_a_solver_failure(ref_params,
+                                                         ref_grid):
+    """At dt = 5e-3 the implicit-midpoint source iteration of a blow-up
+    run turns its finite iterate NaN on the step to t = 1.21, with Q at
+    6.65e4, far below the cutoff: the run ends as a solver failure at its
+    last good state, t = 1.205, not as a blow-up on a NaN state."""
+    state0 = pw.state_from_modes(ref_grid, [3.0], [2.7], [0.0], [0.0])
+    traj = pw.simulate(state0, ref_params, pw.validate_exponents(2, 2, 3, 3),
+                       ref_grid, pw.StepConfig(dt=5e-3,
+                                               scheme="implicit-midpoint"),
+                       2.0)
+    assert (traj.outcome, traj.trigger, traj.t_detect) == (
+        "solver_failure", "source_iteration", 242 * 5e-3)
+    assert traj.final_state.t == traj.records[-1].t == 241 * 5e-3
+    assert np.isfinite(traj.final_state.y).all()
+    assert traj.records[-1].Q == pytest.approx(6.65e4, rel=1e-3)
+    assert _norms(traj.final_state, ref_grid, ref_params)[1] == \
+        traj.records[-1].Q
+
+
+def test_a_stalled_source_iteration_is_a_solver_failure():
+    """On the asymmetric material with m = 2.5 and p0 = 30 the
+    implicit-midpoint source iteration of step 326 still moves after its
+    last solve: the run ends as a solver failure at t = 0.325, on a finite
+    state, with the records it had."""
+    traj = _asymmetric_run(30.0, 2.5, "implicit-midpoint")
+    assert (traj.outcome, traj.trigger, traj.t_detect) == (
+        "solver_failure", "source_iteration", 326 * 1e-3)
+    assert traj.final_state.t == 325 * 1e-3
+    assert np.isfinite(traj.final_state.y).all()
+    assert [round(r.t / 1e-3) for r in traj.records] == list(range(0, 330,
+                                                                   10))
+
+
+@pytest.mark.parametrize("m, k", [(2.5, 329), (4.0, 100)])
+def test_damping_failures_past_a_blowup_are_dropped(monkeypatch, m, k):
+    """Semi-implicit on the same data blows up by Q at step k.  Later steps
+    of its block miss the damping tolerance (|v_t| reaches 1e35 and more)
+    and mark the member failed; those steps are dropped, and the run stays
+    a blow-up at step k."""
+    marks, step = [], pw.Stepper.step
+
+    def observed(self, state, exps):
+        new = step(self, state, exps)
+        marks.extend((round(new.t / 1e-3), v) for v in new.failed.values())
+        return new
+    monkeypatch.setattr(pw.Stepper, "step", observed)
+    traj = _asymmetric_run(30.0, m, "semi-implicit")
+    assert (traj.outcome, traj.trigger, traj.t_detect) == (
+        "blowup", "quadratic_form", k * 1e-3)
+    assert traj.final_state.t == traj.records[-1].t == k * 1e-3
+    assert marks and all(j > k and v == "damping_solve" for j, v in marks)
+
+
+def test_a_failing_member_leaves_its_batch_bit_for_bit():
+    """In one batch, a member that completes, one that blows up before the
+    failure, the member whose source iteration stalls and one that blows
+    up after it each end as they do alone, bit for bit."""
+    p0s = [0.2, 45.0, 30.0, 25.0]
+    alone = [_asymmetric_run(p0, 2.5, "implicit-midpoint") for p0 in p0s]
+    assert [(t.outcome, t.t_detect and round(t.t_detect / 1e-3))
+            for t in alone] == [("completed", None), ("blowup", 163),
+                                ("solver_failure", 326), ("blowup", 412)]
+    batch = _asymmetric_run(p0s, 2.5, "implicit-midpoint")
+    assert [_bits(t) for t in batch] == [_bits(t) for t in alone]
 
 
 # members of the fused-norm batches: ordinary data, a NaN member and an

@@ -40,7 +40,9 @@ temporary directory.  Both exports then run the same fixed cases:
     `initial.v1 = 0.1; 60.0`, the Newton damping solve of both rows at
     once (m1 = m2) and row by row (m1 != m2): four batches of four, whose
     v1 = 60 members take several Newton iterations and whose p0 = 45
-    members blow up mid-run; and on the `BASE_CFG` harness config with
+    members end mid-run: by blow-up where m2 = 2.5, and where m2 = 4 as
+    `solver_failure` at t = 0.03, whose source iteration turns NaN (Q is
+    3.66e5 at the last good state); and on the `BASE_CFG` harness config with
     `blowup_cutoff = 1.0` and the axis `initial.v0 = 0.05; 1.0; nan`, one
     batch whose v0 = 1.0 and NaN members start past the cutoff and end at
     t_detect = 0, before its first step; and on that config with the axes
@@ -269,7 +271,8 @@ initial.v0 = 0.05; 80.0
 # Newton damping on the mixed-exponent implicit-midpoint run: m1, m2 in
 # {2.5, 4} give the joint Newton (m1 = m2) and the row-by-row Newton
 # (m1 != m2), four batches of four; v1 = 60 makes Newton take several
-# iterations, and each batch loses its two p0 = 45 members to blow-up
+# iterations, and each batch loses its two p0 = 45 members mid-run: to
+# blow-up where m2 = 2.5, to a diverged source iteration where m2 = 4
 NEWTON_SWEEP_CFG = MIXED_CFG + """
 [sweep.axes]
 exponents.m1 = 2.5, 4
