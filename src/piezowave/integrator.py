@@ -38,6 +38,8 @@ A non-finite state is a blow-up outcome, so `Stepper.step` only steps and
 lets numpy overflow quietly, and `simulate` decides: a member whose norm
 exceeds the blow-up cutoff, or is NaN, ends its run there, at t = 0 too.
 A member whose solve fails ends at its last good state: `solver_failure`.
+`simulate` holds numpy's QUIET error state and checks state0's shape once
+for its run, where a direct `Stepper.step` call does both itself.
 """
 from __future__ import annotations
 
@@ -101,8 +103,8 @@ def _cubic_constants(a):
 
 
 def _damping_solve_vec(r, a, m, cubic=None):
-    """Solve x + a|x|^(m-1)x = r on a float array r for a >= 0, m >= 1,
-    with a a scalar or a column of per-row coefficients.
+    """Solve x + a|x|^(m-1)x = r into a fresh array, on a float array r,
+    for m >= 1 and a >= 0 a scalar or per-row coefficients that broadcast.
 
     m = 2, 3 have closed forms, exact to roundoff.  For m = 3 the
     hyperbolic form of the cubic's one real root (Nickalls 1993) is free
@@ -115,14 +117,18 @@ def _damping_solve_vec(r, a, m, cubic=None):
         return r / (1.0 + a)
     if m == 2.0:
         # 2r / (1 + sqrt(1 + 4a|r|)) scaled by 1/2, which is exact and
-        # keeps 2r from overflowing
-        return r / (0.5 + np.sqrt(0.25 + a * np.abs(r)))
+        # keeps 2r from overflowing; in place
+        x = np.abs(r)
+        np.sqrt(np.add(np.multiply(x, a, out=x), 0.25, out=x), out=x)
+        return np.divide(r, np.add(x, 0.5, out=x), out=x)
     if m == 3.0:
         c1, c2 = _cubic_constants(a) if cubic is None else cubic
         ar = np.abs(r)
-        x = c2 * np.sinh(np.arcsinh(c1 * ar) / 3.0)
+        x = c1 * ar       # to c2 sinh(arcsinh(c1 |r|) / 3), in place
+        np.sinh(np.divide(np.arcsinh(x, out=x), 3.0, out=x), out=x)
+        x *= c2
         # |x| <= |r| (roundoff can miss it by an ulp); at a = 0, x is NaN
-        return np.copysign(np.fmin(x, ar), r)
+        return np.copysign(np.fmin(x, ar, out=x), r, out=x)
     return _damping_newton(r, a, m)
 
 
@@ -146,7 +152,10 @@ def _damping_newton(r: np.ndarray, a, m):
         if not busy.any():
             return x
         x = np.where(busy, np.clip(x - res / (1.0 + a * m * power), lo, hi), x)
-    # bisection fallback on [lo, hi], kept for the entries still busy
+    # bisection fallback for the entries still busy, on |x| <= (|r|/a)^(1/m)
+    with np.errstate(divide="ignore"):      # a = 0: |x| <= |r| alone
+        bound = np.copysign(np.fmin(np.abs(r), (np.abs(r) / a) ** (1 / m)), r)
+    lo, hi = np.minimum(bound, 0.0), np.maximum(bound, 0.0)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         low = phi(mid)[0] < 0.0
@@ -180,16 +189,18 @@ def _check_fits(y, grid: Grid1D):
                               f"(B > 0, 4, nx) with nx = {grid.nx}")
 
 
-def _settled(new, xm) -> list:
+def _settled(new, xm) -> tuple:
     """Per member, whether its iterate moved by at most NEWTON_TOL relative
-    to its displacement (a NaN change has not).  One member, (2, nx) or
-    (1, 2, nx), takes whole-array reductions, faster than along an axis."""
+    to its displacement (a NaN change has not), and its largest move.  One
+    member, (2, nx) or (1, 2, nx), takes whole-array reductions, faster
+    than along an axis."""
     if new.ndim == 2 or len(new) == 1:
-        return [np.abs(new - xm).max()
-                <= NEWTON_TOL * (1.0 + np.abs(new[..., 0, :]).max())]
+        delta = np.abs(new - xm).max()
+        return [delta <= NEWTON_TOL
+                * (1.0 + np.abs(new[..., 0, :]).max())], delta
     delta = np.abs(new - xm).reshape(len(new), -1).max(axis=1)
     return (delta <= NEWTON_TOL
-            * (1.0 + np.abs(new[:, 0]).max(axis=1))).tolist()
+            * (1.0 + np.abs(new[:, 0]).max(axis=1))).tolist(), delta
 
 
 def midpoint_bands(grid: Grid1D, params: MaterialParams, cfg: StepConfig):
@@ -226,10 +237,12 @@ class Stepper:
 
     def __init__(self, grid: Grid1D, params: MaterialParams, cfg: StepConfig):
         self.grid, self.params, self.cfg = grid, params, cfg
+        self._guarded = True      # `simulate` clears it on its own Stepper
         mass = np.array([[params.rho], [params.mu]])
-        # (dt/4)(1/rho, 1/mu); a row whose coefficient underflows to 0 is
-        # left undamped, bit for bit, by every damping solve
-        self._damp_coef = (0.25 * cfg.dt) * (1.0 / mass)
+        # (dt/4)(1/rho, 1/mu) on each node, (2, nx), like the other constants
+        # of a step, so that numpy multiplies arrays of one shape; a row whose
+        # coefficient underflows to 0 is left undamped, bit for bit
+        self._damp_coef = ((0.25 * cfg.dt) * (1.0 / mass)).repeat(grid.nx, 1)
         with np.errstate(divide="ignore"):
             self._cubic = _cubic_constants(self._damp_coef)
         self._solve = self._factorize(mass)
@@ -252,14 +265,13 @@ class Stepper:
         # (into, start, out, flip) for k = 1 and k = kappa (1 where a = 0):
         # y -> V^-1 z and y -> z, z = x + (dt/2) k x_t the predicted midpoint;
         # D = xm - x -> (2D, (4/dt) k D), plus y (1, 1, -k^2) for the new state
-        a = self._damp_coef
+        a, n, nx = self._damp_coef[:, :1], mid.size, self.grid.nx
         self._plain, self._linear = (
             (np.hstack([v_inv, (0.5 * dt) * v_inv * k.T]),
              np.hstack([np.eye(2), np.diag((0.5 * dt) * k[:, 0])]),
              np.concatenate([2.0 * np.eye(2), (4.0 / dt) * np.diag(k[:, 0])]),
-             np.concatenate([np.ones((2, 1)), -(k * k)]))
+             np.concatenate([np.ones((2, 1)), -(k * k)]).repeat(nx, 1))
             for k in (np.ones((2, 1)), (1.0 - a) / (1.0 + a)))
-        n, nx = mid.size, self.grid.nx
         dirichlet = functools.cache(lambda rows: np.tile(lo[:, 0], rows // 2))
 
         def batch_solve(rhs):
@@ -301,15 +313,22 @@ class Stepper:
         """implicit-midpoint: iterate the sources of each member to its
         midpoint, NEWTON_MAX_ITER solves in all.  A member stops on its own
         test and keeps its iterate, and the others go on without it; one
-        still moving at the end, by a NaN change too, is marked failed."""
+        whose change turns NaN, or still moving at the end, fails there."""
         out, rows = xm, None      # the rows of out still iterating, or all
         for _ in range(NEWTON_MAX_ITER - 1):
             new = self._midpoint(base_w, xm, exps)
-            settled = _settled(new, xm)
+            settled, delta = _settled(new, xm)
             if rows is None:
                 out = new
             else:
                 out[rows] = new
+            if all(settled):
+                return out
+            # a NaN change never settles: its member fails and stops now
+            for i in np.flatnonzero(np.isnan(delta)).tolist():
+                failed.setdefault(i if rows is None else rows[i].item(),
+                                  "source_iteration")
+                settled[i] = True
             if all(settled):
                 return out
             if any(settled):
@@ -339,26 +358,35 @@ class Stepper:
             lost = (np.isnan(z) & ~np.isnan(vel)).any(axis=(-2, -1))
             for row in np.flatnonzero(lost).tolist():
                 failed.setdefault(row, "damping_solve")
-        np.subtract(z + z, vel, out=vel)
+        np.subtract(np.add(z, z, out=z), vel, out=vel)
         return y
 
-    @np.errstate(**QUIET)
     def step(self, state: State, exps: Exponents) -> State:
         """The state one step on.  state.y holds one member, (4, nx), or a
         batch, (B, 4, nx), whose members each advance as they would alone.
         A member may come out non-finite; `simulate` decides blow-up.  With
         m1 = m2 = 1 the damping is in the maps, and no `_damp` runs.  A
-        member whose solve fails is named in the new State's `failed`."""
-        cfg, failed = self.cfg, {}
+        member whose solve fails is named in the new State's `failed`.  The
+        call checks state.y's shape and holds numpy's QUIET error state, but
+        `simulate` does both once for the Stepper it builds (`_guarded`)."""
+        if not self._guarded:
+            return self._step(state, exps)
         _check_fits(state.y, self.grid)
+        with np.errstate(**QUIET):
+            return self._step(state, exps)
+
+    def _step(self, state: State, exps: Exponents) -> State:
+        cfg, failed = self.cfg, {}
+        y = state.y[0] if len(state.y) == 1 else state.y    # B = 1 as (4, nx)
         if cfg.damping_on and not exps.m1 == exps.m2 == 1.0:
-            y = self._damp(state.y.copy(), exps, failed)
+            y = self._damp(y.copy(), exps, failed)
             y = self._conservative(y, exps, failed, *self._plain)
             y = self._damp(y, exps, failed)
         else:
-            y = self._conservative(state.y, exps, failed, *(
+            y = self._conservative(y, exps, failed, *(
                 self._linear if cfg.damping_on else self._plain))
-        return State.stacked(y, state.t + cfg.dt, failed)
+        return State.stacked(y.reshape(state.y.shape), state.t + cfg.dt,
+                             failed)
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -400,6 +428,7 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
     n_steps = step_count(t_end, cfg.dt)
     check_count("record_every", record_every, 1)
     stepper = Stepper(grid, params, cfg)
+    stepper._guarded = False      # this function holds both guards of step
 
     # one member runs as a batch of one, and t = 0 is a block of its own
     block = [State.stacked(state0.y.reshape(-1, 4, grid.nx).copy())]

@@ -218,6 +218,53 @@ def test_masked_newton_bisection_fallback_matches(rng, monkeypatch,
         assert not batch.y[0].any() and np.isnan(batch.y[2:4, 2:]).any()
 
 
+def test_bisection_fallback_reaches_a_root_far_below_r():
+    """At m = 2.5, a = 1e-3/(4 * 2.3) and r = 6e88 the root is 1.25e37,
+    which Newton from r/(1 + a) does not reach in NEWTON_MAX_ITER steps.
+    The bisection bracket, bounded by a|x|^m <= |r|, starts at the root's
+    size, so its 200 halvings meet the tolerance; on [0, r] they stopped
+    3e-9 of the root away, and the root came back NaN."""
+    a, m = 1e-3 / (4 * 2.3), 2.5
+    r = np.array([6e88, -6e88])
+    x = _damping_newton(r, a, m)
+    residual = x + a * np.abs(x) ** (m - 1.0) * x - r
+    assert np.all(np.abs(residual) <= 1e3 * NEWTON_TOL * (1.0 + np.abs(r)))
+    assert x[0] == -x[1] and 1.2e37 < x[0] < 1.3e37
+
+
+# signed zeros, subnormals, huge entries, infinities and NaN, which the
+# damping solves meet on states past a blow-up
+EDGE_ENTRIES = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, np.inf, -np.inf,
+                np.nan, 0.3, -2.0, 1e3]
+
+
+@pytest.mark.parametrize("m", [1.0, 2.0, 3.0, 2.5])
+def test_full_shape_coefficient_matches_its_column(m, rng):
+    """The Stepper's (2, nx) damping coefficient and m = 3 constants give
+    the roots of the (2, 1) column bit for bit, on one member (2, nx) and
+    on a batch (B, 2, nx): edge entries, and a row whose coefficient
+    underflows to 0, which passes each finite r through bit for bit (at
+    m = 3 its c2 is inf)."""
+    nx = 41
+    column = np.array([[1e-3 / (4 * 2.3)], [(0.25 * 1e-30) * (1.0 / 1e300)]])
+    assert column[1, 0] == 0.0
+    full = column.repeat(nx, 1)
+    r = rng.standard_normal((3, 2, nx)) * 10.0 ** rng.uniform(-3, 3, (3, 2, nx))
+    r[:, :, :len(EDGE_ENTRIES)] = EDGE_ENTRIES
+    r[1, :, -len(EDGE_ENTRIES):] = EDGE_ENTRIES[::-1]
+    with np.errstate(divide="ignore", **QUIET):
+        cubic = {id(a): pw.integrator._cubic_constants(a)
+                 for a in (column, full)}
+        for y in (r[1], r):
+            got, expected = (_damping_solve_vec(y, a, m, cubic[id(a)])
+                             for a in (full, column))
+            assert got.shape == y.shape
+            assert got.tobytes() == expected.tobytes()
+            finite = np.isfinite(y[..., 1, :])
+            assert got[..., 1, :][finite].tobytes() == \
+                y[..., 1, :][finite].tobytes()
+
+
 @pytest.mark.parametrize("exponents, per_half_step",
                          [((4, 4, 3, 3), 1), ((2.5, 4, 3, 3), 2)],
                          ids=["equal-newton", "mixed-newton"])
@@ -1003,6 +1050,23 @@ def test_blocks_of_steps_equal_a_check_after_each_step(ref_params,
         [_bits(t) for t in alone]
 
 
+@pytest.mark.parametrize("m", [3.0, 2.0])
+def test_simulate_steps_as_direct_calls_do(ref_params, ref_grid, m):
+    """simulate's own Stepper, which leaves the shape check and the error
+    state to simulate and steps its one member as a batch of one, gives
+    the state of direct Stepper.step calls bit for bit over 70 steps, more
+    than two blocks of BLOCK_STEPS."""
+    assert 70 > 2 * pw.integrator.BLOCK_STEPS
+    exps, cfg = pw.validate_exponents(m, m, 3, 3), pw.StepConfig(dt=1e-3)
+    state = pw.state_from_modes(ref_grid, [0.2], [0.12], [0.2], [-0.2])
+    traj = pw.simulate(state, ref_params, exps, ref_grid, cfg, 70e-3, 10)
+    stepper = pw.Stepper(ref_grid, ref_params, cfg)
+    for _ in range(70):
+        state = stepper.step(state, exps)
+    assert traj.outcome == "completed"
+    assert traj.final_state.y.tobytes() == state.y.tobytes()
+
+
 @pytest.mark.parametrize("block", [3, pw.integrator.BLOCK_STEPS],
                          ids=["K3", "default"])
 def test_an_error_past_the_cutoff_inside_a_block_is_not_raised(
@@ -1109,10 +1173,13 @@ def test_a_stalled_source_iteration_is_a_solver_failure():
 
 @pytest.mark.parametrize("m, k", [(2.5, 329), (4.0, 100)])
 def test_damping_failures_past_a_blowup_are_dropped(monkeypatch, m, k):
-    """Semi-implicit on the same data blows up by Q at step k.  Later steps
-    of its block miss the damping tolerance (|v_t| reaches 1e35 and more)
-    and mark the member failed; those steps are dropped, and the run stays
-    a blow-up at step k."""
+    """Semi-implicit on the same data blows up by Q at step k.  At m = 4 a
+    later step of its block (108, with |v_t| past 1e104, where Newton's
+    |x|^3 overflows) misses the damping solve and marks the member failed;
+    that step is dropped, and the run stays a blow-up at step k.  At
+    m = 2.5 the look-ahead steps reach |v_t| = 6e141 and no step is
+    marked: the bisection fallback's bracket, bounded by a|x|^m <= |r|,
+    reaches every root."""
     marks, step = [], pw.Stepper.step
 
     def observed(self, state, exps):
@@ -1124,7 +1191,7 @@ def test_damping_failures_past_a_blowup_are_dropped(monkeypatch, m, k):
     assert (traj.outcome, traj.trigger, traj.t_detect) == (
         "blowup", "quadratic_form", k * 1e-3)
     assert traj.final_state.t == traj.records[-1].t == k * 1e-3
-    assert marks and all(j > k and v == "damping_solve" for j, v in marks)
+    assert marks == {2.5: [], 4.0: [(108, "damping_solve")]}[m]
 
 
 def test_a_failing_member_leaves_its_batch_bit_for_bit():

@@ -1,9 +1,13 @@
 """The tolerance mode of tools/outputs_identical.py: numbers agree to
-atol + rtol * max(|a|, |b|), everything else and every t_detect exactly."""
+atol + rtol * max(|a|, |b|), everything else and every t_detect exactly;
+and the solves that two of its sweeps take."""
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+import piezowave as pw
+from piezowave.cli import main
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "outputs_identical.py"
 _SPEC = importlib.util.spec_from_file_location("outputs_identical", _PATH)
@@ -71,3 +75,23 @@ def test_worst_pair_is_reported():
     share, where = tol.worst
     assert where.startswith("line 1: 2.0 vs 2.000001")
     assert share == pytest.approx(1e-6 / (1e-9 + 1e-6 * 2.000001))
+
+
+@pytest.mark.parametrize("config, solves", [("MIXED_SWEEP_CFG", 2781),
+                                            ("NEWTON_SWEEP_CFG", 7326)],
+                         ids=["mixed-damping", "newton"])
+def test_sweep_midpoint_solves(config, solves, tmp_path, monkeypatch):
+    """The midpoint solves of the `mixed-damping` and `newton` sweeps.  A
+    member whose source iteration turns NaN (past its blow-up, or its own
+    failure) is marked and dropped on that iterate instead of running out
+    NEWTON_MAX_ITER: run out, the counts read 2,832 and 7,518."""
+    midpoint, calls = pw.Stepper._midpoint, []
+
+    def counted(self, *args):
+        calls.append(1)
+        return midpoint(self, *args)
+    monkeypatch.setattr(pw.Stepper, "_midpoint", counted)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.cfg").write_text(getattr(oi, config), encoding="utf-8")
+    assert main(["sweep", "sweep.cfg"]) == 0
+    assert len(calls) == solves

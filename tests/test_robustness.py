@@ -252,6 +252,46 @@ def test_empty_batch_is_invalid(scheme, run):
             pw.Stepper(grid, params, cfg).step(state, exps)
 
 
+@pytest.mark.parametrize("exponents", [(3, 3, 3, 3), (2, 2, 3, 3),
+                                       (2.5, 4, 3, 3), (1, 1, 2, 2)],
+                         ids=["m3", "m2", "newton-mixed", "m1"])
+def test_a_direct_step_overflows_quietly(exponents):
+    """Stepper.step called directly, not by `simulate`, holds numpy's error
+    state itself: a state of 1e308 entries, one member or a batch,
+    overflows to inf and NaN without a RuntimeWarning."""
+    grid = pw.Grid1D(1.0, 41)
+    _, params, _, _, cfg, _ = _LINEAR_RUN
+    stepper, exps = pw.Stepper(grid, params, cfg), pw.validate_exponents(
+        *exponents)
+    y = np.full((4, grid.nx), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for state in (y, np.stack([y, -y])):
+            new = stepper.step(pw.grid.State.stacked(state), exps)
+            assert not np.isfinite(new.y).all()
+
+
+def test_newton_bisection_beside_an_undamped_row_is_quiet():
+    """rho = 1e300 at dt = 1e-30 makes the v row's damping coefficient
+    underflow to 0.  A p_t of 1e60 at m = 2.5 sends the p row to the
+    bisection fallback, whose bracket (|r|/a)^(1/m) is taken on both rows:
+    a direct step and `simulate` divide by the zero coefficient without a
+    RuntimeWarning, the fallback meets its tolerance, and v_t is kept."""
+    grid = pw.Grid1D(1.0, 41)
+    params = pw.make_params(1e300, 2.0, 1.0, 1.0, 1.0)
+    exps, cfg = pw.validate_exponents(2.5, 2.5, 3, 3), pw.StepConfig(dt=1e-30)
+    state = pw.state_from_modes(grid, [0.0], [0.0], [0.5], [1e60])
+    stepper = pw.Stepper(grid, params, cfg)
+    assert stepper._damp_coef[0, 0] == 0.0 < stepper._damp_coef[1, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        new = stepper.step(state, exps)
+        traj = pw.simulate(state, params, exps, grid, cfg, 1e-30)
+    assert new.failed == {} and np.isfinite(new.y).all()
+    assert np.allclose(new.y[2], state.y[2], rtol=1e-12, atol=0.0)
+    assert traj.final_state.y.tobytes() == new.y.tobytes()
+
+
 @pytest.mark.parametrize("values, code", [({"alpha": "1e308"}, 2),
                                           ({"v0": "1e308"}, 0)],
                          ids=["alpha-1e308", "v0-1e308"])

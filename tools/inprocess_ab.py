@@ -18,6 +18,11 @@ Cases, on nx = 201, dt = 1e-3 and the reference material:
     p0 = 0.12, at rest, semi-implicit, 300 steps, record_every = 200, in
     us: a mixed damping step, a one-member step like the `decay-m3`
     workload's, and one of the `ensemble-m2` workload's shape;
+  * `stepper-m3`: one direct `Stepper.step` call on one member, (4, nx),
+    with exponents (3, 3, 3, 3), v0 = 0.2, p0 = 0.12, v1 = 0.2,
+    p1 = -0.2, in us, the minimum of 2000 calls per round: the call that
+    perfbench's step probe times, which checks the state's shape and
+    enters numpy's error state itself, as `simulate`'s steps do not;
   * `sweep-mid`: `simulate` per step of one batch of the 8 members of the
     `sweep-midpoint-m1` workload (exponents (1, 1, 2, 2), implicit-midpoint,
     v0 = 0.05, 0.2, 0.5, 1, 2, 36, 40, 45, p0 = 0, at rest), to t = 0.5,
@@ -111,6 +116,23 @@ def step_case(pw, exponents):
     return run
 
 
+def stepper_case(pw):
+    grid = pw.Grid1D(1.0, 201)
+    stepper = pw.Stepper(grid, pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0),
+                         pw.StepConfig(dt=1e-3))
+    exps = pw.validate_exponents(3.0, 3.0, 3.0, 3.0)
+    state = pw.state_from_modes(grid, [V0], [0.6 * V0], [V0], [-V0])
+
+    def run():
+        best = float("inf")
+        for _ in range(CALLS):
+            t0 = time.perf_counter()
+            new = stepper.step(state, exps)
+            best = min(best, time.perf_counter() - t0)
+        return best * 1e6, new.y
+    return run
+
+
 def sweep_case(pw):
     grid = pw.Grid1D(1.0, 201)
     params = pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0)
@@ -167,6 +189,7 @@ cases = {side: {**{f"solve-B{b}": solve_case(pw, b) for b in BATCHES},
                 "step-m1-3": step_case(pw, (1.0, 3.0, 2.0, 3.0)),
                 "step-m3": step_case(pw, (3.0, 3.0, 3.0, 3.0)),
                 "step-m2": step_case(pw, (2.0, 2.0, 3.0, 3.0)),
+                "stepper-m3": stepper_case(pw),
                 "sweep-mid": sweep_case(pw),
                 "blowup-m2": blowup_case(pw),
                 "well-m2": well_case(pw)}
