@@ -76,13 +76,13 @@ def _fit_summary(traj, cfg: RunConfig, exps) -> dict:
             "fit_rmse": fit.rmse}
 
 
-def _classified_well(wells: dict, seed: int, params, exps, grid, state0):
+def _classified_well(wells: dict, params, exps, grid, state0):
     """The well report of a run, with its initial data classified.  wells
-    keeps the reports computed so far, by (material, exponents, grid,
-    seed), and the run gets a copy that carries its classification."""
-    key = (params, exps, grid, seed)
+    keeps the reports so far by (material, exponents, grid), which fix a
+    report, and the run gets a copy that carries its classification."""
+    key = (params, exps, grid)
     if key not in wells:
-        wells[key] = well_report(params, exps, grid, seed=seed)
+        wells[key] = well_report(params, exps, grid)
     return replace(wells[key], classification=classify_initial(
         state0, wells[key], params, exps, grid))
 
@@ -92,7 +92,7 @@ def run_one(cfg: RunConfig, run, traj, wells: dict) -> dict:
     "well", "blowup" and "summary" JSON dicts.  run is `build_run(cfg)`,
     and wells keeps the well reports so far (see `_classified_well`)."""
     params, exps, grid, _, state0 = run
-    report = _classified_well(wells, cfg.seed, params, exps, grid, state0)
+    report = _classified_well(wells, params, exps, grid, state0)
     breport = bl.blowup_report(traj, state0, params, exps, grid,
                                report.poincare_c)
     summary = {
@@ -168,7 +168,7 @@ def cli_simulate(path: str) -> int:
 def cli_classify(path: str) -> int:
     cfg = load_run_config(path)
     params, exps, grid, _, state0 = build_run(cfg)
-    report = _classified_well({}, cfg.seed, params, exps, grid, state0)
+    report = _classified_well({}, params, exps, grid, state0)
     os.makedirs(cfg.outdir, exist_ok=True)
     write_json(asdict(report), os.path.join(cfg.outdir, "well.json"))
     print(report.classification)

@@ -33,38 +33,31 @@ def embedding_constant(grid: Grid1D, q: float, restarts: int = 16,
     """Best discrete constant B = sup ||u||_q^q / ||grad u||_2^q, u(0) = 0.
 
     Generalized power method on the unit gradient sphere u^T K u = 1 from
-    random smooth starts, 500 steps per restart or fewer once the quotient
-    stops rising.  The step u <- K^{-1} grad F(u), normalized, maximizes
-    <grad F(u_k), u> on the sphere, and F(u) = ||u||_q^q is convex, so
-    F(u_{k+1}) >= F(u_k) + <grad F(u_k), u_{k+1} - u_k> >= F(u_k):
-    the quotient rises at every step, with no step size to control.
-    Projected-gradient ascent is this step with a finite step length.  At
-    q = 2 it is inverse iteration for K u = lambda W u.  The best value over
-    all restarts is a lower bound on the discrete supremum up to roundoff:
-    at q = 2 it lies 5e-17 to 5e-16 relative above poincare_constant^2.
+    sin(pi x / (2L)), 500 steps or fewer once the quotient stops rising.
+    The step u <- K^{-1} grad F(u), normalized, maximizes <grad F(u_k), u>
+    on the sphere, and F(u) = ||u||_q^q is convex, so F(u_{k+1}) >= F(u_k)
+    + <grad F(u_k), u_{k+1} - u_k> >= F(u_k): the quotient rises at every
+    step, with no step size to control.  The start is the q = 2 extremal,
+    an eigenvector of K u = lambda W u.  It is positive, and K^{-1} keeps
+    vectors positive, so every iterate climbs to the positive extremal,
+    the supremum.  restarts and seed are checked counts that change nothing.
     """
     if not 2.0 <= q < 7.0:
         raise InvalidArgument(f"q = {q} outside the supported range [2, 7)")
     check_count("restarts", restarts, 1)
     check_count("seed", seed, 0)
-    rng = np.random.default_rng(seed)
     solve = stiffness_solver(grid)
-    best = 0.0
-    for _ in range(restarts):
-        # smooth random start: a few low modes plus a ramp
-        u = grid.nodes / grid.L + sine_modes(grid, rng.standard_normal(4))
-        u[0] = 0.0
-        val = _embedding_quotient(u, q, grid)
-        for _ in range(500):
-            u[1:] = solve(np.abs(u) ** (q - 1.0) * np.sign(u))
-            # renormalize: u would otherwise scale like |u|^(q-1) and overflow
-            u /= np.sqrt(grad_norm_sq(u, grid))
-            new = _embedding_quotient(u, q, grid)
-            if not new > val * (1.0 + 1e-15):
-                break
-            val = new
-        best = max(best, val)
-    return best
+    u = sine_modes(grid, [1.0])
+    val = _embedding_quotient(u, q, grid)
+    for _ in range(500):
+        u[1:] = solve(u ** (q - 1.0))
+        # renormalize: u would otherwise scale like u^(q-1) and overflow
+        u /= np.sqrt(grad_norm_sq(u, grid))
+        new = _embedding_quotient(u, q, grid)
+        if not new > val * (1.0 + 1e-15):
+            break
+        val = new
+    return val
 
 
 def poincare_constant(grid: Grid1D) -> float:
@@ -79,9 +72,13 @@ def poincare_constant(grid: Grid1D) -> float:
 
 def c_hat_constant(b1: float, b2: float, params: MaterialParams,
                    n1: float, n2: float) -> float:
-    """C_hat = max{B1 M^((n1+1)/2), B2 M^((n2+1)/2)}, M = params.M."""
+    """C_hat = max{B1 M^((n1+1)/2), B2 M^((n2+1)/2)}, M = params.M; inf
+    when a power of M overflows, which `s_star_solve` rejects."""
     m = params.M
-    return max(b1 * m ** ((n1 + 1.0) / 2.0), b2 * m ** ((n2 + 1.0) / 2.0))
+    try:
+        return max(b1 * m ** ((n1 + 1.0) / 2.0), b2 * m ** ((n2 + 1.0) / 2.0))
+    except OverflowError:           # M^((n+1)/2) beyond the float range
+        return np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +116,11 @@ def _bisect_increasing(f):
 
 
 def s_star_solve(c_hat_const: float, n1: float, n2: float):
-    """Unique positive zero s* of Lambda', and the barrier height Lambda(s*)."""
-    if c_hat_const <= 0 or n1 <= 1 or n2 <= 1:
-        raise InvalidArgument("need C_hat > 0 and n1, n2 > 1")
+    """Unique positive zero s* of Lambda', and the barrier height Lambda(s*);
+    InvalidArgument unless C_hat is finite and > 0 and n1, n2 > 1."""
+    if not (0 < c_hat_const < np.inf and n1 > 1 and n2 > 1):
+        raise InvalidArgument(f"need a finite C_hat > 0 and n1, n2 > 1, "
+                              f"got C_hat = {c_hat_const:.6g}")
     s_star = _bisect_increasing(
         lambda s: -lambda_prime(s, c_hat_const, n1, n2))
     resid = abs(lambda_prime(s_star, c_hat_const, n1, n2))
@@ -210,6 +209,7 @@ class WellReport:
 
 def well_report(params: MaterialParams, exps: Exponents, grid: Grid1D,
                 seed: int = 0) -> WellReport:
+    """The well constants of params, exps and grid; seed changes none."""
     b1 = embedding_constant(grid, exps.n1 + 1.0, seed=seed)
     b2 = embedding_constant(grid, exps.n2 + 1.0, seed=seed + 1)
     chat = c_hat_constant(b1, b2, params, exps.n1, exps.n2)

@@ -141,6 +141,26 @@ def test_classify_idempotent_byte_identical(tmp_path, capsys):
     assert "global-predicted" in out
 
 
+def test_classify_does_not_depend_on_seed(tmp_path):
+    """[run] seed is checked but changes no output: well.json is
+    byte-identical at seed = 0 and seed = 4 (m = 2, n = 3, nx = 201)."""
+    outputs = []
+    for seed in (0, 4):
+        sub = tmp_path / f"seed{seed}"
+        sub.mkdir()
+        cfg_path = _write_cfg(sub)
+        text = open(cfg_path).read()
+        for old, new in (("m1 = 1.0", "m1 = 2.0"), ("m2 = 1.0", "m2 = 2.0"),
+                         ("n1 = 2.0", "n1 = 3.0"), ("n2 = 2.0", "n2 = 3.0"),
+                         ("nx = 81", "nx = 201"),
+                         ("seed = 0", f"seed = {seed}")):
+            text = text.replace(old, new)
+        open(cfg_path, "w").write(text)
+        assert main(["classify", cfg_path]) == 0
+        outputs.append((sub / "out" / "well.json").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_classify_scaled_data_predicts_blowup(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path)
     text = open(cfg_path).read().replace("v0 = 0.05", "v0 = 50.0") \
@@ -265,8 +285,8 @@ def _counted(monkeypatch, module, name):
 
 def test_sweep_runs_each_group_as_one_batch(tmp_path, monkeypatch):
     """Members that share everything but their initial data advance as one
-    batch, and the well is analysed once per grid and seed; every row still
-    equals the summary of the member's own run."""
+    batch, and the well is analysed once per grid; every row still equals
+    the summary of the member's own run."""
     cfg_path = _write_cfg(tmp_path, extra="""
 [sweep.axes]
 grid.nx = 41, 81
@@ -283,6 +303,53 @@ initial.v0 = 0.02; 0.05; 0.08
     rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
     assert [row.split(",")[2:] for row in rows] == [
         [cli.fmt(s.get(k)) for k in cli.SWEEP_KEYS] for s in singles]
+
+
+def test_sweep_analyses_the_well_once_across_seeds(tmp_path, monkeypatch):
+    """The well report depends on material, exponents and grid alone, so a
+    sweep over run.seed makes one report; every row still equals the
+    summary of the member's own run."""
+    cfg_path = _write_cfg(tmp_path, extra="""
+[sweep.axes]
+run.seed = 0, 1
+initial.v0 = 0.02; 0.05
+""")
+    singles = [dict(cli.run_all([cfg]))[0]["summary"]
+               for _, cfg in expand_sweep(load_sweep_config(cfg_path))]
+    wells = _counted(monkeypatch, cli, "well_report")
+    assert main(["sweep", cfg_path]) == 0
+    assert len(wells) == 1
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2:] for row in rows] == [
+        [cli.fmt(s.get(k)) for k in cli.SWEEP_KEYS] for s in singles]
+
+
+@pytest.mark.parametrize("budget, shapes", [
+    (60000, [(2, 4, 41), (2, 4, 41), (1, 4, 41)]),
+    (1, [(1, 4, 41)] * 5)])
+def test_sweep_splits_a_group_by_batch_bytes(tmp_path, monkeypatch, budget,
+                                             shapes):
+    """A group larger than cli.BATCH_BYTES allows steps as several
+    batches: 27,360 bytes a member (nx = 41, 52 records) fit two to a
+    60,000-byte budget, and a 1-byte budget steps each member alone.
+    sweep.csv is byte-identical to the one-batch run either way."""
+    cfg_path = _write_cfg(tmp_path, extra="""
+[sweep.axes]
+initial.v0 = 0.05; 0.5; 2; 40; 45
+""")
+    text = open(cfg_path).read().replace("nx = 81", "nx = 41").replace(
+        "semi-implicit", "implicit-midpoint")
+    open(cfg_path, "w").write(text)
+    out = tmp_path / "out" / "sweep.csv"
+    simulations = _counted(monkeypatch, cli, "simulate")
+    assert main(["sweep", cfg_path]) == 0
+    assert [args[0].y.shape for args in simulations] == [(5, 4, 41)]
+    one_batch = out.read_bytes()
+    simulations.clear()
+    monkeypatch.setattr(cli, "BATCH_BYTES", budget)
+    assert main(["sweep", cfg_path]) == 0
+    assert [args[0].y.shape for args in simulations] == shapes
+    assert out.read_bytes() == one_batch
 
 
 def test_sweep_factorizes_once_per_batch(tmp_path, monkeypatch):

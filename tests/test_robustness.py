@@ -442,6 +442,45 @@ def test_misspelled_section_is_an_unknown_option(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def _write_m2_n3(work, extra="", **values):
+    """_write's config with m = 2 and n = 3 and gamma = 0: at alpha = 1e-200,
+    M = 1e200 and C_hat's power M^((n + 1)/2) = 1e400 is past the float
+    range."""
+    cfg = Path(_write(work, extra, gamma="0.0", m="2.0", **values))
+    cfg.write_text(cfg.read_text(encoding="utf-8").replace(
+        "n1 = 2.0", "n1 = 3.0").replace("n2 = 2.0", "n2 = 3.0"),
+        encoding="utf-8")
+    return str(cfg)
+
+
+@pytest.mark.parametrize("command", ["classify", "simulate"])
+def test_c_hat_overflow_is_an_error_line(tmp_path, capsys, command):
+    """C_hat past the float range is one `error:` line and exit 2, not an
+    OverflowError traceback, and nothing is written."""
+    assert main([command, _write_m2_n3(tmp_path, alpha="1e-200")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "C_hat = inf" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_c_hat_overflow_is_an_error_row(tmp_path):
+    """In a sweep the alpha = 1e-200 member is an `error:` row of its own,
+    and the alpha = 2 row is what it reads alone."""
+    rows = {}
+    for axis in ("2.0", "2.0, 1e-200"):
+        work = tmp_path / str(len(rows))
+        work.mkdir()
+        cfg = _write_m2_n3(
+            work, extra=f"\n[sweep.axes]\nmaterial.alpha = {axis}\n")
+        assert main(["sweep", cfg]) == 0
+        rows[axis] = _sweep_rows(work)[1:]
+    [alone], [good, bad] = rows.values()
+    assert good == alone and good[2] == "completed"
+    assert bad[0] == "9.9999999999999998e-201"
+    assert bad[2].startswith("error: ") and "C_hat = inf" in bad[2]
+
+
 def test_list_axis_cells_parse_back_bit_exact(tmp_path):
     cfg = _write(tmp_path, extra="\n[sweep.axes]\n"
                                  "initial.v0 = 0.05; 0.1, -0.2\n")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -133,10 +135,56 @@ def test_embedding_q4_matches_bruteforce_oracle(coarse_grid, rng):
 
 @pytest.mark.parametrize("q", [3.0, 4.5, 6.5])
 def test_embedding_constant_does_not_depend_on_seed(coarse_grid, q):
-    """The seed only picks the random starts of the restarts; the constant
-    they reach agrees to roundoff, up to q = 6.5."""
-    values = [pw.embedding_constant(coarse_grid, q, seed=s) for s in range(4)]
-    assert max(values) - min(values) <= 1e-13 * max(values)
+    """The power method has one deterministic start: seed and restarts are
+    checked but change nothing, bit for bit, up to q = 6.5."""
+    values = {pw.embedding_constant(coarse_grid, q, restarts=r, seed=s)
+              for s in range(4) for r in (1, 16)}
+    assert len(values) == 1
+
+
+def test_well_report_b1_equals_b2_when_n1_equals_n2(ref_params, ref_grid):
+    """B1 and B2 come from the seeds seed and seed + 1, and with n1 = n2
+    they are the same constant, bit for bit."""
+    exps = pw.validate_exponents(2.0, 2.0, 3.0, 3.0)
+    report = pw.well_report(ref_params, exps, ref_grid)
+    assert report.B1 == report.B2
+
+
+def _continuum_embedding(q, L):
+    """sup int_0^L |u|^q / (int_0^L u'^2)^(q/2) over u(0) = 0 (Talenti,
+    Ann. Mat. Pura Appl. 110, 1976; in one dimension E. Schmidt, Math.
+    Ann. 117, 1940): (2/q) L^(1+q/2) I0^(-(q+2)/2) I1^(-(q-2)/2), with
+    I0 = B(1/q, 1/2)/q and I1 = B(1/q, 3/2)/q, from the first integral of
+    the extremal, the positive solution of -u'' = u^(q-1), u'(L) = 0."""
+    def beta(a, b):
+        return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+    i0, i1 = beta(1 / q, 0.5) / q, beta(1 / q, 1.5) / q
+    return (2 / q) * L ** (1 + q / 2) * i0 ** (-(q + 2) / 2) \
+        * i1 ** (-(q - 2) / 2)
+
+
+@pytest.mark.parametrize("L", [1.0, 2.7])
+def test_continuum_embedding_at_q2_is_poincare_squared(L):
+    """At q = 2 the closed form is (2L/pi)^2, the square of the continuum
+    Poincare constant."""
+    assert _continuum_embedding(2.0, L) == pytest.approx(
+        (2 * L / np.pi) ** 2, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("q, c_q", [(3.0, 0.32389), (4.0, 0.47124),
+                                    (5.5, 0.74502)])
+def test_embedding_constant_converges_to_the_closed_form(q, c_q):
+    """The discrete constant lies above the continuum one by
+    B_q C_q dx^2, with the same C_q at nx = 201 and 801."""
+    exact = _continuum_embedding(q, 1.0)
+    excess = []
+    for nx in (201, 801):
+        grid = pw.Grid1D(1.0, nx)
+        b = pw.embedding_constant(grid, q)
+        assert b > exact
+        excess.append((b - exact) / (exact * grid.dx ** 2))
+    assert excess[1] == pytest.approx(excess[0], rel=1e-3)
+    assert excess[1] == pytest.approx(c_q, rel=1e-3)
 
 
 def test_embedding_constant_rejects_bad_q(coarse_grid):

@@ -13,7 +13,10 @@ temporary directory.  Both exports then run the same fixed cases:
     NaN initial data, that config with v0 = 0, p0 = 1 and
     `blowup_cutoff = 1.0`, which blows up by its `quadratic_form` at the
     first step, that config with `gamma = 1e200`, which fails to
-    build (each command exits 2 with an `error:` line on stderr), and an
+    build (each command exits 2 with an `error:` line on stderr), that
+    config with m = 2, n = 3, nx = 41, `alpha = 1e-200` and `gamma = 0`,
+    whose C_hat overflows (`simulate` and `classify` exit 2 with an
+    `error:` line, `bounds` does not need C_hat), and an
     implicit-midpoint run with mixed exponents (m = (1, 3), n = (2, 3))
     on the asymmetric material (rho, alpha, beta, gamma, mu) =
     (2.3, 5, 0.7, 1.9, 0.4), which runs the source iteration, the
@@ -49,7 +52,9 @@ temporary directory.  Both exports then run the same fixed cases:
     `run.t_end = 0.5, -1`, `run.record_every = 10, 0`, `run.seed = 0, -1`,
     `fit.C = 2, 0.5` and `fit.model = exp, bogus`, each a valid and an
     out-of-range value: 32 members, of which only the all-valid one steps,
-    and 31 `error:` rows;
+    and 31 `error:` rows; and on the overflowing C_hat config with
+    `alpha = 2` and the axis `material.alpha = 2.0, 1e-200`, a completed
+    row and an `error:` row;
   * the three scripts in `demos/`.
 
 Every output file, every stdout, every stderr and every exit code is
@@ -300,6 +305,22 @@ fit.C = 2, 0.5
 fit.model = exp, bogus
 """
 
+# m = 2, n = 3 with alpha = 1e-200 and gamma = 0: M = 1e200, so C_hat's
+# power M^((n + 1)/2) overflows
+C_HAT_OVERFLOW_CFG = (
+    HARNESS_CFG.format(v0="0.05")
+    .replace("alpha = 2.0", "alpha = 1e-200")
+    .replace("gamma = 1.0", "gamma = 0.0")
+    .replace("m1 = 1.0", "m1 = 2.0").replace("m2 = 1.0", "m2 = 2.0")
+    .replace("n1 = 2.0", "n1 = 3.0").replace("n2 = 2.0", "n2 = 3.0")
+    .replace("nx = 81", "nx = 41"))
+
+C_HAT_OVERFLOW_SWEEP_CFG = C_HAT_OVERFLOW_CFG.replace(
+    "alpha = 1e-200", "alpha = 2.0") + """
+[sweep.axes]
+material.alpha = 2.0, 1e-200
+"""
+
 RUN_CONFIGS = {
     "readme": README_CFG,
     "harness": HARNESS_CFG.format(v0="0.05"),
@@ -312,6 +333,7 @@ RUN_CONFIGS = {
     "mixed-midpoint": MIXED_CFG,
     "cubic-asymmetric": CUBIC_ASYMMETRIC_CFG,
     "linear-asymmetric": LINEAR_ASYMMETRIC_CFG,
+    "c-hat-overflow": C_HAT_OVERFLOW_CFG,
 }
 DEMOS = ("decay_and_fit.py", "well_classification.py", "blowup_bound.py")
 CLI = ("import sys; from piezowave.cli import main; "
@@ -357,7 +379,8 @@ def produce(tree: Path, work: Path) -> None:
                        ("mixed-damping", MIXED_SWEEP_CFG),
                        ("newton", NEWTON_SWEEP_CFG),
                        ("t0-blowup", T0_BLOWUP_SWEEP_CFG),
-                       ("range-axes", RANGE_SWEEP_CFG)):
+                       ("range-axes", RANGE_SWEEP_CFG),
+                       ("c-hat-overflow", C_HAT_OVERFLOW_SWEEP_CFG)):
         cwd = work / case / "sweep"
         cwd.mkdir(parents=True)
         (cwd / "sweep.cfg").write_text(text, encoding="utf-8")
