@@ -109,9 +109,9 @@ def _damping_solve_vec(r, a, m, cubic=None):
     m = 2, 3 have closed forms, exact to roundoff.  For m = 3 the
     hyperbolic form of the cubic's one real root (Nickalls 1993) is free
     of the cancellation that Cardano's formula suffers at small a; cubic
-    is its `_cubic_constants(a)`, if built.  m = 1 is r/(1 + a), bit for
-    bit the first iterate of the whole-array `_damping_newton` that takes
-    other m.  Where a = 0, each finite r comes back bit for bit.
+    is its `_cubic_constants(a)`, if built.  m = 1 is r/(1 + a), and
+    other m take the whole-array `_damping_newton`.  Where a = 0, each
+    finite r comes back bit for bit.
     """
     if m == 1.0:
         return r / (1.0 + a)
@@ -132,36 +132,31 @@ def _damping_solve_vec(r, a, m, cubic=None):
     return _damping_newton(r, a, m)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _damping_newton(r: np.ndarray, a, m):
-    """Newton solve of x + a|x|^(m-1)x = r from r/(1+a) on the whole array
-    r, well behaved since phi'(x) >= 1.  Each entry stops on its own
-    residual and then keeps its value, so its result does not depend on
-    the other entries.  A bisection sweep finishes off any stragglers,
-    and an entry that still misses its tolerance comes back NaN."""
-    def phi(x):        # the residual, and |x|^(m-1) for Newton's phi'
-        power = np.abs(x) ** (m - 1.0)
-        return x + a * power * x - r, power
-
-    x = r / (1.0 + a)
-    # the root has the sign of r and |x| <= |r|
-    lo, hi = np.minimum(r, 0.0), np.maximum(r, 0.0)
-    tol = NEWTON_TOL * (1.0 + np.abs(r))
-    for _ in range(NEWTON_MAX_ITER):
-        res, power = phi(x)
-        busy = np.abs(res) > tol
+    """Newton solve of x + a|x|^(m-1)x = r on the whole array r, in
+    u = log|x|: F(u) = log(e^u + a e^(mu)) - log|r| is convex and
+    increasing, so Newton from u0 = log min(|r|, (|r|/a)^(1/m)), right of
+    the root, falls to it monotonically, and q = a e^((m-1)u) <= max(a, |r|)
+    cannot overflow.  Each entry stops once F <= NEWTON_TOL, a relative
+    residual, and then keeps its value, so its result does not depend on
+    the other entries; one still moving after NEWTON_MAX_ITER steps comes
+    back NaN.  |x| <= |r| with the sign of r; r = 0 and +-inf come back as
+    they are, and where a = 0, r bit for bit."""
+    log_r, log_a = np.log(np.abs(r)), np.log(a)
+    u = np.minimum(log_r, (log_r - log_a) / m)
+    for k in range(NEWTON_MAX_ITER + 1):
+        q = np.exp(log_a + (m - 1.0) * u)
+        res = u - log_r + np.log1p(q)
+        busy = res > NEWTON_TOL       # NaN (r = 0, +-inf or NaN) is done
         if not busy.any():
-            return x
-        x = np.where(busy, np.clip(x - res / (1.0 + a * m * power), lo, hi), x)
-    # bisection fallback for the entries still busy, on |x| <= (|r|/a)^(1/m)
-    with np.errstate(divide="ignore"):      # a = 0: |x| <= |r| alone
-        bound = np.copysign(np.fmin(np.abs(r), (np.abs(r) / a) ** (1 / m)), r)
-    lo, hi = np.minimum(bound, 0.0), np.maximum(bound, 0.0)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        low = phi(mid)[0] < 0.0
-        lo, hi = np.where(low, mid, lo), np.where(low, hi, mid)
-    x = np.where(busy, 0.5 * (lo + hi), x)
-    return np.where(busy & (np.abs(phi(x)[0]) > 1e3 * tol), np.nan, x)
+            break
+        # F'(u) = 1 + (m - 1) q/(1 + q), in [1, m]
+        u = np.where(busy, u - res / (1.0 + (m - 1.0) * (q / (1.0 + q)))
+                     if k < NEWTON_MAX_ITER else np.nan, u)
+    # the clamp keeps |x| <= |r|, which exp(log |r|) can miss by an ulp
+    x = np.copysign(np.minimum(np.exp(u), np.abs(r)), r)
+    return np.where(a == 0.0, r, x)
 
 
 def _step_norms(y, grid: Grid1D, params: MaterialParams, exps: Exponents,

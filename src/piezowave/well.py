@@ -209,13 +209,15 @@ class WellReport:
 
 def well_report(params: MaterialParams, exps: Exponents, grid: Grid1D,
                 seed: int = 0) -> WellReport:
-    """The well constants of params, exps and grid; seed changes none."""
-    b1 = embedding_constant(grid, exps.n1 + 1.0, seed=seed)
-    b2 = embedding_constant(grid, exps.n2 + 1.0, seed=seed + 1)
-    chat = c_hat_constant(b1, b2, params, exps.n1, exps.n2)
+    """The well constants of params, exps and grid, one power method run
+    per distinct n + 1; seed is checked, and changes nothing."""
+    check_count("seed", seed, 0)
+    q1, q2 = exps.n1 + 1.0, exps.n2 + 1.0
+    b = {q: embedding_constant(grid, q) for q in {q1, q2}}
+    chat = c_hat_constant(b[q1], b[q2], params, exps.n1, exps.n2)
     s_star, lam_star = s_star_solve(chat, exps.n1, exps.n2)
     y0, m_thr = _y0_and_threshold(s_star, exps.c_hat)
-    return WellReport(B1=b1, B2=b2, C_hat=chat, s_star=s_star,
+    return WellReport(B1=b[q1], B2=b[q2], C_hat=chat, s_star=s_star,
                       Lambda_star=lam_star, y0=y0, M_threshold=m_thr,
                       poincare_c=poincare_constant(grid))
 

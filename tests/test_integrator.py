@@ -95,8 +95,9 @@ def test_damping_closed_form_residual_symmetry_monotone(m, a):
 
 @pytest.mark.parametrize("m, a", CLOSED_FORM_CASES)
 def test_damping_closed_form_matches_newton(m, a):
-    """The Newton branch stops at a residual of NEWTON_TOL (1 + |r|), which
-    bounds its error since phi' >= 1.  Three more Newton steps take it to
+    """The Newton branch stops at a residual of NEWTON_TOL in log|x|,
+    which bounds its relative error since F' >= 1 there, so it is within
+    NEWTON_TOL (1 + |r|) of the root.  Three more Newton steps take it to
     roundoff, where it must agree with the closed form to 1e-13 relative."""
     r = CLOSED_FORM_R
     x = _damping_solve_vec(r, a, m)
@@ -110,43 +111,32 @@ def test_damping_closed_form_matches_newton(m, a):
 
 
 def _per_entry_newton(r, a, m):
-    """The Newton solve the masked one replaced: on the flattened entries,
-    with index bookkeeping of the entries still busy, and a bisection
-    sweep of the rest, whose entries that miss the tolerance are NaN.  A
-    column a goes row by row, as the damping half-step took it;
+    """The log-form Newton solve of `_damping_newton` entry by entry: on
+    the flattened entries, with index bookkeeping of the entries still
+    busy, and NaN for those still busy after NEWTON_MAX_ITER steps.  A
+    column a goes row by row, as the damping half-step takes it;
     NEWTON_MAX_ITER and NEWTON_TOL are read per call."""
     if np.ndim(a):
         return np.stack([_per_entry_newton(r[..., i, :], a[i, 0], m)
                          for i in range(len(a))], axis=-2)
-    tol = pw.integrator.NEWTON_TOL
-
-    def phi(x, r):
-        power = np.abs(x) ** (m - 1.0)
-        return x + a * power * x - r, power
-
+    tol, budget = pw.integrator.NEWTON_TOL, pw.integrator.NEWTON_MAX_ITER
     rf = r.ravel()
-    x = rf / (1.0 + a)
-    lo, hi = np.minimum(rf, 0.0), np.maximum(rf, 0.0)
-    todo = np.arange(rf.size)
-    for _ in range(pw.integrator.NEWTON_MAX_ITER):
-        rt, xt = rf[todo], x[todo]
-        res, power = phi(xt, rt)
-        busy = np.abs(res) > tol * (1.0 + np.abs(rt))
-        if not busy.any():
-            return x.reshape(r.shape)
-        todo = todo[busy]
-        step = res[busy] / (1.0 + a * m * power[busy])
-        x[todo] = np.clip(xt[busy] - step, lo[todo], hi[todo])
-    rt, lo, hi = rf[todo], lo[todo], hi[todo]
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        low = phi(mid, rt)[0] < 0.0
-        lo = np.where(low, mid, lo)
-        hi = np.where(low, hi, mid)
-    x[todo] = 0.5 * (lo + hi)
-    missed = np.abs(phi(x[todo], rt)[0]) > 1e3 * tol * (1.0 + np.abs(rt))
-    x[todo[missed]] = np.nan
-    return x.reshape(r.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_r, log_a = np.log(np.abs(rf)), np.log(a)
+        u = np.minimum(log_r, (log_r - log_a) / m)
+        todo = np.arange(rf.size)
+        for k in range(budget + 1):
+            ut = u[todo]
+            q = np.exp(log_a + (m - 1.0) * ut)
+            res = ut - log_r[todo] + np.log1p(q)
+            busy = res > tol
+            if not busy.any():
+                break
+            todo, ut, res, q = todo[busy], ut[busy], res[busy], q[busy]
+            u[todo] = (ut - res / (1.0 + (m - 1.0) * (q / (1.0 + q)))
+                       if k < budget else np.nan)
+        x = np.copysign(np.minimum(np.exp(u), np.abs(rf)), rf)
+    return (rf if a == 0.0 else x).reshape(r.shape)
 
 
 def _newton_batch(rng):
@@ -178,23 +168,23 @@ def test_masked_newton_matches_per_entry_newton(m, a, rng):
 
 def test_masked_newton_bisection_fallback_matches(rng, monkeypatch,
                                                   ref_params):
-    """With two Newton iterations allowed, the entries still busy go to the
-    bisection sweep and the settled ones keep their Newton values: both
-    equal the per-entry solve's bit for bit.  With a zero tolerance, which
-    bisection cannot meet, the entries that miss it come back NaN from
-    both, and a step marks the members they belong to as failed by their
-    damping solve: not a member at rest, whose roots are exact zeros, nor
-    a member whose velocity was NaN before the solve.  The joint solve of
-    m1 = m2 and the row-by-row one of m1 != m2 both mark them."""
+    """With two Newton steps allowed, the entries still moving come back
+    NaN and the settled ones keep their Newton values: both equal the
+    per-entry solve's bit for bit.  With no step allowed, every entry not
+    already at its root comes back NaN from both, and a step marks the
+    members they belong to as failed by their damping solve: not a member
+    at rest, whose roots are exact zeros, nor a member whose velocity was
+    NaN before the solve.  The joint solve of m1 = m2 and the row-by-row
+    one of m1 != m2 both mark them."""
     r, a, m = _newton_batch(rng), np.array([[1e-3], [2.3e-3]]), 2.5
     newton = _damping_newton(r, a, m)
     monkeypatch.setattr(pw.integrator, "NEWTON_MAX_ITER", 2)
     expected = _per_entry_newton(r, a, m)
     got = _damping_newton(r, a, m)
     assert np.array_equal(got, expected, equal_nan=True)
-    # the sweep ran: its roots differ from Newton's in the last bits
-    assert not np.array_equal(got, newton, equal_nan=True)
-    monkeypatch.setattr(pw.integrator, "NEWTON_TOL", 0.0)
+    # the budget ran out: entries that the full one solves are NaN
+    assert np.isnan(got).sum() > np.isnan(newton).sum()
+    monkeypatch.setattr(pw.integrator, "NEWTON_MAX_ITER", 0)
     got = _damping_newton(r, a, m)
     assert np.array_equal(got, _per_entry_newton(r, a, m), equal_nan=True)
     assert np.isnan(got).sum() > np.isnan(r).sum()
@@ -220,16 +210,53 @@ def test_masked_newton_bisection_fallback_matches(rng, monkeypatch,
 
 def test_bisection_fallback_reaches_a_root_far_below_r():
     """At m = 2.5, a = 1e-3/(4 * 2.3) and r = 6e88 the root is 1.25e37,
-    which Newton from r/(1 + a) does not reach in NEWTON_MAX_ITER steps.
-    The bisection bracket, bounded by a|x|^m <= |r|, starts at the root's
-    size, so its 200 halvings meet the tolerance; on [0, r] they stopped
-    3e-9 of the root away, and the root came back NaN."""
+    which a Newton solve in x from r/(1 + a) did not reach in
+    NEWTON_MAX_ITER steps, nor a bisection of [0, r] in 200 halvings.
+    Newton in log|x| starts at min(|r|, (|r|/a)^(1/m)), the root's size,
+    and reaches it."""
     a, m = 1e-3 / (4 * 2.3), 2.5
     r = np.array([6e88, -6e88])
     x = _damping_newton(r, a, m)
     residual = x + a * np.abs(x) ** (m - 1.0) * x - r
     assert np.all(np.abs(residual) <= 1e3 * NEWTON_TOL * (1.0 + np.abs(r)))
     assert x[0] == -x[1] and 1.2e37 < x[0] < 1.3e37
+
+
+def test_newton_root_where_the_power_overflows():
+    """At m = 4, a = 1.087e-4 and r = -+4.8e104 (a look-ahead step past a
+    blow-up) |r|^3 overflows, which turned a Newton step in x into
+    inf/inf = NaN; in log|x| the root, -+1.4496e27, is finite and met."""
+    r, a, m = np.array([-4.8e104, 4.8e104]), 1.087e-4, 4.0
+    x = _damping_newton(r, a, m)
+    assert np.allclose(x, [-1.4496e27, 1.4496e27], rtol=1e-4, atol=0.0)
+    residual = (x + a * np.abs(x / 1e27) ** (m - 1.0) * 1e81 * x - r) / r
+    assert np.all(np.abs(residual) <= 2e-12)
+
+
+# the sizing grid of the log-form Newton: exponents from near 1 to 1000,
+# coefficients from the least subnormal to 1e300, |r| from 1e-320 to 1e308
+GRID_M = [1.001, 1.01, 1.5, 2.5, 4.0, 4.9, 10.0, 100.0, 1000.0]
+GRID_A = np.concatenate([[5e-324], 10.0 ** np.arange(-300, 301, 20)])
+GRID_R = np.concatenate([-np.logspace(-320, 308, 315), np.logspace(-320, 308,
+                                                                   315)])
+
+
+@pytest.mark.parametrize("m", GRID_M)
+def test_newton_root_over_the_sizing_grid(m, monkeypatch):
+    """Within ten steps every root is finite, no larger than |r| and of the
+    sign of r, with a relative residual, taken in extended precision, of
+    at most 2e-12 wherever it is a normal float."""
+    monkeypatch.setattr(pw.integrator, "NEWTON_MAX_ITER", 10)
+    a, r = GRID_A[:, None], GRID_R[None, :]
+    x = _damping_newton(r, a, m)
+    assert np.isfinite(x).all()
+    assert np.all(np.abs(x) <= np.abs(r))
+    assert np.array_equal(np.signbit(x), np.signbit(r + 0.0 * a))
+    xl, al, rl = (v.astype(np.longdouble) for v in (x, a, r))
+    residual = (xl + al * np.abs(xl) ** (m - 1.0) * xl - rl) / rl
+    normal = np.abs(x) >= np.finfo(float).tiny
+    assert normal.mean() > 0.8
+    assert np.abs(residual[normal]).max() <= 2e-12
 
 
 # signed zeros, subnormals, huge entries, infinities and NaN, which the
@@ -292,9 +319,10 @@ def test_damping_solves_per_half_step(exponents, per_half_step, ref_params,
 
 def test_mixed_linear_row_takes_no_newton(ref_params, ref_grid, rng,
                                           monkeypatch):
-    """A mixed m = (1, 3) step solves its m = 1 row as r/(1 + a), with no
-    `_damping_newton` call, and that row equals Newton's root bit for bit,
-    on the step's own velocities and on extreme entries."""
+    """A mixed m = (1, 3) step solves its m = 1 row as r/(1 + a) bit for
+    bit, with no `_damping_newton` call, and that row equals Newton's root
+    to NEWTON_TOL relative, on the step's own velocities and on extreme
+    entries."""
     newton, solve, rows = _damping_newton, _damping_solve_vec, []
 
     def recorded(r, a, m, *args):
@@ -320,7 +348,11 @@ def test_mixed_linear_row_takes_no_newton(ref_params, ref_grid, rng,
     rows.append((extreme, 2.5e-4, solve(extreme, 2.5e-4, 1.0)))
     with np.errstate(**QUIET):
         for r, a, out in rows:
-            assert np.array_equal(out, newton(r, a, 1.0), equal_nan=True)
+            assert np.array_equal(out, r / (1.0 + a), equal_nan=True)
+            root, finite = newton(r, a, 1.0), np.isfinite(out)
+            assert np.array_equal(root[~finite], out[~finite], equal_nan=True)
+            assert np.all(np.abs(root - out)[finite]
+                          <= NEWTON_TOL * np.abs(out[finite]))
 
 
 @pytest.mark.parametrize("material, dt, shape", [
@@ -1126,15 +1158,17 @@ def test_an_error_past_the_cutoff_inside_a_block_is_not_raised(
 ASYMMETRIC = (2.3, 5.0, 0.7, 1.9, 0.4)
 
 
-def _asymmetric_run(p0s, m, scheme, t_end=0.5):
-    """simulate of the members p0s, a batch if a list, on that setup."""
+def _asymmetric_run(p0s, m, scheme, t_end=0.5, **cfg):
+    """simulate of the members p0s, a batch if a list, on that setup;
+    cfg holds further StepConfig fields."""
     grid = pw.Grid1D(1.0, 81)
     y = np.array([pw.state_from_modes(grid, [0.3], [p0], [0.1], [-0.05]).y
                   for p0 in np.atleast_1d(p0s)])
     return pw.simulate(pw.State.stacked(y if isinstance(p0s, list) else y[0]),
                        pw.make_params(*ASYMMETRIC),
                        pw.validate_exponents(m, m, 2, 3), grid,
-                       pw.StepConfig(dt=1e-3, scheme=scheme), t_end, 10)
+                       pw.StepConfig(dt=1e-3, scheme=scheme, **cfg), t_end,
+                       10)
 
 
 def test_a_diverged_source_iteration_is_a_solver_failure(ref_params,
@@ -1173,13 +1207,10 @@ def test_a_stalled_source_iteration_is_a_solver_failure():
 
 @pytest.mark.parametrize("m, k", [(2.5, 329), (4.0, 100)])
 def test_damping_failures_past_a_blowup_are_dropped(monkeypatch, m, k):
-    """Semi-implicit on the same data blows up by Q at step k.  At m = 4 a
-    later step of its block (108, with |v_t| past 1e104, where Newton's
-    |x|^3 overflows) misses the damping solve and marks the member failed;
-    that step is dropped, and the run stays a blow-up at step k.  At
-    m = 2.5 the look-ahead steps reach |v_t| = 6e141 and no step is
-    marked: the bisection fallback's bracket, bounded by a|x|^m <= |r|,
-    reaches every root."""
+    """Semi-implicit on the same data blows up by Q at step k, and the
+    look-ahead steps of its block, dropped, reach |v_t| past 1e104 (m = 4)
+    and 6e141 (m = 2.5): Newton in log|x| meets every damping root there,
+    so no step is marked failed and the run stays a blow-up at step k."""
     marks, step = [], pw.Stepper.step
 
     def observed(self, state, exps):
@@ -1191,7 +1222,19 @@ def test_damping_failures_past_a_blowup_are_dropped(monkeypatch, m, k):
     assert (traj.outcome, traj.trigger, traj.t_detect) == (
         "blowup", "quadratic_form", k * 1e-3)
     assert traj.final_state.t == traj.records[-1].t == k * 1e-3
-    assert marks == {2.5: [], 4.0: [(108, "damping_solve")]}[m]
+    assert marks == []
+
+
+@pytest.mark.parametrize("m, k", [(2.5, 337), (4.0, 109)])
+def test_an_infinite_cutoff_blows_up_on_a_non_finite_state(m, k):
+    """With blowup_cutoff = inf the same runs go on past |v_t| = 1e100
+    until a norm turns non-finite at step k: a blow-up by grad_v_sq, not a
+    damping solve that fails on a finite state (at m = 4 it did, at step
+    108, once Newton's |x|^3 overflowed)."""
+    traj = _asymmetric_run(30.0, m, "semi-implicit", blowup_cutoff=np.inf)
+    assert (traj.outcome, traj.trigger, traj.t_detect) == (
+        "blowup", "grad_v_sq", k * 1e-3)
+    assert traj.final_state.t == traj.records[-1].t == k * 1e-3
 
 
 def test_a_failing_member_leaves_its_batch_bit_for_bit():

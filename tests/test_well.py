@@ -143,11 +143,29 @@ def test_embedding_constant_does_not_depend_on_seed(coarse_grid, q):
 
 
 def test_well_report_b1_equals_b2_when_n1_equals_n2(ref_params, ref_grid):
-    """B1 and B2 come from the seeds seed and seed + 1, and with n1 = n2
-    they are the same constant, bit for bit."""
+    """With n1 = n2, B1 and B2 are the same constant, bit for bit."""
     exps = pw.validate_exponents(2.0, 2.0, 3.0, 3.0)
     report = pw.well_report(ref_params, exps, ref_grid)
     assert report.B1 == report.B2
+
+
+@pytest.mark.parametrize("n2, calls", [(3.0, [4.0]), (2.5, [4.0, 3.5])])
+def test_well_report_runs_one_power_method_per_exponent(ref_params, ref_grid,
+                                                         monkeypatch, n2,
+                                                         calls):
+    """well_report calls embedding_constant once when n1 = n2 and once
+    per exponent when they differ, with no seed: the seed changes
+    nothing."""
+    made, constant = [], pw.well.embedding_constant
+
+    def counted(grid, q, **kwargs):
+        made.append((q, kwargs))
+        return constant(grid, q, **kwargs)
+    monkeypatch.setattr(pw.well, "embedding_constant", counted)
+    exps = pw.validate_exponents(2.0, 2.0, 3.0, n2)
+    report = pw.well_report(ref_params, exps, ref_grid, seed=7)
+    assert sorted(made, reverse=True) == [(q, {}) for q in calls]
+    assert report == pw.well_report(ref_params, exps, ref_grid)
 
 
 def _continuum_embedding(q, L):

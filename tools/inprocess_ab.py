@@ -7,9 +7,11 @@ process, interleaved rounds.
 Cases, on nx = 201, dt = 1e-3 and the reference material:
 
   * `solve-B<b>`: one `Stepper._solve` call on a (b, 2, nx) right-hand
-    side, the shape `simulate` passes (b = 1 too), in us, the minimum of
-    2000 calls per round; the solve may overwrite its argument, so each
-    call gets a fresh copy, made outside the timed call;
+    side, the shape a batch of b members passes, in us, the minimum of
+    2000 calls per round (one member steps as (4, nx) and solves (2, nx),
+    which takes the same (2b, nx) row path as b = 1 here); the solve may
+    overwrite its argument, so each call gets a fresh copy, made outside
+    the timed call;
   * `norms-B1` and `norms-B8`: one `integrator._step_norms` call, damping
     on, on a (b, 4, nx) state with exponents (3, 3, 3, 3), in us, the
     minimum of 2000 calls per round;
@@ -18,6 +20,9 @@ Cases, on nx = 201, dt = 1e-3 and the reference material:
     p0 = 0.12, at rest, semi-implicit, 300 steps, record_every = 200, in
     us: a mixed damping step, a one-member step like the `decay-m3`
     workload's, and one of the `ensemble-m2` workload's shape;
+  * `step-newton-m4` and `step-newton-m2.5`: the same with exponents
+    (4, 4, 3, 3) and (2.5, 2.5, 3, 3), whose damping roots take the
+    whole-array Newton solve;
   * `stepper-m3`: one direct `Stepper.step` call on one member, (4, nx),
     with exponents (3, 3, 3, 3), v0 = 0.2, p0 = 0.12, v1 = 0.2,
     p1 = -0.2, in us, the minimum of 2000 calls per round: the call that
@@ -33,6 +38,12 @@ Cases, on nx = 201, dt = 1e-3 and the reference material:
     v0 = 2.35, p0 = 0.9 v0, at rest, t_end = 2, record_every = 20), which
     blows up at t = 1.565, in us: the steps taken are those to t_detect,
     so a step computed past it and dropped counts as cost;
+  * `blowup-newton`: the same for one member with Newton damping: the
+    asymmetric material (rho, alpha, beta, gamma, mu) = (2.3, 5, 0.7,
+    1.9, 0.4), nx = 81, exponents (4, 4, 2, 3), semi-implicit, v0 = 0.3,
+    p0 = 30, v1 = 0.1, p1 = -0.05, t_end = 0.5, record_every = 10, which
+    blows up at t = 0.1 and whose dropped steps past it meet velocities
+    past 1e100;
   * `well-m2`: one `well_report` call with exponents (2, 2, 3, 3), in us,
     with a fresh seed each round (the same seed on both sides): the well
     analysis that the `ensemble-m2` workload runs before its members.
@@ -151,16 +162,17 @@ def sweep_case(pw):
     return run
 
 
-def blowup_case(pw):
-    grid = pw.Grid1D(1.0, 201)
-    params = pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0)
-    exps = pw.validate_exponents(2.0, 2.0, 3.0, 3.0)
+def blowup_case(pw, nx, material, exponents, modes, t_end, record_every):
+    grid = pw.Grid1D(1.0, nx)
+    params = pw.make_params(*material)
+    exps = pw.validate_exponents(*exponents)
+    state = pw.state_from_modes(grid, *([c] for c in modes))
     cfg = pw.StepConfig(dt=1e-3)
-    state = pw.state_from_modes(grid, [2.35], [0.9 * 2.35], [0.0], [0.0])
 
     def run():
         t0 = time.perf_counter()
-        traj = pw.simulate(state, params, exps, grid, cfg, 2.0, 20)
+        traj = pw.simulate(state, params, exps, grid, cfg, t_end,
+                           record_every)
         elapsed = time.perf_counter() - t0
         return (elapsed / round(traj.t_detect / cfg.dt) * 1e6,
                 traj.final_state.y)
@@ -189,9 +201,17 @@ cases = {side: {**{f"solve-B{b}": solve_case(pw, b) for b in BATCHES},
                 "step-m1-3": step_case(pw, (1.0, 3.0, 2.0, 3.0)),
                 "step-m3": step_case(pw, (3.0, 3.0, 3.0, 3.0)),
                 "step-m2": step_case(pw, (2.0, 2.0, 3.0, 3.0)),
+                "step-newton-m4": step_case(pw, (4.0, 4.0, 3.0, 3.0)),
+                "step-newton-m2.5": step_case(pw, (2.5, 2.5, 3.0, 3.0)),
                 "stepper-m3": stepper_case(pw),
                 "sweep-mid": sweep_case(pw),
-                "blowup-m2": blowup_case(pw),
+                "blowup-m2": blowup_case(pw, 201, (1.0, 2.0, 1.0, 1.0, 1.0),
+                                         (2.0, 2.0, 3.0, 3.0),
+                                         (2.35, 0.9 * 2.35, 0.0, 0.0), 2.0,
+                                         20),
+                "blowup-newton": blowup_case(
+                    pw, 81, (2.3, 5.0, 0.7, 1.9, 0.4), (4.0, 4.0, 2.0, 3.0),
+                    (0.3, 30.0, 0.1, -0.05), 0.5, 10),
                 "well-m2": well_case(pw)}
          for side, pw in SIDES.items()}
 times = {side: {name: [] for name in cases[side]} for side in SIDES}

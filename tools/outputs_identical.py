@@ -7,7 +7,7 @@ number by number to a tolerance.
 Each revision's `src/` and `demos/` are exported with `git archive` into a
 temporary directory.  Both exports then run the same fixed cases:
 
-  * `simulate`, `classify` and `bounds` on eight run configs: the README
+  * `simulate`, `classify` and `bounds` on ten run configs: the README
     example (m = 2, n = 3, nx = 201, t_end = 10), the `BASE_CFG` of
     `tests/test_harness.py` (m = 1, n = 2, nx = 81), that config with
     NaN initial data, that config with v0 = 0, p0 = 1 and
@@ -25,7 +25,9 @@ temporary directory.  Both exports then run the same fixed cases:
     joint m = 3 closed-form damping with rho != mu, and an
     implicit-midpoint run with m = (1, 1), n = (2, 2.5) on that material,
     the one case whose linear damping, folded into the conservative
-    substep, scales the two velocity rows by different factors;
+    substep, scales the two velocity rows by different factors, and the
+    mixed-exponent implicit-midpoint run with m = (2.5, 4), whose Newton
+    damping roots, row by row, reach the bytes of its `energy.csv`;
   * `fit --model exp|poly|log` on each `energy.csv` that `simulate` wrote;
   * `sweep` on the AC-9 sweep config of `tests/test_acceptance.py`; on
     the `BASE_CFG` harness config with `[fit] model = exp` and the axis
@@ -315,6 +317,10 @@ C_HAT_OVERFLOW_CFG = (
     .replace("n1 = 2.0", "n1 = 3.0").replace("n2 = 2.0", "n2 = 3.0")
     .replace("nx = 81", "nx = 41"))
 
+# m = (2.5, 4): the Newton damping solve, row by row, in an energy series
+NEWTON_MIXED_CFG = MIXED_CFG.replace("m1 = 1.0", "m1 = 2.5").replace(
+    "m2 = 3.0", "m2 = 4.0")
+
 C_HAT_OVERFLOW_SWEEP_CFG = C_HAT_OVERFLOW_CFG.replace(
     "alpha = 1e-200", "alpha = 2.0") + """
 [sweep.axes]
@@ -333,6 +339,7 @@ RUN_CONFIGS = {
     "mixed-midpoint": MIXED_CFG,
     "cubic-asymmetric": CUBIC_ASYMMETRIC_CFG,
     "linear-asymmetric": LINEAR_ASYMMETRIC_CFG,
+    "newton-mixed": NEWTON_MIXED_CFG,
     "c-hat-overflow": C_HAT_OVERFLOW_CFG,
 }
 DEMOS = ("decay_and_fit.py", "well_classification.py", "blowup_bound.py")
