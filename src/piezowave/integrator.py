@@ -7,39 +7,17 @@ One step is a Strang sandwich
 where the damping substeps solve the pointwise monotone update exactly
 (midpoint form, so each substep strictly dissipates the kinetic norm) and
 the conservative substep is the implicit midpoint rule for the linear
-stiffness.  Source terms are taken at the step-start displacement by
-default ("semi-implicit": the state is first order in dt); the
-"implicit-midpoint" scheme iterates them to the midpoint (second order),
-starting from the source at the predicted midpoint x + (dt/2) x_t, which
-typically takes 2 solves per step.
-
-A step works on a State's stacked array y of one member, (4, nx), or of a
-batch of B members, (B, 4, nx): displacements y[..., :2, :], velocities
-y[..., 2:, :], and (rho, mu) as a (2, 1) column.  Each operation covers both
-rows of every member at once, and goes row by row only where the exponents
-differ.  `simulate` checks t = 0, then steps in blocks; one batched pass
-over each block, `_step_norms`, gives each step's blow-up check its norms,
-the ledger its damping norm and the record its Q, and `diagnostics._records`
-the rest.  Each reduction is one np.vecdot over the stack (bit for bit one
-ndarray.dot per row), and the source iteration and the blow-up check decide
-per member, so a member's results do not depend on its batch.
-
-The damping root has a closed form, exact to roundoff, for m in {2, 3},
-and otherwise one Newton solve on the whole array, in which each entry
-stops on its own residual.  For m = 1 a half-step is x_t -> kappa x_t,
-kappa = (1 - a)/(1 + a) with a = dt/(4 rho) per row, so with m1 = m2 = 1
-the whole step is the conservative substep through maps with kappa
-folded in.  That substep runs in the eigenbasis w = V^-1 u of the
-2x2 coupling matrix (`midpoint_bands`), an exact change of variables,
-through maps built once, with one solve.  With sources and damping off it
-conserves the discrete quadratic energy up to the roundoff of the solve.
-
-A non-finite state is a blow-up outcome, so `Stepper.step` only steps and
-lets numpy overflow quietly, and `simulate` decides: a member whose norm
-exceeds the blow-up cutoff, or is NaN, ends its run there, at t = 0 too.
-A member whose solve fails ends at its last good state: `solver_failure`.
-`simulate` holds numpy's QUIET error state and checks state0's shape once
-for its run, where a direct `Stepper.step` call does both itself.
+stiffness, one solve in the eigenbasis of the 2x2 coupling matrix
+(`midpoint_bands`), which with sources and damping off conserves the
+discrete quadratic energy to roundoff.  Sources are taken at the step's
+start ("semi-implicit", first order in dt) or iterated to the midpoint
+("implicit-midpoint", second order, typically in 2 solves).  The damping
+root has a closed form for m in {2, 3} and is otherwise one whole-array
+Newton solve; with m1 = m2 = 1 the damping is folded into the maps of the
+conservative substep.  A Stepper builds its step once per Exponents object
+(`Stepper._build`), so that a step tests no exponent, scheme or switch.
+A step takes one member, (4, nx), or a batch, (B, 4, nx), each member
+advancing as it would alone, and `simulate` checks the steps in blocks.
 """
 from __future__ import annotations
 
@@ -102,25 +80,32 @@ def _cubic_constants(a):
     return 1.5 * k, 2.0 / k
 
 
+def _quadratic_denominator(r, a4):
+    """d = 1/4 + sqrt(1/16 + a4|r|), a4 = a/4, into a fresh array: r/(d + d)
+    is the m = 2 root of x + a|x|x = r and r/d twice it, bit for bit as by
+    r/(1/2 + sqrt(1/4 + a|r|)) unless a|r| = inf or a/4 or x is subnormal."""
+    x = np.abs(r)
+    np.sqrt(np.add(np.multiply(x, a4, out=x), 0.0625, out=x), out=x)
+    return np.add(x, 0.25, out=x)
+
+
 def _damping_solve_vec(r, a, m, cubic=None):
     """Solve x + a|x|^(m-1)x = r into a fresh array, on a float array r,
     for m >= 1 and a >= 0 a scalar or per-row coefficients that broadcast.
 
-    m = 2, 3 have closed forms, exact to roundoff.  For m = 3 the
-    hyperbolic form of the cubic's one real root (Nickalls 1993) is free
-    of the cancellation that Cardano's formula suffers at small a; cubic
-    is its `_cubic_constants(a)`, if built.  m = 1 is r/(1 + a), and
-    other m take the whole-array `_damping_newton`.  Where a = 0, each
-    finite r comes back bit for bit.
+    m = 2, 3 have closed forms, exact to roundoff: m = 2 by
+    `_quadratic_denominator`, which the half-step shares, and m = 3 by the
+    hyperbolic form of the cubic's one real root (Nickalls 1993), free of
+    the cancellation that Cardano's formula suffers at small a; cubic is
+    its `_cubic_constants(a)`, if built.  m = 1 is r/(1 + a), and other m
+    take the whole-array `_damping_newton`.  Where a = 0, each finite r
+    comes back bit for bit.
     """
     if m == 1.0:
         return r / (1.0 + a)
     if m == 2.0:
-        # 2r / (1 + sqrt(1 + 4a|r|)) scaled by 1/2, which is exact and
-        # keeps 2r from overflowing; in place
-        x = np.abs(r)
-        np.sqrt(np.add(np.multiply(x, a, out=x), 0.25, out=x), out=x)
-        return np.divide(r, np.add(x, 0.5, out=x), out=x)
+        d = _quadratic_denominator(r, 0.25 * a)
+        return np.divide(r, np.add(d, d, out=d), out=d)
     if m == 3.0:
         c1, c2 = _cubic_constants(a) if cubic is None else cubic
         ar = np.abs(r)
@@ -228,11 +213,13 @@ def midpoint_bands(grid: Grid1D, params: MaterialParams, cfg: StepConfig):
 
 
 class Stepper:
-    """Caches solver, maps and damping constants for (grid, params, dt)."""
+    """Caches solver, maps and damping constants for (grid, params, dt),
+    and the step `_build` made for the last Exponents object it took."""
 
     def __init__(self, grid: Grid1D, params: MaterialParams, cfg: StepConfig):
         self.grid, self.params, self.cfg = grid, params, cfg
         self._guarded = True      # `simulate` clears it on its own Stepper
+        self._exps = self._run = None
         mass = np.array([[params.rho], [params.mu]])
         # (dt/4)(1/rho, 1/mu) on each node, (2, nx), like the other constants
         # of a step, so that numpy multiplies arrays of one shape; a row whose
@@ -279,39 +266,20 @@ class Stepper:
             return solve(r.reshape(-1, n).T).T.reshape(rhs.shape)
         return batch_solve
 
-    def _midpoint(self, base_w, x, exps: Exponents):
-        """V w, w solved from base_w and the source at x; with x None the
-        solve overwrites base_w."""
-        if x is not None:
-            base_w = base_w + self._into_f @ (
-                row_powers(x, exps.n1 - 1.0, exps.n2 - 1.0) * x)
-        return self._v @ self._solve(base_w)
+    def _midpoint(self, rhs):
+        """V w, w solved from rhs, which the solve overwrites."""
+        return self._v @ self._solve(rhs)
 
-    def _conservative(self, y, exps, failed, into, start, out, flip):
-        """The conservative substep from y to a new stacked array, through
-        maps `_plain`, or `_linear` for the whole step with m1 = m2 = 1."""
-        x, on = y[..., :2, :], self.cfg.sources_on
+    def _iterate(self, y, failed: dict, into, start, source):
+        """implicit-midpoint: iterate each member's sources from its predicted
+        midpoint to its midpoint, NEWTON_MAX_ITER solves in all.  A member
+        stops on its own test and keeps its iterate, and the others go on
+        without it; one whose change turns NaN, or still moving, fails."""
         base_w = into @ y
-        iterate = on and self.cfg.scheme == "implicit-midpoint"
-        # semi-implicit stops at this first iterate; implicit-midpoint
-        # starts its iteration from the source at the predicted midpoint
-        first = start @ y if iterate else x
-        xm = self._midpoint(base_w, first if on else None, exps)
-        if iterate:
-            xm = self._iterate(xm, base_w, exps, failed)
-        # the difference comes before the scaling by 4/dt: it keeps digits
-        new = out @ (xm - x)
-        new += y * flip
-        return new
-
-    def _iterate(self, xm, base_w, exps: Exponents, failed: dict):
-        """implicit-midpoint: iterate the sources of each member to its
-        midpoint, NEWTON_MAX_ITER solves in all.  A member stops on its own
-        test and keeps its iterate, and the others go on without it; one
-        whose change turns NaN, or still moving at the end, fails there."""
-        out, rows = xm, None      # the rows of out still iterating, or all
+        out = xm = self._midpoint(base_w + source(start @ y))
+        rows = None               # the rows of out still iterating, or all
         for _ in range(NEWTON_MAX_ITER - 1):
-            new = self._midpoint(base_w, xm, exps)
+            new = self._midpoint(base_w + source(xm))
             settled, delta = _settled(new, xm)
             if rows is None:
                 out = new
@@ -335,52 +303,94 @@ class Stepper:
             failed.setdefault(row, "source_iteration")
         return out
 
-    def _damp(self, y, exps: Exponents, failed: dict):
-        """Damping half-step of the velocity rows of y, in place; returns y.
-        Over h = dt/2 the midpoint update of y' = -c|y|^(m-1)y is 2z - y
-        with z + (h/2)c|z|^(m-1)z = y, one solve of both rows if m1 = m2."""
-        vel, a = y[..., 2:, :], self._damp_coef
-        if exps.m1 == exps.m2:
-            z = _damping_solve_vec(vel, a, exps.m1, self._cubic)
-        else:
-            z = np.stack([_damping_solve_vec(r, *args) for r, *args
-                          in zip((vel[..., 0, :], vel[..., 1, :]), a[:, 0],
-                                 (exps.m1, exps.m2), zip(*self._cubic))],
-                         axis=-2)
-        # NaN from a number: a Newton root (m not 1, 2 or 3) that failed
-        if not (exps.m1 in (1.0, 2.0, 3.0) and exps.m2 in (1.0, 2.0, 3.0)) \
-                and np.isnan(z).any():
-            lost = (np.isnan(z) & ~np.isnan(vel)).any(axis=(-2, -1))
-            for row in np.flatnonzero(lost).tolist():
-                failed.setdefault(row, "damping_solve")
-        np.subtract(np.add(z, z, out=z), vel, out=vel)
-        return y
+    def _damp(self, exps: Exponents):
+        """The damping half-step for exps, (y, failed) -> y with velocities
+        y -> 2z - y, z + (h/2)c|z|^(m-1)z = y, the midpoint update of
+        y' = -c|y|^(m-1)y over h = dt/2, in place; one solve if m1 = m2."""
+        m1, m2, a, cubic = exps.m1, exps.m2, self._damp_coef, self._cubic
+        a4, rows = 0.25 * a, list(zip(a[:, 0], (m1, m2), zip(*cubic)))
+
+        def twice_root(vel, failed):      # row by row
+            z = np.stack([_damping_solve_vec(vel[..., i, :], *rows[i])
+                          for i in (0, 1)], axis=-2)
+            return np.add(z, z, out=z)
+        if m1 == m2 == 2.0:
+            def twice_root(vel, failed):
+                d = _quadratic_denominator(vel, a4)
+                return np.divide(vel, d, out=d)
+        elif m1 == m2:
+            def twice_root(vel, failed):
+                z = _damping_solve_vec(vel, a, m1, cubic)
+                return np.add(z, z, out=z)
+        if not {m1, m2} <= {1.0, 2.0, 3.0}:
+            solve = twice_root
+
+            def twice_root(vel, failed):  # NaN from a number: a failed Newton
+                z = solve(vel, failed)
+                if np.isnan(z).any():
+                    lost = (np.isnan(z) & ~np.isnan(vel)).any(axis=(-2, -1))
+                    for row in np.flatnonzero(lost).tolist():
+                        failed.setdefault(row, "damping_solve")
+                return z
+
+        def half(y, failed):
+            vel = y[..., 2:, :]
+            np.subtract(twice_root(vel, failed), vel, out=vel)
+            return y
+        return half
 
     def step(self, state: State, exps: Exponents) -> State:
-        """The state one step on.  state.y holds one member, (4, nx), or a
-        batch, (B, 4, nx), whose members each advance as they would alone.
-        A member may come out non-finite; `simulate` decides blow-up.  With
-        m1 = m2 = 1 the damping is in the maps, and no `_damp` runs.  A
-        member whose solve fails is named in the new State's `failed`.  The
-        call checks state.y's shape and holds numpy's QUIET error state, but
-        `simulate` does both once for the Stepper it builds (`_guarded`)."""
+        """The state one step on, of one member, (4, nx), or of a batch,
+        (B, 4, nx), each advancing as it would alone, perhaps to non-finite
+        values (`simulate` decides blow-up); a member whose solve fails is
+        named in the new State's `failed`.  The call checks the shape and
+        holds numpy's QUIET error state, unless `simulate` does (`_guarded`)."""
         if not self._guarded:
             return self._step(state, exps)
         _check_fits(state.y, self.grid)
         with np.errstate(**QUIET):
             return self._step(state, exps)
 
+    def _build(self, exps: Exponents):
+        """The step for exps, a function of (y, failed) to a new stacked array
+        that tests no exponent, scheme or switch: the conservative substep,
+        between damping half-steps unless these are off or in `_linear`."""
+        cfg, folded = self.cfg, exps.m1 == exps.m2 == 1.0
+        into, start, out, flip = self._linear if cfg.damping_on and folded \
+            else self._plain
+        into_f, n1, n2 = self._into_f, exps.n1 - 1.0, exps.n2 - 1.0
+
+        def source(x):        # x -> V^-1 (dt^2/4) (f1/rho, f2/mu)
+            return into_f @ (row_powers(x, n1, n2) * x)
+
+        def midpoint(y, failed):      # sources off
+            return self._midpoint(into @ y)
+        if cfg.sources_on and cfg.scheme == "semi-implicit":
+            def midpoint(y, failed):      # the source at the step's start
+                rhs = into @ y
+                rhs += source(y[..., :2, :])
+                return self._midpoint(rhs)
+        elif cfg.sources_on:
+            midpoint = functools.partial(self._iterate, into=into,
+                                         start=start, source=source)
+
+        def conservative(y, failed):
+            # the difference comes before the scaling by 4/dt: it keeps digits
+            new = out @ (midpoint(y, failed) - y[..., :2, :])
+            new += y * flip
+            return new
+        if folded or not cfg.damping_on:
+            return conservative
+        half = self._damp(exps)
+        return lambda y, failed: half(conservative(half(y.copy(), failed),
+                                                   failed), failed)
+
     def _step(self, state: State, exps: Exponents) -> State:
-        cfg, failed = self.cfg, {}
-        y = state.y[0] if len(state.y) == 1 else state.y    # B = 1 as (4, nx)
-        if cfg.damping_on and not exps.m1 == exps.m2 == 1.0:
-            y = self._damp(y.copy(), exps, failed)
-            y = self._conservative(y, exps, failed, *self._plain)
-            y = self._damp(y, exps, failed)
-        else:
-            y = self._conservative(y, exps, failed, *(
-                self._linear if cfg.damping_on else self._plain))
-        return State.stacked(y.reshape(state.y.shape), state.t + cfg.dt,
+        if exps is not self._exps:    # identity costs less than a hash
+            self._exps, self._run = exps, self._build(exps)
+        y = self._run(state.y[0] if len(state.y) == 1 else state.y,
+                      failed := {})         # B = 1 steps as (4, nx)
+        return State.stacked(y.reshape(state.y.shape), state.t + self.cfg.dt,
                              failed)
 
 
@@ -411,13 +421,13 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
     state0 holds one member, (4, nx), and gives its Trajectory; or a batch
     of B members stacked as (B, 4, nx), and gives a list of B Trajectories,
     each equal bit for bit to its member's own run.  Blow-up, checked at
-    t = 0 and after each step, is a normal terminal outcome, not an error:
-    the member gets its last record and leaves the batch, and the others go
-    on.  A member that a step marks failed ends as "solver_failure" at
-    its last good state, t_detect - dt, with no record at t_detect.  Steps
-    run in blocks (BLOCK_STEPS, BLOCK_BYTES, or up to a failure) checked in
-    one pass, and a member's steps past its end are dropped.
-    A state it records or returns has t = k*dt, not a sum of steps.
+    t = 0 and after each step, is a normal terminal outcome: the member
+    gets its last record and leaves the batch.  A member that a step marks
+    failed ends as "solver_failure" at its last good state, t_detect - dt,
+    with no record at t_detect.  Steps, one `Stepper.step` call each on the
+    step built for exps, run in blocks (BLOCK_STEPS, BLOCK_BYTES, or up to
+    a failure) stacked and checked in one pass, and a member's steps past
+    its end are dropped.  A state has t = k*dt, not a sum of steps.
     """
     _check_fits(state0.y, grid)
     n_steps = step_count(t_end, cfg.dt)
@@ -432,7 +442,7 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
     damping_cum, prev_dnorm = [0.0] * len(live), [0.0] * len(live)
     dt, cutoff, k = cfg.dt, cfg.blowup_cutoff, -1
     while True:
-        y = block[0].y if len(block) == 1 else np.stack([s.y for s in block])
+        y = block[0].y if len(block) == 1 else np.array([s.y for s in block])
         norms = _step_norms(y, grid, params, exps, cfg.damping_on)
         rows = range(len(live))           # the batch rows still running
         for at, state in zip(range(0, len(norms), len(live)), block):

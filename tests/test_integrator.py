@@ -766,6 +766,95 @@ def test_step_leaves_its_input_alone(scheme, exponents, damping_on,
     assert not np.shares_memory(first.y, second.y)
 
 
+# exponents that take each damping path of a step: m = 1 folded into the
+# maps, the joint closed forms m = 2 and m = 3, the joint Newton solve and
+# the per-row solves without and with Newton
+PATH_EXPONENTS = [(1, 1, 2, 2), (2, 2, 3, 3), (3, 3, 3, 3), (2.5, 2.5, 3, 3),
+                  (1, 3, 2, 3), (2.5, 4, 3, 2)]
+
+
+@pytest.mark.parametrize("members", [1, 2], ids=["one", "batch2"])
+@pytest.mark.parametrize("damping_on, sources_on",
+                         [(True, True), (False, True), (True, False)],
+                         ids=["full", "undamped", "sourceless"])
+@pytest.mark.parametrize("scheme", pw.integrator.SCHEMES)
+def test_a_stepper_follows_its_exponents(scheme, damping_on, sources_on,
+                                         members, monkeypatch):
+    """One Stepper stepped with Exponents objects that change between
+    steps, among them two equal but distinct objects, gives each step's
+    state bit for bit as a fresh Stepper does, and builds its step once
+    for each run of steps on one object."""
+    build, builds = pw.Stepper._build, []
+
+    def counted(self, exps):
+        builds.append(self)
+        return build(self, exps)
+    monkeypatch.setattr(pw.Stepper, "_build", counted)
+    grid = pw.Grid1D(1.0, 41)
+    params = pw.make_params(*MATERIALS[1])
+    cfg = pw.StepConfig(dt=1e-3, scheme=scheme, damping_on=damping_on,
+                        sources_on=sources_on)
+    exps = [pw.validate_exponents(*e) for e in PATH_EXPONENTS]
+    twin = pw.validate_exponents(*PATH_EXPONENTS[2])
+    assert twin == exps[2] and twin is not exps[2]
+    runs = exps + [twin, exps[2]] + exps[::-1]
+    y = np.array([pw.state_from_modes(grid, [a, 0.1], [0.5 * a], [0.5],
+                                      [-0.4 * a]).y
+                  for a in (0.3, 1.5)[:members]])
+    state = pw.State.stacked(y[0] if members == 1 else y)
+    stepper = pw.Stepper(grid, params, cfg)
+    for e in runs:
+        for _ in range(2):
+            expected = pw.Stepper(grid, params, cfg).step(state, e)
+            state = stepper.step(state, e)
+            assert state.y.tobytes() == expected.y.tobytes()
+            assert state.failed == expected.failed == {}
+    assert builds.count(stepper) == len(runs)
+
+
+def test_doubled_quadratic_half_step_is_twice_the_root(rng):
+    """The m = 2 half-step takes 2z as r/d, d of `_quadratic_denominator`,
+    with a/4 in place of a: it equals (z + z) - r, z the root in its usual
+    form r/(1/2 + sqrt(1/4 + a|r|)), bit for bit, for a = 0 and a from
+    1e-300 to 1e10 and velocities r of every binade up to 1e300,
+    subnormals too, with signed zeros, infinities and NaN.  (A subnormal a
+    with |r| near 1e305, or a >= 1e300 with |r| below about 1e-307, can
+    differ in the last bit: there a/4 or z is subnormal.)  The root of
+    `_damping_solve_vec`, r/(d + d), is that z where a|r| is finite; where
+    only a|r|/4 is, the usual form loses the root to 0, and r/(d + d)
+    solves x + a|x|x = r to roundoff (past that both give 0)."""
+    a = np.concatenate([[0.0, 2.5e-4, 1.0], np.logspace(-300, 10, 29)])
+    grid = pw.Grid1D(1.0, len(a) // 2)
+    stepper = pw.Stepper(grid, pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0),
+                         pw.StepConfig(dt=1e-3))
+    stepper._damp_coef = a.reshape(2, -1)
+    half = stepper._damp(pw.validate_exponents(2, 2, 3, 3))
+    r = np.ldexp(rng.uniform(0.5, 1.0, 4000), rng.integers(-1074, 997, 4000))
+    r = np.concatenate([r, -r, [0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                                1e300, -1e300, np.inf, -np.inf, np.nan]])
+    y = np.zeros((len(r), 4, grid.nx))
+    y[:, 2:] = r[:, None, None]
+    with np.errstate(**QUIET):
+        vel = y[:, 2:].copy()
+        got = half(y, {})[:, 2:]
+        ax = stepper._damp_coef * np.abs(vel)
+        quarter = (0.25 * stepper._damp_coef) * np.abs(vel)
+        z = vel / (0.5 + np.sqrt(0.25 + ax))
+        expected = (z + z) - vel
+        solved = _damping_solve_vec(vel, stepper._damp_coef, 2.0)
+    assert np.array_equal(got, expected, equal_nan=True)
+    finite = np.isfinite(expected)
+    assert got[finite].tobytes() == expected[finite].tobytes()
+    usual = ax < np.inf
+    assert np.array_equal(solved[usual], z[usual], equal_nan=True)
+    assert solved[usual & finite].tobytes() == z[usual & finite].tobytes()
+    lost = ~usual & (quarter < np.inf)
+    assert lost.any() and not z[lost].any()
+    root, coef = solved[lost], np.broadcast_to(stepper._damp_coef, vel.shape)
+    assert np.allclose(root + coef[lost] * np.abs(root) * root, vel[lost],
+                       rtol=1e-14, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # full step / trajectory properties
 

@@ -1,6 +1,6 @@
-"""In-process A/B of the midpoint solve, the per-step norms, whole steps
-and the well analysis: two source trees imported side by side in one
-process, interleaved rounds.
+"""In-process A/B of the midpoint solve, the per-step norms, whole steps,
+the well analysis and a unit of the `ensemble-m2` workload: two source
+trees imported side by side in one process, interleaved rounds.
 
     taskset -c 1 python3 tools/inprocess_ab.py PARENT_SRC CHANGE_SRC [ROUNDS]
 
@@ -46,7 +46,13 @@ Cases, on nx = 201, dt = 1e-3 and the reference material:
     past 1e100;
   * `well-m2`: one `well_report` call with exponents (2, 2, 3, 3), in us,
     with a fresh seed each round (the same seed on both sides): the well
-    analysis that the `ensemble-m2` workload runs before its members.
+    analysis that the `ensemble-m2` workload runs before its members;
+  * `ensemble-m2`: one unit of the `ensemble-m2` workload, in us per step
+    taken: `well_report`, then `classify_initial` and `simulate` for each
+    of its five stratum centres v0 = 0.1, 0.85, 1.9, 1.9995 and 2.35
+    (exponents (2, 2, 3, 3), semi-implicit, p0 = 0.9 v0, at rest,
+    t_end = 2, record_every = 20), the steps taken being those to t_end
+    or to t_detect, as perfbench counts them.
 
 BLAS runs on one thread, as in perfbench (the thread count changes the
 cost of numpy's small operations).  Each round times every case on both
@@ -82,6 +88,7 @@ ROUNDS = int(sys.argv[3]) if len(sys.argv) > 3 else 20
 BATCHES = (1, 2, 5, 8)
 CALLS, STEPS, V0 = 2000, 300, 0.2
 SWEEP_V0 = (0.05, 0.2, 0.5, 1.0, 2.0, 36.0, 40.0, 45.0)
+ENSEMBLE_V0 = (0.1, 0.85, 1.9, 1.9995, 2.35)
 
 
 def best_of_calls(call, arg):
@@ -196,6 +203,30 @@ def well_case(pw):
     return run
 
 
+def ensemble_case(pw):
+    grid = pw.Grid1D(1.0, 201)
+    params = pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0)
+    exps = pw.validate_exponents(2.0, 2.0, 3.0, 3.0)
+    cfg = pw.StepConfig(dt=1e-3)
+    states = [pw.state_from_modes(grid, [v0], [0.9 * v0], [0.0], [0.0])
+              for v0 in ENSEMBLE_V0]
+
+    def run():
+        t0 = time.perf_counter()
+        report = pw.well_report(params, exps, grid)
+        trajs = []
+        for state in states:
+            pw.classify_initial(state, report, params, exps, grid)
+            trajs.append(pw.simulate(state, params, exps, grid, cfg, 2.0,
+                                     20))
+        elapsed = time.perf_counter() - t0
+        steps = sum(round((2.0 if t.t_detect is None else t.t_detect)
+                          / cfg.dt) for t in trajs)
+        return (elapsed / steps * 1e6,
+                np.array([t.final_state.y for t in trajs]))
+    return run
+
+
 cases = {side: {**{f"solve-B{b}": solve_case(pw, b) for b in BATCHES},
                 **{f"norms-B{b}": norms_case(pw, b) for b in (1, 8)},
                 "step-m1-3": step_case(pw, (1.0, 3.0, 2.0, 3.0)),
@@ -212,7 +243,8 @@ cases = {side: {**{f"solve-B{b}": solve_case(pw, b) for b in BATCHES},
                 "blowup-newton": blowup_case(
                     pw, 81, (2.3, 5.0, 0.7, 1.9, 0.4), (4.0, 4.0, 2.0, 3.0),
                     (0.3, 30.0, 0.1, -0.05), 0.5, 10),
-                "well-m2": well_case(pw)}
+                "well-m2": well_case(pw),
+                "ensemble-m2": ensemble_case(pw)}
          for side, pw in SIDES.items()}
 times = {side: {name: [] for name in cases[side]} for side in SIDES}
 results = {}
