@@ -10,14 +10,13 @@ gradient norms use the cell-midpoint rule on forward differences.  With
 this pairing the discrete summation-by-parts identity
 <(alpha D2 v - gamma beta D2 p, beta D2 p - gamma beta D2 v), (v, p)>_w
 = -quadratic_form(v, p), with D2 = second_difference(grid), holds to
-roundoff.
+roundoff for fields that vanish at x = 0.
 
 Every inverse of D2 in the package, the stepper's midpoint matrices and
 the well's gradient stiffness alike, is one symmetric positive definite
 `tridiagonal_solver` (LDL^T) on bands built from `second_difference`; the
 stepper's two eigen-systems share one block-diagonal solver.  The stepper
-symmetrizes I - c D2 by halving its mirror row at x = L and moving the
-Dirichlet column's entry in row 1 to the right-hand side.
+symmetrizes I - c D2 by halving its mirror row at x = L.
 """
 from __future__ import annotations
 
@@ -171,17 +170,17 @@ def quadratic_form(v: np.ndarray, p: np.ndarray, grid: Grid1D,
 
 
 def second_difference(grid: Grid1D):
-    """Bands (lower, main, upper) of the central second difference D2, with
-    the Dirichlet row at x = 0 zeroed and a mirror ghost node at x = L
-    (u_ghost = u[-2])."""
+    """Bands (lower, main, upper) of the central second difference D2: the
+    clamped node x = 0 has a zero row and column, so no row reads u[0], and
+    a mirror ghost node at x = L (u_ghost = u[-2])."""
     nx = grid.nx
     dx2 = grid.dx ** 2
     main = np.full(nx, -2.0)
     main[0] = 0.0
     lower = np.ones(nx - 1)
     upper = np.ones(nx - 1)
-    upper[0] = 0.0           # Dirichlet row stays zero
-    lower[-1] = 2.0          # mirror ghost at x = L
+    upper[0] = lower[0] = 0.0     # the clamped node, row and column
+    lower[-1] = 2.0               # mirror ghost at x = L
     return lower / dx2, main / dx2, upper / dx2
 
 

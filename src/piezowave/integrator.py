@@ -14,8 +14,8 @@ start ("semi-implicit", first order in dt) or iterated to the midpoint
 ("implicit-midpoint", second order, typically in 2 solves).  The damping
 root has a closed form for m in {2, 3} and is otherwise one whole-array
 Newton solve; with m1 = m2 = 1 the damping is folded into the maps of the
-conservative substep.  A Stepper builds its step once per Exponents object
-(`Stepper._build`), so that a step tests no exponent, scheme or switch.
+conservative substep.  `Stepper._build` fixes the step's path once per
+Exponents object; only `row_powers` and the damping roots test exponents.
 A step takes one member, (4, nx), or a batch, (B, 4, nx), each member
 advancing as it would alone, and `simulate` checks the steps in blocks.
 """
@@ -191,7 +191,7 @@ def midpoint_bands(grid: Grid1D, params: MaterialParams, cfg: StepConfig):
     beta*alpha1 > 0), is V Lambda V^-1 with V = D Q, V^-1 = Q^T D^-1,
     D = diag(rho, mu)^(-1/2) and D S D = Q Lambda Q^T, Lambda > 0.  So in
     w = V^-1 u the system splits into (I - (dt^2/4) lambda_k D2) w_k =
-    (V^-1 rhs)_k: bands are the (2, .) bands of -(dt^2/4) lambda_k D2."""
+    (V^-1 rhs)_k: bands are the (main, upper) of -(dt^2/4) lambda_k D2."""
     gb = params.gamma * params.beta
     d = 1.0 / np.sqrt(np.array([params.rho, params.mu]))
 
@@ -207,7 +207,7 @@ def midpoint_bands(grid: Grid1D, params: MaterialParams, cfg: StepConfig):
         lam, q = np.linalg.eigh(dsd)
         # lambda_k D2 (A in the eigenbasis) first, so that its overflow shows
         bands = tuple(-(cfg.dt ** 2 / 4.0) * (lam[:, None] * band)
-                      for band in second_difference(grid))
+                      for band in second_difference(grid)[1:])
     check_finite(*bands)
     return d, q, bands
 
@@ -232,9 +232,9 @@ class Stepper:
     def _factorize(self, mass):
         """Build the maps into and out of w = V^-1 u, and return the solver
         of (I - (dt^2/4) Lambda D2) w = rhs, rhs (2, nx) or (B, 2, nx), as
-        the SPD system of its mirror row at x = L halved, rhs[-1] too, and
-        its T[1, 0] w[0] = lo[0] rhs[0] moved to the right-hand side."""
-        d, q, (lo, mid, up) = midpoint_bands(self.grid, self.params, self.cfg)
+        the SPD system of its mirror row at x = L halved, rhs[-1] too; D2
+        reads no clamped node, so w[0] = rhs[0] and no other row reads it."""
+        d, q, (mid, up) = midpoint_bands(self.grid, self.params, self.cfg)
         main = 1.0 + mid
         main[:, -1] *= 0.5
         # the k = 1, 2 systems end to end, joined by a zero off-diagonal
@@ -254,15 +254,13 @@ class Stepper:
              np.concatenate([2.0 * np.eye(2), (4.0 / dt) * np.diag(k[:, 0])]),
              np.concatenate([np.ones((2, 1)), -(k * k)]).repeat(nx, 1))
             for k in (np.ones((2, 1)), (1.0 - a) / (1.0 + a)))
-        dirichlet = functools.cache(lambda rows: np.tile(lo[:, 0], rows // 2))
 
         def batch_solve(rhs):
             """The solution w of rhs, (2, nx) or (B, 2, nx), which the solve
             overwrites: pass a fresh array.  The B members are the columns of
-            one solve, fixed up as the 1-D columns of the (2B, nx) rows."""
+            one solve, their mirror rows halved on the (2B, nx) row view."""
             r = rhs.reshape(-1, nx)
             r[:, -1] *= 0.5
-            r[:, 1] -= dirichlet(len(r)) * r[:, 0]
             return solve(r.reshape(-1, n).T).T.reshape(rhs.shape)
         return batch_solve
 
@@ -353,8 +351,8 @@ class Stepper:
 
     def _build(self, exps: Exponents):
         """The step for exps, a function of (y, failed) to a new stacked array
-        that tests no exponent, scheme or switch: the conservative substep,
-        between damping half-steps unless these are off or in `_linear`."""
+        whose path is fixed here, once: the conservative substep, between
+        damping half-steps unless these are off or in `_linear`."""
         cfg, folded = self.cfg, exps.m1 == exps.m2 == 1.0
         into, start, out, flip = self._linear if cfg.damping_on and folded \
             else self._plain

@@ -369,11 +369,12 @@ def test_decoupled_solve_matches_assembled_lu(material, dt, shape, ref_grid,
     composed with the Stepper's maps as V solve(V^-1 rhs), agree with a
     sparse LU solve of the assembled 2nx system I - (dt^2/4) A, for one
     member, a batch of one as `simulate` passes it, and batches of 3 and
-    8.  The random rhs is nonzero at x = 0 and x = L, so the Dirichlet
-    move and the mirror-row scaling both act.  At dt = 0.5 the matrix is
-    far from the identity (condition about 1e5), and the sparse LU solve
-    alone is off by up to 9e-13; one refinement step with its residual in
-    long double makes it a reference to roundoff."""
+    8.  The random rhs is nonzero at x = 0 and x = L, so the test checks
+    that row 1 ignores the x = 0 entries and that the mirror-row scaling
+    acts.  At dt = 0.5 the matrix is far from the identity (condition
+    about 1e5), and the sparse LU solve alone is off by up to 9e-13; one
+    refinement step with its residual in long double makes it a reference
+    to roundoff."""
     params = pw.make_params(*material)
     stepper = pw.Stepper(ref_grid, params, pw.StepConfig(dt=dt))
     d2 = sp.diags(second_difference(ref_grid), [-1, 0, 1])
@@ -393,6 +394,37 @@ def test_decoupled_solve_matches_assembled_lu(material, dt, shape, ref_grid,
     # V^-1 is the first 2x2 block of the map V^-1 [I, (dt/2) I]
     got = stepper._v @ stepper._solve(stepper._plain[0][:, :2] @ rhs)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 2)], ids=["one", "batch3"])
+def test_solve_reads_no_clamped_node(shape, ref_params, ref_grid, rng):
+    """The interior of a midpoint solve does not depend on the right-hand
+    side's x = 0 entries: on nodes 1:, the solve of a random right-hand side
+    equals, bit for bit, that of the same one zeroed at x = 0."""
+    stepper = pw.Stepper(ref_grid, ref_params, pw.StepConfig(dt=1e-3))
+    rhs = rng.standard_normal(shape + (ref_grid.nx,))
+    clamped = rhs.copy()
+    clamped[..., 0] = 0.0
+    got, want = stepper._solve(rhs.copy()), stepper._solve(clamped)
+    assert np.array_equal(got[..., 1:], want[..., 1:])
+
+
+@pytest.mark.parametrize("exponents", [(1, 1, 2, 2), (2, 2, 3, 3),
+                                       (3, 3, 3, 3), (2.5, 2.5, 3, 3)],
+                         ids=["m1-folded", "m2", "m3", "m2.5-newton"])
+def test_step_reads_no_clamped_node(exponents, ref_params, ref_grid):
+    """The interior of a semi-implicit step does not depend on the state's
+    x = 0 entries: on nodes 1:, the step of a state equals, bit for bit,
+    the step of that state with other values at x = 0.  Implicit-midpoint
+    is left out: its convergence test reads node 0 too, so the number of
+    iterates, and so the interior, may differ."""
+    exps = pw.validate_exponents(*exponents)
+    stepper = pw.Stepper(ref_grid, ref_params, pw.StepConfig(dt=1e-3))
+    state = pw.state_from_modes(ref_grid, [0.3], [0.2], [0.1], [-0.05])
+    moved = state.copy()
+    moved.y[:, 0] = [0.7, -0.4, 1.3, 0.2]
+    got, want = stepper.step(moved, exps), stepper.step(state, exps)
+    assert np.array_equal(got.y[:, 1:], want.y[:, 1:])
 
 
 def test_singular_tridiagonal_factor_is_a_value_error(ref_params, ref_grid,
@@ -418,11 +450,10 @@ class _FourArrayStep:
     symmetric tridiagonal solve per eigen-system: the algorithm and the
     arithmetic order that the stacked Stepper must reproduce bit for bit.
     Each system I - (dt^2/4) lambda_k D2 is solved with its mirror row at
-    x = L halved, right-hand side included, and its row-1 entry in the
-    Dirichlet column moved to the right-hand side.  The
-    conservative substep solves in the eigen coordinates w = V^-1 u, from
-    base_w = V^-1 [I, (dt/2) I] y and the source through V^-1 diag(dt^2/4
-    (1/rho, 1/mu)), and builds the new state from D = V w - x as
+    x = L halved, right-hand side included.  The conservative substep
+    solves in the eigen coordinates w = V^-1 u, from base_w = V^-1 [I,
+    (dt/2) I] y and the source through V^-1 diag(dt^2/4 (1/rho, 1/mu)),
+    and builds the new state from D = V w - x as
     (x + 2D, (4/dt) D - xt).  With m1 = m2 = 1 and damping on, the two
     damping half-steps, each xt -> kappa xt with kappa = (1 - a)/(1 + a),
     are folded into that substep: base_w takes kappa xt, the predicted
@@ -438,7 +469,7 @@ class _FourArrayStep:
         self.params, self.cfg, self.predicted = params, cfg, predicted
         self.legacy = legacy
         gb = params.gamma * params.beta
-        lower, main, upper = second_difference(grid)
+        _, main, upper = second_difference(grid)
         d = 1.0 / np.sqrt(np.array([params.rho, params.mu]))
         dsd = d[:, None] * np.array([[params.alpha, -gb],
                                      [-gb, params.beta]]) * d
@@ -448,8 +479,7 @@ class _FourArrayStep:
         for lk in lam:
             diag = 1.0 - c * (lk * main)
             diag[-1] *= 0.5
-            self.solvers.append((tridiagonal_solver(diag, -c * (lk * upper)),
-                                 -c * (lk * lower[0])))
+            self.solvers.append(tridiagonal_solver(diag, -c * (lk * upper)))
         self.v, self.v_inv = d[:, None] * q, q.T / d
         dt = cfg.dt
         self.into_f = self.v_inv * ((dt * dt / 4.0)
@@ -459,10 +489,9 @@ class _FourArrayStep:
 
     def solve_w(self, w):
         out = []
-        for (solve, dirichlet), wk in zip(self.solvers, w):
+        for solve, wk in zip(self.solvers, w):
             r = wk.copy()
             r[-1] *= 0.5
-            r[1] -= dirichlet * wk[0]
             out.append(solve(r))
         return np.array(out)
 
