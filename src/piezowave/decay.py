@@ -42,6 +42,8 @@ def _validate(times, values):
     e = np.asarray(values, dtype=float)
     if t.shape != e.shape or t.ndim != 1 or t.size < 4:
         raise InvalidArgument("need matching 1D series with at least 4 samples")
+    if not np.isfinite(t).all():
+        raise InvalidArgument("times must be finite")
     if not np.all((e > 0.0) & (e < np.inf)):     # NaN fails too
         raise NonPositiveSeries("energy series must be finite and > 0")
     return t, e, t.size // 2      # the tail is the second half
@@ -102,12 +104,16 @@ def fit_polynomial(times, values, eta) -> DecayFit:
     return _power_fit(t, e, eta, t, "polynomial", k0)
 
 
+@np.errstate(divide="ignore", **QUIET)
 def fit_logarithmic(times, values, eta, C) -> DecayFit:
     """Regression of E^(-eta) vs psi(t) = ln((C+t)/C), C >= 1."""
     if not C >= 1.0:
         raise InvalidArgument("C must be >= 1")
     t, e, k0 = _validate(times, values)
-    return _power_fit(t, e, eta, np.log((C + t) / C), "logarithmic", k0)
+    psi = np.log((C + t) / C)
+    if not np.isfinite(psi).all():
+        raise InvalidArgument("psi(t) = ln((C+t)/C) needs C + t > 0")
+    return _power_fit(t, e, eta, psi, "logarithmic", k0)
 
 
 # Model name, as written in configs and on the command line -> fit of

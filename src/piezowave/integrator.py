@@ -12,10 +12,11 @@ stiffness, one solve in the eigenbasis of the 2x2 coupling matrix
 discrete quadratic energy to roundoff.  Sources are taken at the step's
 start ("semi-implicit", first order in dt) or iterated to the midpoint
 ("implicit-midpoint", second order, typically in 2 solves).  The damping
-root has a closed form for m in {2, 3} and is otherwise one whole-array
-Newton solve; with m1 = m2 = 1 the damping is folded into the maps of the
-conservative substep.  `Stepper._build` fixes the step's path once per
-Exponents object; only `row_powers` and the damping roots test exponents.
+root has a closed form for m in {1, 2, 3} and is otherwise one whole-array
+Newton solve, and `_twice_root` builds its map once per exponent; with
+m1 = m2 = 1 the damping is folded into the maps of the conservative
+substep.  `Stepper._build` fixes the step's path once per Exponents
+object; only `row_powers` tests an exponent per call.
 A step takes one member, (4, nx), or a batch, (B, 4, nx), each member
 advancing as it would alone, and `simulate` checks the steps in blocks.
 """
@@ -74,47 +75,49 @@ class StepConfig:
                                   "must be > 0")
 
 
-def _cubic_constants(a):
-    """(1.5 k, 2 / k) with k = sqrt(3a), the constants of the m = 3 root."""
-    k = np.sqrt(3.0 * a)
-    return 1.5 * k, 2.0 / k
+def _twice_root(m, a):
+    """The map r -> 2z, z + a|z|^(m-1)z = r, of a float array r into a
+    fresh array, for one m >= 1 and a >= 0 a scalar or an array that
+    broadcasts with r: the one place where a damping exponent picks a
+    formula, whose constants are computed here, once.
 
-
-def _quadratic_denominator(r, a4):
-    """d = 1/4 + sqrt(1/16 + a4|r|), a4 = a/4, into a fresh array: r/(d + d)
-    is the m = 2 root of x + a|x|x = r and r/d twice it, bit for bit as by
-    r/(1/2 + sqrt(1/4 + a|r|)) unless a|r| = inf or a/4 or x is subnormal."""
-    x = np.abs(r)
-    np.sqrt(np.add(np.multiply(x, a4, out=x), 0.0625, out=x), out=x)
-    return np.add(x, 0.25, out=x)
-
-
-def _damping_solve_vec(r, a, m, cubic=None):
-    """Solve x + a|x|^(m-1)x = r into a fresh array, on a float array r,
-    for m >= 1 and a >= 0 a scalar or per-row coefficients that broadcast.
-
-    m = 2, 3 have closed forms, exact to roundoff: m = 2 by
-    `_quadratic_denominator`, which the half-step shares, and m = 3 by the
-    hyperbolic form of the cubic's one real root (Nickalls 1993), free of
-    the cancellation that Cardano's formula suffers at small a; cubic is
-    its `_cubic_constants(a)`, if built.  m = 1 is r/(1 + a), and other m
-    take the whole-array `_damping_newton`.  Where a = 0, each finite r
-    comes back bit for bit.
-    """
+    m = 1 is z = r/(1 + a).  m = 2 is 2z = r/d, d = 1/4 + sqrt(1/16 +
+    (a/4)|r|), bit for bit twice z = r/(1/2 + sqrt(1/4 + a|r|)) unless a|r|
+    = inf or a/4 or z is subnormal.  m = 3 is the hyperbolic form of the
+    cubic's one real root (Nickalls 1993), free of the cancellation that
+    Cardano's formula suffers at small a.  Other m take the whole-array
+    `_damping_newton`.  Where a = 0, each finite r comes back doubled."""
     if m == 1.0:
-        return r / (1.0 + a)
-    if m == 2.0:
-        d = _quadratic_denominator(r, 0.25 * a)
-        return np.divide(r, np.add(d, d, out=d), out=d)
-    if m == 3.0:
-        c1, c2 = _cubic_constants(a) if cubic is None else cubic
-        ar = np.abs(r)
-        x = c1 * ar       # to c2 sinh(arcsinh(c1 |r|) / 3), in place
-        np.sinh(np.divide(np.arcsinh(x, out=x), 3.0, out=x), out=x)
-        x *= c2
-        # |x| <= |r| (roundoff can miss it by an ulp); at a = 0, x is NaN
-        return np.copysign(np.fmin(x, ar, out=x), r, out=x)
-    return _damping_newton(r, a, m)
+        c = 1.0 + a
+
+        def twice_root(r):
+            z = r / c
+            return np.add(z, z, out=z)
+    elif m == 2.0:
+        a4 = 0.25 * a
+
+        def twice_root(r):
+            x = np.abs(r)
+            np.sqrt(np.add(np.multiply(x, a4, out=x), 0.0625, out=x), out=x)
+            return np.divide(r, np.add(x, 0.25, out=x), out=x)
+    elif m == 3.0:
+        k = np.sqrt(3.0 * a)
+        with np.errstate(divide="ignore"):
+            c1, c2 = 1.5 * k, 2.0 / k
+
+        def twice_root(r):
+            ar = np.abs(r)
+            x = c1 * ar       # to c2 sinh(arcsinh(c1 |r|) / 3), in place
+            np.sinh(np.divide(np.arcsinh(x, out=x), 3.0, out=x), out=x)
+            x *= c2
+            # |z| <= |r| (roundoff can miss it by an ulp); at a = 0, x is NaN
+            z = np.copysign(np.fmin(x, ar, out=x), r, out=x)
+            return np.add(z, z, out=z)
+    else:
+        def twice_root(r):
+            z = _damping_newton(r, a, m)
+            return np.add(z, z, out=z)
+    return twice_root
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -213,7 +216,7 @@ def midpoint_bands(grid: Grid1D, params: MaterialParams, cfg: StepConfig):
 
 
 class Stepper:
-    """Caches solver, maps and damping constants for (grid, params, dt),
+    """Caches solver, maps and damping coefficients for (grid, params, dt),
     and the step `_build` made for the last Exponents object it took."""
 
     def __init__(self, grid: Grid1D, params: MaterialParams, cfg: StepConfig):
@@ -225,8 +228,6 @@ class Stepper:
         # of a step, so that numpy multiplies arrays of one shape; a row whose
         # coefficient underflows to 0 is left undamped, bit for bit
         self._damp_coef = ((0.25 * cfg.dt) * (1.0 / mass)).repeat(grid.nx, 1)
-        with np.errstate(divide="ignore"):
-            self._cubic = _cubic_constants(self._damp_coef)
         self._solve = self._factorize(mass)
 
     def _factorize(self, mass):
@@ -304,36 +305,24 @@ class Stepper:
     def _damp(self, exps: Exponents):
         """The damping half-step for exps, (y, failed) -> y with velocities
         y -> 2z - y, z + (h/2)c|z|^(m-1)z = y, the midpoint update of
-        y' = -c|y|^(m-1)y over h = dt/2, in place; one solve if m1 = m2."""
-        m1, m2, a, cubic = exps.m1, exps.m2, self._damp_coef, self._cubic
-        a4, rows = 0.25 * a, list(zip(a[:, 0], (m1, m2), zip(*cubic)))
+        y' = -c|y|^(m-1)y over h = dt/2, in place: one `_twice_root` map of
+        both velocity rows if m1 = m2, else one map per row."""
+        m1, m2, a = exps.m1, exps.m2, self._damp_coef
+        maps = [(slice(2, 4), _twice_root(m1, a))] if m1 == m2 else [
+            (slice(2 + i, 3 + i), _twice_root(m, a[i:i + 1]))
+            for i, m in enumerate((m1, m2))]
+        # with a Newton exponent, a NaN root of a number is a failed solve
+        newton = not {m1, m2} <= {1.0, 2.0, 3.0}
 
-        def twice_root(vel, failed):      # row by row
-            z = np.stack([_damping_solve_vec(vel[..., i, :], *rows[i])
-                          for i in (0, 1)], axis=-2)
-            return np.add(z, z, out=z)
-        if m1 == m2 == 2.0:
-            def twice_root(vel, failed):
-                d = _quadratic_denominator(vel, a4)
-                return np.divide(vel, d, out=d)
-        elif m1 == m2:
-            def twice_root(vel, failed):
-                z = _damping_solve_vec(vel, a, m1, cubic)
-                return np.add(z, z, out=z)
-        if not {m1, m2} <= {1.0, 2.0, 3.0}:
-            solve = twice_root
-
-            def twice_root(vel, failed):  # NaN from a number: a failed Newton
-                z = solve(vel, failed)
-                if np.isnan(z).any():
+        def half(y, failed):
+            for rows, twice_root in maps:
+                vel = y[..., rows, :]
+                z = twice_root(vel)
+                if newton and np.isnan(z).any():
                     lost = (np.isnan(z) & ~np.isnan(vel)).any(axis=(-2, -1))
                     for row in np.flatnonzero(lost).tolist():
                         failed.setdefault(row, "damping_solve")
-                return z
-
-        def half(y, failed):
-            vel = y[..., 2:, :]
-            np.subtract(twice_root(vel, failed), vel, out=vel)
+                np.subtract(z, vel, out=vel)
             return y
         return half
 

@@ -111,6 +111,28 @@ def test_monitor_on_negative_energy_run(ref_params, ref_grid, exps23):
     assert np.all(g >= g[0] * (1.0 - 1e-12))
 
 
+def test_monitor_clamps_eps_when_nprime_starts_negative(ref_params,
+                                                       ref_grid, exps23):
+    """Negative energy with N'(0) < 0 (velocities opposite to the
+    displacements): E0 = -2.90, N'(0) = -8.145.  Y = G^(1 - varpi) + eps N'
+    with eps = min(1, G(0)) would start negative, so the check takes
+    eps = -G(0)^(1 - varpi) / (2 N'(0)), about 0.17, and Y stays positive
+    and increasing to the blow-up at t = 1.52."""
+    st = pw.state_from_modes(ref_grid, [3.0], [2.7], [-3.0], [-2.7])
+    traj = pw.simulate(st, ref_params, exps23, ref_grid,
+                       pw.StepConfig(dt=1e-3), 3.0, record_every=10)
+    assert (traj.outcome, traj.t_detect) == ("blowup", pytest.approx(1.52))
+    g0, nprime0 = -traj.records[0].Etot, traj.records[0].nprime
+    assert g0 == pytest.approx(2.896, abs=1e-3)
+    assert nprime0 == pytest.approx(-8.145, abs=1e-3)
+    _, varpi, _ = pw.varpi_range(exps23)
+    assert g0 ** (1.0 - varpi) + min(1.0, g0) * nprime0 < 0.0
+    rep = pw.monitor(traj, exps23, ref_params)
+    assert rep.criterion == "negative-energy"
+    assert rep.G_monotone_ok is True
+    assert rep.Y_positive_increasing is True
+
+
 def test_blowup_exits_through_unstable_side(ref_params, ref_grid, exps23):
     """Observational: the last record of a blow-up run has S < 0."""
     st = pw.state_from_modes(ref_grid, [5.0], [4.5], [0.0], [0.0])

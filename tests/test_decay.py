@@ -5,7 +5,7 @@ import pytest
 
 import piezowave as pw
 from piezowave import decay
-from piezowave.errors import NonPositiveSeries
+from piezowave.errors import InvalidArgument, NonPositiveSeries
 
 
 def _times(n=200, t_end=20.0):
@@ -53,6 +53,27 @@ def test_fits_reject_nonfinite_series(fit, bad):
     e[-3:] = bad
     with pytest.raises(NonPositiveSeries):
         fit(t, e)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fit", [
+    lambda t, e: pw.fit_exponential(t, e),
+    lambda t, e: pw.fit_polynomial(t, e, 1.0),
+    lambda t, e: pw.fit_logarithmic(t, e, 1.0, 2.0),
+], ids=["exp", "poly", "log"])
+def test_fits_reject_nonfinite_times(fit, bad):
+    """A non-finite time is an invalid argument, raised before the least
+    squares solve, which would fail inside LAPACK."""
+    with pytest.raises(InvalidArgument, match="times must be finite"):
+        fit([0.0, 1.0, 2.0, bad], [1.0, 0.5, 0.25, 0.1])
+
+
+def test_log_fit_rejects_nonfinite_psi():
+    """psi(t) = ln((C+t)/C) is NaN where C + t < 0 and -inf where it is
+    0: the log fit rejects both before the least squares solve."""
+    for times in ([0.0, 1.0, -5.0, -6.0], [0.0, 1.0, 2.0, -2.0]):
+        with pytest.raises(InvalidArgument, match="needs C \\+ t > 0"):
+            pw.fit_logarithmic(times, [1.0, 0.5, 0.25, 0.1], 1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------

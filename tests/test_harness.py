@@ -217,6 +217,45 @@ def test_fit_cli_roundtrip(tmp_path, capsys):
     assert omega > 0.0
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_fit_cli_nonfinite_time_is_an_error(bad, tmp_path, capfd):
+    """A CSV with a non-finite time exits 2 with an `error:` line, and
+    nothing reaches stdout (LAPACK, given the time, printed there)."""
+    path = tmp_path / "energy.csv"
+    path.write_text(f"t,Etot\n0,1\n1,0.5\n2,0.25\n{bad},0.1\n",
+                    encoding="utf-8")
+    assert main(["fit", str(path), "--model", "exp"]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "times must be finite" in err
+
+
+def test_fit_skipped_on_negative_energy(tmp_path):
+    """A run asked for a poly fit whose Etot is negative (m = n - 1 = 2,
+    E0 = -6.97) exits 0 with no fit_* key in summary.json, and as a sweep
+    row it leaves the omega cell empty."""
+    negative = """
+[fit]
+model = poly
+"""
+    cfg_path = _write_cfg(tmp_path, extra=negative)
+    text = open(cfg_path).read()
+    for old, new in [("m1 = 1.0", "m1 = 2.0"), ("m2 = 1.0", "m2 = 2.0"),
+                     ("n1 = 2.0", "n1 = 3.0"), ("n2 = 2.0", "n2 = 3.0"),
+                     ("v0 = 0.05", "v0 = 3.0"), ("p0 = 0.03", "p0 = 2.7")]:
+        text = text.replace(old, new)
+    open(cfg_path, "w").write(text)
+    assert main(["simulate", cfg_path]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["E0"] == pytest.approx(-6.97, abs=0.01)
+    assert not [key for key in summary if key.startswith("fit_")]
+    open(cfg_path, "a").write("\n[sweep.axes]\ninitial.v0 = 3.0\n")
+    assert main(["sweep", cfg_path]) == 0
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert rows[0].endswith(",omega") and len(rows) == 2
+    assert rows[1].startswith("3,") and rows[1].endswith(",")
+
+
 # ---------------------------------------------------------------------------
 # sweep CLI
 

@@ -16,15 +16,22 @@ from piezowave.grid import (grad_norm_sq, l2_norm_sq, quadratic_form,
                             second_difference, stiffness_solver,
                             tridiagonal_solver)
 from piezowave.integrator import (NEWTON_MAX_ITER, NEWTON_TOL, _damping_newton,
-                                  _damping_solve_vec, _step_norms)
+                                  _step_norms, _twice_root)
 
 
 # ---------------------------------------------------------------------------
 # pointwise monotone damping solve
 
+def solve_vec(r, a, m):
+    """The root z of z + a|z|^(m-1)z = r on an array r: half of the map
+    r -> 2z of `_twice_root`, which is exact unless the root is subnormal
+    or 2z overflows."""
+    return 0.5 * _twice_root(m, a)(r)
+
+
 def damping_solve(r, a, m):
     """The root of x + a|x|^(m-1)x = r, from the kernel on one entry."""
-    return float(_damping_solve_vec(np.array([r]), a, m)[0])
+    return float(solve_vec(np.array([r]), a, m)[0])
 
 
 def test_damping_solve_linear_closed_form():
@@ -71,7 +78,7 @@ def test_damping_solve_vectorized_matches_scalar(rng):
     """Each entry converges on its own, so an entry's bits do not depend
     on the other entries of the batch."""
     r = rng.uniform(-50, 50, size=64)
-    xs = _damping_solve_vec(r, 0.7, 3.2)
+    xs = solve_vec(r, 0.7, 3.2)
     for ri, xi in zip(r, xs):
         assert xi == damping_solve(ri, 0.7, 3.2)
 
@@ -86,10 +93,10 @@ CLOSED_FORM_CASES = [(m, a) for m in (2.0, 3.0) for a in (2.5e-4, 1.0, 1e3)]
 @pytest.mark.parametrize("m, a", CLOSED_FORM_CASES)
 def test_damping_closed_form_residual_symmetry_monotone(m, a):
     r = CLOSED_FORM_R
-    x = _damping_solve_vec(r, a, m)
+    x = solve_vec(r, a, m)
     residual = x + a * np.abs(x) ** (m - 1.0) * x - r
     assert np.all(np.abs(residual) <= 1e-14 * (1.0 + np.abs(r)))
-    assert np.array_equal(_damping_solve_vec(-r, a, m), -x)
+    assert np.array_equal(solve_vec(-r, a, m), -x)
     assert np.all(np.diff(x) > 0.0)
 
 
@@ -100,7 +107,7 @@ def test_damping_closed_form_matches_newton(m, a):
     NEWTON_TOL (1 + |r|) of the root.  Three more Newton steps take it to
     roundoff, where it must agree with the closed form to 1e-13 relative."""
     r = CLOSED_FORM_R
-    x = _damping_solve_vec(r, a, m)
+    x = solve_vec(r, a, m)
     newton = _damping_newton(r, a, m)
     assert np.all(np.abs(x - newton) <= NEWTON_TOL * (1.0 + np.abs(r)))
     for _ in range(3):
@@ -160,7 +167,7 @@ def test_masked_newton_matches_per_entry_newton(m, a, rng):
         expected = _per_entry_newton(r, coef, m)
         got = _damping_newton(r, coef, m)
         assert np.array_equal(got, expected, equal_nan=True)
-        assert np.array_equal(_damping_solve_vec(r, coef, m), expected,
+        assert np.array_equal(solve_vec(r, coef, m), expected,
                               equal_nan=True)
     # the NaN entry stays NaN, and every other entry is finite
     assert np.flatnonzero(~np.isfinite(got)).tolist() == [402 + 7]
@@ -267,11 +274,11 @@ EDGE_ENTRIES = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, np.inf, -np.inf,
 
 @pytest.mark.parametrize("m", [1.0, 2.0, 3.0, 2.5])
 def test_full_shape_coefficient_matches_its_column(m, rng):
-    """The Stepper's (2, nx) damping coefficient and m = 3 constants give
-    the roots of the (2, 1) column bit for bit, on one member (2, nx) and
-    on a batch (B, 2, nx): edge entries, and a row whose coefficient
-    underflows to 0, which passes each finite r through bit for bit (at
-    m = 3 its c2 is inf)."""
+    """The map of the Stepper's (2, nx) damping coefficient, and of the
+    m = 3 constants `_twice_root` computes from it, gives that of the
+    (2, 1) column bit for bit, on one member (2, nx) and on a batch
+    (B, 2, nx): edge entries, and a row whose coefficient underflows to 0,
+    which doubles each finite r bit for bit (at m = 3 its c2 is inf)."""
     nx = 41
     column = np.array([[1e-3 / (4 * 2.3)], [(0.25 * 1e-30) * (1.0 / 1e300)]])
     assert column[1, 0] == 0.0
@@ -280,16 +287,14 @@ def test_full_shape_coefficient_matches_its_column(m, rng):
     r[:, :, :len(EDGE_ENTRIES)] = EDGE_ENTRIES
     r[1, :, -len(EDGE_ENTRIES):] = EDGE_ENTRIES[::-1]
     with np.errstate(divide="ignore", **QUIET):
-        cubic = {id(a): pw.integrator._cubic_constants(a)
-                 for a in (column, full)}
+        maps = [_twice_root(m, a) for a in (full, column)]
         for y in (r[1], r):
-            got, expected = (_damping_solve_vec(y, a, m, cubic[id(a)])
-                             for a in (full, column))
+            got, expected = (twice_root(y) for twice_root in maps)
             assert got.shape == y.shape
             assert got.tobytes() == expected.tobytes()
             finite = np.isfinite(y[..., 1, :])
             assert got[..., 1, :][finite].tobytes() == \
-                y[..., 1, :][finite].tobytes()
+                (2.0 * y[..., 1, :][finite]).tobytes()
 
 
 @pytest.mark.parametrize("exponents, per_half_step",
@@ -297,14 +302,19 @@ def test_full_shape_coefficient_matches_its_column(m, rng):
                          ids=["equal-newton", "mixed-newton"])
 def test_damping_solves_per_half_step(exponents, per_half_step, ref_params,
                                       ref_grid, monkeypatch):
-    """A damping half-step makes one solve of both velocity rows of the
-    whole batch where m1 = m2, and one solve per row where they differ."""
-    solve, shapes = pw.integrator._damping_solve_vec, []
+    """A damping half-step makes one `_twice_root` map call on both
+    velocity rows of the whole batch where m1 = m2, and one call per row
+    where they differ."""
+    build, shapes = pw.integrator._twice_root, []
 
-    def counted(r, *args):
-        shapes.append(r.shape)
-        return solve(r, *args)
-    monkeypatch.setattr(pw.integrator, "_damping_solve_vec", counted)
+    def counted(m, a):
+        twice_root = build(m, a)
+
+        def call(r):
+            shapes.append(r.shape)
+            return twice_root(r)
+        return call
+    monkeypatch.setattr(pw.integrator, "_twice_root", counted)
     exps = pw.validate_exponents(*exponents)
     stepper = pw.Stepper(ref_grid, ref_params, pw.StepConfig(dt=1e-3))
     state = pw.State.stacked(np.array([
@@ -314,26 +324,30 @@ def test_damping_solves_per_half_step(exponents, per_half_step, ref_params,
         state = stepper.step(state, exps)
     nx = ref_grid.nx
     assert len(shapes) == 5 * 2 * per_half_step
-    assert set(shapes) == {(3, 2, nx) if per_half_step == 1 else (3, nx)}
+    assert set(shapes) == {(3, 2, nx) if per_half_step == 1 else (3, 1, nx)}
 
 
 def test_mixed_linear_row_takes_no_newton(ref_params, ref_grid, rng,
                                           monkeypatch):
-    """A mixed m = (1, 3) step solves its m = 1 row as r/(1 + a) bit for
-    bit, with no `_damping_newton` call, and that row equals Newton's root
-    to NEWTON_TOL relative, on the step's own velocities and on extreme
-    entries."""
-    newton, solve, rows = _damping_newton, _damping_solve_vec, []
+    """A mixed m = (1, 3) step takes its m = 1 row's 2z as z + z, z =
+    r/(1 + a), bit for bit, with no `_damping_newton` call, and that z
+    equals Newton's root to NEWTON_TOL relative, on the step's own
+    velocities and on extreme entries."""
+    newton, build, rows = _damping_newton, _twice_root, []
 
-    def recorded(r, a, m, *args):
-        out = solve(r, a, m, *args)
-        if m == 1.0:
-            rows.append((r.copy(), a, out))
-        return out
+    def recorded(m, a):
+        twice_root = build(m, a)
+
+        def call(r):
+            out = twice_root(r)
+            if m == 1.0:
+                rows.append((r.copy(), a, out))
+            return out
+        return call
 
     def forbidden(*args):
         raise AssertionError("_damping_newton called")
-    monkeypatch.setattr(pw.integrator, "_damping_solve_vec", recorded)
+    monkeypatch.setattr(pw.integrator, "_twice_root", recorded)
     monkeypatch.setattr(pw.integrator, "_damping_newton", forbidden)
     exps = pw.validate_exponents(1, 3, 2, 3)
     stepper = pw.Stepper(ref_grid, ref_params, pw.StepConfig(dt=1e-3))
@@ -345,11 +359,13 @@ def test_mixed_linear_row_takes_no_newton(ref_params, ref_grid, rng,
     assert len(rows) == 5 * 2
     extreme = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
                                1e300, -1e-300], rng.standard_normal(50)])
-    rows.append((extreme, 2.5e-4, solve(extreme, 2.5e-4, 1.0)))
+    rows.append((extreme, 2.5e-4, build(1.0, 2.5e-4)(extreme)))
     with np.errstate(**QUIET):
         for r, a, out in rows:
-            assert np.array_equal(out, r / (1.0 + a), equal_nan=True)
-            root, finite = newton(r, a, 1.0), np.isfinite(out)
+            z = r / (1.0 + a)
+            assert np.array_equal(out, z + z, equal_nan=True)
+            root, out = newton(r, a, 1.0), 0.5 * out
+            finite = np.isfinite(out)
             assert np.array_equal(root[~finite], out[~finite], equal_nan=True)
             assert np.all(np.abs(root - out)[finite]
                           <= NEWTON_TOL * np.abs(out[finite]))
@@ -539,9 +555,9 @@ class _FourArrayStep:
 
     def damp(self, v, p, vt, pt, exps):
         a = 0.25 * self.cfg.dt
-        zv = _damping_solve_vec(vt, a * (1.0 / self.params.rho), exps.m1)
-        zp = _damping_solve_vec(pt, a * (1.0 / self.params.mu), exps.m2)
-        return v, p, 2.0 * zv - vt, 2.0 * zp - pt
+        twice_zv = _twice_root(exps.m1, a * (1.0 / self.params.rho))(vt)
+        twice_zp = _twice_root(exps.m2, a * (1.0 / self.params.mu))(pt)
+        return v, p, twice_zv - vt, twice_zp - pt
 
     def step(self, fields, exps):
         if self.cfg.damping_on and exps.m1 == exps.m2 == 1.0 \
@@ -730,7 +746,7 @@ def test_linear_damping_takes_no_damping_solve(ref_params, ref_grid,
     with m = (1, 3) each row still takes its own."""
     def refuse(*args):
         raise AssertionError("damping solve called")
-    monkeypatch.setattr(pw.integrator, "_damping_solve_vec", refuse)
+    monkeypatch.setattr(pw.integrator, "_twice_root", refuse)
     state = pw.state_from_modes(ref_grid, [0.3], [0.2], [0.1], [-0.05])
     for scheme in pw.integrator.SCHEMES:
         stepper = pw.Stepper(ref_grid, ref_params,
@@ -842,16 +858,16 @@ def test_a_stepper_follows_its_exponents(scheme, damping_on, sources_on,
 
 
 def test_doubled_quadratic_half_step_is_twice_the_root(rng):
-    """The m = 2 half-step takes 2z as r/d, d of `_quadratic_denominator`,
-    with a/4 in place of a: it equals (z + z) - r, z the root in its usual
+    """The m = 2 half-step takes 2z as r/d, d = 1/4 + sqrt(1/16 + (a/4)|r|),
+    the map of `_twice_root`: it equals (z + z) - r, z the root in its usual
     form r/(1/2 + sqrt(1/4 + a|r|)), bit for bit, for a = 0 and a from
     1e-300 to 1e10 and velocities r of every binade up to 1e300,
     subnormals too, with signed zeros, infinities and NaN.  (A subnormal a
     with |r| near 1e305, or a >= 1e300 with |r| below about 1e-307, can
-    differ in the last bit: there a/4 or z is subnormal.)  The root of
-    `_damping_solve_vec`, r/(d + d), is that z where a|r| is finite; where
-    only a|r|/4 is, the usual form loses the root to 0, and r/(d + d)
-    solves x + a|x|x = r to roundoff (past that both give 0)."""
+    differ in the last bit: there a/4 or z is subnormal.)  Half of the map,
+    (r/d)/2, is that z where a|r| is finite; where only a|r|/4 is, the
+    usual form loses the root to 0, and (r/d)/2 solves x + a|x|x = r to
+    roundoff (past that both give 0)."""
     a = np.concatenate([[0.0, 2.5e-4, 1.0], np.logspace(-300, 10, 29)])
     grid = pw.Grid1D(1.0, len(a) // 2)
     stepper = pw.Stepper(grid, pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0),
@@ -870,7 +886,7 @@ def test_doubled_quadratic_half_step_is_twice_the_root(rng):
         quarter = (0.25 * stepper._damp_coef) * np.abs(vel)
         z = vel / (0.5 + np.sqrt(0.25 + ax))
         expected = (z + z) - vel
-        solved = _damping_solve_vec(vel, stepper._damp_coef, 2.0)
+        solved = solve_vec(vel, stepper._damp_coef, 2.0)
     assert np.array_equal(got, expected, equal_nan=True)
     finite = np.isfinite(expected)
     assert got[finite].tobytes() == expected[finite].tobytes()

@@ -22,6 +22,10 @@ Cases, on nx = 201, dt = 1e-3 and the reference material:
     p0 = 0.12, at rest, semi-implicit, 300 steps, record_every = 200, in
     us: a mixed damping step, a one-member step like the `decay-m3`
     workload's, and one of the `ensemble-m2` workload's shape;
+  * `step-m2-3`: the same with exponents (2, 3, 3, 3) on the asymmetric
+    material (rho, alpha, beta, gamma, mu) = (2.3, 5, 0.7, 1.9, 0.4): a
+    mixed damping step that takes the m = 2 and m = 3 closed forms row
+    by row;
   * `step-newton-m4` and `step-newton-m2.5`: the same with exponents
     (4, 4, 3, 3) and (2.5, 2.5, 3, 3), whose damping roots take the
     whole-array Newton solve;
@@ -123,9 +127,9 @@ def norms_case(pw, b):
         lambda y: pw.integrator._step_norms(y, grid, params, exps, True), y)
 
 
-def step_case(pw, exponents):
+def step_case(pw, exponents, material=(1.0, 2.0, 1.0, 1.0, 1.0)):
     grid = pw.Grid1D(1.0, 201)
-    params = pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0)
+    params = pw.make_params(*material)
     exps = pw.validate_exponents(*exponents)
     cfg = pw.StepConfig(dt=1e-3)
     state = pw.state_from_modes(grid, [V0], [0.6 * V0], [0.0], [0.0])
@@ -235,6 +239,8 @@ cases = {side: {**{f"solve-B{b}": solve_case(pw, b) for b in BATCHES},
                 "step-m1-3": step_case(pw, (1.0, 3.0, 2.0, 3.0)),
                 "step-m3": step_case(pw, (3.0, 3.0, 3.0, 3.0)),
                 "step-m2": step_case(pw, (2.0, 2.0, 3.0, 3.0)),
+                "step-m2-3": step_case(pw, (2.0, 3.0, 3.0, 3.0),
+                                       (2.3, 5.0, 0.7, 1.9, 0.4)),
                 "step-newton-m4": step_case(pw, (4.0, 4.0, 3.0, 3.0)),
                 "step-newton-m2.5": step_case(pw, (2.5, 2.5, 3.0, 3.0)),
                 "stepper-m3": stepper_case(pw),

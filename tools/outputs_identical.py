@@ -7,7 +7,7 @@ number by number to a tolerance.
 Each revision's `src/` and `demos/` are exported with `git archive` into a
 temporary directory.  Both exports then run the same fixed cases:
 
-  * `simulate`, `classify` and `bounds` on ten run configs: the README
+  * `simulate`, `classify` and `bounds` on eleven run configs: the README
     example (m = 2, n = 3, nx = 201, t_end = 10), the `BASE_CFG` of
     `tests/test_harness.py` (m = 1, n = 2, nx = 81), that config with
     NaN initial data, that config with v0 = 0, p0 = 1 and
@@ -22,7 +22,9 @@ temporary directory.  Both exports then run the same fixed cases:
     (2.3, 5, 0.7, 1.9, 0.4), which runs the source iteration, the
     row-by-row damping and source branches and rho != mu, a
     semi-implicit run with m = n = 3 on that material, which runs the
-    joint m = 3 closed-form damping with rho != mu, and an
+    joint m = 3 closed-form damping with rho != mu, that run with
+    m = (2, 3), whose damping takes the m = 2 and the m = 3 closed forms
+    row by row (the one case that takes the m = 2 map on one row), an
     implicit-midpoint run with m = (1, 1), n = (2, 2.5) on that material,
     the one case whose linear damping, folded into the conservative
     substep, scales the two velocity rows by different factors, and the
@@ -206,6 +208,10 @@ outdir = out
 CUBIC_ASYMMETRIC_CFG = MIXED_CFG.replace("m1 = 1.0", "m1 = 3.0").replace(
     "n1 = 2.0", "n1 = 3.0").replace("implicit-midpoint", "semi-implicit")
 
+# m = (2, 3), n = (3, 3), semi-implicit, on the asymmetric material: the
+# m = 2 and m = 3 closed forms row by row
+QUADRATIC_CUBIC_CFG = CUBIC_ASYMMETRIC_CFG.replace("m1 = 3.0", "m1 = 2.0")
+
 # m = (1, 1), n = (2, 2.5), implicit-midpoint, on the asymmetric material:
 # linear damping folded into the maps with a different factor per row
 LINEAR_ASYMMETRIC_CFG = MIXED_CFG.replace("m2 = 3.0", "m2 = 1.0").replace(
@@ -338,6 +344,7 @@ RUN_CONFIGS = {
         "gamma = 1.0", "gamma = 1e200"),
     "mixed-midpoint": MIXED_CFG,
     "cubic-asymmetric": CUBIC_ASYMMETRIC_CFG,
+    "quadratic-cubic": QUADRATIC_CUBIC_CFG,
     "linear-asymmetric": LINEAR_ASYMMETRIC_CFG,
     "newton-mixed": NEWTON_MIXED_CFG,
     "c-hat-overflow": C_HAT_OVERFLOW_CFG,
