@@ -16,18 +16,43 @@ Every inverse of D2 in the package, the stepper's midpoint matrices and
 the well's gradient stiffness alike, is one symmetric positive definite
 `tridiagonal_solver` (LDL^T) on bands built from `second_difference`; the
 stepper's two eigen-systems share one block-diagonal solver.  The stepper
-symmetrizes I - c D2 by halving its mirror row at x = L.
+symmetrizes I - c D2 by halving its mirror row at x = L.  Its LAPACK
+(dpttrf, dpttrs) is scipy's extension scipy.linalg._flapack, loaded from
+its file so that scipy.linalg itself is never imported.
 """
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from importlib import machinery, util
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import InvalidArgument, check_count
 from .params import MaterialParams
+
+
+def _load_flapack():
+    """scipy.linalg._flapack loaded from its file, so that scipy.linalg's
+    __init__ (numpy.f2py, numpy.testing, ...) never runs; whichever comes
+    first, its functions are scipy.linalg.lapack's."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:         # scipy.linalg was imported first
+        return sys.modules[name]
+    scipy = util.find_spec("scipy")     # runs no __init__
+    spec = scipy and machinery.PathFinder.find_spec(name, [
+        os.path.join(d, "linalg") for d in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError(f"cannot find {name}", name=name)
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)     # scipy's own import adds it
+    return module
+
+
+lapack = _load_flapack()
 
 # numpy error state under which overflow yields inf/NaN without a warning;
 # the blow-up check, a finiteness check or a comparison then decides
@@ -133,17 +158,29 @@ def lp_norm_pow(field: np.ndarray, q: float, grid: Grid1D) -> float:
     return float(np.dot(grid.weights, row_powers(field, q, q)))
 
 
-def row_powers(rows: np.ndarray, q1: float, q2: float) -> np.ndarray:
-    """|rows|^q of a (..., 2, nx) array, q = q1 in row 0 and q2 in row 1,
-    or of any array if q1 = q2.  q = 1 ... 4 take products, not pow:
-    |x|^2 = x x bit for bit, |x|^3 = |x| (x x) and |x|^4 = (x x)^2."""
+def row_power(q1: float, q2: float):
+    """The map rows -> |rows|^q of a (..., 2, nx) array, q = q1 in row 0
+    and q2 in row 1, or of any array if q1 = q2, its formula chosen once.
+    q = 1 ... 4 take products, not pow: |x|^2 = x x bit for bit,
+    |x|^3 = |x| (x x) and |x|^4 = (x x)^2."""
     if q1 != q2:
-        return np.stack([row_powers(rows[..., 0, :], q1, q1),
-                         row_powers(rows[..., 1, :], q2, q2)], axis=-2)
-    if q1 not in (2.0, 3.0, 4.0):
-        return np.abs(rows) if q1 == 1.0 else np.abs(rows) ** q1
-    sq = rows * rows
-    return sq if q1 == 2.0 else np.abs(rows) * sq if q1 == 3.0 else sq * sq
+        first, second = row_power(q1, q1), row_power(q2, q2)
+        return lambda rows: np.stack([first(rows[..., 0, :]),
+                                      second(rows[..., 1, :])], axis=-2)
+    if q1 == 1.0:
+        return np.abs
+    if q1 == 2.0:
+        return lambda x: x * x
+    if q1 == 3.0:
+        return lambda x: np.abs(x) * (x * x)
+    if q1 == 4.0:
+        return lambda x: (sq := x * x) * sq
+    return lambda x: np.abs(x) ** q1
+
+
+def row_powers(rows: np.ndarray, q1: float, q2: float) -> np.ndarray:
+    """|rows|^q by `row_power(q1, q2)`."""
+    return row_power(q1, q2)(rows)
 
 
 def grad_sums(x: np.ndarray, gamma=None) -> np.ndarray:

@@ -16,7 +16,8 @@ root has a closed form for m in {1, 2, 3} and is otherwise one whole-array
 Newton solve, and `_twice_root` builds its map once per exponent; with
 m1 = m2 = 1 the damping is folded into the maps of the conservative
 substep.  `Stepper._build` fixes the step's path once per Exponents
-object; only `row_powers` tests an exponent per call.
+object, the source power (`row_power`) included, so a step tests no
+exponent; the per-block norms (`row_powers`) still do per call.
 A step takes one member, (4, nx), or a batch, (B, 4, nx), each member
 advancing as it would alone, and `simulate` checks the steps in blocks.
 """
@@ -31,8 +32,8 @@ import numpy as np
 
 from .diagnostics import QUIET, _records
 from .errors import InvalidArgument, check_count
-from .grid import (Grid1D, State, grad_sums, row_powers, second_difference,
-                   tridiagonal_solver)
+from .grid import (Grid1D, State, grad_sums, row_power, row_powers,
+                   second_difference, tridiagonal_solver)
 from .params import Exponents, MaterialParams
 # not called here, but names of this module that perfbench/tracing.py patches
 from .diagnostics import damping_norms, make_record, total_energy  # noqa: F401
@@ -311,7 +312,7 @@ class Stepper:
         maps = [(slice(2, 4), _twice_root(m1, a))] if m1 == m2 else [
             (slice(2 + i, 3 + i), _twice_root(m, a[i:i + 1]))
             for i, m in enumerate((m1, m2))]
-        # with a Newton exponent, a NaN root of a number is a failed solve
+        # a Newton exponent's NaN root of a finite velocity is a failed solve
         newton = not {m1, m2} <= {1.0, 2.0, 3.0}
 
         def half(y, failed):
@@ -319,7 +320,7 @@ class Stepper:
                 vel = y[..., rows, :]
                 z = twice_root(vel)
                 if newton and np.isnan(z).any():
-                    lost = (np.isnan(z) & ~np.isnan(vel)).any(axis=(-2, -1))
+                    lost = (np.isnan(z) & np.isfinite(vel)).any(axis=(-2, -1))
                     for row in np.flatnonzero(lost).tolist():
                         failed.setdefault(row, "damping_solve")
                 np.subtract(z, vel, out=vel)
@@ -345,10 +346,10 @@ class Stepper:
         cfg, folded = self.cfg, exps.m1 == exps.m2 == 1.0
         into, start, out, flip = self._linear if cfg.damping_on and folded \
             else self._plain
-        into_f, n1, n2 = self._into_f, exps.n1 - 1.0, exps.n2 - 1.0
+        into_f, power = self._into_f, row_power(exps.n1 - 1.0, exps.n2 - 1.0)
 
         def source(x):        # x -> V^-1 (dt^2/4) (f1/rho, f2/mu)
-            return into_f @ (row_powers(x, n1, n2) * x)
+            return into_f @ (power(x) * x)
 
         def midpoint(y, failed):      # sources off
             return self._midpoint(into @ y)

@@ -1,3 +1,5 @@
+import importlib.machinery
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 import piezowave as pw
+import piezowave.grid as grid_module
 from piezowave.grid import (grad_norm_sq, l2_norm_sq, lp_norm_pow,
                             quadratic_form, row_powers, second_difference,
                             sine_modes, tridiagonal_solver)
@@ -28,16 +31,55 @@ def test_weights_built_once_and_read_only():
     assert g == pw.Grid1D(2.0, 5) and hash(g) == hash(pw.Grid1D(2.0, 5))
 
 
-def test_import_loads_no_sparse_module():
-    """The one tridiagonal factorization is LAPACK's; `import piezowave`
-    pulls in no scipy.sparse module."""
+def _fresh_import(code: str, first: str = "") -> str:
+    """Standard output of code run in a fresh interpreter right after it
+    runs first and imports piezowave from this tree."""
     src = str(Path(pw.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import piezowave; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith('scipy.sparse')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
+         f"{first}import piezowave; {code}"],
+        capture_output=True, text=True, check=True).stdout.strip()
+
+
+@pytest.mark.parametrize("prefix", ["scipy.sparse", "scipy.linalg",
+                                    "numpy.f2py"])
+def test_import_loads_no_unused_module(prefix):
+    """The one tridiagonal factorization is LAPACK's, from scipy's LAPACK
+    extension loaded as a file: `import piezowave` pulls in no
+    scipy.sparse, scipy.linalg or numpy.f2py module."""
+    assert _fresh_import("print(sorted(m for m in sys.modules "
+                         f"if m.startswith({prefix!r})))") == "[]"
+
+
+def test_lapack_functions_are_scipys():
+    """dpttrf and dpttrs of the file-loaded extension are the very objects
+    that scipy.linalg.lapack exports when imported after piezowave, so
+    every solve is scipy's bit for bit; with scipy.linalg imported first,
+    the extension is scipy's own module, left in sys.modules; in this
+    process, whichever came first, they are scipy's."""
+    assert _fresh_import(
+        "import scipy.linalg.lapack as s; from piezowave.grid import lapack;"
+        " print(lapack.dpttrf is s.dpttrf, lapack.dpttrs is s.dpttrs)"
+    ) == "True True"
+    assert _fresh_import(
+        "from piezowave.grid import lapack; print(lapack is s._flapack is "
+        "sys.modules['scipy.linalg._flapack'])",
+        first="import scipy.linalg.lapack as s; ") == "True"
+    import scipy.linalg.lapack
+    assert grid_module.lapack.dpttrf is scipy.linalg.lapack.dpttrf
+    assert grid_module.lapack.dpttrs is scipy.linalg.lapack.dpttrs
+
+
+@pytest.mark.parametrize("finder", [
+    (importlib.machinery.PathFinder, "find_spec"),
+    (importlib.util, "find_spec")], ids=["no-extension", "no-scipy"])
+def test_missing_lapack_extension_is_an_import_error(finder, monkeypatch):
+    """No extension file, or no scipy, is an ImportError naming the
+    extension."""
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(*finder, lambda *args: None)
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack"):
+        grid_module._load_flapack()
 
 
 def _coupled_laplacian(v, p, grid, params):

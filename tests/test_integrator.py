@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
@@ -213,6 +212,22 @@ def test_masked_newton_bisection_fallback_matches(rng, monkeypatch,
                                     if row in batch.failed else {})
             assert alone.y.tobytes() == batch.y[row].tobytes()
         assert not batch.y[0].any() and np.isnan(batch.y[2:4, 2:]).any()
+
+
+@pytest.mark.parametrize("m", [(2, 2), (2, 2.5), (3, 2.5), (2.5, 2.5),
+                               (2.5, 2)], ids="m={0[0]},{0[1]}".format)
+def test_infinite_velocity_is_a_blowup_not_a_failed_solve(m, ref_params):
+    """An infinite v_t entry is no failed damping solve, whatever map the
+    other row takes (the m = 2 map's root of inf is NaN): the step marks no
+    member, and `simulate` ends the run as a blow-up."""
+    grid = pw.Grid1D(1, 41)
+    state = pw.state_from_modes(grid, [0.1], [0.1], [0.1], [0.1])
+    state.y[2, 5] = np.inf
+    exps = pw.validate_exponents(*m, 3, 3)
+    cfg = pw.StepConfig(dt=1e-3)
+    assert pw.Stepper(grid, ref_params, cfg).step(state, exps).failed == {}
+    traj = pw.simulate(state, ref_params, exps, grid, cfg, 1.0)
+    assert (traj.outcome, traj.trigger) == ("blowup", "grad_v_sq")
 
 
 def test_bisection_fallback_reaches_a_root_far_below_r():
@@ -451,7 +466,7 @@ def test_singular_tridiagonal_factor_is_a_value_error(ref_params, ref_grid,
     def dpttrf(d, e):
         return d, e, 3
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", dpttrf)
+    monkeypatch.setattr(pw.grid.lapack, "dpttrf", dpttrf)
     with pytest.raises(pw.InvalidArgument, match="not positive definite"):
         pw.Stepper(ref_grid, ref_params, pw.StepConfig(dt=1e-3))
     with pytest.raises(pw.InvalidArgument, match="not positive definite"):
