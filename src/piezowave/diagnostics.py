@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (QUIET, Grid1D, State, lp_norm_pow, quadratic_form,
-                   row_powers)
+                   row_power)
 from .params import Exponents, MaterialParams
 
 # Relative tolerance for calling a state "on the Nehari set".
@@ -89,19 +89,19 @@ def damping_norms(state: State, exps: Exponents, grid: Grid1D):
 def make_record(state: State, params: MaterialParams, exps: Exponents,
                 grid: Grid1D, damping_cum: float, etot0: float) -> EnergyRecord:
     return _records(state.y[None], state.t, params, exps, grid, [(
-        damping_cum, etot0, quadratic_form(state.v, state.p, grid, params))])[0]
+        damping_cum, etot0, quadratic_form(state.v, state.p, grid, params))],
+        row_power(exps.n1 + 1.0, exps.n2 + 1.0))[0]
 
 
 def _records(y, t: float, params: MaterialParams, exps: Exponents,
-             grid: Grid1D, ledger) -> list:
+             grid: Grid1D, ledger, power) -> list:
     """make_record of each member of a stacked array y, (B, 4, nx), at t,
-    given its (damping_cum, etot0 or None for its own Etot, Q) in ledger:
-    one np.vecdot of all members' sums, bit for bit one np.dot per row.
-    Undecorated, for a caller in the QUIET error state."""
+    given its (damping_cum, etot0 or None for its own Etot, Q) in ledger
+    and the source norms' `row_power` map, power: one np.vecdot of all
+    sums, one np.dot per row bit for bit.  Undecorated: the caller is QUIET."""
     x, vel = y[:, :2], y[:, 2:]
-    powers = row_powers(x, exps.n1 + 1.0, exps.n2 + 1.0)
     sums = np.vecdot(grid.weights, np.concatenate(
-        [powers, vel * vel, x * vel], axis=1)).tolist()
+        [power(x), vel * vel, x * vel], axis=1)).tolist()
     records = []
     for (vn, pn, vt2, pt2, vvt, ppt), (cum, e0, q) in zip(sums, ledger):
         kin = 0.5 * (params.rho * vt2 + params.mu * pt2)

@@ -52,6 +52,7 @@ class ConfigParse(PiezowaveError):
 
 
 def check_count(name: str, value, least: int) -> None:
-    """InvalidArgument unless value is an integer (numpy's too) >= least."""
-    if not (isinstance(value, Integral) and value >= least):
+    """InvalidArgument unless value is a (numpy) integer >= least, no bool."""
+    if isinstance(value, bool) or not (isinstance(value, Integral)
+                                       and value >= least):
         raise InvalidArgument(f"{name} = {value} must be an integer >= {least}")

@@ -155,7 +155,7 @@ def lp_norm_pow(field: np.ndarray, q: float, grid: Grid1D) -> float:
     """Trapezoid quadrature of |field|^q; returns the q-th power of the norm."""
     if not q >= 1:
         raise InvalidArgument(f"q = {q} must be >= 1")
-    return float(np.dot(grid.weights, row_powers(field, q, q)))
+    return float(np.dot(grid.weights, row_power(q, q)(field)))
 
 
 def row_power(q1: float, q2: float):
@@ -176,11 +176,6 @@ def row_power(q1: float, q2: float):
     if q1 == 4.0:
         return lambda x: (sq := x * x) * sq
     return lambda x: np.abs(x) ** q1
-
-
-def row_powers(rows: np.ndarray, q1: float, q2: float) -> np.ndarray:
-    """|rows|^q by `row_power(q1, q2)`."""
-    return row_power(q1, q2)(rows)
 
 
 def grad_sums(x: np.ndarray, gamma=None) -> np.ndarray:

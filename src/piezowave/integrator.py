@@ -12,12 +12,11 @@ stiffness, one solve in the eigenbasis of the 2x2 coupling matrix
 discrete quadratic energy to roundoff.  Sources are taken at the step's
 start ("semi-implicit", first order in dt) or iterated to the midpoint
 ("implicit-midpoint", second order, typically in 2 solves).  The damping
-root has a closed form for m in {1, 2, 3} and is otherwise one whole-array
-Newton solve, and `_twice_root` builds its map once per exponent; with
-m1 = m2 = 1 the damping is folded into the maps of the conservative
-substep.  `Stepper._build` fixes the step's path once per Exponents
-object, the source power (`row_power`) included, so a step tests no
-exponent; the per-block norms (`row_powers`) still do per call.
+root has a closed form for m in CLOSED_FORMS, else one whole-array Newton
+solve; with m1 = m2 = 1 the damping is folded into the conservative maps.
+An exponent becomes a formula once: `_twice_root` builds the damping map,
+`Stepper._build` the step and its source power (`row_power`), `simulate`
+the norm powers of its ledger and records; no step or block tests one.
 A step takes one member, (4, nx), or a batch, (B, 4, nx), each member
 advancing as it would alone, and `simulate` checks the steps in blocks.
 """
@@ -32,8 +31,8 @@ import numpy as np
 
 from .diagnostics import QUIET, _records
 from .errors import InvalidArgument, check_count
-from .grid import (Grid1D, State, grad_sums, row_power, row_powers,
-                   second_difference, tridiagonal_solver)
+from .grid import (Grid1D, State, grad_sums, row_power, second_difference,
+                   tridiagonal_solver)
 from .params import Exponents, MaterialParams
 # not called here, but names of this module that perfbench/tracing.py patches
 from .diagnostics import damping_norms, make_record, total_energy  # noqa: F401
@@ -48,6 +47,9 @@ NEWTON_MAX_ITER = 60
 
 # Longest run a config may ask for: about 3 days at 250 us per step.
 MAX_STEPS = 10**9
+
+# The damping exponents m whose root `_twice_root` takes in closed form
+CLOSED_FORMS = frozenset({1.0, 2.0, 3.0})
 
 # Most steps, and bytes of their states, between blow-up checks in simulate
 BLOCK_STEPS = 32
@@ -82,13 +84,17 @@ def _twice_root(m, a):
     broadcasts with r: the one place where a damping exponent picks a
     formula, whose constants are computed here, once.
 
-    m = 1 is z = r/(1 + a).  m = 2 is 2z = r/d, d = 1/4 + sqrt(1/16 +
-    (a/4)|r|), bit for bit twice z = r/(1/2 + sqrt(1/4 + a|r|)) unless a|r|
-    = inf or a/4 or z is subnormal.  m = 3 is the hyperbolic form of the
-    cubic's one real root (Nickalls 1993), free of the cancellation that
-    Cardano's formula suffers at small a.  Other m take the whole-array
-    `_damping_newton`.  Where a = 0, each finite r comes back doubled."""
-    if m == 1.0:
+    An m outside CLOSED_FORMS takes `_damping_newton`, NaN where it does
+    not converge.  m = 1 is z = r/(1 + a).  m = 2 is 2z = r/d, d = 1/4 +
+    sqrt(1/16 + (a/4)|r|), bit for bit twice z = r/(1/2 + sqrt(1/4 + a|r|))
+    unless a|r| = inf or a/4 or z is subnormal.  m = 3 is the hyperbolic
+    form of the cubic's one real root (Nickalls 1993), free of Cardano's
+    cancellation at small a.  Where a = 0, each finite r comes back doubled."""
+    if m not in CLOSED_FORMS:
+        def twice_root(r):
+            z = _damping_newton(r, a, m)
+            return np.add(z, z, out=z)
+    elif m == 1.0:
         c = 1.0 + a
 
         def twice_root(r):
@@ -101,7 +107,7 @@ def _twice_root(m, a):
             x = np.abs(r)
             np.sqrt(np.add(np.multiply(x, a4, out=x), 0.0625, out=x), out=x)
             return np.divide(r, np.add(x, 0.25, out=x), out=x)
-    elif m == 3.0:
+    else:                 # m = 3
         k = np.sqrt(3.0 * a)
         with np.errstate(divide="ignore"):
             c1, c2 = 1.5 * k, 2.0 / k
@@ -113,10 +119,6 @@ def _twice_root(m, a):
             x *= c2
             # |z| <= |r| (roundoff can miss it by an ulp); at a = 0, x is NaN
             z = np.copysign(np.fmin(x, ar, out=x), r, out=x)
-            return np.add(z, z, out=z)
-    else:
-        def twice_root(r):
-            z = _damping_newton(r, a, m)
             return np.add(z, z, out=z)
     return twice_root
 
@@ -148,19 +150,16 @@ def _damping_newton(r: np.ndarray, a, m):
     return np.where(a == 0.0, r, x)
 
 
-def _step_norms(y, grid: Grid1D, params: MaterialParams, exps: Exponents,
-                damping_on: bool) -> list:
-    """(grad_norm_sq(v), quadratic_form(v, p), sum(damping_norms) or 0.0
-    with damping off) of each member of a stacked array y, bit for bit: one
-    np.vecdot per reduction on differences and powers taken batch-wide,
-    and the gradient sums over dx (`grad_sums`), not each difference.
-    The blow-up check, the ledger and the records of `simulate` read them."""
+def _step_norms(y, grid: Grid1D, params: MaterialParams, power) -> list:
+    """(grad_norm_sq(v), quadratic_form(v, p), the sum of damping_norms by
+    power, their `row_power` map, or 0.0 if power is None) of each member
+    of a stacked array y, bit for bit: one np.vecdot per reduction, on
+    batch-wide differences and powers, and sums, not terms, over dx.  The
+    blow-up check, the ledger and the records of `simulate` read them."""
     y = y.reshape(-1, 4, grid.nx)
     dx = grid.dx
-    dnorms = [0.0] * len(y)
-    if damping_on:
-        powers = row_powers(y[:, 2:], exps.m1 + 1.0, exps.m2 + 1.0)
-        dnorms = [a + b for a, b in np.vecdot(grid.weights, powers).tolist()]
+    dnorms = [0.0] * len(y) if power is None else [
+        a + b for a, b in np.vecdot(grid.weights, power(y[:, 2:])).tolist()]
     sums = grad_sums(y[:, :2], params.gamma).tolist()
     return [(a / dx, (params.alpha1 * a + params.beta * b) / dx, dnorm)
             for (a, b), dnorm in zip(sums, dnorms)]
@@ -307,13 +306,13 @@ class Stepper:
         """The damping half-step for exps, (y, failed) -> y with velocities
         y -> 2z - y, z + (h/2)c|z|^(m-1)z = y, the midpoint update of
         y' = -c|y|^(m-1)y over h = dt/2, in place: one `_twice_root` map of
-        both velocity rows if m1 = m2, else one map per row."""
+        both velocity rows if m1 = m2, else one map per row.  A NaN root of
+        a finite velocity, only Newton's (m not in CLOSED_FORMS), fails."""
         m1, m2, a = exps.m1, exps.m2, self._damp_coef
         maps = [(slice(2, 4), _twice_root(m1, a))] if m1 == m2 else [
             (slice(2 + i, 3 + i), _twice_root(m, a[i:i + 1]))
             for i, m in enumerate((m1, m2))]
-        # a Newton exponent's NaN root of a finite velocity is a failed solve
-        newton = not {m1, m2} <= {1.0, 2.0, 3.0}
+        newton = not {m1, m2} <= CLOSED_FORMS
 
         def half(y, failed):
             for rows, twice_root in maps:
@@ -422,6 +421,9 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
     check_count("record_every", record_every, 1)
     stepper = Stepper(grid, params, cfg)
     stepper._guarded = False      # this function holds both guards of step
+    # the power maps of the ledger's damping norms and the records' sources
+    dpow = row_power(exps.m1 + 1.0, exps.m2 + 1.0) if cfg.damping_on else None
+    spow = row_power(exps.n1 + 1.0, exps.n2 + 1.0)
 
     # one member runs as a batch of one, and t = 0 is a block of its own
     block = [State.stacked(state0.y.reshape(-1, 4, grid.nx).copy())]
@@ -431,7 +433,7 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
     dt, cutoff, k = cfg.dt, cfg.blowup_cutoff, -1
     while True:
         y = block[0].y if len(block) == 1 else np.array([s.y for s in block])
-        norms = _step_norms(y, grid, params, exps, cfg.damping_on)
+        norms = _step_norms(y, grid, params, dpow)
         rows = range(len(live))           # the batch rows still running
         for at, state in zip(range(0, len(norms), len(live)), block):
             k += 1
@@ -464,7 +466,7 @@ def simulate(state0: State, params: MaterialParams, exps: Exponents,
             if ledger:
                 for row, r in zip(ledger, _records(state.y[list(ledger)], t,
                                                    params, exps, grid,
-                                                   ledger.values())):
+                                                   ledger.values(), spow)):
                     records[live[row]].append(r)
             rows, last = keep, state
             if not rows:

@@ -12,7 +12,7 @@ import piezowave as pw
 from piezowave.diagnostics import (QUIET, damping_norms, make_record,
                                    total_energy)
 from piezowave.grid import (grad_norm_sq, l2_norm_sq, quadratic_form,
-                            second_difference, stiffness_solver,
+                            row_power, second_difference, stiffness_solver,
                             tridiagonal_solver)
 from piezowave.integrator import (NEWTON_MAX_ITER, NEWTON_TOL, _damping_newton,
                                   _step_norms, _twice_root)
@@ -997,6 +997,35 @@ def test_record_every_downsampling(ref_params, ref_grid):
     assert traj.records[-1].t == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("damping_on", [True, False],
+                         ids=["damped", "undamped"])
+def test_simulate_builds_its_power_maps_a_fixed_number_of_times(
+        damping_on, ref_params, ref_grid, monkeypatch):
+    """A `simulate` call turns its exponents into `row_power` maps a fixed
+    number of times, whatever its step count: runs of 64 and 640 steps, a
+    record every 10, make equally many `row_power` calls, counted in the
+    grid, integrator and diagnostics modules.  Mixed exponents, so that
+    each map of two rows builds its two one-row maps too."""
+    build, calls = pw.grid.row_power, []
+
+    def counted(q1, q2):
+        calls.append((q1, q2))
+        return build(q1, q2)
+    for module in (pw.grid, pw.integrator, pw.diagnostics):
+        monkeypatch.setattr(module, "row_power", counted)
+    exps = pw.validate_exponents(3, 2, 3, 2)
+    cfg = pw.StepConfig(dt=1e-3, damping_on=damping_on)
+    counts = []
+    for steps in (64, 640):
+        calls.clear()
+        traj = pw.simulate(_small_state(ref_grid), ref_params, exps,
+                           ref_grid, cfg, steps * 1e-3, record_every=10)
+        assert traj.outcome == "completed"
+        assert len(traj.records) == len(range(0, steps, 10)) + 1  # t_end
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_time_is_step_count_times_dt(ref_params):
     """t = k*dt on every recorded state, not a running sum of dt: the sum
     gives 1.4749999999999484 after 1475 steps of 1e-3."""
@@ -1270,7 +1299,8 @@ def test_an_error_past_the_cutoff_inside_a_block_is_not_raised(
         calls.append(1)
         new = step(self, state, exps)
         for row, (g, q, _) in enumerate(
-                _step_norms(state.y, grid, params, exps, True)):
+                _step_norms(state.y, grid, params,
+                            row_power(exps.m1 + 1.0, exps.m2 + 1.0))):
             if not (g <= limit[0] and q <= limit[0]):
                 new.failed[row] = "source_iteration"
         return new
@@ -1422,6 +1452,7 @@ def test_step_norms_equal_the_public_functions(order, exponents,
     those sizes."""
     params = pw.make_params(*MATERIALS[1])
     exps = pw.validate_exponents(*exponents)
+    power = row_power(exps.m1 + 1.0, exps.m2 + 1.0) if damping_on else None
     grid = pw.Grid1D(1.0, 41)
     y = np.array([pw.state_from_modes(grid, [a, 0.1], [-0.5 * a], [a],
                                       [0.2, a]).y
@@ -1431,14 +1462,13 @@ def test_step_norms_equal_the_public_functions(order, exponents,
                      quadratic_form(m[0], m[1], grid, params),
                      sum(damping_norms(pw.State.stacked(m), exps, grid))
                      if damping_on else 0.0) for m in y]
-        got = _step_norms(y, grid, params, exps, damping_on)
-        alone = [_step_norms(m, grid, params, exps, damping_on)[0]
-                 for m in y]
+        got = _step_norms(y, grid, params, power)
+        alone = [_step_norms(m, grid, params, power)[0] for m in y]
         # a block of 3 steps, (3, B, 4, nx), as `simulate` stacks it
         steps = np.array([np.roll(y, j, axis=0) for j in range(3)])
-        blocked = _step_norms(steps, grid, params, exps, damping_on)
+        blocked = _step_norms(steps, grid, params, power)
         per_step = [n for s in steps
-                    for n in _step_norms(s, grid, params, exps, damping_on)]
+                    for n in _step_norms(s, grid, params, power)]
     assert np.array(got).tobytes() == np.array(expected).tobytes()
     assert np.array(alone).tobytes() == np.array(expected).tobytes()
     assert np.array(blocked).tobytes() == np.array(per_step).tobytes()
@@ -1459,7 +1489,6 @@ def test_q_is_accurate_on_a_near_degenerate_material():
     grid = pw.Grid1D(1.0, 41)
     v = pw.grid.sine_modes(grid, [0.3, -0.1, 0.05])
     p = gamma * v
-    exps = pw.validate_exponents(3, 3, 3, 3)
     y = pw.State(v, p, 0.0 * v, 0.0 * v).y
 
     def exact_sum(terms):
@@ -1473,7 +1502,7 @@ def test_q_is_accurate_on_a_near_degenerate_material():
     gram = (params.alpha1 * (dv @ dv) + beta * (gamma * gamma * (dv @ dv)
             - 2.0 * gamma * (dv @ dp) + dp @ dp)) / grid.dx
     for q in (quadratic_form(v, p, grid, params),
-              _step_norms(y, grid, params, exps, False)[0][1]):
+              _step_norms(y, grid, params, None)[0][1]):
         assert abs(Fraction(q) - exact) <= 1e-12 * exact
     assert abs(Fraction(gram) - exact) > 1e-10 * exact
 
@@ -1487,9 +1516,7 @@ def test_grad_v_sq_does_not_see_p():
     y = pw.state_from_modes(grid, [0.3], [0.1], [0.0], [0.0]).y
     y[1, 7] = np.inf
     with np.errstate(**QUIET):
-        (grad_v_sq, q, _), = _step_norms(y, grid, params,
-                                         pw.validate_exponents(3, 3, 3, 3),
-                                         False)
+        (grad_v_sq, q, _), = _step_norms(y, grid, params, None)
     assert grad_v_sq == grad_norm_sq(y[0], grid) < np.inf
     assert q == np.inf
 

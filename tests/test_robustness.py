@@ -344,6 +344,25 @@ def test_numpy_integers_are_valid_counts():
     assert run[2] == pw.Grid1D(1.0, 21)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("call", [
+    lambda b: pw.Grid1D(1.0, b),
+    lambda b: pw.simulate(*_LINEAR_RUN, record_every=b),
+    lambda b: pw.embedding_constant(pw.Grid1D(1.0, 11), 3.0, restarts=b),
+    lambda b: pw.embedding_constant(pw.Grid1D(1.0, 11), 3.0, seed=b),
+    lambda b: pw.well_report(*_LINEAR_RUN[1:4], seed=b),
+    lambda b: build_run(replace(RunConfig(), seed=b)),
+    lambda b: build_run(replace(RunConfig(), record_every=b)),
+], ids=["grid-nx", "record-every", "embedding-restarts", "embedding-seed",
+        "well-report-seed", "build-run-seed", "build-run-record-every"])
+def test_bool_is_no_count(call, flag):
+    """A bool is an Integral, but no count: every check_count argument
+    rejects True and False, as it rejects numpy's bool_, where True ran as
+    1 and False as a seed of 0."""
+    with pytest.raises(InvalidArgument, match=f"= {flag} must be an integer"):
+        call(flag)
+
+
 def test_fractional_seed_fails_its_run_before_stepping(step_calls):
     """A library config with seed = 1.5 is that run's InvalidArgument from
     run_all, yielded before any member steps."""

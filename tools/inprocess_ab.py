@@ -16,7 +16,17 @@ Cases, on nx = 201, dt = 1e-3 and the reference material:
     that differ only in what the interior reads of x = 0 give one result;
   * `norms-B1` and `norms-B8`: one `integrator._step_norms` call, damping
     on, on a (b, 4, nx) state with exponents (3, 3, 3, 3), in us, the
-    minimum of 2000 calls per round;
+    minimum of 2000 calls per round.  Each side is called with its own
+    signature: (y, grid, params, power), the damping norms' `row_power`
+    map bound once outside the timed call, as `simulate` binds it, or the
+    older (y, grid, params, exps, damping_on), which builds it per call;
+  * `norms-m2-B1`: the same on one member with the `ensemble-m2`
+    workload's exponents (2, 2, 3, 3), whose damping norm is |x|^3, three
+    numpy passes, where m = 3's |x|^4 takes two;
+  * `records-B8`: one `diagnostics._records` call on an (8, 4, nx) state
+    with exponents (2, 2, 3, 3), in us, the minimum of 2000 calls per
+    round, each side with its own signature: the source norms'
+    `row_power` map bound once outside the timed call, or built inside;
   * `step-m1-3`, `step-m3` and `step-m2`: `simulate` per step with
     exponents (1, 3, 2, 3), (3, 3, 3, 3) or (2, 2, 3, 3), v0 = 0.2,
     p0 = 0.12, at rest, semi-implicit, 300 steps, record_every = 200, in
@@ -68,6 +78,7 @@ largest difference of the two sides' solve results, norms, final states
 or well reports relative to their largest entry, so a change that moves
 results only at roundoff shows as such.  Prints one JSON object.
 """
+import inspect
 import itertools
 import json
 import os
@@ -117,14 +128,48 @@ def solve_case(pw, b):
     return lambda: best_of_calls(stepper._solve, rhs)
 
 
-def norms_case(pw, b):
+def takes_power(function):
+    """Whether function takes a bound `row_power` map, `power`."""
+    return "power" in inspect.signature(function).parameters
+
+
+def members(pw, grid, b):
+    """A (b, 4, nx) state of b one-mode members, amplitudes 0.1 ... 0.3."""
+    return np.array([pw.state_from_modes(grid, [a], [0.6 * a], [a], [-a]).y
+                     for a in np.linspace(0.1, 0.3, b)])
+
+
+def norms_case(pw, b, exponents=(3.0, 3.0, 3.0, 3.0)):
     grid = pw.Grid1D(1.0, 201)
     params = pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0)
-    exps = pw.validate_exponents(3.0, 3.0, 3.0, 3.0)
-    y = np.array([pw.state_from_modes(grid, [a], [0.6 * a], [a], [-a]).y
-                  for a in np.linspace(0.1, 0.3, b)])
-    return lambda: best_of_calls(
-        lambda y: pw.integrator._step_norms(y, grid, params, exps, True), y)
+    exps = pw.validate_exponents(*exponents)
+    norms = pw.integrator._step_norms
+    args = ((pw.grid.row_power(exps.m1 + 1.0, exps.m2 + 1.0),)
+            if takes_power(norms) else (exps, True))
+    return lambda: best_of_calls(lambda y: norms(y, grid, params, *args),
+                                 members(pw, grid, b))
+
+
+def records_case(pw, b):
+    grid = pw.Grid1D(1.0, 201)
+    params = pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0)
+    exps = pw.validate_exponents(2.0, 2.0, 3.0, 3.0)
+    y = members(pw, grid, b)
+    ledger = [(0.0, None, pw.grid.quadratic_form(m[0], m[1], grid, params))
+              for m in y]
+    records = pw.diagnostics._records
+    bound = ((pw.grid.row_power(exps.n1 + 1.0, exps.n2 + 1.0),)
+             if takes_power(records) else ())
+
+    def run():
+        best = float("inf")
+        for _ in range(CALLS):
+            t0 = time.perf_counter()
+            out = records(y, 0.0, params, exps, grid, ledger, *bound)
+            best = min(best, time.perf_counter() - t0)
+        return best * 1e6, np.array([[r.E, r.J, r.Etot, r.sign_fn, r.nprime]
+                                     for r in out])
+    return run
 
 
 def step_case(pw, exponents, material=(1.0, 2.0, 1.0, 1.0, 1.0)):
@@ -236,6 +281,8 @@ def ensemble_case(pw):
 
 cases = {side: {**{f"solve-B{b}": solve_case(pw, b) for b in BATCHES},
                 **{f"norms-B{b}": norms_case(pw, b) for b in (1, 8)},
+                "norms-m2-B1": norms_case(pw, 1, (2.0, 2.0, 3.0, 3.0)),
+                "records-B8": records_case(pw, 8),
                 "step-m1-3": step_case(pw, (1.0, 3.0, 2.0, 3.0)),
                 "step-m3": step_case(pw, (3.0, 3.0, 3.0, 3.0)),
                 "step-m2": step_case(pw, (2.0, 2.0, 3.0, 3.0)),
