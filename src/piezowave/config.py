@@ -182,8 +182,9 @@ def build_run(cfg: RunConfig):
     if cfg.fit_model not in (None, *FITS):
         raise InvalidArgument(f"fit model = {cfg.fit_model!r} must be one "
                               f"of {'/'.join(FITS)}")
-    if not cfg.fit_C >= 1.0:
-        raise InvalidArgument(f"fit C = {cfg.fit_C} must be >= 1")
+    if not 1.0 <= cfg.fit_C < math.inf:
+        raise InvalidArgument(f"fit C = {cfg.fit_C} must be "
+                              f"{'finite' if cfg.fit_C > 1.0 else '>= 1'}")
     return (params, exps, grid, step,
             state_from_modes(grid, cfg.v0, cfg.p0, cfg.v1, cfg.p1))
 

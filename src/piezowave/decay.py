@@ -106,9 +106,10 @@ def fit_polynomial(times, values, eta) -> DecayFit:
 
 @np.errstate(divide="ignore", **QUIET)
 def fit_logarithmic(times, values, eta, C) -> DecayFit:
-    """Regression of E^(-eta) vs psi(t) = ln((C+t)/C), C >= 1."""
-    if not C >= 1.0:
-        raise InvalidArgument("C must be >= 1")
+    """Regression of E^(-eta) vs psi(t) = ln((C+t)/C), 1 <= C < inf."""
+    if not 1.0 <= C < np.inf:
+        raise InvalidArgument(f"C = {C} must be "
+                              f"{'finite' if C > 1.0 else '>= 1'}")
     t, e, k0 = _validate(times, values)
     psi = np.log((C + t) / C)
     if not np.isfinite(psi).all():

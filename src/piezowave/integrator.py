@@ -13,10 +13,10 @@ discrete quadratic energy to roundoff.  Sources are taken at the step's
 start ("semi-implicit", first order in dt) or iterated to the midpoint
 ("implicit-midpoint", second order, typically in 2 solves).  The damping
 root has a closed form for m in CLOSED_FORMS, else one whole-array Newton
-solve; with m1 = m2 = 1 the damping is folded into the conservative maps.
-An exponent becomes a formula once: `_twice_root` builds the damping map,
-`Stepper._build` the step and its source power (`row_power`), `simulate`
-the norm powers of its ledger and records; no step or block tests one.
+solve; a row with m = 1 takes its half-steps as a factor in the conservative
+maps.  An exponent becomes a formula once: `_twice_root` builds the damping
+map, `Stepper._build` the step, its maps and its source power (`row_power`),
+`simulate` the norm powers of its ledger and records; no step tests one.
 A step takes one member, (4, nx), or a batch, (B, 4, nx), each member
 advancing as it would alone, and `simulate` checks the steps in blocks.
 """
@@ -49,7 +49,7 @@ NEWTON_MAX_ITER = 60
 MAX_STEPS = 10**9
 
 # The damping exponents m whose root `_twice_root` takes in closed form
-CLOSED_FORMS = frozenset({1.0, 2.0, 3.0})
+CLOSED_FORMS = frozenset({2.0, 3.0})
 
 # Most steps, and bytes of their states, between blow-up checks in simulate
 BLOCK_STEPS = 32
@@ -84,21 +84,16 @@ def _twice_root(m, a):
     broadcasts with r: the one place where a damping exponent picks a
     formula, whose constants are computed here, once.
 
-    An m outside CLOSED_FORMS takes `_damping_newton`, NaN where it does
-    not converge.  m = 1 is z = r/(1 + a).  m = 2 is 2z = r/d, d = 1/4 +
-    sqrt(1/16 + (a/4)|r|), bit for bit twice z = r/(1/2 + sqrt(1/4 + a|r|))
-    unless a|r| = inf or a/4 or z is subnormal.  m = 3 is the hyperbolic
-    form of the cubic's one real root (Nickalls 1993), free of Cardano's
-    cancellation at small a.  Where a = 0, each finite r comes back doubled."""
+    An m outside CLOSED_FORMS, m = 1 too (a step folds it into its maps),
+    takes `_damping_newton`, NaN where it does not converge.  m = 2 is 2z =
+    r/d, d = 1/4 + sqrt(1/16 + (a/4)|r|), bit for bit twice z = r/(1/2 +
+    sqrt(1/4 + a|r|)) unless a|r| = inf or a/4 or z is subnormal.  m = 3 is
+    the hyperbolic form of the cubic's one real root (Nickalls 1993), free
+    of Cardano's cancellation at small a.  Where a = 0, each finite r comes
+    back doubled."""
     if m not in CLOSED_FORMS:
         def twice_root(r):
             z = _damping_newton(r, a, m)
-            return np.add(z, z, out=z)
-    elif m == 1.0:
-        c = 1.0 + a
-
-        def twice_root(r):
-            z = r / c
             return np.add(z, z, out=z)
     elif m == 2.0:
         a4 = 0.25 * a
@@ -216,8 +211,9 @@ def midpoint_bands(grid: Grid1D, params: MaterialParams, cfg: StepConfig):
 
 
 class Stepper:
-    """Caches solver, maps and damping coefficients for (grid, params, dt),
-    and the step `_build` made for the last Exponents object it took."""
+    """Caches solver, eigenbasis and damping coefficients for (grid, params,
+    dt), and the step, with its maps, that `_build` made for the last
+    Exponents object it took."""
 
     def __init__(self, grid: Grid1D, params: MaterialParams, cfg: StepConfig):
         self.grid, self.params, self.cfg = grid, params, cfg
@@ -231,7 +227,7 @@ class Stepper:
         self._solve = self._factorize(mass)
 
     def _factorize(self, mass):
-        """Build the maps into and out of w = V^-1 u, and return the solver
+        """Keep V, V^-1 and the source map into w = V^-1 u; return the solver
         of (I - (dt^2/4) Lambda D2) w = rhs, rhs (2, nx) or (B, 2, nx), as
         the SPD system of its mirror row at x = L halved, rhs[-1] too; D2
         reads no clamped node, so w[0] = rhs[0] and no other row reads it."""
@@ -241,20 +237,10 @@ class Stepper:
         # the k = 1, 2 systems end to end, joined by a zero off-diagonal
         solve = tridiagonal_solver(main.ravel(), np.append(
             up, [[0.0], [0.0]], axis=1).ravel()[:-1])
-        dt, v_inv = self.cfg.dt, q.T / d
-        self._v = d[:, None] * q
+        dt, n, nx = self.cfg.dt, mid.size, self.grid.nx
+        self._v, self._v_inv = d[:, None] * q, q.T / d
         # f -> V^-1 (dt^2/4) (f1/rho, f2/mu)
-        self._into_f = v_inv * ((dt * dt / 4.0) / mass).T
-        # (into, start, out, flip) for k = 1 and k = kappa (1 where a = 0):
-        # y -> V^-1 z and y -> z, z = x + (dt/2) k x_t the predicted midpoint;
-        # D = xm - x -> (2D, (4/dt) k D), plus y (1, 1, -k^2) for the new state
-        a, n, nx = self._damp_coef[:, :1], mid.size, self.grid.nx
-        self._plain, self._linear = (
-            (np.hstack([v_inv, (0.5 * dt) * v_inv * k.T]),
-             np.hstack([np.eye(2), np.diag((0.5 * dt) * k[:, 0])]),
-             np.concatenate([2.0 * np.eye(2), (4.0 / dt) * np.diag(k[:, 0])]),
-             np.concatenate([np.ones((2, 1)), -(k * k)]).repeat(nx, 1))
-            for k in (np.ones((2, 1)), (1.0 - a) / (1.0 + a)))
+        self._into_f = self._v_inv * ((dt * dt / 4.0) / mass).T
 
         def batch_solve(rhs):
             """The solution w of rhs, (2, nx) or (B, 2, nx), which the solve
@@ -302,17 +288,18 @@ class Stepper:
             failed.setdefault(row, "source_iteration")
         return out
 
-    def _damp(self, exps: Exponents):
-        """The damping half-step for exps, (y, failed) -> y with velocities
-        y -> 2z - y, z + (h/2)c|z|^(m-1)z = y, the midpoint update of
-        y' = -c|y|^(m-1)y over h = dt/2, in place: one `_twice_root` map of
-        both velocity rows if m1 = m2, else one map per row.  A NaN root of
-        a finite velocity, only Newton's (m not in CLOSED_FORMS), fails."""
-        m1, m2, a = exps.m1, exps.m2, self._damp_coef
-        maps = [(slice(2, 4), _twice_root(m1, a))] if m1 == m2 else [
+    def _damp(self, ms: dict):
+        """The damping half-step of the velocity rows ms names, {row: m},
+        (y, failed) -> y with those velocities y -> 2z - y, z +
+        (h/2)c|z|^(m-1)z = y, the midpoint update of y' = -c|y|^(m-1)y over
+        h = dt/2, in place: one `_twice_root` map of both velocity rows if
+        they are named with one m, else one map per row.  A NaN root of a
+        finite velocity, only Newton's (m not in CLOSED_FORMS), fails."""
+        a, joint = self._damp_coef, len(ms) == 2 and ms[0] == ms[1]
+        maps = [(slice(2, 4), _twice_root(ms[0], a))] if joint else [
             (slice(2 + i, 3 + i), _twice_root(m, a[i:i + 1]))
-            for i, m in enumerate((m1, m2))]
-        newton = not {m1, m2} <= CLOSED_FORMS
+            for i, m in ms.items()]
+        newton = not set(ms.values()) <= CLOSED_FORMS
 
         def half(y, failed):
             for rows, twice_root in maps:
@@ -340,11 +327,21 @@ class Stepper:
 
     def _build(self, exps: Exponents):
         """The step for exps, a function of (y, failed) to a new stacked array
-        whose path is fixed here, once: the conservative substep, between
-        damping half-steps unless these are off or in `_linear`."""
-        cfg, folded = self.cfg, exps.m1 == exps.m2 == 1.0
-        into, start, out, flip = self._linear if cfg.damping_on and folded \
-            else self._plain
+        whose path and maps are fixed here, once: the conservative substep,
+        between damping half-steps of the rows with m != 1 if damping is on
+        and there is one.  A damped row with m = 1 takes its half-steps
+        x_t -> kappa x_t, kappa = (1 - a)/(1 + a), as k = kappa in the maps;
+        every other row has k = 1."""
+        cfg, dt, nx = self.cfg, self.cfg.dt, self.grid.nx
+        ms, a, v_inv = (exps.m1, exps.m2), self._damp_coef[:, :1], self._v_inv
+        linear = [cfg.damping_on and m == 1.0 for m in ms]
+        k = np.where(np.c_[linear], (1.0 - a) / (1.0 + a), 1.0)
+        # y -> V^-1 z and y -> z, z = x + (dt/2) k x_t the predicted midpoint;
+        # D = xm - x -> (2D, (4/dt) k D), plus y (1, 1, -k^2) for the new state
+        into = np.hstack([v_inv, (0.5 * dt) * v_inv * k.T])
+        start = np.hstack([np.eye(2), np.diag((0.5 * dt) * k[:, 0])])
+        out = np.concatenate([2.0 * np.eye(2), (4.0 / dt) * np.diag(k[:, 0])])
+        flip = np.concatenate([np.ones((2, 1)), -(k * k)]).repeat(nx, 1)
         into_f, power = self._into_f, row_power(exps.n1 - 1.0, exps.n2 - 1.0)
 
         def source(x):        # x -> V^-1 (dt^2/4) (f1/rho, f2/mu)
@@ -366,9 +363,9 @@ class Stepper:
             new = out @ (midpoint(y, failed) - y[..., :2, :])
             new += y * flip
             return new
-        if folded or not cfg.damping_on:
+        if not cfg.damping_on or all(linear):
             return conservative
-        half = self._damp(exps)
+        half = self._damp({i: m for i, m in enumerate(ms) if not linear[i]})
         return lambda y, failed: half(conservative(half(y.copy(), failed),
                                                    failed), failed)
 

@@ -344,46 +344,49 @@ def test_damping_solves_per_half_step(exponents, per_half_step, ref_params,
 
 def test_mixed_linear_row_takes_no_newton(ref_params, ref_grid, rng,
                                           monkeypatch):
-    """A mixed m = (1, 3) step takes its m = 1 row's 2z as z + z, z =
-    r/(1 + a), bit for bit, with no `_damping_newton` call, and that z
-    equals Newton's root to NEWTON_TOL relative, on the step's own
-    velocities and on extreme entries."""
-    newton, build, rows = _damping_newton, _twice_root, []
+    """Mixed m = (1, 3) and (3, 1) steps map only the m = 3 row, one
+    `_twice_root` call per half-step, and call no `_damping_newton`: the
+    m = 1 row's half-step is kappa r, kappa = (1 - a)/(1 + a), in the maps.
+    That kappa r equals 2z - r, z Newton's root of z + a z = r, to
+    NEWTON_TOL relative, on the velocities of the steps' states and on
+    extreme entries."""
+    newton, build, calls = _damping_newton, _twice_root, []
 
     def recorded(m, a):
         twice_root = build(m, a)
 
         def call(r):
-            out = twice_root(r)
-            if m == 1.0:
-                rows.append((r.copy(), a, out))
-            return out
+            calls.append((m, r.shape))
+            return twice_root(r)
         return call
 
     def forbidden(*args):
         raise AssertionError("_damping_newton called")
     monkeypatch.setattr(pw.integrator, "_twice_root", recorded)
     monkeypatch.setattr(pw.integrator, "_damping_newton", forbidden)
-    exps = pw.validate_exponents(1, 3, 2, 3)
     stepper = pw.Stepper(ref_grid, ref_params, pw.StepConfig(dt=1e-3))
-    state = pw.State.stacked(np.array([
-        pw.state_from_modes(ref_grid, [a], [0.5 * a], [0.1], [-a]).y
-        for a in (0.2, 1.0, 5.0)]))
-    for _ in range(5):
-        state = stepper.step(state, exps)
-    assert len(rows) == 5 * 2
+    rows = []             # (r, a) of the m = 1 row
+    for linear, exponents in [(0, (1, 3, 2, 3)), (1, (3, 1, 3, 2))]:
+        exps = pw.validate_exponents(*exponents)
+        state = pw.State.stacked(np.array([
+            pw.state_from_modes(ref_grid, [a], [0.5 * a], [0.1], [-a]).y
+            for a in (0.2, 1.0, 5.0)]))
+        for _ in range(5):
+            rows.append((state.y[:, 2 + linear],
+                         stepper._damp_coef[linear, 0]))
+            state = stepper.step(state, exps)
+        rows.append((state.y[:, 2 + linear], stepper._damp_coef[linear, 0]))
+    assert calls == 2 * 5 * 2 * [(3.0, (3, 1, ref_grid.nx))]
     extreme = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
                                1e300, -1e-300], rng.standard_normal(50)])
-    rows.append((extreme, 2.5e-4, build(1.0, 2.5e-4)(extreme)))
+    rows.append((extreme, 2.5e-4))
     with np.errstate(**QUIET):
-        for r, a, out in rows:
-            z = r / (1.0 + a)
-            assert np.array_equal(out, z + z, equal_nan=True)
-            root, out = newton(r, a, 1.0), 0.5 * out
-            finite = np.isfinite(out)
-            assert np.array_equal(root[~finite], out[~finite], equal_nan=True)
-            assert np.all(np.abs(root - out)[finite]
-                          <= NEWTON_TOL * np.abs(out[finite]))
+        for r, a in rows:
+            folded, z = (1.0 - a) / (1.0 + a) * r, newton(r, a, 1.0)
+            finite = np.isfinite(r)
+            assert np.array_equal(z[~finite], r[~finite], equal_nan=True)
+            assert np.all(np.abs(folded - (2.0 * z - r))[finite]
+                          <= NEWTON_TOL * np.abs(folded[finite]))
 
 
 @pytest.mark.parametrize("material, dt, shape", [
@@ -422,8 +425,7 @@ def test_decoupled_solve_matches_assembled_lu(material, dt, shape, ref_grid,
         residual = r.astype(np.longdouble) - t_long @ x.astype(np.longdouble)
         expected.append(x + lu.solve(residual.astype(float)))
     expected = np.array(expected).reshape(rhs.shape)
-    # V^-1 is the first 2x2 block of the map V^-1 [I, (dt/2) I]
-    got = stepper._v @ stepper._solve(stepper._plain[0][:, :2] @ rhs)
+    got = stepper._v @ stepper._solve(stepper._v_inv @ rhs)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
@@ -485,11 +487,12 @@ class _FourArrayStep:
     solves in the eigen coordinates w = V^-1 u, from base_w = V^-1 [I,
     (dt/2) I] y and the source through V^-1 diag(dt^2/4 (1/rho, 1/mu)),
     and builds the new state from D = V w - x as
-    (x + 2D, (4/dt) D - xt).  With m1 = m2 = 1 and damping on, the two
-    damping half-steps, each xt -> kappa xt with kappa = (1 - a)/(1 + a),
-    are folded into that substep: base_w takes kappa xt, the predicted
-    midpoint x + ((dt/2) kappa) xt, and the new state ((4/dt) kappa) D -
-    kappa^2 xt.  With predicted=False, implicit-midpoint starts from the
+    (x + 2D, (4/dt) D - xt).  With damping on, each velocity row with
+    m = 1 has its two damping half-steps, each xt -> kappa xt with
+    kappa = (1 - a)/(1 + a), folded into that substep: base_w takes kappa
+    xt, the predicted midpoint x + ((dt/2) kappa) xt, and the new state
+    ((4/dt) kappa) D - kappa^2 xt; only the other rows take half-steps.
+    With predicted=False, implicit-midpoint starts from the
     source at the step start instead of at the predicted midpoint.  With
     legacy=True it takes the arithmetic the Stepper had before: the
     right-hand side x + (dt/2) xt + (dt^2/4) f / (rho, mu) through V^-1,
@@ -568,29 +571,33 @@ class _FourArrayStep:
                 ((4.0 / dt) * k1) * dv - (k1 * k1) * vt,
                 ((4.0 / dt) * k2) * dp - (k2 * k2) * pt)
 
+    def folded(self, m):
+        """Whether a velocity row with exponent m takes its half-steps as
+        kappa in the conservative substep."""
+        return m == 1.0 and not self.legacy
+
     def damp(self, v, p, vt, pt, exps):
         a = 0.25 * self.cfg.dt
-        twice_zv = _twice_root(exps.m1, a * (1.0 / self.params.rho))(vt)
-        twice_zp = _twice_root(exps.m2, a * (1.0 / self.params.mu))(pt)
-        return v, p, twice_zv - vt, twice_zp - pt
+        vel = [x if self.folded(m) else _twice_root(m, a * (1.0 / c))(x) - x
+               for x, m, c in ((vt, exps.m1, self.params.rho),
+                               (pt, exps.m2, self.params.mu))]
+        return v, p, *vel
 
     def step(self, fields, exps):
-        if self.cfg.damping_on and exps.m1 == exps.m2 == 1.0 \
-                and not self.legacy:
-            return self.conservative(*fields, exps, self.kappa)
-        if self.cfg.damping_on:
-            fields = self.damp(*fields, exps)
-        fields = self.conservative(*fields, exps)
-        if self.cfg.damping_on:
-            fields = self.damp(*fields, exps)
-        return fields
+        if not self.cfg.damping_on:
+            return self.conservative(*fields, exps)
+        kappa = [k if self.folded(m) else 1.0
+                 for k, m in zip(self.kappa, (exps.m1, exps.m2))]
+        fields = self.conservative(*self.damp(*fields, exps), exps, kappa)
+        return self.damp(*fields, exps)
 
 
 MATERIALS = [(1.0, 2.0, 1.0, 1.0, 1.0), (2.3, 5.0, 0.7, 1.9, 0.4)]
 STEP_EXPONENTS = dict(
-    argnames="exponents", ids=["m1", "m2", "m3", "m4-newton", "mixed"],
+    argnames="exponents",
+    ids=["m1", "m2", "m3", "m4-newton", "mixed", "mixed-p-linear"],
     argvalues=[(1, 1, 2, 2), (2, 2, 3, 3), (3, 3, 3, 3), (4, 4, 3, 3),
-               (1, 3, 2, 3)])
+               (1, 3, 2, 3), (3, 1, 3, 2)])
 
 
 @pytest.mark.parametrize("material", MATERIALS,
@@ -758,7 +765,7 @@ def test_linear_damping_takes_no_damping_solve(ref_params, ref_grid,
                                               monkeypatch):
     """With m1 = m2 = 1 the damping half-steps are folded into the maps of
     the conservative substep, so a damped step makes no damping solve;
-    with m = (1, 3) each row still takes its own."""
+    with m = (1, 3) the m = 3 row still takes its own."""
     def refuse(*args):
         raise AssertionError("damping solve called")
     monkeypatch.setattr(pw.integrator, "_twice_root", refuse)
@@ -827,10 +834,11 @@ def test_step_leaves_its_input_alone(scheme, exponents, damping_on,
 
 
 # exponents that take each damping path of a step: m = 1 folded into the
-# maps, the joint closed forms m = 2 and m = 3, the joint Newton solve and
-# the per-row solves without and with Newton
+# maps on both rows, the joint closed forms m = 2 and m = 3, the joint
+# Newton solve, m = 1 folded on the v row or on the p row with the other
+# row's closed form, and the per-row Newton solves
 PATH_EXPONENTS = [(1, 1, 2, 2), (2, 2, 3, 3), (3, 3, 3, 3), (2.5, 2.5, 3, 3),
-                  (1, 3, 2, 3), (2.5, 4, 3, 2)]
+                  (1, 3, 2, 3), (3, 1, 3, 2), (2.5, 4, 3, 2)]
 
 
 @pytest.mark.parametrize("members", [1, 2], ids=["one", "batch2"])
@@ -888,7 +896,7 @@ def test_doubled_quadratic_half_step_is_twice_the_root(rng):
     stepper = pw.Stepper(grid, pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0),
                          pw.StepConfig(dt=1e-3))
     stepper._damp_coef = a.reshape(2, -1)
-    half = stepper._damp(pw.validate_exponents(2, 2, 3, 3))
+    half = stepper._damp({0: 2.0, 1: 2.0})
     r = np.ldexp(rng.uniform(0.5, 1.0, 4000), rng.integers(-1074, 997, 4000))
     r = np.concatenate([r, -r, [0.0, -0.0, 5e-324, -2.2250738585072014e-308,
                                 1e300, -1e300, np.inf, -np.inf, np.nan]])

@@ -196,6 +196,7 @@ def _load_sweep(extra):
     lambda: build_run(replace(RunConfig(), t_end=1e300)),
     lambda: build_run(replace(RunConfig(), seed=1.5)),
     lambda: build_run(replace(RunConfig(), fit_C=0.5)),
+    lambda: build_run(replace(RunConfig(), fit_C=float("inf"))),
     lambda: build_run(replace(RunConfig(), fit_model="bogus")),
     lambda: _load_sweep("\n[sweep]\nmax_parallel = 0\n"
                         "[sweep.axes]\ninitial.v0 = 0.05\n"),
@@ -208,7 +209,7 @@ def _load_sweep(extra):
         "embedding-seed", "well-report-seed", "lp-q-nan",
         "embedding-restarts-fraction", "embedding-seed-fraction",
         "build-run-t-end", "build-run-seed-fraction", "build-run-fit-C",
-        "build-run-fit-model", "sweep-max-parallel"])
+        "build-run-fit-C-inf", "build-run-fit-model", "sweep-max-parallel"])
 def test_invalid_argument_is_typed(call):
     """Each site raises a PiezowaveError that is still the ValueError it
     was before (InvalidArgument)."""
@@ -382,12 +383,13 @@ OUT_OF_RANGE = [("grid.nx", "41", "2", "nx = 2"),
                 ("run.t_end", "0.02", "-1", "-1"),
                 ("run.record_every", "5", "0", "record_every = 0"),
                 ("fit.C", "2", "0.5", "C = 0.5"),
+                ("fit.C", "2", "inf", "C = inf"),
                 ("fit.model", "exp", "bogus", "'bogus'")]
 
 
 def test_invalid_sweep_member_is_an_error_row(tmp_path):
     for axis, good_value, bad_value, named in OUT_OF_RANGE:
-        work = tmp_path / axis
+        work = tmp_path / f"{axis}-{bad_value}"
         work.mkdir()
         cfg = _write(work, extra=f"\n[sweep.axes]\n{axis} = {good_value}, "
                                  f"{bad_value}\n")
@@ -402,7 +404,11 @@ def test_invalid_sweep_member_is_an_error_row(tmp_path):
 @pytest.mark.parametrize("axis, value, named",
                          [(axis, bad, named)
                           for axis, _, bad, named in OUT_OF_RANGE],
-                         ids=[axis for axis, *_ in OUT_OF_RANGE])
+                         # an axis's second bad value is named by it too
+                         ids=[f"{axis}-{bad}" if axis in [
+                             a for a, *_ in OUT_OF_RANGE[:i]] else axis
+                             for i, (axis, _, bad, _) in
+                             enumerate(OUT_OF_RANGE)])
 def test_out_of_range_value_fails_its_run(tmp_path, capsys, axis, value,
                                           named):
     """The same value in a run config ends `simulate` with one `error:`

@@ -30,8 +30,10 @@ Cases, on nx = 201, dt = 1e-3 and the reference material:
   * `step-m1-3`, `step-m3` and `step-m2`: `simulate` per step with
     exponents (1, 3, 2, 3), (3, 3, 3, 3) or (2, 2, 3, 3), v0 = 0.2,
     p0 = 0.12, at rest, semi-implicit, 300 steps, record_every = 200, in
-    us: a mixed damping step, a one-member step like the `decay-m3`
-    workload's, and one of the `ensemble-m2` workload's shape;
+    us: a mixed damping step, whose m = 1 half-step is folded into the
+    maps on the v row and whose m = 3 closed form maps the p row alone, a
+    one-member step like the `decay-m3` workload's, and one of the
+    `ensemble-m2` workload's shape;
   * `step-m2-3`: the same with exponents (2, 3, 3, 3) on the asymmetric
     material (rho, alpha, beta, gamma, mu) = (2.3, 5, 0.7, 1.9, 0.4): a
     mixed damping step that takes the m = 2 and m = 3 closed forms row

@@ -7,7 +7,7 @@ number by number to a tolerance.
 Each revision's `src/` and `demos/` are exported with `git archive` into a
 temporary directory.  Both exports then run the same fixed cases:
 
-  * `simulate`, `classify` and `bounds` on eleven run configs: the README
+  * `simulate`, `classify` and `bounds` on twelve run configs: the README
     example (m = 2, n = 3, nx = 201, t_end = 10), the `BASE_CFG` of
     `tests/test_harness.py` (m = 1, n = 2, nx = 81), that config with
     NaN initial data, that config with v0 = 0, p0 = 1 and
@@ -20,7 +20,10 @@ temporary directory.  Both exports then run the same fixed cases:
     implicit-midpoint run with mixed exponents (m = (1, 3), n = (2, 3))
     on the asymmetric material (rho, alpha, beta, gamma, mu) =
     (2.3, 5, 0.7, 1.9, 0.4), which runs the source iteration, the
-    row-by-row damping and source branches and rho != mu, a
+    m = 1 half-step folded into the maps on the v row, the m = 3
+    closed form on the p row alone, the row-by-row source powers and
+    rho != mu, that run with m = (3, 1), n = (3, 2) and the
+    semi-implicit scheme, the one case whose folded linear row is p, a
     semi-implicit run with m = n = 3 on that material, which runs the
     joint m = 3 closed-form damping with rho != mu, that run with
     m = (2, 3), whose damping takes the m = 2 and the m = 3 closed forms
@@ -212,6 +215,13 @@ CUBIC_ASYMMETRIC_CFG = MIXED_CFG.replace("m1 = 1.0", "m1 = 3.0").replace(
 # m = 2 and m = 3 closed forms row by row
 QUADRATIC_CUBIC_CFG = CUBIC_ASYMMETRIC_CFG.replace("m1 = 3.0", "m1 = 2.0")
 
+# m = (3, 1), n = (3, 2), semi-implicit, on the asymmetric material: the
+# m = 1 half-step folded into the maps on the p row, the m = 3 closed form
+# on the v row alone
+P_LINEAR_CFG = MIXED_CFG.replace("m1 = 1.0", "m1 = 3.0").replace(
+    "m2 = 3.0", "m2 = 1.0").replace("n1 = 2.0", "n1 = 3.0").replace(
+    "n2 = 3.0", "n2 = 2.0").replace("implicit-midpoint", "semi-implicit")
+
 # m = (1, 1), n = (2, 2.5), implicit-midpoint, on the asymmetric material:
 # linear damping folded into the maps with a different factor per row
 LINEAR_ASYMMETRIC_CFG = MIXED_CFG.replace("m2 = 3.0", "m2 = 1.0").replace(
@@ -343,6 +353,7 @@ RUN_CONFIGS = {
     "build-error": HARNESS_CFG.format(v0="0.05").replace(
         "gamma = 1.0", "gamma = 1e200"),
     "mixed-midpoint": MIXED_CFG,
+    "p-linear-mixed": P_LINEAR_CFG,
     "cubic-asymmetric": CUBIC_ASYMMETRIC_CFG,
     "quadratic-cubic": QUADRATIC_CUBIC_CFG,
     "linear-asymmetric": LINEAR_ASYMMETRIC_CFG,
