@@ -18,9 +18,7 @@ exps = pw.validate_exponents(2, 2, 3, 3)
 report = pw.well_report(params, exps, grid)
 print("well report")
 for key, value in asdict(report).items():
-    if value is not None:
-        print(f"  {key:12s} = {value:.10g}" if isinstance(value, float)
-              else f"  {key:12s} = {value}")
+    print(f"  {key:12s} = {value:.10g}")
 
 print()
 print(f"{'amplitude':>9s}  {'E0':>10s}  {'S0':>10s}  "

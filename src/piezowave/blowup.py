@@ -90,8 +90,7 @@ def monitor(trajectory, exps: Exponents,
 def _threshold_pieces(state0: State, params: MaterialParams,
                       exps: Exponents, grid: Grid1D, poincare_c: float,
                       convention: str):
-    """Shared inputs of the threshold and the bound, which both need linear
-    damping: (Mfac, cfac, ||v0||^2, ||p0||^2, E0)."""
+    """(cfac, ||v0||^2, ||p0||^2, E0) for the threshold and the bound."""
     if not (exps.m1 == 1.0 and exps.m2 == 1.0):
         raise BoundInapplicable("threshold and bound require m1 = m2 = 1")
     if convention not in CONVENTIONS:
@@ -101,7 +100,7 @@ def _threshold_pieces(state0: State, params: MaterialParams,
     vsq = l2_norm_sq(state0.v, grid)
     psq = l2_norm_sq(state0.p, grid)
     e0 = total_energy(state0, params, exps, grid)
-    return params.M, cfac, vsq, psq, e0
+    return cfac, vsq, psq, e0
 
 
 @np.errstate(**QUIET)
@@ -110,15 +109,15 @@ def theorem210_threshold(state0: State, params: MaterialParams,
                          convention: str = "poincare-consistent") -> dict:
     """Initial-energy smallness condition of the concavity bound.
 
-    threshold = (c-2)/(2c) * (1/Mfac) * cfac * min{1/rho, 1/mu}
+    threshold = (c-2)/(2c) * (1/M) * cfac * min{1/rho, 1/mu}
                 * (||v0||^2 + ||p0||^2)
     with cfac the square of the Poincare constant ("paper-literal") or its
     reciprocal ("poincare-consistent", default).  Requires m1 = m2 = 1.
     """
-    mfac, cfac, vsq, psq, e0 = _threshold_pieces(state0, params, exps, grid,
-                                                 poincare_c, convention)
+    cfac, vsq, psq, e0 = _threshold_pieces(state0, params, exps, grid,
+                                           poincare_c, convention)
     c = exps.c_hat
-    rhs = ((c - 2.0) / (2.0 * c) / mfac * cfac
+    rhs = ((c - 2.0) / (2.0 * c) / params.M * cfac
            * min(1.0 / params.rho, 1.0 / params.mu) * (vsq + psq))
     return {"satisfied": bool(e0 <= rhs), "bound_value": rhs, "E0": e0,
             "convention": convention}
@@ -137,11 +136,11 @@ def tmax_upper_bound(state0: State, params: MaterialParams, exps: Exponents,
     difference that the 1e-6 margin of tau above tau_min leaves small, so
     the bound keeps about six fewer significant digits than kappa.
     """
-    mfac, cfac, vsq, psq, e0 = _threshold_pieces(state0, params, exps, grid,
-                                                 poincare_c, convention)
+    cfac, vsq, psq, e0 = _threshold_pieces(state0, params, exps, grid,
+                                           poincare_c, convention)
     c = exps.c_hat
     kappa = (1.0 / c) * (-2.0 * c * e0
-                         + (c - 2.0) / mfac * cfac
+                         + (c - 2.0) / params.M * cfac
                          * min(1.0 / params.rho, 1.0 / params.mu)
                          * (vsq + psq))
     # written so that a NaN kappa or denominator is inapplicable too

@@ -18,7 +18,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from numbers import Real
 
 import numpy as np
@@ -76,15 +76,15 @@ def _fit_summary(traj, cfg: RunConfig, exps) -> dict:
             "fit_rmse": fit.rmse}
 
 
-def _classified_well(wells: dict, params, exps, grid, state0):
-    """The well report of a run, with its initial data classified.  wells
-    keeps the reports so far by (material, exponents, grid), which fix a
-    report, and the run gets a copy that carries its classification."""
+def _classified_well(wells: dict, params, exps, grid, state0) -> dict:
+    """The well.json dict of a run: its well report, then its initial
+    data's classification.  wells keeps the reports so far by (material,
+    exponents, grid), which fix a report, and no classification."""
     key = (params, exps, grid)
     if key not in wells:
         wells[key] = well_report(params, exps, grid)
-    return replace(wells[key], classification=classify_initial(
-        state0, wells[key], params, exps, grid))
+    return {**asdict(wells[key]), "classification": classify_initial(
+        state0, wells[key], params, exps, grid)}
 
 
 def run_one(cfg: RunConfig, run, traj, wells: dict) -> dict:
@@ -92,11 +92,11 @@ def run_one(cfg: RunConfig, run, traj, wells: dict) -> dict:
     "well", "blowup" and "summary" JSON dicts.  run is `build_run(cfg)`,
     and wells keeps the well reports so far (see `_classified_well`)."""
     params, exps, grid, _, state0 = run
-    report = _classified_well(wells, params, exps, grid, state0)
+    well = _classified_well(wells, params, exps, grid, state0)
     breport = bl.blowup_report(traj, state0, params, exps, grid,
-                               report.poincare_c)
+                               well["poincare_c"])
     summary = {
-        "classification": report.classification,
+        "classification": well["classification"],
         "outcome": traj.outcome,
         "t_detect": traj.t_detect,
         "trigger": traj.trigger,
@@ -107,7 +107,7 @@ def run_one(cfg: RunConfig, run, traj, wells: dict) -> dict:
         "records": len(traj.records),
         **_fit_summary(traj, cfg, exps),
     }
-    return {"trajectory": traj, "well": asdict(report),
+    return {"trajectory": traj, "well": well,
             "blowup": asdict(breport), "summary": summary}
 
 
@@ -168,10 +168,10 @@ def cli_simulate(path: str) -> int:
 def cli_classify(path: str) -> int:
     cfg = load_run_config(path)
     params, exps, grid, _, state0 = build_run(cfg)
-    report = _classified_well({}, params, exps, grid, state0)
+    well = _classified_well({}, params, exps, grid, state0)
     os.makedirs(cfg.outdir, exist_ok=True)
-    write_json(asdict(report), os.path.join(cfg.outdir, "well.json"))
-    print(report.classification)
+    write_json(well, os.path.join(cfg.outdir, "well.json"))
+    print(well["classification"])
     return 0
 
 

@@ -9,14 +9,13 @@ from .errors import AssumptionViolated, NonPositiveAlpha1, NonPositiveParameter
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Constants of the coupled system.
+    """Constants of the coupled system; alpha1 and M are computed from them.
 
     rho:   mass density
     alpha: elastic stiffness
     beta:  impermeability coefficient
     gamma: piezoelectric coupling (any real)
     mu:    magnetic permeability
-    alpha1: reduced stiffness alpha - gamma^2 * beta, required positive
     """
 
     rho: float
@@ -24,7 +23,15 @@ class MaterialParams:
     beta: float
     gamma: float
     mu: float
-    alpha1: float
+
+    def __post_init__(self):
+        # alpha1 = alpha - gamma^2 beta, set once as an attribute and no
+        # field: the per-step norms read it, faster than a property call
+        try:
+            alpha1 = self.alpha - self.gamma ** 2 * self.beta
+        except OverflowError:           # gamma^2 beyond the float range
+            alpha1 = -math.inf
+        object.__setattr__(self, "alpha1", alpha1)
 
     @property
     def M(self) -> float:
@@ -35,17 +42,22 @@ class MaterialParams:
 
 @dataclass(frozen=True)
 class Exponents:
-    """Damping powers m1, m2 and source powers n1, n2.
-
-    c_hat = min(n1 + 1, n2 + 1) governs every sandwich constant.
-    """
+    """Damping powers m1, m2 and source powers n1, n2; the rest derives."""
 
     m1: float
     m2: float
     n1: float
     n2: float
-    c_hat: float
-    blowup_regime: bool
+
+    @property
+    def c_hat(self) -> float:
+        """c_hat = min(n1 + 1, n2 + 1) governs every sandwich constant."""
+        return min(self.n1 + 1.0, self.n2 + 1.0)
+
+    @property
+    def blowup_regime(self) -> bool:
+        """Sources stronger than damping: n_i > m_i with n_i, m_i < 5."""
+        return self.m1 < self.n1 < 5 and self.m2 < self.n2 < 5
 
 
 def make_params(rho, alpha, beta, gamma, mu) -> MaterialParams:
@@ -57,21 +69,16 @@ def make_params(rho, alpha, beta, gamma, mu) -> MaterialParams:
     for name in ("rho", "alpha", "beta", "mu"):
         if values[name] <= 0:
             raise NonPositiveParameter(f"{name} = {values[name]} must be > 0")
-    try:
-        alpha1 = alpha - gamma**2 * beta
-    except OverflowError:           # gamma^2 beyond the float range
-        alpha1 = -math.inf
-    if alpha1 <= 0:
+    params = MaterialParams(**values)
+    if params.alpha1 <= 0:
         raise NonPositiveAlpha1(
-            f"alpha - gamma^2*beta = {alpha1:.6g} must be > 0"
+            f"alpha - gamma^2*beta = {params.alpha1:.6g} must be > 0"
         )
-    return MaterialParams(rho=rho, alpha=alpha, beta=beta, gamma=gamma, mu=mu,
-                          alpha1=alpha1)
+    return params
 
 
 def validate_exponents(m1, m2, n1, n2) -> Exponents:
-    """Check every standing hypothesis on the powers and return Exponents;
-    blowup_regime says whether n_i > m_i with n_i < 5 and m_i < 5."""
+    """Check every standing hypothesis on the powers and return Exponents."""
     for i, m in ((1, m1), (2, m2)):
         if not m >= 1:
             raise AssumptionViolated(f"m{i} = {m} violates m{i} >= 1")
@@ -81,11 +88,5 @@ def validate_exponents(m1, m2, n1, n2) -> Exponents:
     for i, (m, n) in ((1, (m1, n1)), (2, (m2, n2))):
         q = n * (m + 1) / m
         if not q < 6:
-            raise AssumptionViolated(
-                f"n{i}(m{i}+1)/m{i} = {q:.6g} not < 6"
-            )
-    blowup_regime = (n1 > m1 and n2 > m2
-                     and n1 < 5 and n2 < 5 and m1 < 5 and m2 < 5)
-    c_hat = min(n1 + 1.0, n2 + 1.0)
-    return Exponents(m1=float(m1), m2=float(m2), n1=float(n1), n2=float(n2),
-                     c_hat=c_hat, blowup_regime=blowup_regime)
+            raise AssumptionViolated(f"n{i}(m{i}+1)/m{i} = {q:.6g} not < 6")
+    return Exponents(m1=float(m1), m2=float(m2), n1=float(n1), n2=float(n2))

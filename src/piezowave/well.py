@@ -7,7 +7,6 @@ plain bisection driven to relative 1e-15 is both robust and cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -196,6 +195,7 @@ def check_delta(delta: float, s_star: float, c_hat_const: float,
 
 @dataclass
 class WellReport:
+    """The well constants of a material, exponents and grid: no run's."""
     B1: float
     B2: float
     C_hat: float
@@ -204,7 +204,6 @@ class WellReport:
     y0: float
     M_threshold: float
     poincare_c: float
-    classification: Optional[str] = None
 
 
 def well_report(params: MaterialParams, exps: Exponents, grid: Grid1D,
@@ -225,7 +224,8 @@ def well_report(params: MaterialParams, exps: Exponents, grid: Grid1D,
 def classify_initial(state0: State, report: WellReport,
                      params: MaterialParams, exps: Exponents,
                      grid: Grid1D) -> str:
-    """Predict the fate of initial data from the scalar thresholds.
+    """Predict the fate of initial data from the scalar thresholds; the
+    blow-up classes need sources stronger than damping (exps.blowup_regime).
 
     global-predicted           stable side with energy under the barrier
     blowup-predicted           unstable side with 0 <= energy < M threshold
@@ -235,11 +235,11 @@ def classify_initial(state0: State, report: WellReport,
     """
     record = make_record(state0, params, exps, grid, 0.0, 0.0)
     e0 = record.Etot
-    if e0 < 0.0:
+    if exps.blowup_regime and e0 < 0.0:
         return "blowup-predicted-negative"
     side = record.well_side
     if side == "W1-side" and e0 < report.Lambda_star:
         return "global-predicted"
-    if side == "W2-side" and e0 < report.M_threshold:
+    if exps.blowup_regime and side == "W2-side" and e0 < report.M_threshold:
         return "blowup-predicted"
     return "indeterminate"

@@ -55,8 +55,7 @@ def test_functionals_match_direct_quadrature(ref_params, ref_grid, rng):
 def _raw_exponents(m, n):
     """Exponent record without the validation gate, for arithmetic checks
     at combinations outside the standing hypotheses."""
-    return pw.Exponents(m1=float(m), m2=float(m), n1=float(n), n2=float(n),
-                        c_hat=float(n) + 1.0, blowup_regime=n > m)
+    return pw.Exponents(m1=float(m), m2=float(m), n1=float(n), n2=float(n))
 
 
 def test_varpi_max_linear_damping(exps23):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -70,3 +71,21 @@ def test_blowup_mode_requires_source_dominance():
     assert not pw.validate_exponents(2, 2, 2, 2).blowup_regime   # n = m
     with pytest.raises(AssumptionViolated):
         pw.validate_exponents(5.0, 1, 5.5, 2)    # n1(m1+1)/m1 = 6.6
+
+
+def test_records_hold_only_the_given_values():
+    """c_hat, blowup_regime and alpha1 are computed, so a record built
+    directly, with no check, carries the same derived values."""
+    direct = pw.Exponents(1, 1, 2, 2)
+    checked = pw.validate_exponents(1, 1, 2, 2)
+    assert direct == checked
+    assert (direct.c_hat, direct.blowup_regime) == \
+        (checked.c_hat, checked.blowup_regime) == (3.0, True)
+    assert pw.MaterialParams(1, 2, 1, 1, 1).alpha1 == 1.0
+    names = {record: [f.name for f in dataclasses.fields(record)]
+             for record in (pw.Exponents, pw.MaterialParams, pw.WellReport)}
+    assert names[pw.Exponents] == ["m1", "m2", "n1", "n2"]
+    assert names[pw.MaterialParams] == ["rho", "alpha", "beta", "gamma", "mu"]
+    assert names[pw.WellReport] == ["B1", "B2", "C_hat", "s_star",
+                                    "Lambda_star", "y0", "M_threshold",
+                                    "poincare_c"]

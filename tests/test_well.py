@@ -463,6 +463,40 @@ def test_classify_negative_energy(report_n3):
         "blowup-predicted-negative"
 
 
+@pytest.mark.parametrize("m, n, v0", [(4, 3, 3.0), (3, 2, 6.0)])
+def test_classify_negative_energy_outside_blowup_regime(m, n, v0):
+    """With n <= m the sources are not stronger than the damping, and no
+    theorem predicts blow-up from negative energy."""
+    params = pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0)
+    grid = pw.Grid1D(1.0, 201)
+    exps = pw.validate_exponents(m, m, n, n)
+    st = pw.state_from_modes(grid, [v0], [0.9 * v0], [0.0], [0.0])
+    assert pw.total_energy(st, params, exps, grid) < 0.0
+    rep = pw.well_report(params, exps, grid)
+    assert pw.classify_initial(st, rep, params, exps, grid) == \
+        "indeterminate"
+
+
+def test_classify_unstable_side_outside_blowup_regime():
+    """A W2-side state with 0 <= E0 < M is blowup-predicted only in the
+    blow-up regime; the report is a stub with a large M threshold."""
+    params = pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0)
+    grid = pw.Grid1D(1.0, 101)
+    report = pw.WellReport(B1=1.0, B2=1.0, C_hat=1.0, s_star=1.0,
+                           Lambda_star=1.0, y0=0.5, M_threshold=1e6,
+                           poincare_c=1.0)
+    unit = pw.state_from_modes(grid, [1.0], [0.9], [0.0], [0.0])
+    q = pw.grid.quadratic_form(unit.v, unit.p, grid, params)
+    # the n = 3 sources: S < 0 <= J for a^2 in (Q/A, 2Q/A]
+    src = sum(pw.source_norms(unit, pw.validate_exponents(3, 3, 3, 3), grid))
+    st = _scaled(unit, math.sqrt(1.5 * q / src))
+    for m, fate in ((4, "indeterminate"), (2, "blowup-predicted")):
+        exps = pw.validate_exponents(m, m, 3, 3)
+        assert 0.0 <= pw.total_energy(st, params, exps, grid) < 1e6
+        assert pw.sign_functional(st, params, exps, grid) < 0.0
+        assert pw.classify_initial(st, report, params, exps, grid) == fate
+
+
 def test_classify_unstable_side_below_threshold(report_n3):
     """Scale a fixed mode to land in S < 0 with 0 <= E0 < M."""
     params, grid, exps, rep = report_n3

@@ -74,17 +74,38 @@ Cases, on nx = 201, dt = 1e-3 and the reference material:
 
 BLAS runs on one thread, as in perfbench (the thread count changes the
 cost of numpy's small operations).  Each round times every case on both
-sides, the side that goes first alternating; the table gives each side's
-median over rounds, the ratio change / parent, and `max_rel_diff`, the
-largest difference of the two sides' solve results, norms, final states
-or well reports relative to their largest entry, so a change that moves
-results only at roundoff shows as such.  Prints one JSON object.
+sides, the side that goes first alternating, and keeps the round's paired
+ratio change / parent.  Per case, the table gives:
+
+  * `parent_us`, `change_us`: each side's median over rounds, and
+    `parent_q_us`, `change_q_us`: its first and third quartiles;
+  * `ratio`: the ratio of the two medians, as in earlier tables;
+  * `paired_ratio`: the median of the paired ratios, and `ci95`: a
+    distribution-free interval for it of at least 95% coverage, the
+    order statistics of ranks k and n + 1 - k of the n paired ratios,
+    with k the largest rank whose sign-test tail P(Binomial(n, 1/2) < k)
+    is at most 2.5% (ranks 6 and 15 at 20 rounds; null under 6 rounds);
+  * `won`: the rounds in which the change took less time than the
+    parent, ties counting for neither;
+  * `verdict`: "faster" when the whole interval lies below 1, "slower"
+    when it lies above 1, and "no change" otherwise, decided by the
+    interval alone;
+  * `max_rel_diff`: the largest difference of the two sides' solve
+    results, norms, final states or well reports relative to their
+    largest entry, so a change that moves results only at roundoff shows
+    as such.
+
+The same tree on both sides (`... src src`) gives the host's floor.  With
+20 cases at 95% each, about one case per run reads a verdict by chance,
+and the interval does not cover what differs between two imports of one
+tree, so a claimed verdict must repeat across runs and be absent from a
+same-tree run.  Prints one JSON object.
 """
 import inspect
 import itertools
 import json
+import math
 import os
-import statistics
 import sys
 import time
 
@@ -281,6 +302,37 @@ def ensemble_case(pw):
     return run
 
 
+def interval_rank(n):
+    """The rank k of the sign-test interval [x_(k), x_(n+1-k)] of n
+    sorted samples, the largest with P(Binomial(n, 1/2) < k) <= 2.5%;
+    0 when no k qualifies (n < 6)."""
+    k, tail = 0, 0.0
+    while tail + math.comb(n, k) / 2 ** n <= 0.025:
+        tail += math.comb(n, k) / 2 ** n
+        k += 1
+    return k
+
+
+def summary(parent, change):
+    """The table row of one case's per-round times on the two sides."""
+    ratios = sorted(c / p for p, c in zip(parent, change))
+    k = interval_rank(len(ratios))
+    ci = [ratios[k - 1], ratios[-k]] if k else None
+    verdict = ("no change" if ci is None or ci[0] <= 1.0 <= ci[1]
+               else "faster" if ci[1] < 1.0 else "slower")
+    q = {side: np.percentile(times, [25, 50, 75])
+         for side, times in (("parent", parent), ("change", change))}
+    return {"parent_us": round(q["parent"][1], 2),
+            "parent_q_us": [round(x, 2) for x in q["parent"][::2]],
+            "change_us": round(q["change"][1], 2),
+            "change_q_us": [round(x, 2) for x in q["change"][::2]],
+            "ratio": round(q["change"][1] / q["parent"][1], 3),
+            "paired_ratio": round(float(np.median(ratios)), 3),
+            "ci95": ci and [round(x, 4) for x in ci],
+            "won": sum(c < p for p, c in zip(parent, change)),
+            "verdict": verdict}
+
+
 cases = {side: {**{f"solve-B{b}": solve_case(pw, b) for b in BATCHES},
                 **{f"norms-B{b}": norms_case(pw, b) for b in (1, 8)},
                 "norms-m2-B1": norms_case(pw, 1, (2.0, 2.0, 3.0, 3.0)),
@@ -316,11 +368,11 @@ for k in range(ROUNDS):
             times[side][name].append(cases[side][name]()[0])
 table = {}
 for name in cases["parent"]:
-    med = {side: statistics.median(times[side][name]) for side in SIDES}
     a, b = results["parent", name], results["change", name]
-    table[name] = {"parent_us": round(med["parent"], 2),
-                   "change_us": round(med["change"], 2),
-                   "ratio": round(med["change"] / med["parent"], 3),
+    table[name] = {**summary(times["parent"][name], times["change"][name]),
                    "max_rel_diff": float(np.abs(a - b).max()
                                          / np.abs(a).max())}
-print(json.dumps({"rounds": ROUNDS, "table": table}, indent=1))
+k = interval_rank(ROUNDS)
+print(json.dumps({"rounds": ROUNDS,
+                  "ci95_ranks": [k, ROUNDS + 1 - k] if k else None,
+                  "table": table}, indent=1))

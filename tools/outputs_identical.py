@@ -7,7 +7,7 @@ number by number to a tolerance.
 Each revision's `src/` and `demos/` are exported with `git archive` into a
 temporary directory.  Both exports then run the same fixed cases:
 
-  * `simulate`, `classify` and `bounds` on twelve run configs: the README
+  * `simulate`, `classify` and `bounds` on thirteen run configs: the README
     example (m = 2, n = 3, nx = 201, t_end = 10), the `BASE_CFG` of
     `tests/test_harness.py` (m = 1, n = 2, nx = 81), that config with
     NaN initial data, that config with v0 = 0, p0 = 1 and
@@ -32,7 +32,10 @@ temporary directory.  Both exports then run the same fixed cases:
     the one case whose linear damping, folded into the conservative
     substep, scales the two velocity rows by different factors, and the
     mixed-exponent implicit-midpoint run with m = (2.5, 4), whose Newton
-    damping roots, row by row, reach the bytes of its `energy.csv`;
+    damping roots, row by row, reach the bytes of its `energy.csv`, and
+    the `BASE_CFG` harness config with m = (4, 4), n = (3, 3), nx = 41,
+    v0 = 3, p0 = 2.7 and t_end = 0.1, the one case that classifies
+    negative initial energy (E0 = -6.97) outside the blow-up regime;
   * `fit --model exp|poly|log` on each `energy.csv` that `simulate` wrote;
   * `sweep` on the AC-9 sweep config of `tests/test_acceptance.py`; on
     the `BASE_CFG` harness config with `[fit] model = exp` and the axis
@@ -337,6 +340,15 @@ C_HAT_OVERFLOW_CFG = (
 NEWTON_MIXED_CFG = MIXED_CFG.replace("m1 = 1.0", "m1 = 2.5").replace(
     "m2 = 3.0", "m2 = 4.0")
 
+# m = (4, 4), n = (3, 3): negative initial energy with sources no stronger
+# than the damping, outside the blow-up regime
+NEGATIVE_OUTSIDE_REGIME_CFG = (
+    HARNESS_CFG.format(v0="3.0")
+    .replace("p0 = 0.03", "p0 = 2.7")
+    .replace("m1 = 1.0", "m1 = 4.0").replace("m2 = 1.0", "m2 = 4.0")
+    .replace("n1 = 2.0", "n1 = 3.0").replace("n2 = 2.0", "n2 = 3.0")
+    .replace("nx = 81", "nx = 41").replace("t_end = 0.5", "t_end = 0.1"))
+
 C_HAT_OVERFLOW_SWEEP_CFG = C_HAT_OVERFLOW_CFG.replace(
     "alpha = 1e-200", "alpha = 2.0") + """
 [sweep.axes]
@@ -359,6 +371,7 @@ RUN_CONFIGS = {
     "linear-asymmetric": LINEAR_ASYMMETRIC_CFG,
     "newton-mixed": NEWTON_MIXED_CFG,
     "c-hat-overflow": C_HAT_OVERFLOW_CFG,
+    "negative-outside-regime": NEGATIVE_OUTSIDE_REGIME_CFG,
 }
 DEMOS = ("decay_and_fit.py", "well_classification.py", "blowup_bound.py")
 CLI = ("import sys; from piezowave.cli import main; "
