@@ -26,7 +26,7 @@ print(f"kappa = {kappa:.6g}, tau = {tau:.6g}, t_max bound = {bound:.6g}")
 traj = pw.simulate(st0, params, exps, grid,
                    pw.StepConfig(dt=1e-3, blowup_cutoff=1e6),
                    t_end=20.0, record_every=10)
-report = pw.blowup_report(traj, st0, params, exps, grid, poincare_c=pc)
+report = pw.blowup_report(traj, st0, params, exps, grid)
 print(f"outcome: {traj.outcome} at t = {traj.t_detect:.4f} "
       f"(trigger: {traj.trigger})")
 print(f"G = -E monotone along the run: {report.G_monotone_ok}")

@@ -1,15 +1,15 @@
 """Numerical laboratory for a magnetically coupled piezoelectric beam
 system with nonlinear damping and polynomial source terms."""
 
-from .blowup import (BlowupReport, Nprime_of, blowup_report, monitor,
+from .blowup import (BlowupReport, blowup_report, monitor,
                      theorem210_threshold, tmax_upper_bound, varpi_range)
 from .config import (RunConfig, SweepConfig, expand_sweep, load_run_config,
                      load_sweep_config)
 from .decay import (DecayFit, eta_from_exponents, fit_exponential,
                     fit_logarithmic, fit_polynomial, select_model)
-from .diagnostics import (CSV_FIELDS, EnergyRecord, damping_norms,
-                          make_record, sign_functional, source_norms,
-                          total_energy)
+from .diagnostics import (CSV_FIELDS, EnergyRecord, Nprime_of,
+                          damping_norms, make_record, sign_functional,
+                          source_norms, total_energy)
 from .errors import (AssumptionViolated, BoundInapplicable, ConfigParse,
                      DeltaOutOfRange, InvalidArgument, NoConvergence,
                      NonPositiveAlpha1, NonPositiveParameter,

@@ -14,10 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import QUIET, Nprime_of, total_energy
+from .diagnostics import QUIET, make_record
 from .errors import BoundInapplicable, InvalidArgument, NotBlowupRegime
 from .grid import Grid1D, State, l2_norm_sq
 from .params import Exponents, MaterialParams
+from .well import poincare_constant
 
 CONVENTIONS = ("paper-literal", "poincare-consistent")
 TAU_MARGIN_REL = 1e-6
@@ -57,8 +58,7 @@ class BlowupReport:
     Y_positive_increasing: Optional[bool] = None
 
 
-def monitor(trajectory, exps: Exponents,
-            params: MaterialParams) -> BlowupReport:
+def monitor(trajectory, exps: Exponents) -> BlowupReport:
     """Check G monotonicity and the auxiliary functional Y on a finished run.
 
     Active only when the run starts at negative total energy (G(0) > 0);
@@ -90,17 +90,15 @@ def monitor(trajectory, exps: Exponents,
 def _threshold_pieces(state0: State, params: MaterialParams,
                       exps: Exponents, grid: Grid1D, poincare_c: float,
                       convention: str):
-    """(cfac, ||v0||^2, ||p0||^2, E0) for the threshold and the bound."""
+    """(cfac, ||v0||^2, ||p0||^2, the t = 0 EnergyRecord) of state0."""
     if not (exps.m1 == 1.0 and exps.m2 == 1.0):
         raise BoundInapplicable("threshold and bound require m1 = m2 = 1")
     if convention not in CONVENTIONS:
         raise InvalidArgument(f"convention must be one of {CONVENTIONS}")
     cfac = poincare_c ** 2 if convention == "paper-literal" \
         else 1.0 / poincare_c ** 2
-    vsq = l2_norm_sq(state0.v, grid)
-    psq = l2_norm_sq(state0.p, grid)
-    e0 = total_energy(state0, params, exps, grid)
-    return cfac, vsq, psq, e0
+    return (cfac, l2_norm_sq(state0.v, grid), l2_norm_sq(state0.p, grid),
+            make_record(state0, params, exps, grid, 0.0, 0.0))
 
 
 @np.errstate(**QUIET)
@@ -114,13 +112,13 @@ def theorem210_threshold(state0: State, params: MaterialParams,
     with cfac the square of the Poincare constant ("paper-literal") or its
     reciprocal ("poincare-consistent", default).  Requires m1 = m2 = 1.
     """
-    cfac, vsq, psq, e0 = _threshold_pieces(state0, params, exps, grid,
-                                           poincare_c, convention)
+    cfac, vsq, psq, rec0 = _threshold_pieces(state0, params, exps, grid,
+                                             poincare_c, convention)
     c = exps.c_hat
     rhs = ((c - 2.0) / (2.0 * c) / params.M * cfac
            * min(1.0 / params.rho, 1.0 / params.mu) * (vsq + psq))
-    return {"satisfied": bool(e0 <= rhs), "bound_value": rhs, "E0": e0,
-            "convention": convention}
+    return {"satisfied": bool(rec0.Etot <= rhs), "bound_value": rhs,
+            "E0": rec0.Etot, "convention": convention}
 
 
 @np.errstate(**QUIET)
@@ -136,10 +134,10 @@ def tmax_upper_bound(state0: State, params: MaterialParams, exps: Exponents,
     difference that the 1e-6 margin of tau above tau_min leaves small, so
     the bound keeps about six fewer significant digits than kappa.
     """
-    cfac, vsq, psq, e0 = _threshold_pieces(state0, params, exps, grid,
-                                           poincare_c, convention)
+    cfac, vsq, psq, rec0 = _threshold_pieces(state0, params, exps, grid,
+                                             poincare_c, convention)
     c = exps.c_hat
-    kappa = (1.0 / c) * (-2.0 * c * e0
+    kappa = (1.0 / c) * (-2.0 * c * rec0.Etot
                          + (c - 2.0) / params.M * cfac
                          * min(1.0 / params.rho, 1.0 / params.mu)
                          * (vsq + psq))
@@ -147,28 +145,24 @@ def tmax_upper_bound(state0: State, params: MaterialParams, exps: Exponents,
     if not kappa > 0.0:
         raise BoundInapplicable(f"kappa = {kappa:.6g} is not > 0: "
                                 "energy condition not met")
-    cross = Nprime_of(state0, params, grid)
-    tau_min = max(0.0, (2.0 * (vsq + psq) - (c - 2.0) * cross)
+    tau_min = max(0.0, (2.0 * (vsq + psq) - (c - 2.0) * rec0.nprime)
                   / ((c - 2.0) * kappa))
     tau = tau_min + TAU_MARGIN_REL * (1.0 + abs(tau_min))
     numer = 2.0 * (params.rho * vsq + params.mu * psq + kappa * tau ** 2)
-    denom = (c - 2.0) * (cross + kappa * tau) - 2.0 * (vsq + psq)
+    denom = (c - 2.0) * (rec0.nprime + kappa * tau) - 2.0 * (vsq + psq)
     if not denom > 0.0:
         raise BoundInapplicable(f"denominator = {denom:.6g} is not > 0")
     return kappa, tau, numer / denom
 
 
 def blowup_report(trajectory, state0: State, params: MaterialParams,
-                  exps: Exponents, grid: Grid1D,
-                  poincare_c: float) -> BlowupReport:
+                  exps: Exponents, grid: Grid1D) -> BlowupReport:
     """`monitor`'s report with the time bound attached when it applies."""
-    report = monitor(trajectory, exps, params)
+    report = monitor(trajectory, exps)
     try:
         report.kappa, report.tau, report.tmax_bound = tmax_upper_bound(
-            state0, params, exps, grid, poincare_c)
+            state0, params, exps, grid, poincare_constant(grid))
     except BoundInapplicable:
-        pass
-    else:
-        if report.criterion is None:
-            report.criterion = "concavity-bound"
+        return report
+    report.criterion = report.criterion or "concavity-bound"
     return report

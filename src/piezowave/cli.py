@@ -20,6 +20,7 @@ import os
 import sys
 from dataclasses import asdict
 from numbers import Real
+from pathlib import Path
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from . import decay
 from .config import (RunConfig, build_run, expand_sweep, fmt,
                      load_run_config, load_sweep_config)
 from .diagnostics import CSV_FIELDS, QUIET
-from .errors import (BoundInapplicable, ConfigParse, NonPositiveSeries,
-                     PiezowaveError)
+from .errors import (BoundInapplicable, ConfigParse, InvalidArgument,
+                     NonPositiveSeries, PiezowaveError)
 from .grid import State
 from .integrator import simulate, step_count
 from .well import classify_initial, poincare_constant, well_report
@@ -93,8 +94,7 @@ def run_one(cfg: RunConfig, run, traj, wells: dict) -> dict:
     and wells keeps the well reports so far (see `_classified_well`)."""
     params, exps, grid, _, state0 = run
     well = _classified_well(wells, params, exps, grid, state0)
-    breport = bl.blowup_report(traj, state0, params, exps, grid,
-                               well["poincare_c"])
+    breport = bl.blowup_report(traj, state0, params, exps, grid)
     summary = {
         "classification": well["classification"],
         "outcome": traj.outcome,
@@ -147,8 +147,17 @@ def run_all(cfgs: list):
                     yield i, exc
 
 
+def _check_outdir(path: str) -> None:
+    """InvalidArgument naming path unless its nearest existing ancestor is a
+    directory, checked before any work; path is made once the work is done."""
+    up = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not up.is_dir():
+        raise InvalidArgument(f"cannot write {path}: {up} is not a directory")
+
+
 def cli_simulate(path: str) -> int:
     cfg = load_run_config(path)
+    _check_outdir(cfg.outdir)
     [(_, result)] = run_all([cfg])
     if isinstance(result, PiezowaveError):
         raise result
@@ -167,6 +176,7 @@ def cli_simulate(path: str) -> int:
 
 def cli_classify(path: str) -> int:
     cfg = load_run_config(path)
+    _check_outdir(cfg.outdir)
     params, exps, grid, _, state0 = build_run(cfg)
     well = _classified_well({}, params, exps, grid, state0)
     os.makedirs(cfg.outdir, exist_ok=True)
@@ -182,6 +192,7 @@ SWEEP_KEYS = ("classification", "outcome", "t_detect", "tmax_bound",
 
 def cli_sweep(path: str) -> int:
     sweep = load_sweep_config(path)
+    _check_outdir(sweep.base.outdir)
     names = list(sweep.axes.keys())
     members = list(expand_sweep(sweep))
     summaries = {i: {"outcome": f"error: {result}"}
@@ -264,7 +275,7 @@ def main(argv=None) -> int:
     with np.errstate(**QUIET):
         try:
             return args.run(args)
-        except PiezowaveError as exc:
+        except (PiezowaveError, OSError) as exc:  # OSError: writing outputs
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

@@ -74,7 +74,7 @@ def fit_exponential(times, values) -> DecayFit:
 
 
 @np.errstate(**QUIET)
-def _power_fit(t, e, eta, x, model, k0):
+def _power_fit(e, eta, x, model, k0):
     """Shared core: E^(-eta) affine in the regressor x, for eta > 0."""
     if not eta > 0.0:
         raise InvalidArgument(f"eta must be > 0 for the {model} envelope")
@@ -101,7 +101,7 @@ def _power_fit(t, e, eta, x, model, k0):
 def fit_polynomial(times, values, eta) -> DecayFit:
     """Linear regression of E^(-eta) vs t; eta must be positive."""
     t, e, k0 = _validate(times, values)
-    return _power_fit(t, e, eta, t, "polynomial", k0)
+    return _power_fit(e, eta, t, "polynomial", k0)
 
 
 @np.errstate(divide="ignore", **QUIET)
@@ -114,7 +114,7 @@ def fit_logarithmic(times, values, eta, C) -> DecayFit:
     psi = np.log((C + t) / C)
     if not np.isfinite(psi).all():
         raise InvalidArgument("psi(t) = ln((C+t)/C) needs C + t > 0")
-    return _power_fit(t, e, eta, psi, "logarithmic", k0)
+    return _power_fit(e, eta, psi, "logarithmic", k0)
 
 
 # Model name, as written in configs and on the command line -> fit of

@@ -25,7 +25,6 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from importlib import machinery, util
 
 import numpy as np
@@ -73,27 +72,22 @@ class Grid1D:
         check_count("nx", self.nx, 3)
         if self.nx > MAX_NX:
             raise InvalidArgument(f"nx = {self.nx} must be <= {MAX_NX}")
+        dx = self.L / (self.nx - 1)
         # the operators scale like 1/dx^2
-        if not 0.0 < self.dx * self.dx < np.inf:
-            raise InvalidArgument(f"dx = L/(nx-1) = {self.dx} has no finite "
+        if not 0.0 < dx * dx < np.inf:
+            raise InvalidArgument(f"dx = L/(nx-1) = {dx} has no finite "
                                   "nonzero square")
-
-    @property
-    def dx(self) -> float:
-        return self.L / (self.nx - 1)
+        # dx and the read-only trapezoid weights on the nodes, set once as
+        # attributes and no fields: they leave equality and hash alone
+        weights = np.full(self.nx, dx)
+        weights[0] = weights[-1] = 0.5 * dx
+        weights.flags.writeable = False
+        object.__setattr__(self, "dx", dx)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.L, self.nx)
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Trapezoid quadrature weights on the nodes, built once per grid
-        and read-only; being no field, they leave equality and hash alone."""
-        w = np.full(self.nx, self.dx)
-        w[0] = w[-1] = 0.5 * self.dx
-        w.flags.writeable = False
-        return w
 
 
 class State:

@@ -168,17 +168,13 @@ def _check_fits(y, grid: Grid1D):
 
 
 def _settled(new, xm) -> tuple:
-    """Per member, whether its iterate moved by at most NEWTON_TOL relative
-    to its displacement (a NaN change has not), and its largest move.  One
-    member, (2, nx) or (1, 2, nx), takes whole-array reductions, faster
-    than along an axis."""
-    if new.ndim == 2 or len(new) == 1:
-        delta = np.abs(new - xm).max()
-        return [delta <= NEWTON_TOL
-                * (1.0 + np.abs(new[..., 0, :]).max())], delta
-    delta = np.abs(new - xm).reshape(len(new), -1).max(axis=1)
-    return (delta <= NEWTON_TOL
-            * (1.0 + np.abs(new[:, 0]).max(axis=1))).tolist(), delta
+    """Per member of new, (2, nx) or (B, 2, nx), whether its iterate moved
+    by at most NEWTON_TOL relative to its displacement (a NaN change has
+    not), and its largest move."""
+    nx = new.shape[-1]
+    delta = np.abs(new - xm).reshape(-1, 2 * nx).max(axis=1)
+    size = np.abs(new[..., 0, :]).reshape(-1, nx).max(axis=1)
+    return (delta <= NEWTON_TOL * (1.0 + size)).tolist(), delta
 
 
 def midpoint_bands(grid: Grid1D, params: MaterialParams, cfg: StepConfig):

@@ -40,6 +40,11 @@ class MaterialParams:
                    2.0 / self.beta)
 
 
+def c_hat_of(n1: float, n2: float) -> float:
+    """c_hat = min(n1 + 1, n2 + 1) governs every sandwich constant."""
+    return min(n1 + 1.0, n2 + 1.0)
+
+
 @dataclass(frozen=True)
 class Exponents:
     """Damping powers m1, m2 and source powers n1, n2; the rest derives."""
@@ -51,8 +56,7 @@ class Exponents:
 
     @property
     def c_hat(self) -> float:
-        """c_hat = min(n1 + 1, n2 + 1) governs every sandwich constant."""
-        return min(self.n1 + 1.0, self.n2 + 1.0)
+        return c_hat_of(self.n1, self.n2)
 
     @property
     def blowup_regime(self) -> bool:

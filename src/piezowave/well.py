@@ -15,7 +15,7 @@ from .errors import (DeltaOutOfRange, InvalidArgument, NoConvergence,
                      ZeroState, check_count)
 from .grid import (Grid1D, State, grad_norm_sq, lp_norm_pow, quadratic_form,
                    sine_modes, stiffness_solver)
-from .params import Exponents, MaterialParams
+from .params import Exponents, MaterialParams, c_hat_of
 
 # ---------------------------------------------------------------------------
 # discrete constants of the grid
@@ -131,7 +131,9 @@ def s_star_solve(c_hat_const: float, n1: float, n2: float):
 def y0_and_threshold(c_hat_const: float, n1: float, n2: float, c_hat: float):
     """y0 solving C(2y)^((n1-1)/2) + C(2y)^((n2-1)/2) = 1, i.e.
     Lambda'(2 y0) = 0 and y0 = s*/2, and the blow-up energy threshold
-    M = (c-2) y0 / (2(2+c))."""
+    M = (c-2) y0 / (2(2+c)); InvalidArgument unless c = c_hat_of(n1, n2)."""
+    if c_hat != c_hat_of(n1, n2):
+        raise InvalidArgument(f"c_hat = {c_hat} is not min(n1 + 1, n2 + 1)")
     return _y0_and_threshold(s_star_solve(c_hat_const, n1, n2)[0], c_hat)
 
 
@@ -182,7 +184,7 @@ def check_delta(delta: float, s_star: float, c_hat_const: float,
     c_tilde = c_hat_const * (s ** ((n1 - 1.0) / 2.0) + s ** ((n2 - 1.0) / 2.0))
     factor = max((n2 + 1.0) * (n1 - 1.0) / ((n2 - 1.0) * (n1 + 1.0)),
                  (n1 + 1.0) * (n2 - 1.0) / ((n1 - 1.0) * (n2 + 1.0)))
-    c_hat = min(n1 + 1.0, n2 + 1.0)
+    c_hat = c_hat_of(n1, n2)
     c_delta = (2.0 * c_hat / (c_hat - 2.0)) * c_hat_const * (
         (0.5 - 1.0 / (n1 + 1.0)) * s ** ((n1 - 1.0) / 2.0)
         + (0.5 - 1.0 / (n2 + 1.0)) * s ** ((n2 - 1.0) / 2.0))

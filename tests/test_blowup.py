@@ -89,7 +89,7 @@ def test_monitor_inactive_on_decaying_run(ref_params, ref_grid):
     st = pw.state_from_modes(ref_grid, [0.05], [0.03], [0.0], [0.0])
     traj = pw.simulate(st, ref_params, exps, ref_grid,
                        pw.StepConfig(dt=1e-3), 1.0, record_every=50)
-    rep = pw.monitor(traj, exps, ref_params)
+    rep = pw.monitor(traj, exps)
     assert rep.G_monotone_ok is None     # Etot > 0 throughout
     assert not rep.detected
 
@@ -99,7 +99,7 @@ def test_monitor_on_negative_energy_run(ref_params, ref_grid, exps23):
     traj = pw.simulate(st, ref_params, exps23, ref_grid,
                        pw.StepConfig(dt=1e-3), 20.0, record_every=10)
     assert traj.outcome == "blowup"
-    rep = pw.monitor(traj, exps23, ref_params)
+    rep = pw.monitor(traj, exps23)
     assert rep.detected
     assert rep.G_monotone_ok
     assert rep.Y_positive_increasing
@@ -126,7 +126,7 @@ def test_monitor_clamps_eps_when_nprime_starts_negative(ref_params,
     assert nprime0 == pytest.approx(-8.145, abs=1e-3)
     _, varpi, _ = pw.varpi_range(exps23)
     assert g0 ** (1.0 - varpi) + min(1.0, g0) * nprime0 < 0.0
-    rep = pw.monitor(traj, exps23, ref_params)
+    rep = pw.monitor(traj, exps23)
     assert rep.criterion == "negative-energy"
     assert rep.G_monotone_ok is True
     assert rep.Y_positive_increasing is True
@@ -295,7 +295,9 @@ def test_blowup_report_attaches_bound(ref_params, ref_grid, exps_lin):
     pc = pw.poincare_constant(ref_grid)
     traj = pw.simulate(st, ref_params, exps_lin, ref_grid,
                        pw.StepConfig(dt=1e-3), 5.0, record_every=10)
-    rep = pw.blowup_report(traj, st, ref_params, exps_lin, ref_grid, pc)
+    rep = pw.blowup_report(traj, st, ref_params, exps_lin, ref_grid)
+    assert rep.tmax_bound == pw.tmax_upper_bound(st, ref_params, exps_lin,
+                                                 ref_grid, pc)[2]
     assert rep.detected
     assert rep.t_detect > 0.0
     assert rep.tmax_bound is not None

@@ -23,11 +23,13 @@ def test_grid_basics():
 
 
 def test_weights_built_once_and_read_only():
+    # dx and the weights are set at construction, as attributes
+    assert set(vars(pw.Grid1D(1.0, 201))) == {"L", "nx", "dx", "weights"}
     g = pw.Grid1D(2.0, 5)
     assert g.weights is g.weights
     with pytest.raises(ValueError):
         g.weights[1] = 0.0
-    # the cached array is not a field: equality and hash see (L, nx) only
+    # they are no fields: equality and hash see (L, nx) only
     assert g == pw.Grid1D(2.0, 5) and hash(g) == hash(pw.Grid1D(2.0, 5))
 
 

@@ -467,6 +467,44 @@ def test_simulate_error_while_stepping(tmp_path, monkeypatch, capsys):
     assert {"well.json", "blowup.json"} <= set(os.listdir(out))
 
 
+SWEEP_AXIS = """
+[sweep.axes]
+initial.v0 = 0.02; 0.05
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "classify", "sweep"])
+def test_unusable_outdir_is_an_error_before_any_work(tmp_path, monkeypatch,
+                                                     capsys, command):
+    """An outdir below a regular file ends the command in an `error:` line
+    that names it, exit 2, before any run steps or any well is analysed."""
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    outdir = tmp_path / "file" / "out"
+    cfg_path = _write_cfg(tmp_path, outdir=outdir,
+                          extra=SWEEP_AXIS if command == "sweep" else "")
+    stepped = _counted(monkeypatch, cli, "simulate")
+    analysed = _counted(monkeypatch, cli, "well_report")
+    assert main([command, cfg_path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {outdir}: ")
+    assert stepped == analysed == []
+
+
+@pytest.mark.parametrize("command, name", [
+    ("simulate", "energy.csv"), ("simulate", "summary.json"),
+    ("classify", "well.json"), ("sweep", "sweep.csv")])
+def test_unwritable_output_file_is_an_error(tmp_path, capsys, command, name):
+    """An output file that cannot be written, here a directory of its name,
+    ends the command in one `error:` line that names it, exit 2."""
+    (tmp_path / "out" / name).mkdir(parents=True)
+    cfg_path = _write_cfg(tmp_path,
+                          extra=SWEEP_AXIS if command == "sweep" else "")
+    assert main([command, cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / "out" / name) in err
+
+
 def test_sweep_cap_enforced(tmp_path, capsys):
     """A sweep over its cap is a value out of range: InvalidArgument in the
     library, exit 2 with its message from the CLI."""

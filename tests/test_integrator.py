@@ -15,7 +15,7 @@ from piezowave.grid import (grad_norm_sq, l2_norm_sq, quadratic_form,
                             row_power, second_difference, stiffness_solver,
                             tridiagonal_solver)
 from piezowave.integrator import (NEWTON_MAX_ITER, NEWTON_TOL, _damping_newton,
-                                  _step_norms, _twice_root)
+                                  _settled, _step_norms, _twice_root)
 
 
 # ---------------------------------------------------------------------------
@@ -1376,6 +1376,24 @@ def test_a_diverged_source_iteration_is_a_solver_failure(ref_params,
     assert traj.records[-1].Q == pytest.approx(6.65e4, rel=1e-3)
     assert _norms(traj.final_state, ref_grid, ref_params)[1] == \
         traj.records[-1].Q
+
+
+def test_settled_reads_a_member_alone_as_in_a_batch():
+    """A member's settled flag and largest move are the same from a
+    (2, nx) pair, a batch of one and its row of a batch: a move of 1e-13
+    settles, one of 1e-3 does not, and a NaN move does not and stays NaN."""
+    rng = np.random.default_rng(5)
+    xm = rng.standard_normal((3, 2, 41))
+    new = xm + np.array([1e-13, 1e-3, 0.0])[:, None, None]
+    new[2, 1, 7] = np.nan
+    flags, moves = _settled(new, xm)
+    assert flags == [True, False, False] and np.isnan(moves[2])
+    for row in range(3):
+        for shape in ((2, 41), (1, 2, 41)):
+            flag, move = _settled(new[row].reshape(shape),
+                                  xm[row].reshape(shape))
+            assert flag == [flags[row]]
+            np.testing.assert_array_equal(move, moves[row:row + 1])
 
 
 def test_a_stalled_source_iteration_is_a_solver_failure():

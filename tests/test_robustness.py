@@ -727,8 +727,7 @@ def test_library_fuzz_returns_or_raises_typed(data):
                                           t_end, record_every=5))
         if traj is None:
             return
-        _typed(lambda: pw.blowup_report(traj, state0, params, exps, grid,
-                                        pw.poincare_constant(grid)))
+        _typed(lambda: pw.blowup_report(traj, state0, params, exps, grid))
         times = [r.t for r in traj.records]
         values = [r.Etot for r in traj.records]
         eta = pw.eta_from_exponents(exps) or 1.0

@@ -280,6 +280,13 @@ def test_y0_examples():
     assert m == pytest.approx(1.0 / 24.0, abs=1e-12)
 
 
+def test_y0_and_threshold_rejects_a_c_hat_off_its_exponents():
+    """c_hat is min(n1 + 1, n2 + 1), 4 at n = (3, 5), and no other."""
+    with pytest.raises(pw.InvalidArgument, match="c_hat = 5.0"):
+        pw.y0_and_threshold(1.0, 3.0, 5.0, 5.0)
+    assert pw.y0_and_threshold(1.0, 3.0, 5.0, 4.0)[1] > 0.0
+
+
 def test_y0_equals_half_s_star_on_random_draws(rng):
     for _ in range(50):
         c = rng.uniform(0.05, 5.0)

@@ -1,6 +1,6 @@
-"""In-process A/B of the midpoint solve, the per-step norms, whole steps,
-the well analysis and a unit of the `ensemble-m2` workload: two source
-trees imported side by side in one process, interleaved rounds.
+"""A/B of the midpoint solve, the per-step norms, whole steps, the well
+analysis and a unit of the `ensemble-m2` workload, between two source
+trees, in interleaved rounds of one child process per tree.
 
     taskset -c 1 python3 tools/inprocess_ab.py PARENT_SRC CHANGE_SRC [ROUNDS]
 
@@ -62,9 +62,9 @@ Cases, on nx = 201, dt = 1e-3 and the reference material:
     p0 = 30, v1 = 0.1, p1 = -0.05, t_end = 0.5, record_every = 10, which
     blows up at t = 0.1 and whose dropped steps past it meet velocities
     past 1e100;
-  * `well-m2`: one `well_report` call with exponents (2, 2, 3, 3), in us,
-    with a fresh seed each round (the same seed on both sides): the well
-    analysis that the `ensemble-m2` workload runs before its members;
+  * `well-m2`: one `well_report` call with exponents (2, 2, 3, 3), in us:
+    the well analysis that the `ensemble-m2` workload runs before its
+    members;
   * `ensemble-m2`: one unit of the `ensemble-m2` workload, in us per step
     taken: `well_report`, then `classify_initial` and `simulate` for each
     of its five stratum centres v0 = 0.1, 0.85, 1.9, 1.9995 and 2.35
@@ -72,40 +72,49 @@ Cases, on nx = 201, dt = 1e-3 and the reference material:
     t_end = 2, record_every = 20), the steps taken being those to t_end
     or to t_detect, as perfbench counts them.
 
-BLAS runs on one thread, as in perfbench (the thread count changes the
-cost of numpy's small operations).  Each round times every case on both
-sides, the side that goes first alternating, and keeps the round's paired
-ratio change / parent.  Per case, the table gives:
+Each round starts one child process per tree, the side that goes first
+alternating.  A child puts its tree's `src` first on its path and imports
+piezowave from there alone, runs every case once to warm it up, then
+times each case once and sends its times and result arrays back as one
+`.npz` on its standard output.  Two trees never share a process, so
+neither's imports, allocations or caches shape the other's timings; the
+cases of one side do share its child, so a case runs on the heap the
+cases before it left, and a change in what `simulate` allocates can move
+a case through glibc's dynamic mmap and trim thresholds (page faults)
+where perfbench's processes do not.  BLAS
+runs on one thread, as in perfbench (the thread count changes the cost of
+numpy's small operations).  Per case, the table gives:
 
   * `parent_us`, `change_us`: each side's median over rounds, and
     `parent_q_us`, `change_q_us`: its first and third quartiles;
   * `ratio`: the ratio of the two medians, as in earlier tables;
-  * `paired_ratio`: the median of the paired ratios, and `ci95`: a
-    distribution-free interval for it of at least 95% coverage, the
-    order statistics of ranks k and n + 1 - k of the n paired ratios,
-    with k the largest rank whose sign-test tail P(Binomial(n, 1/2) < k)
-    is at most 2.5% (ranks 6 and 15 at 20 rounds; null under 6 rounds);
+  * `paired_ratio`: the median of the per-round ratios change / parent,
+    and `ci95`: a distribution-free interval for it of at least 95%
+    coverage, the order statistics of ranks k and n + 1 - k of the n
+    paired ratios, with k the largest rank whose sign-test tail
+    P(Binomial(n, 1/2) < k) is at most 2.5% (ranks 6 and 15 at 20
+    rounds; null under 6 rounds);
   * `won`: the rounds in which the change took less time than the
     parent, ties counting for neither;
-  * `verdict`: "faster" when the whole interval lies below 1, "slower"
-    when it lies above 1, and "no change" otherwise, decided by the
-    interval alone;
+  * `verdict`: "faster" or "slower" only when the whole interval lies
+    below or above 1 and `paired_ratio` lies outside NO_CHANGE_BAND
+    (0.98 to 1.02), else "no change": a difference under 2% gives no
+    verdict, whatever its interval;
   * `max_rel_diff`: the largest difference of the two sides' solve
-    results, norms, final states or well reports relative to their
-    largest entry, so a change that moves results only at roundoff shows
-    as such.
+    results, norms, final states or well reports (from the first round)
+    relative to their largest entry, so a change that moves results only
+    at roundoff shows as such.
 
-The same tree on both sides (`... src src`) gives the host's floor.  With
-20 cases at 95% each, about one case per run reads a verdict by chance,
-and the interval does not cover what differs between two imports of one
-tree, so a claimed verdict must repeat across runs and be absent from a
-same-tree run.  Prints one JSON object.
+The same tree on both sides (`... src src`) gives the host's floor: every
+case should read "no change".  With 20 cases, a claimed verdict should
+also repeat across runs.  Prints one JSON object.
 """
 import inspect
-import itertools
+import io
 import json
 import math
 import os
+import subprocess
 import sys
 import time
 
@@ -113,18 +122,8 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 import numpy as np  # noqa: E402
 
-
-def load(src):
-    sys.path.insert(0, src)
-    import piezowave
-    for name in [k for k in sys.modules if k.startswith("piezowave")]:
-        del sys.modules[name]
-    sys.path.pop(0)
-    return piezowave
-
-
-SIDES = {"parent": load(sys.argv[1]), "change": load(sys.argv[2])}
-ROUNDS = int(sys.argv[3]) if len(sys.argv) > 3 else 20
+# paired ratios change / parent inside this band read "no change"
+NO_CHANGE_BAND = (0.98, 1.02)
 BATCHES = (1, 2, 5, 8)
 CALLS, STEPS, V0 = 2000, 300, 0.2
 SWEEP_V0 = (0.05, 0.2, 0.5, 1.0, 2.0, 36.0, 40.0, 45.0)
@@ -265,12 +264,10 @@ def well_case(pw):
     grid = pw.Grid1D(1.0, 201)
     params = pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0)
     exps = pw.validate_exponents(2.0, 2.0, 3.0, 3.0)
-    seeds = itertools.count()
 
     def run():
-        seed = next(seeds)
         t0 = time.perf_counter()
-        report = pw.well_report(params, exps, grid, seed=seed)
+        report = pw.well_report(params, exps, grid)
         elapsed = time.perf_counter() - t0
         return elapsed * 1e6, np.array([getattr(report, f) for f in (
             "B1", "B2", "C_hat", "s_star", "Lambda_star", "y0",
@@ -318,7 +315,9 @@ def summary(parent, change):
     ratios = sorted(c / p for p, c in zip(parent, change))
     k = interval_rank(len(ratios))
     ci = [ratios[k - 1], ratios[-k]] if k else None
+    paired = float(np.median(ratios))
     verdict = ("no change" if ci is None or ci[0] <= 1.0 <= ci[1]
+               or NO_CHANGE_BAND[0] <= paired <= NO_CHANGE_BAND[1]
                else "faster" if ci[1] < 1.0 else "slower")
     q = {side: np.percentile(times, [25, 50, 75])
          for side, times in (("parent", parent), ("change", change))}
@@ -327,52 +326,89 @@ def summary(parent, change):
             "change_us": round(q["change"][1], 2),
             "change_q_us": [round(x, 2) for x in q["change"][::2]],
             "ratio": round(q["change"][1] / q["parent"][1], 3),
-            "paired_ratio": round(float(np.median(ratios)), 3),
+            "paired_ratio": round(paired, 3),
             "ci95": ci and [round(x, 4) for x in ci],
             "won": sum(c < p for p, c in zip(parent, change)),
             "verdict": verdict}
 
 
-cases = {side: {**{f"solve-B{b}": solve_case(pw, b) for b in BATCHES},
-                **{f"norms-B{b}": norms_case(pw, b) for b in (1, 8)},
-                "norms-m2-B1": norms_case(pw, 1, (2.0, 2.0, 3.0, 3.0)),
-                "records-B8": records_case(pw, 8),
-                "step-m1-3": step_case(pw, (1.0, 3.0, 2.0, 3.0)),
-                "step-m3": step_case(pw, (3.0, 3.0, 3.0, 3.0)),
-                "step-m2": step_case(pw, (2.0, 2.0, 3.0, 3.0)),
-                "step-m2-3": step_case(pw, (2.0, 3.0, 3.0, 3.0),
-                                       (2.3, 5.0, 0.7, 1.9, 0.4)),
-                "step-newton-m4": step_case(pw, (4.0, 4.0, 3.0, 3.0)),
-                "step-newton-m2.5": step_case(pw, (2.5, 2.5, 3.0, 3.0)),
-                "stepper-m3": stepper_case(pw),
-                "sweep-mid": sweep_case(pw),
-                "blowup-m2": blowup_case(pw, 201, (1.0, 2.0, 1.0, 1.0, 1.0),
-                                         (2.0, 2.0, 3.0, 3.0),
-                                         (2.35, 0.9 * 2.35, 0.0, 0.0), 2.0,
-                                         20),
-                "blowup-newton": blowup_case(
-                    pw, 81, (2.3, 5.0, 0.7, 1.9, 0.4), (4.0, 4.0, 2.0, 3.0),
-                    (0.3, 30.0, 0.1, -0.05), 0.5, 10),
-                "well-m2": well_case(pw),
-                "ensemble-m2": ensemble_case(pw)}
-         for side, pw in SIDES.items()}
-times = {side: {name: [] for name in cases[side]} for side in SIDES}
-results = {}
-for side in SIDES:                      # warm-up
-    for name, run in cases[side].items():
-        results[side, name] = run()[1]
-for k in range(ROUNDS):
-    order = list(SIDES) if k % 2 == 0 else list(SIDES)[::-1]
-    for name in cases["parent"]:
-        for side in order:
-            times[side][name].append(cases[side][name]()[0])
-table = {}
-for name in cases["parent"]:
-    a, b = results["parent", name], results["change", name]
-    table[name] = {**summary(times["parent"][name], times["change"][name]),
-                   "max_rel_diff": float(np.abs(a - b).max()
-                                         / np.abs(a).max())}
-k = interval_rank(ROUNDS)
-print(json.dumps({"rounds": ROUNDS,
-                  "ci95_ranks": [k, ROUNDS + 1 - k] if k else None,
-                  "table": table}, indent=1))
+def cases(pw) -> dict:
+    """Every case of the table on the piezowave module pw, by name."""
+    return {**{f"solve-B{b}": solve_case(pw, b) for b in BATCHES},
+            **{f"norms-B{b}": norms_case(pw, b) for b in (1, 8)},
+            "norms-m2-B1": norms_case(pw, 1, (2.0, 2.0, 3.0, 3.0)),
+            "records-B8": records_case(pw, 8),
+            "step-m1-3": step_case(pw, (1.0, 3.0, 2.0, 3.0)),
+            "step-m3": step_case(pw, (3.0, 3.0, 3.0, 3.0)),
+            "step-m2": step_case(pw, (2.0, 2.0, 3.0, 3.0)),
+            "step-m2-3": step_case(pw, (2.0, 3.0, 3.0, 3.0),
+                                   (2.3, 5.0, 0.7, 1.9, 0.4)),
+            "step-newton-m4": step_case(pw, (4.0, 4.0, 3.0, 3.0)),
+            "step-newton-m2.5": step_case(pw, (2.5, 2.5, 3.0, 3.0)),
+            "stepper-m3": stepper_case(pw),
+            "sweep-mid": sweep_case(pw),
+            "blowup-m2": blowup_case(pw, 201, (1.0, 2.0, 1.0, 1.0, 1.0),
+                                     (2.0, 2.0, 3.0, 3.0),
+                                     (2.35, 0.9 * 2.35, 0.0, 0.0), 2.0, 20),
+            "blowup-newton": blowup_case(
+                pw, 81, (2.3, 5.0, 0.7, 1.9, 0.4), (4.0, 4.0, 2.0, 3.0),
+                (0.3, 30.0, 0.1, -0.05), 0.5, 10),
+            "well-m2": well_case(pw),
+            "ensemble-m2": ensemble_case(pw)}
+
+
+def child(src):
+    """One side of one round: piezowave imported from src alone, each case
+    run once to warm up and then timed once; writes the times ("t:" keys)
+    and result arrays ("y:" keys) as one .npz to standard output."""
+    sys.path.insert(0, src)
+    import piezowave
+    runs = cases(piezowave)
+    for run in runs.values():
+        run()
+    out = {}
+    for name, run in runs.items():
+        out["t:" + name], out["y:" + name] = run()
+    buf = io.BytesIO()
+    np.savez(buf, **out)
+    sys.stdout.buffer.write(buf.getvalue())
+
+
+def one_side(src) -> dict:
+    """A child's {name: (us, result)} for the tree at src."""
+    proc = subprocess.run([sys.executable, __file__, "--child", src],
+                          check=True, stdout=subprocess.PIPE)
+    with np.load(io.BytesIO(proc.stdout)) as data:
+        return {key[2:]: (float(data[key]), data["y:" + key[2:]])
+                for key in data.files if key.startswith("t:")}
+
+
+def main(parent_src, change_src, rounds):
+    sides = {"parent": parent_src, "change": change_src}
+    times = {side: {} for side in sides}
+    results = {}
+    for k in range(rounds):
+        for side in list(sides) if k % 2 == 0 else list(sides)[::-1]:
+            for name, (us, result) in one_side(sides[side]).items():
+                times[side].setdefault(name, []).append(us)
+                results.setdefault((side, name), result)
+    table = {}
+    for name in times["parent"]:
+        a, b = results["parent", name], results["change", name]
+        table[name] = {**summary(times["parent"][name],
+                                 times["change"][name]),
+                       "max_rel_diff": float(np.abs(a - b).max()
+                                             / np.abs(a).max())}
+    k = interval_rank(rounds)
+    print(json.dumps({"rounds": rounds,
+                      "ci95_ranks": [k, rounds + 1 - k] if k else None,
+                      "no_change_band": list(NO_CHANGE_BAND),
+                      "table": table}, indent=1))
+
+
+if __name__ == "__main__":
+    if sys.argv[1] == "--child":
+        child(sys.argv[2])
+    else:
+        main(sys.argv[1], sys.argv[2],
+             int(sys.argv[3]) if len(sys.argv) > 3 else 20)

@@ -7,7 +7,7 @@ number by number to a tolerance.
 Each revision's `src/` and `demos/` are exported with `git archive` into a
 temporary directory.  Both exports then run the same fixed cases:
 
-  * `simulate`, `classify` and `bounds` on thirteen run configs: the README
+  * `simulate`, `classify` and `bounds` on fourteen run configs: the README
     example (m = 2, n = 3, nx = 201, t_end = 10), the `BASE_CFG` of
     `tests/test_harness.py` (m = 1, n = 2, nx = 81), that config with
     NaN initial data, that config with v0 = 0, p0 = 1 and
@@ -35,7 +35,10 @@ temporary directory.  Both exports then run the same fixed cases:
     damping roots, row by row, reach the bytes of its `energy.csv`, and
     the `BASE_CFG` harness config with m = (4, 4), n = (3, 3), nx = 41,
     v0 = 3, p0 = 2.7 and t_end = 0.1, the one case that classifies
-    negative initial energy (E0 = -6.97) outside the blow-up regime;
+    negative initial energy (E0 = -6.97) outside the blow-up regime, and
+    the `BASE_CFG` harness config with `outdir = run.cfg/out`, below the
+    regular file that is the config itself (`simulate` and `classify` exit
+    2 with an `error:` line before any work, `bounds` writes nothing);
   * `fit --model exp|poly|log` on each `energy.csv` that `simulate` wrote;
   * `sweep` on the AC-9 sweep config of `tests/test_acceptance.py`; on
     the `BASE_CFG` harness config with `[fit] model = exp` and the axis
@@ -64,7 +67,9 @@ temporary directory.  Both exports then run the same fixed cases:
     out-of-range value: 32 members, of which only the all-valid one steps,
     and 31 `error:` rows; and on the overflowing C_hat config with
     `alpha = 2` and the axis `material.alpha = 2.0, 1e-200`, a completed
-    row and an `error:` row;
+    row and an `error:` row; and on the `BASE_CFG` harness config with
+    the axis `initial.v0 = 0.05; 0.1` and `outdir = sweep.cfg/out`, which
+    exits 2 with an `error:` line before any member steps;
   * the three scripts in `demos/`.
 
 Every output file, every stdout, every stderr and every exit code is
@@ -355,6 +360,17 @@ C_HAT_OVERFLOW_SWEEP_CFG = C_HAT_OVERFLOW_CFG.replace(
 material.alpha = 2.0, 1e-200
 """
 
+# an outdir below a regular file, the config file itself: no directory can
+# be made there
+UNUSABLE_OUTDIR_CFG = HARNESS_CFG.format(v0="0.05").replace(
+    "outdir = out", "outdir = run.cfg/out")
+
+UNUSABLE_OUTDIR_SWEEP_CFG = HARNESS_CFG.format(v0="0.05").replace(
+    "outdir = out", "outdir = sweep.cfg/out") + """
+[sweep.axes]
+initial.v0 = 0.05; 0.1
+"""
+
 RUN_CONFIGS = {
     "readme": README_CFG,
     "harness": HARNESS_CFG.format(v0="0.05"),
@@ -372,6 +388,7 @@ RUN_CONFIGS = {
     "newton-mixed": NEWTON_MIXED_CFG,
     "c-hat-overflow": C_HAT_OVERFLOW_CFG,
     "negative-outside-regime": NEGATIVE_OUTSIDE_REGIME_CFG,
+    "unusable-outdir": UNUSABLE_OUTDIR_CFG,
 }
 DEMOS = ("decay_and_fit.py", "well_classification.py", "blowup_bound.py")
 CLI = ("import sys; from piezowave.cli import main; "
@@ -418,7 +435,8 @@ def produce(tree: Path, work: Path) -> None:
                        ("newton", NEWTON_SWEEP_CFG),
                        ("t0-blowup", T0_BLOWUP_SWEEP_CFG),
                        ("range-axes", RANGE_SWEEP_CFG),
-                       ("c-hat-overflow", C_HAT_OVERFLOW_SWEEP_CFG)):
+                       ("c-hat-overflow", C_HAT_OVERFLOW_SWEEP_CFG),
+                       ("unusable-outdir", UNUSABLE_OUTDIR_SWEEP_CFG)):
         cwd = work / case / "sweep"
         cwd.mkdir(parents=True)
         (cwd / "sweep.cfg").write_text(text, encoding="utf-8")
