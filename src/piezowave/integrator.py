@@ -11,7 +11,8 @@ stiffness, one solve in the eigenbasis of the 2x2 coupling matrix
 (`midpoint_bands`), which with sources and damping off conserves the
 discrete quadratic energy to roundoff.  Sources are taken at the step's
 start ("semi-implicit", first order in dt) or iterated to the midpoint
-("implicit-midpoint", second order, typically in 2 solves).  The damping
+("implicit-midpoint", second order, typically in 2 solves; each iterate is
+tested batch-wide, and per member only when that test fails).  The damping
 root has a closed form for m in CLOSED_FORMS, else one whole-array Newton
 solve; a row with m = 1 takes its half-steps as a factor in the conservative
 maps.  An exponent becomes a formula once: `_twice_root` builds the damping
@@ -253,21 +254,26 @@ class Stepper:
 
     def _iterate(self, y, failed: dict, into, start, source):
         """implicit-midpoint: iterate each member's sources from its predicted
-        midpoint to its midpoint, NEWTON_MAX_ITER solves in all.  A member
-        stops on its own test and keeps its iterate, and the others go on
-        without it; one whose change turns NaN, or still moving, fails."""
+        midpoint to its midpoint, NEWTON_MAX_ITER solves in all.  Each iterate
+        is tested batch-wide, and per member only when that test fails: a
+        member stops on its own test and keeps its iterate, and the others go
+        on without it; one whose change turns NaN, or still moving, fails."""
         base_w = into @ y
-        out = xm = self._midpoint(base_w + source(start @ y))
+        rhs = source(start @ y)
+        rhs += base_w
+        out = xm = self._midpoint(rhs)
         rows = None               # the rows of out still iterating, or all
         for _ in range(NEWTON_MAX_ITER - 1):
-            new = self._midpoint(base_w + source(xm))
-            settled, delta = _settled(new, xm)
+            rhs = source(xm)
+            rhs += base_w
+            new = self._midpoint(rhs)
             if rows is None:
                 out = new
             else:
                 out[rows] = new
-            if all(settled):
+            if np.abs(new - xm).max() <= NEWTON_TOL:  # all settle; NaN fails
                 return out
+            settled, delta = _settled(new, xm)
             # a NaN change never settles: its member fails and stops now
             for i in np.flatnonzero(np.isnan(delta)).tolist():
                 failed.setdefault(i if rows is None else rows[i].item(),

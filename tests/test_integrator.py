@@ -737,28 +737,45 @@ def test_predicted_start_keeps_the_fixed_point(exponents, material,
             <= 1e-10 * np.abs(state.y).max())
 
 
-@pytest.mark.parametrize("scheme, per_step",
-                         [("semi-implicit", 1), ("implicit-midpoint", 2)])
-@pytest.mark.parametrize("exponents", [(1, 1, 2, 2), (1, 3, 2, 3)],
-                         ids=["m1", "mixed"])
-def test_midpoint_solves_per_step(scheme, per_step, exponents, ref_params,
-                                  ref_grid):
-    """Over 200 steps from v0 = 1, semi-implicit makes one midpoint solve
-    per step, and implicit-midpoint, started from the predicted midpoint,
-    two: the first iterate and the solve that finds it settled."""
+# the v0 of the `sweep-midpoint-m1` workload's pool, p0 = 0, at rest
+SWEEP_V0 = [0.05, 0.2, 0.5, 1.0, 2.0, 36.0, 40.0, 45.0]
+
+
+@pytest.mark.parametrize("exponents, scheme, v0, steps, rows", [
+    pytest.param((1, 1, 2, 2), "semi-implicit", [1.0], 200, [1],
+                 id="m1-semi-implicit-1"),
+    pytest.param((1, 1, 2, 2), "implicit-midpoint", [1.0], 200, [1, 1],
+                 id="m1-implicit-midpoint-2"),
+    pytest.param((1, 3, 2, 3), "semi-implicit", [1.0], 200, [1],
+                 id="mixed-semi-implicit-1"),
+    pytest.param((1, 3, 2, 3), "implicit-midpoint", [1.0], 200, [1, 1],
+                 id="mixed-implicit-midpoint-2"),
+    pytest.param((1, 1, 2, 2), "implicit-midpoint", SWEEP_V0, 40, [8, 8, 3],
+                 id="m1-implicit-midpoint-sweep8")])
+def test_midpoint_solves_per_step(exponents, scheme, v0, steps, rows,
+                                  ref_params, ref_grid):
+    """The batch rows of each midpoint solve of a step, the same on every
+    step.  From v0 = 1, semi-implicit makes one solve per step, and
+    implicit-midpoint, started from the predicted midpoint, two: the first
+    iterate and the solve that finds it settled.  On the 8 members of the
+    sweep pool the three with v0 >= 36 are still moving after the first
+    iterate, so each step solves the 8 twice and those 3 once more; a test
+    that let a batch stop while some member still moves would end at two."""
     exps = pw.validate_exponents(*exponents)
     stepper = pw.Stepper(ref_grid, ref_params,
                          pw.StepConfig(dt=1e-3, scheme=scheme))
     solve, calls = stepper._solve, []
 
     def counted(rhs):
-        calls.append(rhs.shape)
+        calls.append(rhs.reshape(-1, 2, ref_grid.nx).shape[0])
         return solve(rhs)
     stepper._solve = counted
-    state = pw.state_from_modes(ref_grid, [1.0], [0.0], [0.0], [0.0])
-    for _ in range(200):
+    y = [pw.state_from_modes(ref_grid, [a], [0.0], [0.0], [0.0]).y
+         for a in v0]
+    state = pw.State.stacked(y[0] if len(y) == 1 else np.array(y))
+    for _ in range(steps):
         state = stepper.step(state, exps)
-    assert len(calls) == 200 * per_step
+    assert calls == rows * steps
 
 
 def test_linear_damping_takes_no_damping_solve(ref_params, ref_grid,

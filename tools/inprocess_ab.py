@@ -50,7 +50,17 @@ Cases, on nx = 201, dt = 1e-3 and the reference material:
     `sweep-midpoint-m1` workload (exponents (1, 1, 2, 2), implicit-midpoint,
     v0 = 0.05, 0.2, 0.5, 1, 2, 36, 40, 45, p0 = 0, at rest), to t = 0.5,
     record_every = 10, in us: the three largest blow up before t = 0.5, so
-    the batch goes from 8 to 5 members;
+    the batch goes from 8 to 5 members, and until then they take a second
+    source iterate on most steps;
+  * `sweep-mid-B5`: the same on the workload's five members that complete
+    (v0 = 0.05 ... 2), to t = 2, the workload's t_end: the batch that runs
+    most of a unit's steps (about 1,560 of 2,000, from t = 0.44 on).  Its
+    source iteration settles the five members at the batch-wide test on
+    every step after t = 0.418, and only at the per-member test on each of
+    the 418 steps before;
+  * `step-mid-m1`: `simulate` per step of one member with exponents
+    (1, 1, 2, 2), implicit-midpoint, v0 = 0.5, p0 = 0, at rest, 300 steps,
+    record_every = 200, in us: a one-member source iteration;
   * `blowup-m2`: `simulate` per step taken of one member of the
     `ensemble-m2` workload's shape (exponents (2, 2, 3, 3), semi-implicit,
     v0 = 2.35, p0 = 0.9 v0, at rest, t_end = 2, record_every = 20), which
@@ -103,10 +113,14 @@ numpy's small operations).  Per case, the table gives:
   * `max_rel_diff`: the largest difference of the two sides' solve
     results, norms, final states or well reports (from the first round)
     relative to their largest entry, so a change that moves results only
-    at roundoff shows as such.
+    at roundoff shows as such;
+  * `parent_minflt`, `change_minflt`: each side's median over rounds of
+    the minor page faults (`ru_minflt`) its child took during the timed
+    run of the case, so a verdict that comes with many more faults on one
+    side comes from the heap state (see above), not the arithmetic.
 
 The same tree on both sides (`... src src`) gives the host's floor: every
-case should read "no change".  With 20 cases, a claimed verdict should
+case should read "no change".  With 22 cases, a claimed verdict should
 also repeat across runs.  Prints one JSON object.
 """
 import inspect
@@ -114,6 +128,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -127,6 +142,7 @@ NO_CHANGE_BAND = (0.98, 1.02)
 BATCHES = (1, 2, 5, 8)
 CALLS, STEPS, V0 = 2000, 300, 0.2
 SWEEP_V0 = (0.05, 0.2, 0.5, 1.0, 2.0, 36.0, 40.0, 45.0)
+COMPLETING_V0 = SWEEP_V0[:5]
 ENSEMBLE_V0 = (0.1, 0.85, 1.9, 1.9995, 2.35)
 
 
@@ -194,12 +210,13 @@ def records_case(pw, b):
     return run
 
 
-def step_case(pw, exponents, material=(1.0, 2.0, 1.0, 1.0, 1.0)):
+def step_case(pw, exponents, material=(1.0, 2.0, 1.0, 1.0, 1.0),
+              scheme="semi-implicit", v0=V0, p0=0.6 * V0):
     grid = pw.Grid1D(1.0, 201)
     params = pw.make_params(*material)
     exps = pw.validate_exponents(*exponents)
-    cfg = pw.StepConfig(dt=1e-3)
-    state = pw.state_from_modes(grid, [V0], [0.6 * V0], [0.0], [0.0])
+    cfg = pw.StepConfig(dt=1e-3, scheme=scheme)
+    state = pw.state_from_modes(grid, [v0], [p0], [0.0], [0.0])
 
     def run():
         t0 = time.perf_counter()
@@ -225,15 +242,14 @@ def stepper_case(pw):
     return run
 
 
-def sweep_case(pw):
+def sweep_case(pw, amplitudes, steps):
     grid = pw.Grid1D(1.0, 201)
     params = pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0)
     exps = pw.validate_exponents(1.0, 1.0, 2.0, 2.0)
     cfg = pw.StepConfig(dt=1e-3, scheme="implicit-midpoint")
     state = pw.State.stacked(np.array([
         pw.state_from_modes(grid, [v0], [0.0], [0.0], [0.0]).y
-        for v0 in SWEEP_V0]))
-    steps = 500
+        for v0 in amplitudes]))
 
     def run():
         t0 = time.perf_counter()
@@ -345,8 +361,12 @@ def cases(pw) -> dict:
                                    (2.3, 5.0, 0.7, 1.9, 0.4)),
             "step-newton-m4": step_case(pw, (4.0, 4.0, 3.0, 3.0)),
             "step-newton-m2.5": step_case(pw, (2.5, 2.5, 3.0, 3.0)),
+            "step-mid-m1": step_case(pw, (1.0, 1.0, 2.0, 2.0),
+                                     scheme="implicit-midpoint", v0=0.5,
+                                     p0=0.0),
             "stepper-m3": stepper_case(pw),
-            "sweep-mid": sweep_case(pw),
+            "sweep-mid": sweep_case(pw, SWEEP_V0, 500),
+            "sweep-mid-B5": sweep_case(pw, COMPLETING_V0, 2000),
             "blowup-m2": blowup_case(pw, 201, (1.0, 2.0, 1.0, 1.0, 1.0),
                                      (2.0, 2.0, 3.0, 3.0),
                                      (2.35, 0.9 * 2.35, 0.0, 0.0), 2.0, 20),
@@ -359,8 +379,9 @@ def cases(pw) -> dict:
 
 def child(src):
     """One side of one round: piezowave imported from src alone, each case
-    run once to warm up and then timed once; writes the times ("t:" keys)
-    and result arrays ("y:" keys) as one .npz to standard output."""
+    run once to warm up and then timed once; writes the times ("t:" keys),
+    the minor page faults of the timed runs ("f:" keys) and the result
+    arrays ("y:" keys) as one .npz to standard output."""
     sys.path.insert(0, src)
     import piezowave
     runs = cases(piezowave)
@@ -368,29 +389,35 @@ def child(src):
         run()
     out = {}
     for name, run in runs.items():
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         out["t:" + name], out["y:" + name] = run()
+        out["f:" + name] = (resource.getrusage(resource.RUSAGE_SELF)
+                            .ru_minflt - faults)
     buf = io.BytesIO()
     np.savez(buf, **out)
     sys.stdout.buffer.write(buf.getvalue())
 
 
 def one_side(src) -> dict:
-    """A child's {name: (us, result)} for the tree at src."""
+    """A child's {name: (us, minor faults, result)} for the tree at src."""
     proc = subprocess.run([sys.executable, __file__, "--child", src],
                           check=True, stdout=subprocess.PIPE)
     with np.load(io.BytesIO(proc.stdout)) as data:
-        return {key[2:]: (float(data[key]), data["y:" + key[2:]])
+        return {key[2:]: (float(data[key]), int(data["f:" + key[2:]]),
+                          data["y:" + key[2:]])
                 for key in data.files if key.startswith("t:")}
 
 
 def main(parent_src, change_src, rounds):
     sides = {"parent": parent_src, "change": change_src}
     times = {side: {} for side in sides}
+    faults = {side: {} for side in sides}
     results = {}
     for k in range(rounds):
         for side in list(sides) if k % 2 == 0 else list(sides)[::-1]:
-            for name, (us, result) in one_side(sides[side]).items():
+            for name, (us, minflt, result) in one_side(sides[side]).items():
                 times[side].setdefault(name, []).append(us)
+                faults[side].setdefault(name, []).append(minflt)
                 results.setdefault((side, name), result)
     table = {}
     for name in times["parent"]:
@@ -398,7 +425,9 @@ def main(parent_src, change_src, rounds):
         table[name] = {**summary(times["parent"][name],
                                  times["change"][name]),
                        "max_rel_diff": float(np.abs(a - b).max()
-                                             / np.abs(a).max())}
+                                             / np.abs(a).max()),
+                       **{side + "_minflt": int(np.median(faults[side][name]))
+                          for side in sides}}
     k = interval_rank(rounds)
     print(json.dumps({"rounds": rounds,
                       "ci95_ranks": [k, rounds + 1 - k] if k else None,
