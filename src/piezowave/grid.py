@@ -154,9 +154,9 @@ def lp_norm_pow(field: np.ndarray, q: float, grid: Grid1D) -> float:
 
 def row_power(q1: float, q2: float):
     """The map rows -> |rows|^q of a (..., 2, nx) array, q = q1 in row 0
-    and q2 in row 1, or of any array if q1 = q2, its formula chosen once.
-    q = 1 ... 4 take products, not pow: |x|^2 = x x bit for bit,
-    |x|^3 = |x| (x x) and |x|^4 = (x x)^2."""
+    and q2 in row 1, or of any array if q1 = q2, its formula chosen once,
+    into a fresh array.  q = 1 ... 4 take products, not pow: |x|^2 = x x
+    bit for bit, |x|^3 = |x| (x x) and |x|^4 = (x x)^2."""
     if q1 != q2:
         first, second = row_power(q1, q1), row_power(q2, q2)
         return lambda rows: np.stack([first(rows[..., 0, :]),

@@ -18,6 +18,8 @@ solve; a row with m = 1 takes its half-steps as a factor in the conservative
 maps.  An exponent becomes a formula once: `_twice_root` builds the damping
 map, `Stepper._build` the step, its maps and its source power (`row_power`),
 `simulate` the norm powers of its ledger and records; no step tests one.
+On a step's path each constant is a 0-d array, which a ufunc takes faster
+than a Python float, and each temporary the step owns is reused in place.
 A step takes one member, (4, nx), or a batch, (B, 4, nx), each member
 advancing as it would alone, and `simulate` checks the steps in blocks.
 """
@@ -55,6 +57,8 @@ CLOSED_FORMS = frozenset({2.0, 3.0})
 # Most steps, and bytes of their states, between blow-up checks in simulate
 BLOCK_STEPS = 32
 BLOCK_BYTES = 2**18
+
+HALF = np.array(0.5)          # the mirror row's halving in each solve
 
 
 @dataclass(frozen=True)
@@ -97,21 +101,21 @@ def _twice_root(m, a):
             z = _damping_newton(r, a, m)
             return np.add(z, z, out=z)
     elif m == 2.0:
-        a4 = 0.25 * a
+        a4, sixteenth, quarter = 0.25 * a, np.array(0.0625), np.array(0.25)
 
         def twice_root(r):
             x = np.abs(r)
-            np.sqrt(np.add(np.multiply(x, a4, out=x), 0.0625, out=x), out=x)
-            return np.divide(r, np.add(x, 0.25, out=x), out=x)
+            np.sqrt(np.add(np.multiply(x, a4, out=x), sixteenth, out=x), out=x)
+            return np.divide(r, np.add(x, quarter, out=x), out=x)
     else:                 # m = 3
-        k = np.sqrt(3.0 * a)
+        k, three = np.sqrt(3.0 * a), np.array(3.0)
         with np.errstate(divide="ignore"):
             c1, c2 = 1.5 * k, 2.0 / k
 
         def twice_root(r):
             ar = np.abs(r)
             x = c1 * ar       # to c2 sinh(arcsinh(c1 |r|) / 3), in place
-            np.sinh(np.divide(np.arcsinh(x, out=x), 3.0, out=x), out=x)
+            np.sinh(np.divide(np.arcsinh(x, out=x), three, out=x), out=x)
             x *= c2
             # |z| <= |r| (roundoff can miss it by an ulp); at a = 0, x is NaN
             z = np.copysign(np.fmin(x, ar, out=x), r, out=x)
@@ -168,12 +172,12 @@ def _check_fits(y, grid: Grid1D):
                               f"(B > 0, 4, nx) with nx = {grid.nx}")
 
 
-def _settled(new, xm) -> tuple:
+def _settled(new, move) -> tuple:
     """Per member of new, (2, nx) or (B, 2, nx), whether its iterate moved
     by at most NEWTON_TOL relative to its displacement (a NaN change has
-    not), and its largest move."""
+    not), and its largest move, from move = |new - xm| of new's shape."""
     nx = new.shape[-1]
-    delta = np.abs(new - xm).reshape(-1, 2 * nx).max(axis=1)
+    delta = move.reshape(-1, 2 * nx).max(axis=1)
     size = np.abs(new[..., 0, :]).reshape(-1, nx).max(axis=1)
     return (delta <= NEWTON_TOL * (1.0 + size)).tolist(), delta
 
@@ -244,7 +248,7 @@ class Stepper:
             overwrites: pass a fresh array.  The B members are the columns of
             one solve, their mirror rows halved on the (2B, nx) row view."""
             r = rhs.reshape(-1, nx)
-            r[:, -1] *= 0.5
+            r[:, -1] *= HALF
             return solve(r.reshape(-1, n).T).T.reshape(rhs.shape)
         return batch_solve
 
@@ -271,9 +275,10 @@ class Stepper:
                 out = new
             else:
                 out[rows] = new
-            if np.abs(new - xm).max() <= NEWTON_TOL:  # all settle; NaN fails
+            move = new - xm               # all settle; a NaN fails the test
+            if np.maximum.reduce(np.abs(move, out=move), None) <= NEWTON_TOL:
                 return out
-            settled, delta = _settled(new, xm)
+            settled, delta = _settled(new, move)
             # a NaN change never settles: its member fails and stops now
             for i in np.flatnonzero(np.isnan(delta)).tolist():
                 failed.setdefault(i if rows is None else rows[i].item(),
@@ -347,7 +352,9 @@ class Stepper:
         into_f, power = self._into_f, row_power(exps.n1 - 1.0, exps.n2 - 1.0)
 
         def source(x):        # x -> V^-1 (dt^2/4) (f1/rho, f2/mu)
-            return into_f @ (power(x) * x)
+            f = power(x)
+            f *= x
+            return into_f @ f
 
         def midpoint(y, failed):      # sources off
             return self._midpoint(into @ y)
@@ -362,7 +369,8 @@ class Stepper:
 
         def conservative(y, failed):
             # the difference comes before the scaling by 4/dt: it keeps digits
-            new = out @ (midpoint(y, failed) - y[..., :2, :])
+            xm = midpoint(y, failed)
+            new = out @ np.subtract(xm, y[..., :2, :], out=xm)
             new += y * flip
             return new
         if not cfg.damping_on or all(linear):

@@ -824,8 +824,8 @@ def test_underflowed_damping_coefficient_leaves_velocity_undamped(damping):
 @pytest.mark.parametrize("damping_on", [True, False],
                          ids=["damped", "undamped"])
 @pytest.mark.parametrize("exponents", [(1, 1, 2, 2), (3, 3, 3, 3),
-                                       (1, 3, 2, 3)],
-                         ids=["m1", "m3", "mixed"])
+                                       (1, 3, 2, 3), (2, 2, 3, 3)],
+                         ids=["m1", "m3", "mixed", "m2"])
 @pytest.mark.parametrize("scheme", pw.integrator.SCHEMES)
 def test_step_leaves_its_input_alone(scheme, exponents, damping_on,
                                      sources_on, members):
@@ -938,6 +938,31 @@ def test_doubled_quadratic_half_step_is_twice_the_root(rng):
     root, coef = solved[lost], np.broadcast_to(stepper._damp_coef, vel.shape)
     assert np.allclose(root + coef[lost] * np.abs(root) * root, vel[lost],
                        rtol=1e-14, atol=0.0)
+
+
+def test_cubic_half_step_map_is_its_formula(rng):
+    """The m = 3 map of `_twice_root`, whose constants are arrays, equals
+    bit for bit its formula written with Python-float constants: 2z, z =
+    copysign(min(c2 sinh(arcsinh(c1 |r|) / 3), |r|), r), c1 = 1.5 sqrt(3a)
+    and c2 = 2 / sqrt(3a), for a = 0, 2.5e-4, 1 and 1e3 and velocities r
+    of every binade, subnormals too, with signed zeros, infinities and
+    NaN; where a = 0, each finite r comes back doubled."""
+    a = np.array([[0.0], [2.5e-4], [1.0], [1e3]])
+    r = np.ldexp(rng.uniform(0.5, 1.0, (2, 2098)), np.arange(-1073, 1025))
+    r = np.concatenate([r.ravel(), -r.ravel(), [0.0, -0.0, np.inf, -np.inf,
+                                                np.nan]])
+    r = np.tile(r, (len(a), 1))
+    with np.errstate(divide="ignore", **QUIET):
+        got = _twice_root(3.0, a)(r)
+        k = np.sqrt(3.0 * a)
+        c1, c2 = 1.5 * k, 2.0 / k
+        ar = np.abs(r)
+        z = np.copysign(np.fmin(np.sinh(np.arcsinh(c1 * ar) / 3.0) * c2,
+                                ar), r)
+        expected, doubled = z + z, 2.0 * r[0]
+    assert got.tobytes() == expected.tobytes()
+    finite = np.isfinite(r[0])
+    assert got[0, finite].tobytes() == doubled[finite].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1396,21 +1421,23 @@ def test_a_diverged_source_iteration_is_a_solver_failure(ref_params,
 
 
 def test_settled_reads_a_member_alone_as_in_a_batch():
-    """A member's settled flag and largest move are the same from a
-    (2, nx) pair, a batch of one and its row of a batch: a move of 1e-13
-    settles, one of 1e-3 does not, and a NaN move does not and stays NaN."""
+    """A member's settled flag and largest move, from the move |new - xm|
+    that `_iterate` holds, are the same from a (2, nx) pair, a batch of
+    one and its row of a batch: a move of 1e-13 settles, one of 1e-3 does
+    not, and a NaN move does not and stays NaN."""
     rng = np.random.default_rng(5)
     xm = rng.standard_normal((3, 2, 41))
     new = xm + np.array([1e-13, 1e-3, 0.0])[:, None, None]
     new[2, 1, 7] = np.nan
-    flags, moves = _settled(new, xm)
+    move = np.abs(new - xm)
+    flags, moves = _settled(new, move)
     assert flags == [True, False, False] and np.isnan(moves[2])
     for row in range(3):
         for shape in ((2, 41), (1, 2, 41)):
-            flag, move = _settled(new[row].reshape(shape),
-                                  xm[row].reshape(shape))
+            flag, largest = _settled(new[row].reshape(shape),
+                                     move[row].reshape(shape))
             assert flag == [flags[row]]
-            np.testing.assert_array_equal(move, moves[row:row + 1])
+            np.testing.assert_array_equal(largest, moves[row:row + 1])
 
 
 def test_a_stalled_source_iteration_is_a_solver_failure():

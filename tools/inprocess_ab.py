@@ -1,6 +1,7 @@
-"""A/B of the midpoint solve, the per-step norms, whole steps, the well
-analysis and a unit of the `ensemble-m2` workload, between two source
-trees, in interleaved rounds of one child process per tree.
+"""A/B of the midpoint solve, a damping half-step, the per-step norms,
+whole steps, the well analysis and a unit of the `ensemble-m2` workload,
+between two source trees, in interleaved rounds of one child process per
+tree.
 
     taskset -c 1 python3 tools/inprocess_ab.py PARENT_SRC CHANGE_SRC [ROUNDS]
 
@@ -14,6 +15,11 @@ Cases, on nx = 201, dt = 1e-3 and the reference material:
     the timed call.  The right-hand side is random but zero at the clamped
     node x = 0, as every state of the model is there, so that two trees
     that differ only in what the interior reads of x = 0 give one result;
+  * `half-m2` and `half-m3`: one damping half-step, the map that
+    `Stepper._damp` builds for exponents m = (2, 2) or (3, 3), on one
+    member's (4, nx) state (v0 = 0.1, p0 = 0.06, v1 = 0.1, p1 = -0.1), in
+    us, the minimum of 2000 calls per round; the half-step writes into its
+    argument, so each call gets a fresh copy, made outside the timed call;
   * `norms-B1` and `norms-B8`: one `integrator._step_norms` call, damping
     on, on a (b, 4, nx) state with exponents (3, 3, 3, 3), in us, the
     minimum of 2000 calls per round.  Each side is called with its own
@@ -120,7 +126,7 @@ numpy's small operations).  Per case, the table gives:
     side comes from the heap state (see above), not the arithmetic.
 
 The same tree on both sides (`... src src`) gives the host's floor: every
-case should read "no change".  With 22 cases, a claimed verdict should
+case should read "no change".  With 24 cases, a claimed verdict should
 also repeat across runs.  Prints one JSON object.
 """
 import inspect
@@ -164,6 +170,15 @@ def solve_case(pw, b):
     rhs = np.random.default_rng(b).standard_normal((b, 2, grid.nx))
     rhs[..., 0] = 0.0
     return lambda: best_of_calls(stepper._solve, rhs)
+
+
+def half_case(pw, m):
+    grid = pw.Grid1D(1.0, 201)
+    stepper = pw.Stepper(grid, pw.make_params(1.0, 2.0, 1.0, 1.0, 1.0),
+                         pw.StepConfig(dt=1e-3))
+    half = stepper._damp({0: m, 1: m})
+    return lambda: best_of_calls(lambda y: half(y, {}),
+                                 members(pw, grid, 1)[0])
 
 
 def takes_power(function):
@@ -351,6 +366,7 @@ def summary(parent, change):
 def cases(pw) -> dict:
     """Every case of the table on the piezowave module pw, by name."""
     return {**{f"solve-B{b}": solve_case(pw, b) for b in BATCHES},
+            **{f"half-m{m:g}": half_case(pw, m) for m in (2.0, 3.0)},
             **{f"norms-B{b}": norms_case(pw, b) for b in (1, 8)},
             "norms-m2-B1": norms_case(pw, 1, (2.0, 2.0, 3.0, 3.0)),
             "records-B8": records_case(pw, 8),
