@@ -9,14 +9,17 @@ where the damping substeps solve the pointwise monotone update exactly
 the conservative substep is the implicit midpoint rule for the linear
 stiffness, one solve in the eigenbasis of the 2x2 coupling matrix
 (`midpoint_bands`), which with sources and damping off conserves the
-discrete quadratic energy to roundoff.  Sources are taken at the step's
-start ("semi-implicit", first order in dt) or iterated to the midpoint
-("implicit-midpoint", second order, typically in 2 solves; each iterate is
-tested batch-wide, and per member only when that test fails).  The damping
-root has a closed form for m in CLOSED_FORMS, else one whole-array Newton
-solve; a row with m = 1 takes its half-steps as a factor in the conservative
-maps.  An exponent becomes a formula once: `_twice_root` builds the damping
-map, `Stepper._build` the step, its maps and its source power (`row_power`),
+discrete quadratic energy to roundoff.  The solve writes w over its
+right-hand side, and the new state is M z + G y, two matrices formed once
+per exponent set: z = w, or the midpoint V w where the source iteration
+forms it anyway.  Sources are taken at the step's start ("semi-implicit",
+first order in dt) or iterated to the midpoint ("implicit-midpoint",
+second order, typically in 2 solves; each iterate is tested batch-wide,
+and per member only when that test fails).  The damping root has a closed
+form for m in CLOSED_FORMS, else one whole-array Newton solve; a row with
+m = 1 takes its half-steps as a factor in the conservative maps.  An
+exponent becomes a formula once: `_twice_root` builds the damping map,
+`Stepper._build` the step, its maps and its source power (`row_power`),
 `simulate` the norm powers of its ledger and records; no step tests one.
 On a step's path each constant is a 0-d array, which a ufunc takes faster
 than a Python float, and each temporary the step owns is reused in place.
@@ -228,33 +231,30 @@ class Stepper:
         self._solve = self._factorize(mass)
 
     def _factorize(self, mass):
-        """Keep V, V^-1 and the source map into w = V^-1 u; return the solver
-        of (I - (dt^2/4) Lambda D2) w = rhs, rhs (2, nx) or (B, 2, nx), as
-        the SPD system of its mirror row at x = L halved, rhs[-1] too; D2
-        reads no clamped node, so w[0] = rhs[0] and no other row reads it."""
+        """Keep V, V^-1 and the source map into w = V^-1 u; return the
+        in-place solver of (I - (dt^2/4) Lambda D2) w = rhs, rhs (2, nx) or
+        (B, 2, nx), as the SPD system of its mirror row at x = L halved,
+        rhs[-1] too; D2 reads no clamped node, so w[0] = rhs[0] and no other
+        row reads it."""
         d, q, (mid, up) = midpoint_bands(self.grid, self.params, self.cfg)
         main = 1.0 + mid
         main[:, -1] *= 0.5
         # the k = 1, 2 systems end to end, joined by a zero off-diagonal
         solve = tridiagonal_solver(main.ravel(), np.append(
             up, [[0.0], [0.0]], axis=1).ravel()[:-1])
-        dt, n, nx = self.cfg.dt, mid.size, self.grid.nx
+        dt, n = self.cfg.dt, mid.size
         self._v, self._v_inv = d[:, None] * q, q.T / d
         # f -> V^-1 (dt^2/4) (f1/rho, f2/mu)
         self._into_f = self._v_inv * ((dt * dt / 4.0) / mass).T
 
         def batch_solve(rhs):
-            """The solution w of rhs, (2, nx) or (B, 2, nx), which the solve
-            overwrites: pass a fresh array.  The B members are the columns of
-            one solve, their mirror rows halved on the (2B, nx) row view."""
-            r = rhs.reshape(-1, nx)
-            r[:, -1] *= HALF
-            return solve(r.reshape(-1, n).T).T.reshape(rhs.shape)
+            """rhs, a C-ordered (2, nx) or (B, 2, nx), overwritten with its
+            solution w and returned: its mirror rows halved, the B members
+            are the columns of one dpttrs on its (2 nx, B) F-ordered view."""
+            rhs[..., -1] *= HALF
+            solve(rhs.reshape(-1, n).T)
+            return rhs
         return batch_solve
-
-    def _midpoint(self, rhs):
-        """V w, w solved from rhs, which the solve overwrites."""
-        return self._v @ self._solve(rhs)
 
     def _iterate(self, y, failed: dict, into, start, source):
         """implicit-midpoint: iterate each member's sources from its predicted
@@ -265,12 +265,12 @@ class Stepper:
         base_w = into @ y
         rhs = source(start @ y)
         rhs += base_w
-        out = xm = self._midpoint(rhs)
+        out = xm = self._v @ self._solve(rhs)
         rows = None               # the rows of out still iterating, or all
         for _ in range(NEWTON_MAX_ITER - 1):
             rhs = source(xm)
             rhs += base_w
-            new = self._midpoint(rhs)
+            new = self._v @ self._solve(rhs)
             if rows is None:
                 out = new
             else:
@@ -334,21 +334,24 @@ class Stepper:
 
     def _build(self, exps: Exponents):
         """The step for exps, a function of (y, failed) to a new stacked array
-        whose path and maps are fixed here, once: the conservative substep,
-        between damping half-steps of the rows with m != 1 if damping is on
-        and there is one.  A damped row with m = 1 takes its half-steps
-        x_t -> kappa x_t, kappa = (1 - a)/(1 + a), as k = kappa in the maps;
-        every other row has k = 1."""
-        cfg, dt, nx = self.cfg, self.cfg.dt, self.grid.nx
+        whose path and maps, into the solve and on to the new state, are
+        fixed here, once: the conservative substep, between damping
+        half-steps of the rows with m != 1 if damping is on and there is
+        one.  A damped row with m = 1 takes its half-steps x_t -> kappa x_t,
+        kappa = (1 - a)/(1 + a), as k = kappa in the maps; every other row
+        has k = 1."""
+        cfg, dt = self.cfg, self.cfg.dt
         ms, a, v_inv = (exps.m1, exps.m2), self._damp_coef[:, :1], self._v_inv
         linear = [cfg.damping_on and m == 1.0 for m in ms]
         k = np.where(np.c_[linear], (1.0 - a) / (1.0 + a), 1.0)
         # y -> V^-1 z and y -> z, z = x + (dt/2) k x_t the predicted midpoint;
-        # D = xm - x -> (2D, (4/dt) k D), plus y (1, 1, -k^2) for the new state
+        # the new state (x + 2D, (4/dt) k D - k^2 x_t), D = xm - x, is out xm
+        # + g y, and out V w where the midpoint xm = V w is not formed
         into = np.hstack([v_inv, (0.5 * dt) * v_inv * k.T])
         start = np.hstack([np.eye(2), np.diag((0.5 * dt) * k[:, 0])])
         out = np.concatenate([2.0 * np.eye(2), (4.0 / dt) * np.diag(k[:, 0])])
-        flip = np.concatenate([np.ones((2, 1)), -(k * k)]).repeat(nx, 1)
+        g = np.diag(np.r_[1.0, 1.0, -(k * k)[:, 0]])
+        g[:, :2] -= out
         into_f, power = self._into_f, row_power(exps.n1 - 1.0, exps.n2 - 1.0)
 
         def source(x):        # x -> V^-1 (dt^2/4) (f1/rho, f2/mu)
@@ -356,22 +359,21 @@ class Stepper:
             f *= x
             return into_f @ f
 
-        def midpoint(y, failed):      # sources off
-            return self._midpoint(into @ y)
+        def midpoint(y, failed):      # sources off: w
+            return self._solve(into @ y)
+        to_new = out @ self._v
         if cfg.sources_on and cfg.scheme == "semi-implicit":
             def midpoint(y, failed):      # the source at the step's start
                 rhs = into @ y
                 rhs += source(y[..., :2, :])
-                return self._midpoint(rhs)
-        elif cfg.sources_on:
-            midpoint = functools.partial(self._iterate, into=into,
-                                         start=start, source=source)
+                return self._solve(rhs)
+        elif cfg.sources_on:          # xm, which the iteration forms anyway
+            midpoint, to_new = functools.partial(
+                self._iterate, into=into, start=start, source=source), out
 
         def conservative(y, failed):
-            # the difference comes before the scaling by 4/dt: it keeps digits
-            xm = midpoint(y, failed)
-            new = out @ np.subtract(xm, y[..., :2, :], out=xm)
-            new += y * flip
+            new = to_new @ midpoint(y, failed)
+            new += g @ y
             return new
         if not cfg.damping_on or all(linear):
             return conservative

@@ -442,6 +442,45 @@ def test_solve_reads_no_clamped_node(shape, ref_params, ref_grid, rng):
     assert np.array_equal(got[..., 1:], want[..., 1:])
 
 
+@pytest.mark.parametrize("shape", [(2,), (3, 2)], ids=["one", "batch3"])
+def test_solve_overwrites_and_returns_its_right_hand_side(shape, ref_params,
+                                                         ref_grid, rng):
+    """`Stepper._solve` writes the solution into its right-hand side, a
+    fresh (2, nx) or (3, 2, nx), and returns that array, and the solution
+    equals, bit for bit, one `tridiagonal_solver` solve per member and
+    eigen-system of its right-hand side with the mirror row halved.  A
+    reshape in the solve that copied would drop the solution silently."""
+    cfg = pw.StepConfig(dt=1e-3)
+    stepper = pw.Stepper(ref_grid, ref_params, cfg)
+    reference = _FourArrayStep(ref_grid, ref_params, cfg)
+    rhs = rng.standard_normal(shape + (ref_grid.nx,))
+    want = np.array([reference.solve_w(r)
+                     for r in rhs.reshape(-1, 2, ref_grid.nx)])
+    got = stepper._solve(rhs)
+    assert got is rhs
+    assert np.array_equal(got, want.reshape(shape + (ref_grid.nx,)))
+
+
+@pytest.mark.parametrize("scheme", pw.integrator.SCHEMES)
+def test_sourceless_energy_drifts_at_roundoff(scheme):
+    """With sources and damping off the step conserves the quadratic
+    energy E to roundoff, and the velocity rows, (4/dt) k (V w - x) -
+    k^2 x_t with the cancellation inside one matmul, lose no more digits
+    than 4 eps |x| / dt a step: on the asymmetric material, nx = 81,
+    v0 = (0.8, 0.1), p0 = 0.3, v1 = 0.5, p1 = -0.4, E drifts by at most
+    1e-8 of E0 over t <= 0.5 at dt = 1e-4 (measured 2.4e-9)."""
+    params = pw.make_params(*MATERIALS[1])
+    grid = pw.Grid1D(1.0, 81)
+    cfg = pw.StepConfig(dt=1e-4, scheme=scheme, damping_on=False,
+                        sources_on=False)
+    state = pw.state_from_modes(grid, [0.8, 0.1], [0.3], [0.5], [-0.4])
+    traj = pw.simulate(state, params, pw.validate_exponents(1, 1, 2, 2),
+                       grid, cfg, 0.5)
+    e = np.array([r.E for r in traj.records])
+    assert len(e) == 5001
+    assert np.abs(e - e[0]).max() <= 1e-8 * e[0]
+
+
 @pytest.mark.parametrize("exponents", [(1, 1, 2, 2), (2, 2, 3, 3),
                                        (3, 3, 3, 3), (2.5, 2.5, 3, 3)],
                          ids=["m1-folded", "m2", "m3", "m2.5-newton"])
@@ -486,12 +525,15 @@ class _FourArrayStep:
     x = L halved, right-hand side included.  The conservative substep
     solves in the eigen coordinates w = V^-1 u, from base_w = V^-1 [I,
     (dt/2) I] y and the source through V^-1 diag(dt^2/4 (1/rho, 1/mu)),
-    and builds the new state from D = V w - x as
-    (x + 2D, (4/dt) D - xt).  With damping on, each velocity row with
-    m = 1 has its two damping half-steps, each xt -> kappa xt with
-    kappa = (1 - a)/(1 + a), folded into that substep: base_w takes kappa
-    xt, the predicted midpoint x + ((dt/2) kappa) xt, and the new state
-    ((4/dt) kappa) D - kappa^2 xt; only the other rows take half-steps.
+    and builds the new state (x + 2D, (4/dt) D - xt), D = V w - x, as
+    OV w + G (v, p, vt, pt) with OUT = [2I; (4/dt) I], OV = OUT V and
+    G = diag(1, 1, -1, -1) - [OUT | 0]; implicit-midpoint, which forms
+    the midpoint xm = V w to iterate, takes OUT xm for OV w.  With damping
+    on, each velocity row with m = 1 has its two damping half-steps, each
+    xt -> kappa xt with kappa = (1 - a)/(1 + a), folded into that
+    substep: base_w takes kappa xt, the predicted midpoint
+    x + ((dt/2) kappa) xt, and OUT and G take (4/dt) kappa for 4/dt and
+    -kappa^2 for -1; only the other rows take half-steps.
     With predicted=False, implicit-midpoint starts from the
     source at the step start instead of at the predicted midpoint.  With
     legacy=True it takes the arithmetic the Stepper had before: the
@@ -540,21 +582,25 @@ class _FourArrayStep:
             return (np.abs(v) ** (exps.n1 - 1.0) * v,
                     np.abs(p) ** (exps.n2 - 1.0) * p)
 
-        def midpoint(f):          # f is None with the sources off
+        def solve(f):             # w; f is None with the sources off
             if self.legacy:
                 f1, f2 = (0.0, 0.0) if f is None else f
-                return self.v @ self.solve_w(self.v_inv @ np.array([
+                return self.solve_w(self.v_inv @ np.array([
                     v + 0.5 * dt * vt + (dt * dt / 4.0) * f1 / pr.rho,
                     p + 0.5 * dt * pt + (dt * dt / 4.0) * f2 / pr.mu]))
             rhs = base_w if f is None else base_w + self.into_f @ np.array(f)
-            return self.v @ self.solve_w(rhs)
+            return self.solve_w(rhs)
+
+        def midpoint(f):
+            return self.v @ solve(f)
 
         iterate = on and self.cfg.scheme == "implicit-midpoint"
         # implicit-midpoint starts from the source at the predicted
         # midpoint, semi-implicit takes it at the step start
         first = ((v + ((0.5 * dt) * k1) * vt, p + ((0.5 * dt) * k2) * pt)
                  if iterate and self.predicted else (v, p))
-        vm, pm = midpoint(source(*first) if on else None)
+        w = solve(source(*first) if on else None)
+        vm, pm = self.v @ w
         if iterate:
             for _ in range(NEWTON_MAX_ITER - 1):
                 vm_new, pm_new = midpoint(source(vm, pm))
@@ -566,10 +612,13 @@ class _FourArrayStep:
         if self.legacy:
             return (2.0 * vm - v, 2.0 * pm - p, 4.0 * (vm - v) / dt - vt,
                     4.0 * (pm - p) / dt - pt)
-        dv, dp = vm - v, pm - p
-        return (v + 2.0 * dv, p + 2.0 * dp,
-                ((4.0 / dt) * k1) * dv - (k1 * k1) * vt,
-                ((4.0 / dt) * k2) * dp - (k2 * k2) * pt)
+        out = np.concatenate([2.0 * np.eye(2),
+                              (4.0 / dt) * np.diag([k1, k2])])
+        g = np.array([[-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0],
+                      [-(4.0 / dt) * k1, 0.0, -(k1 * k1), 0.0],
+                      [0.0, -(4.0 / dt) * k2, 0.0, -(k2 * k2)]])
+        new = out @ np.array([vm, pm]) if iterate else (out @ self.v) @ w
+        return tuple(new + g @ np.array([v, p, vt, pt]))
 
     def folded(self, m):
         """Whether a velocity row with exponent m takes its half-steps as

@@ -85,12 +85,12 @@ def test_sweep_midpoint_solves(config, solves, tmp_path, monkeypatch):
     member whose source iteration turns NaN (past its blow-up, or its own
     failure) is marked and dropped on that iterate instead of running out
     NEWTON_MAX_ITER: run out, the counts read 2,832 and 7,518."""
-    midpoint, calls = pw.Stepper._midpoint, []
+    factorize, calls = pw.Stepper._factorize, []
 
     def counted(self, *args):
-        calls.append(1)
-        return midpoint(self, *args)
-    monkeypatch.setattr(pw.Stepper, "_midpoint", counted)
+        solve = factorize(self, *args)
+        return lambda rhs: calls.append(1) or solve(rhs)
+    monkeypatch.setattr(pw.Stepper, "_factorize", counted)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sweep.cfg").write_text(getattr(oi, config), encoding="utf-8")
     assert main(["sweep", "sweep.cfg"]) == 0

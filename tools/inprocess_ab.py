@@ -1,7 +1,7 @@
 """A/B of the midpoint solve, a damping half-step, the per-step norms,
 whole steps, the well analysis and a unit of the `ensemble-m2` workload,
 between two source trees, in interleaved rounds of one child process per
-tree.
+case and tree.
 
     taskset -c 1 python3 tools/inprocess_ab.py PARENT_SRC CHANGE_SRC [ROUNDS]
 
@@ -88,18 +88,22 @@ Cases, on nx = 201, dt = 1e-3 and the reference material:
     t_end = 2, record_every = 20), the steps taken being those to t_end
     or to t_detect, as perfbench counts them.
 
-Each round starts one child process per tree, the side that goes first
-alternating.  A child puts its tree's `src` first on its path and imports
-piezowave from there alone, runs every case once to warm it up, then
-times each case once and sends its times and result arrays back as one
-`.npz` on its standard output.  Two trees never share a process, so
-neither's imports, allocations or caches shape the other's timings; the
-cases of one side do share its child, so a case runs on the heap the
-cases before it left, and a change in what `simulate` allocates can move
-a case through glibc's dynamic mmap and trim thresholds (page faults)
-where perfbench's processes do not.  BLAS
-runs on one thread, as in perfbench (the thread count changes the cost of
-numpy's small operations).  Per case, the table gives:
+Each round starts, for each case in turn, one child process per tree,
+the side that goes first alternating from round to round.  A child puts
+its tree's `src` first on its path and imports piezowave from there
+alone, builds its one case, runs it once to warm it up, then times it
+once and sends its time and result array back as one `.npz` on its
+standard output.  No two trees and no two cases share a process, so
+neither tree's imports, allocations or caches, nor the cases timed
+before, shape a case's timing: a case whose code a change does not touch
+runs on the same heap on both sides.  A change in what `simulate`
+allocates can still move a case through glibc's dynamic mmap and trim
+thresholds (page faults) where perfbench's processes, which run many
+units, do not.  BLAS runs on one thread, as in perfbench (the thread
+count changes the cost of numpy's small operations).  Each child
+imports numpy and piezowave afresh, so 20 rounds of the 24 cases start
+960 children and take about 5 minutes on one core (260-303 s on a 2-core
+Xeon sandbox, Python 3.11, numpy 2.4).  Per case, the table gives:
 
   * `parent_us`, `change_us`: each side's median over rounds, and
     `parent_q_us`, `change_q_us`: its first and third quartiles;
@@ -138,6 +142,7 @@ import resource
 import subprocess
 import sys
 import time
+from functools import partial
 
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
@@ -364,79 +369,78 @@ def summary(parent, change):
 
 
 def cases(pw) -> dict:
-    """Every case of the table on the piezowave module pw, by name."""
-    return {**{f"solve-B{b}": solve_case(pw, b) for b in BATCHES},
-            **{f"half-m{m:g}": half_case(pw, m) for m in (2.0, 3.0)},
-            **{f"norms-B{b}": norms_case(pw, b) for b in (1, 8)},
-            "norms-m2-B1": norms_case(pw, 1, (2.0, 2.0, 3.0, 3.0)),
-            "records-B8": records_case(pw, 8),
-            "step-m1-3": step_case(pw, (1.0, 3.0, 2.0, 3.0)),
-            "step-m3": step_case(pw, (3.0, 3.0, 3.0, 3.0)),
-            "step-m2": step_case(pw, (2.0, 2.0, 3.0, 3.0)),
-            "step-m2-3": step_case(pw, (2.0, 3.0, 3.0, 3.0),
-                                   (2.3, 5.0, 0.7, 1.9, 0.4)),
-            "step-newton-m4": step_case(pw, (4.0, 4.0, 3.0, 3.0)),
-            "step-newton-m2.5": step_case(pw, (2.5, 2.5, 3.0, 3.0)),
-            "step-mid-m1": step_case(pw, (1.0, 1.0, 2.0, 2.0),
-                                     scheme="implicit-midpoint", v0=0.5,
-                                     p0=0.0),
-            "stepper-m3": stepper_case(pw),
-            "sweep-mid": sweep_case(pw, SWEEP_V0, 500),
-            "sweep-mid-B5": sweep_case(pw, COMPLETING_V0, 2000),
-            "blowup-m2": blowup_case(pw, 201, (1.0, 2.0, 1.0, 1.0, 1.0),
-                                     (2.0, 2.0, 3.0, 3.0),
-                                     (2.35, 0.9 * 2.35, 0.0, 0.0), 2.0, 20),
-            "blowup-newton": blowup_case(
-                pw, 81, (2.3, 5.0, 0.7, 1.9, 0.4), (4.0, 4.0, 2.0, 3.0),
-                (0.3, 30.0, 0.1, -0.05), 0.5, 10),
-            "well-m2": well_case(pw),
-            "ensemble-m2": ensemble_case(pw)}
+    """Every case of the table on the piezowave module pw, by name, as a
+    function that builds it: nothing is built until it is called."""
+    return {**{f"solve-B{b}": partial(solve_case, pw, b) for b in BATCHES},
+            **{f"half-m{m:g}": partial(half_case, pw, m) for m in (2.0, 3.0)},
+            **{f"norms-B{b}": partial(norms_case, pw, b) for b in (1, 8)},
+            "norms-m2-B1": partial(norms_case, pw, 1, (2.0, 2.0, 3.0, 3.0)),
+            "records-B8": partial(records_case, pw, 8),
+            "step-m1-3": partial(step_case, pw, (1.0, 3.0, 2.0, 3.0)),
+            "step-m3": partial(step_case, pw, (3.0, 3.0, 3.0, 3.0)),
+            "step-m2": partial(step_case, pw, (2.0, 2.0, 3.0, 3.0)),
+            "step-m2-3": partial(step_case, pw, (2.0, 3.0, 3.0, 3.0),
+                                 (2.3, 5.0, 0.7, 1.9, 0.4)),
+            "step-newton-m4": partial(step_case, pw, (4.0, 4.0, 3.0, 3.0)),
+            "step-newton-m2.5": partial(step_case, pw, (2.5, 2.5, 3.0, 3.0)),
+            "step-mid-m1": partial(step_case, pw, (1.0, 1.0, 2.0, 2.0),
+                                   scheme="implicit-midpoint", v0=0.5,
+                                   p0=0.0),
+            "stepper-m3": partial(stepper_case, pw),
+            "sweep-mid": partial(sweep_case, pw, SWEEP_V0, 500),
+            "sweep-mid-B5": partial(sweep_case, pw, COMPLETING_V0, 2000),
+            "blowup-m2": partial(blowup_case, pw, 201,
+                                 (1.0, 2.0, 1.0, 1.0, 1.0),
+                                 (2.0, 2.0, 3.0, 3.0),
+                                 (2.35, 0.9 * 2.35, 0.0, 0.0), 2.0, 20),
+            "blowup-newton": partial(
+                blowup_case, pw, 81, (2.3, 5.0, 0.7, 1.9, 0.4),
+                (4.0, 4.0, 2.0, 3.0), (0.3, 30.0, 0.1, -0.05), 0.5, 10),
+            "well-m2": partial(well_case, pw),
+            "ensemble-m2": partial(ensemble_case, pw)}
 
 
-def child(src):
-    """One side of one round: piezowave imported from src alone, each case
-    run once to warm up and then timed once; writes the times ("t:" keys),
-    the minor page faults of the timed runs ("f:" keys) and the result
-    arrays ("y:" keys) as one .npz to standard output."""
+def child(src, name):
+    """One side of one case in one round: piezowave imported from src
+    alone, the case built, run once to warm up and then timed once; writes
+    its time ("t"), the minor page faults of the timed run ("f") and its
+    result array ("y") as one .npz to standard output."""
     sys.path.insert(0, src)
     import piezowave
-    runs = cases(piezowave)
-    for run in runs.values():
-        run()
-    out = {}
-    for name, run in runs.items():
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        out["t:" + name], out["y:" + name] = run()
-        out["f:" + name] = (resource.getrusage(resource.RUSAGE_SELF)
-                            .ru_minflt - faults)
+    run = cases(piezowave)[name]()
+    run()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t, y = run()
+    f = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     buf = io.BytesIO()
-    np.savez(buf, **out)
+    np.savez(buf, t=t, f=f, y=y)
     sys.stdout.buffer.write(buf.getvalue())
 
 
-def one_side(src) -> dict:
-    """A child's {name: (us, minor faults, result)} for the tree at src."""
-    proc = subprocess.run([sys.executable, __file__, "--child", src],
+def one_side(src, name) -> tuple:
+    """(us, minor faults, result) of case name, from a child for the tree
+    at src."""
+    proc = subprocess.run([sys.executable, __file__, "--child", src, name],
                           check=True, stdout=subprocess.PIPE)
     with np.load(io.BytesIO(proc.stdout)) as data:
-        return {key[2:]: (float(data[key]), int(data["f:" + key[2:]]),
-                          data["y:" + key[2:]])
-                for key in data.files if key.startswith("t:")}
+        return float(data["t"]), int(data["f"]), data["y"]
 
 
 def main(parent_src, change_src, rounds):
     sides = {"parent": parent_src, "change": change_src}
-    times = {side: {} for side in sides}
-    faults = {side: {} for side in sides}
+    names = list(cases(None))
+    times = {side: {name: [] for name in names} for side in sides}
+    faults = {side: {name: [] for name in names} for side in sides}
     results = {}
     for k in range(rounds):
-        for side in list(sides) if k % 2 == 0 else list(sides)[::-1]:
-            for name, (us, minflt, result) in one_side(sides[side]).items():
-                times[side].setdefault(name, []).append(us)
-                faults[side].setdefault(name, []).append(minflt)
+        for name in names:
+            for side in list(sides) if k % 2 == 0 else list(sides)[::-1]:
+                us, minflt, result = one_side(sides[side], name)
+                times[side][name].append(us)
+                faults[side][name].append(minflt)
                 results.setdefault((side, name), result)
     table = {}
-    for name in times["parent"]:
+    for name in names:
         a, b = results["parent", name], results["change", name]
         table[name] = {**summary(times["parent"][name],
                                  times["change"][name]),
@@ -453,7 +457,7 @@ def main(parent_src, change_src, rounds):
 
 if __name__ == "__main__":
     if sys.argv[1] == "--child":
-        child(sys.argv[2])
+        child(sys.argv[2], sys.argv[3])
     else:
         main(sys.argv[1], sys.argv[2],
              int(sys.argv[3]) if len(sys.argv) > 3 else 20)
